@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import LabeledOperator, haar_isometry, herm_eig, trace_norm, vectorize
+from .linalg import LabeledOperator, haar_isometry, herm_eig, herm_eigvals, trace_norm, vectorize
 
 __all__ = [
     "Channel",
@@ -111,7 +111,7 @@ def kraus_from_choi(choi: np.ndarray, d_out: int, d_in: int, rank_tol: float = 1
 
 def kraus_rank(choi: np.ndarray, rank_tol: float = 1e-10) -> int:
     """Number of Choi eigenvalues above rank_tol * lambda_max."""
-    vals = herm_eig(np.asarray(choi, dtype=complex)).values
+    vals = herm_eigvals(choi)
     lam_max = float(vals[-1]) if vals.size else 0.0
     if lam_max <= 0.0:
         return 0

@@ -3,6 +3,7 @@
 from .domination import (
     DominationResult,
     LambdaSchedule,
+    admissible_window,
     domination_check,
     lambda_schedule,
     symmetric_span_dim,
@@ -47,6 +48,7 @@ __all__ = [
     "gamma_twirl_weingarten",
     "gamma_twirl_monte_carlo",
     "LambdaSchedule",
+    "admissible_window",
     "lambda_schedule",
     "DominationResult",
     "domination_check",

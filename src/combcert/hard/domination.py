@@ -14,13 +14,14 @@ from math import comb, exp, log, sqrt
 
 import numpy as np
 
-from ..linalg import haar_unitary, herm_eig, pseudo_inverse, support_projector, vectorize
+from ..linalg import haar_unitary, herm_eigvals, pseudo_inverse, support_projector, vectorize
 from .instance import HardInstanceSpec, gamma_state, kron_power
 from .twirl import gamma_twirl
 
 __all__ = [
     "WEIGHT_BUDGET_CONSTANT",
     "DominationResult",
+    "admissible_window",
     "LambdaSchedule",
     "domination_check",
     "lambda_schedule",
@@ -29,6 +30,12 @@ __all__ = [
 ]
 
 WEIGHT_BUDGET_CONSTANT = 2 * exp(4.0)
+
+
+def admissible_window(d1: int, d2: int, eps: float) -> float:
+    """Largest admissible round count d1*d2 / (B*eps^2), B = 2e^4; the weight
+    schedule is valid for 1 <= n <= this bound."""
+    return d1 * d2 / (WEIGHT_BUDGET_CONSTANT * eps**2)
 
 
 @dataclass(frozen=True)
@@ -65,7 +72,7 @@ def lambda_schedule(d1: int, d2: int, n: int, eps: float) -> LambdaSchedule:
         raise ValueError(f"need d1*d2 >= 2, got {d}")
     if not 0 < eps < 1:
         raise ValueError(f"need 0 < eps < 1, got {eps}")
-    n_max = d / (WEIGHT_BUDGET_CONSTANT * eps**2)
+    n_max = admissible_window(d1, d2, eps)
     if not 1 <= n <= n_max:
         raise ValueError(
             f"round count n={n} outside the admissible window [1, {n_max:.6g}] "
@@ -120,7 +127,7 @@ def symmetric_span_dim(d: int, m: int, rng: np.random.Generator, oversample: int
         phi /= np.linalg.norm(phi)
         vecs[idx] = kron_power(phi, m)
     gram = vecs @ vecs.conj().T
-    vals, _ = herm_eig(gram)
+    vals = herm_eigvals(gram)
     lam_max = float(vals[-1]) if vals.size else 0.0
     return int(np.count_nonzero(vals > 1e-8 * max(lam_max, 1e-300)))
 
@@ -178,8 +185,8 @@ def domination_check(
         residual = float(np.linalg.norm(v - joint_support @ v)) / norm_v
 
         diff = weighted - np.outer(v, v.conj())
-        vals, _ = herm_eig(diff, check_tol=1e-8)
-        min_eig_ratio = min(min_eig_ratio, float(vals[0]) / lam_total)
+        min_eig = float(herm_eigvals(diff, check_tol=1e-8)[0])
+        min_eig_ratio = min(min_eig_ratio, min_eig / lam_total)
 
         q_values.append(q)
         max_support_residual = max(max_support_residual, residual)

@@ -23,6 +23,7 @@ __all__ = [
     "partial_trace",
     "partial_transpose",
     "herm_eig",
+    "herm_eigvals",
     "psd_check",
     "trace_norm",
     "pseudo_inverse",
@@ -125,6 +126,21 @@ def partial_transpose(x: np.ndarray, dims: Sequence[int], transpose: Iterable[in
     return t.transpose(perm).reshape(x.shape)
 
 
+def _hermitian_part(x: np.ndarray, check_tol: float) -> np.ndarray:
+    """(x + x^dagger) / 2 after validating Hermiticity to
+    ``check_tol * max(1, ||x||_F)``."""
+    x = _as_square(x)
+    xh = x.conj().T
+    scale = max(1.0, float(np.linalg.norm(x)))
+    asym = float(np.linalg.norm(x - xh))
+    if asym > check_tol * scale:
+        raise ValueError(
+            f"matrix is not Hermitian: ||X - X^dagger||_F = {asym:.3e} "
+            f"exceeds {check_tol:.1e} * {scale:.3e}"
+        )
+    return (x + xh) / 2.0
+
+
 def herm_eig(x: np.ndarray, check_tol: float = 1e-10) -> EigDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -132,24 +148,30 @@ def herm_eig(x: np.ndarray, check_tol: float = 1e-10) -> EigDecomposition:
     diagonalizes the Hermitian part. Eigenvalues come back ascending with
     orthonormal column eigenvectors.
     """
-    x = _as_square(x)
-    scale = max(1.0, float(np.linalg.norm(x)))
-    asym = float(np.linalg.norm(x - x.conj().T))
-    if asym > check_tol * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: ||X - X^dagger||_F = {asym:.3e} "
-            f"exceeds {check_tol:.1e} * {scale:.3e}"
-        )
-    vals, vecs = np.linalg.eigh((x + x.conj().T) / 2.0)
+    vals, vecs = np.linalg.eigh(_hermitian_part(x, check_tol))
     return EigDecomposition(values=vals, vectors=vecs)
+
+
+def herm_eigvals(x: np.ndarray, check_tol: float = 1e-10) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
+
+    Validates Hermiticity as :func:`herm_eig` does. A complex-typed
+    Hermitian part whose imaginary part is exactly zero is solved as the
+    real symmetric matrix it equals, which takes about half the time.
+    """
+    h = _hermitian_part(x, check_tol)
+    if np.iscomplexobj(h) and not h.imag.any():
+        h = h.real
+    return np.linalg.eigvalsh(h)
 
 
 def psd_check(x: np.ndarray, tol: float = 1e-10, check_tol: float = 1e-10) -> PsdCheck:
     """Positive-semidefiniteness test with an eigenvalue floor.
 
-    PSD iff lambda_min >= -tol * max(1, lambda_max).
+    PSD iff lambda_min >= -tol * max(1, lambda_max). Only eigenvalues are
+    computed (:func:`herm_eigvals`).
     """
-    vals = herm_eig(x, check_tol=check_tol).values
+    vals = herm_eigvals(x, check_tol=check_tol)
     lo = float(vals[0]) if vals.size else 0.0
     hi = float(vals[-1]) if vals.size else 0.0
     return PsdCheck(ok=lo >= -tol * max(1.0, hi), min_eig=lo, max_eig=hi)

@@ -13,6 +13,7 @@ produce byte-identical canonical bodies, compared via ``report_digest``.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -125,11 +126,21 @@ def report_digest(report: dict) -> str:
 
 
 def write_report(report: VerificationReport, path) -> dict:
+    """Write the report with its ``body_digest`` to ``path``, atomically.
+
+    The JSON goes to a temporary file beside ``path`` that is renamed over
+    it, so a failed write leaves any previous file at ``path`` intact."""
     d = report.to_dict()
     d["body_digest"] = report_digest(d)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(d, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(d, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
     return d
 
 

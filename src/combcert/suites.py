@@ -29,6 +29,7 @@ from .combs import (
 from .hard import (
     GammaFamily,
     HardInstanceSpec,
+    admissible_window,
     commutant_projector,
     domination_check,
     gamma_recursion_residual,
@@ -477,10 +478,11 @@ def run_hard_suite(
                 dim = (d1 * d2) ** n
                 if dim > COMMUTANT_DIM_CAP:
                     continue
+                proj = commutant_projector(spec, n, seed=s)
                 for i in range(n + 1):
                     if i > PERMUTATION_ORDER_CAP:
                         continue
-                    a = gamma_twirl_exact_commutant(spec, n, i, seed=s)
+                    a = gamma_twirl_exact_commutant(spec, n, i, projector=proj)
                     b = gamma_twirl_weingarten(spec, n, i)
                     worst = max(worst, float(np.linalg.norm(a - b)))
                     compared += 1
@@ -595,7 +597,7 @@ def run_hard_suite(
         lam_scale = float(dom_cfg["lambda_scale"])
 
         def fn():
-            window = d1 * d2 / (2 * exp(4.0) * eps**2)
+            window = admissible_window(d1, d2, eps)
             if not 1 <= n <= window:
                 return {
                     "status": "skip",
@@ -640,11 +642,14 @@ def run_hard_suite(
             cells_checked = 0
             for d1, d2 in [tuple(map(int, c)) for c in dom_cfg["cells"]]:
                 for eps in [float(e) for e in dom_cfg["eps"]]:
-                    window = d1 * d2 / (2 * exp(4.0) * eps**2)
+                    window = admissible_window(d1, d2, eps)
                     for n in range(1, int(min(dom_cfg["max_n"], window)) + 1):
                         sched = lambda_schedule(d1, d2, n, eps)
                         worst = max(worst, sched.total - sched.sum_bound)
                         cells_checked += 1
+            if cells_checked == 0:
+                return {"status": "skip",
+                        "reason": "no domination cell lies inside the weight-schedule window"}
             return {
                 "status": _status(worst <= 0),
                 "values": {"cells": cells_checked},
@@ -739,9 +744,8 @@ def run_hard_suite(
             summands = 0
             worst_assembled = -np.inf
             for d1, d2 in [tuple(map(int, c)) for c in facts_cfg["dim_pairs"]]:
-                d = d1 * d2
                 for eps in [float(e) for e in facts_cfg["eps"]]:
-                    n_max = int(d / (2 * exp(4.0) * eps**2))
+                    n_max = int(admissible_window(d1, d2, eps))
                     ns = sorted({x for x in (1, 2, 3, 17, n_max) if 1 <= x <= n_max})
                     for n in ns:
                         sched = lambda_schedule(d1, d2, n, eps)
@@ -1084,5 +1088,7 @@ def run_all_suites(
             config, seed=seed, jobs=jobs, method=method, samples=samples,
             embed_matrices=embed_matrices,
         ),
-        run_net_suite(config, seed=seed, jobs=jobs, embed_matrices=embed_matrices),
+        run_net_suite(
+            config, seed=seed, jobs=jobs, samples=samples, embed_matrices=embed_matrices
+        ),
     ]

@@ -1,12 +1,15 @@
-"""End-to-end tests for the command-line interface.
+"""End-to-end tests for the command-line interface and the suite runners.
 
 Each scenario shrinks the default grids through a config file so the whole
 module stays fast while still exercising the real suites."""
 
 import json
+from collections import Counter
 
+import combcert.hard.twirl as twirl
+import combcert.suites as suites
 from combcert.cli import main
-from combcert.report import canonical_body
+from combcert.report import canonical_body, report_digest
 
 SMALL_COMBS = {"combs": {"channels": 6, "max_dim": 3, "pairs": 6}}
 SMALL_HARD = {
@@ -116,8 +119,6 @@ def test_mc_method_skips_certification_records(tmp_path):
 
 
 def test_strict_escalates_warn_records(tmp_path, monkeypatch):
-    import combcert.suites as suites
-
     real = suites.run_combs_suite
 
     def warned(config, seed, jobs=1, embed_matrices=False):
@@ -147,6 +148,49 @@ def test_reports_are_deterministic_across_runs_and_jobs(tmp_path):
     code3, out3 = _verify(tmp_path, "hard", SMALL_HARD, seed="12", subdir="c")
     assert code3 == 0
     assert canonical_body(_load(out3, "hard")) != body1
+
+
+def test_inadmissible_domination_grid_skips_lambda_bound(tmp_path):
+    payload = json.loads(json.dumps(SMALL_HARD))
+    payload["hard"]["domination"]["eps"] = [0.9]
+    code, out = _verify(tmp_path, "hard", payload)
+    assert code == 0
+    records = {r["check_id"]: r for r in _load(out, "hard")["records"]}
+    lam = records["lambda-sum-bound"]
+    assert lam["status"] == "skip" and "window" in lam["reason"]
+    assert lam["residual"] is None
+
+
+def test_twirl_routes_build_one_projector_per_spec_and_n(monkeypatch):
+    calls = []
+    real = twirl.commutant_projector
+
+    def counting(spec, n, seed=0, **kwargs):
+        calls.append((spec.d1, spec.d2, n, seed))
+        return real(spec, n, seed=seed, **kwargs)
+
+    monkeypatch.setattr(twirl, "commutant_projector", counting)
+    monkeypatch.setattr(suites, "commutant_projector", counting)
+    cells = [(1, 2), (1, 3)]
+    config = json.loads(json.dumps(SMALL_HARD))
+    config["hard"]["gamma_cells"] = [list(c) for c in cells]
+    report = suites.run_hard_suite(config, seed=11)
+    statuses = {r.check_id: r.status for r in report.records}
+    assert all(statuses[f"twirl-routes-{d1}-{d2}"] == "pass" for d1, d2 in cells)
+    cross = {c: suites._cell_seed(11, "cross", *c) for c in cells}
+    route_calls = Counter(c for c in calls if cross.get(c[:2]) == c[3])
+    max_n = config["hard"]["max_n"]
+    assert route_calls == Counter(
+        (d1, d2, n, cross[(d1, d2)]) for d1, d2 in cells for n in range(1, max_n + 1)
+    )
+
+
+def test_run_all_suites_passes_samples_to_net():
+    payload = {**SMALL_COMBS, **SMALL_HARD, **SMALL_NET}
+    net_all = suites.run_all_suites(payload, seed=11, samples=300)[2]
+    net_alone = suites.run_net_suite(payload, seed=11, samples=300)
+    assert net_all.config["moment_samples"] == net_alone.config["moment_samples"] == 300
+    assert report_digest(net_all.to_dict()) == report_digest(net_alone.to_dict())
 
 
 def test_verify_all_writes_three_reports(tmp_path):

@@ -7,6 +7,7 @@ from combcert.linalg import (
     haar_isometry,
     haar_unitary,
     herm_eig,
+    herm_eigvals,
     kron,
     nullspace,
     partial_trace,
@@ -48,8 +49,9 @@ def test_herm_eig_contract():
 
 
 def test_herm_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for fn in (herm_eig, herm_eigvals, psd_check):
+        with pytest.raises(ValueError):
+            fn(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_psd_check():
@@ -61,6 +63,27 @@ def test_psd_check():
     # rank-deficient but PSD
     ok, lo, _ = psd_check(random_psd(6, rng, rank=2))
     assert ok and abs(lo) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["complex", "complex-typed-real", "real"])
+def test_psd_check_matches_eigh_reference(kind):
+    # the values-only solve (real symmetric when the imaginary part is
+    # exactly zero) must agree with a full complex eigh on the same input
+    rng = np.random.default_rng(14)
+    for d in (1, 6, 40):
+        g = rng.normal(size=(d, d))
+        if kind == "complex":
+            g = g + 1j * rng.normal(size=(d, d))
+        elif kind == "complex-typed-real":
+            g = g.astype(complex)
+        for x in (g @ g.conj().T, g + g.conj().T, g[:, : d // 2] @ g[:, : d // 2].conj().T):
+            ref = np.linalg.eigh(x.astype(complex))[0]
+            tol = 1e-12 * max(1.0, abs(ref[-1]))
+            ok, lo, hi = psd_check(x)
+            assert abs(lo - ref[0]) <= tol
+            assert abs(hi - ref[-1]) <= tol
+            assert ok == (ref[0] >= -1e-10 * max(1.0, ref[-1]))
+            assert np.abs(herm_eigvals(x) - ref).max() <= tol
 
 
 def test_trace_norm_oracles():

@@ -86,6 +86,22 @@ def test_write_and_load_round_trip(tmp_path):
     assert raw["schema"] == 1
 
 
+def test_failed_write_keeps_previous_report(tmp_path, monkeypatch):
+    path = tmp_path / "combs_report.json"
+    write_report(_report([_record()]), path)
+    before = path.read_text()
+
+    def interrupted_dump(obj, fh, **kwargs):
+        fh.write("{")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", interrupted_dump)
+    with pytest.raises(OSError):
+        write_report(_report([_record(values={"residual": 1e-3})]), path)
+    assert path.read_text() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["combs_report.json"]
+
+
 def test_load_rejects_wrong_schema(tmp_path):
     rep = _report([_record()])
     path = tmp_path / "r.json"
