@@ -21,6 +21,7 @@ from dataclasses import replace
 from .report import load_report, merge_reports, write_report
 from .suites import (
     ConfigError,
+    effective_config,
     run_combs_suite,
     run_hard_suite,
     run_net_suite,
@@ -89,8 +90,6 @@ def _load_config(path: str | None) -> dict | None:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
     return cfg
 
 
@@ -105,11 +104,12 @@ def _escalate(report):
 
 
 def _cmd_verify(args) -> int:
-    config = _load_config(args.config)
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     if args.samples is not None and args.samples < 1:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+    # the whole config is validated, and --samples applied, before any suite runs
+    config = effective_config(_load_config(args.config), args.samples)
     method = _METHODS[args.method]
 
     runners = {
@@ -121,15 +121,10 @@ def _cmd_verify(args) -> int:
             seed=args.seed,
             jobs=args.jobs,
             method=method,
-            samples=args.samples,
             embed_matrices=args.embed_matrices,
         ),
         "net": lambda: run_net_suite(
-            config,
-            seed=args.seed,
-            jobs=args.jobs,
-            samples=args.samples,
-            embed_matrices=args.embed_matrices,
+            config, seed=args.seed, jobs=args.jobs, embed_matrices=args.embed_matrices
         ),
     }
     names = ["combs", "hard", "net"] if args.suite == "all" else [args.suite]

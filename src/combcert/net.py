@@ -31,6 +31,7 @@ from .linalg import haar_isometry, haar_unitary, haar_unitary_batch, herm_eig, t
 
 __all__ = [
     "GRAM_REJECTION_BUDGET",
+    "MIN_SEPARATION_PAIRS",
     "SEPARATION_MAX_EPS",
     "BlockIsometry",
     "LipschitzAudit",
@@ -46,6 +47,7 @@ __all__ = [
 ]
 
 GRAM_REJECTION_BUDGET = 200
+MIN_SEPARATION_PAIRS = 50
 SEPARATION_MAX_EPS = 1e-2
 
 
@@ -500,8 +502,8 @@ def separation_audit(
         raise ValueError(
             f"separation arithmetic requires eps <= {SEPARATION_MAX_EPS}, got {p.eps}"
         )
-    if pairs < 50:
-        raise ValueError(f"need at least 50 pairs, got {pairs}")
+    if pairs < MIN_SEPARATION_PAIRS:
+        raise ValueError(f"need at least {MIN_SEPARATION_PAIRS} pairs, got {pairs}")
     d1, r = p.d1, p.r
     amp = 2 * p.eps * sqrt(1 - p.eps**2)
 

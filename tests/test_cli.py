@@ -6,6 +6,8 @@ module stays fast while still exercising the real suites."""
 import json
 from collections import Counter
 
+import pytest
+
 import combcert.hard.twirl as twirl
 import combcert.suites as suites
 from combcert.cli import main
@@ -246,3 +248,54 @@ def test_bad_flag_values_exit_2(tmp_path):
     out = str(tmp_path / "o")
     assert main(["verify", "--suite", "combs", "--jobs", "0", "--out", out]) == 2
     assert main(["verify", "--suite", "hard", "--samples", "0", "--out", out]) == 2
+
+
+BAD_CONFIGS = {
+    "gamma-cell-d2-below-2d1": {"hard": {"gamma_cells": [[2, 3]]}},
+    "too-few-separation-pairs": {"net": {"separation_pairs": 10}},
+    "short-net-cell": {"net": {"cells": [[3, 3]]}},
+    "string-count": {"combs": {"channels": "x"}},
+    "negative-tolerance": {"combs": {"comb_tol": -1}},
+    "zero-moment-samples": {"net": {"moment_samples": 0}},
+    "zero-channels": {"combs": {"channels": 0, "pairs": 0}},
+    "unknown-key": {"combs": {"chanels": 3}},
+    "unknown-net-mode": {"net": {"cells": [[4, 3, 3, "sideways"]]}},
+    "explicit-mode-outside-window": {"net": {"cells": [[2, 4, 2, "odd"]]}},
+    "bool-count": {"hard": {"max_n": True}},
+    "mc-index-above-n": {"hard": {"mc_cells": [[1, 3, 2, 3]]}},
+    "non-finite-tolerance": {"hard": {"trace_tol": float("inf")}},
+}
+
+
+@pytest.mark.parametrize("payload", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_bad_config_exits_2_before_any_report(tmp_path, capsys, payload):
+    code, out = _verify(tmp_path, "all", payload)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_empty_grids_skip_instead_of_reporting_non_finite(tmp_path):
+    payload = json.loads(json.dumps(SMALL_HARD))
+    payload["hard"]["rotor_trace_cells"] = []
+    payload["hard"]["facts"]["eps"] = [0.9]
+    code, out = _verify(tmp_path, "hard", payload)
+    assert code == 0
+    records = {r["check_id"]: r for r in _load(out, "hard")["records"]}
+    for check_id in ("twirl-trace-bound-rotor", "summand-chain"):
+        assert records[check_id]["status"] == "skip" and records[check_id]["reason"]
+        assert records[check_id]["residual"] is None
+
+
+def test_non_finite_output_becomes_a_fail_record(tmp_path):
+    payload = json.loads(json.dumps(SMALL_HARD))
+    payload["hard"]["trace_dims"] = []  # leaves the unitary trace bound's excess at -inf
+    code, out = _verify(tmp_path, "hard", payload)
+    assert code == 1
+    records = {r["check_id"]: r for r in _load(out, "hard")["records"]}
+    rec = records["twirl-trace-bound-unitary"]
+    assert rec["status"] == "fail"
+    assert rec["reason"] == "non-finite numbers: values.max_excess"
+    assert "max_excess" not in rec["values"] and rec["values"]["max_pure_gap"] == 0.0
+    assert [r for r in records.values() if r["status"] == "fail"] == [rec]
