@@ -833,8 +833,7 @@ def _hard_table(run: Run) -> list:
     for d1, d2 in dom["cells"]:
         for eps in dom["eps"]:
             for n in range(1, dom["max_n"] + 1):
-                cell = Cell(run, "domination", (d1, d2, eps, n),
-                            seed_key=(d1, d2, int(eps * 1e6), n))
+                cell = Cell(run, "domination", (d1, d2, eps, n), seed_key=(d1, d2, repr(eps), n))
                 groups.append(_group(
                     cell, ("domination", "psd-domination", _domination, _in_schedule_window)
                 ))

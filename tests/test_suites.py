@@ -112,3 +112,16 @@ def test_oversized_twirl_request_fails_when_the_auto_route_returns(monkeypatch):
     )
     monkeypatch.setattr(suites, "gamma_twirl", lambda *args, **kwargs: np.eye(2))
     assert oversized().status == "fail"
+
+
+def test_close_domination_eps_values_get_distinct_seeds():
+    grid = {"cells": [[1, 2]], "eps": [0.0100001, 0.0100009], "max_n": 1}
+    cfg = suites.effective_config({"hard": {"domination": grid}})["hard"]
+    seeds = {
+        check.check_id: cell.seed
+        for cell, checks in suites.check_table("hard", suites.Run(cfg, seed=7))
+        for check in checks
+        if check.check_id.startswith("domination-")
+    }
+    assert sorted(seeds) == ["domination-1-2-0.0100001-1", "domination-1-2-0.0100009-1"]
+    assert len(set(seeds.values())) == 2
