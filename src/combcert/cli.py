@@ -1,13 +1,15 @@
 """Command-line entry point.
 
     combcert verify [--suite combs|hard|net|all] [--config FILE] [--seed N]
-                    [--out DIR] [--method auto|exact|weingarten|mc]
-                    [--samples N] [--strict] [--jobs K] [--embed-matrices]
+                    [--out DIR] [--samples N] [--strict] [--jobs K]
+                    [--embed-matrices]
     combcert merge REPORT [REPORT ...] --out FILE
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 the
 configuration or inputs were invalid. ``--strict`` escalates warnings to
-failures before the exit code is computed.
+failures before the exit code is computed. A report depends only on the
+configuration and the seed: the hard suite's twirl route is chosen from
+each input by ``gamma_twirl``, not by a flag.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 
-from .report import load_report, merge_reports, write_report
+from .report import load_report, merge_reports, write_json, write_report
 from .suites import (
     ConfigError,
     effective_config,
@@ -28,14 +31,6 @@ from .suites import (
 )
 
 __all__ = ["main"]
-
-_METHODS = {
-    "auto": "auto",
-    "exact": "exact-commutant",
-    "weingarten": "weingarten",
-    "mc": "monte-carlo",
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -55,12 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--config", help="JSON config file overriding the defaults")
     verify.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
     verify.add_argument("--out", default=".", help="output directory for report files")
-    verify.add_argument(
-        "--method",
-        choices=sorted(_METHODS),
-        default="auto",
-        help="twirl route for the hard-suite certification records",
-    )
     verify.add_argument(
         "--samples", type=int, help="override Monte Carlo sample counts"
     )
@@ -87,10 +76,9 @@ def _load_config(path: str | None) -> dict | None:
         return None
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return cfg
 
 
 def _escalate(report):
@@ -110,36 +98,21 @@ def _cmd_verify(args) -> int:
         raise ConfigError(f"--samples must be >= 1, got {args.samples}")
     # the whole config is validated, and --samples applied, before any suite runs
     config = effective_config(_load_config(args.config), args.samples)
-    method = _METHODS[args.method]
-
-    runners = {
-        "combs": lambda: run_combs_suite(
-            config, seed=args.seed, jobs=args.jobs, embed_matrices=args.embed_matrices
-        ),
-        "hard": lambda: run_hard_suite(
-            config,
-            seed=args.seed,
-            jobs=args.jobs,
-            method=method,
-            embed_matrices=args.embed_matrices,
-        ),
-        "net": lambda: run_net_suite(
-            config, seed=args.seed, jobs=args.jobs, embed_matrices=args.embed_matrices
-        ),
-    }
+    # looked up per call, so a wrapped or patched module binding is the one run
+    runners = {"combs": run_combs_suite, "hard": run_hard_suite, "net": run_net_suite}
     names = ["combs", "hard", "net"] if args.suite == "all" else [args.suite]
 
     os.makedirs(args.out, exist_ok=True)
     exit_code = 0
     for name in names:
-        report = runners[name]()
+        report = runners[name](
+            config, seed=args.seed, jobs=args.jobs, embed_matrices=args.embed_matrices
+        )
         if args.strict:
             report = _escalate(report)
         path = os.path.join(args.out, f"{name}_report.json")
         doc = write_report(report, path)
-        counts = {}
-        for rec in doc["records"]:
-            counts[rec["status"]] = counts.get(rec["status"], 0) + 1
+        counts = Counter(rec["status"] for rec in doc["records"])
         summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
         print(f"[{name}] {doc['overall']} ({summary}) -> {path}")
         if doc["overall"] == "fail":
@@ -157,9 +130,7 @@ def _cmd_merge(args) -> int:
         print(f"merge: {exc}", file=sys.stderr)
         return 2
     merged = merge_reports(docs)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(merged, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(merged, args.out)
     print(f"[merge] {merged['overall']} ({len(merged['suites'])} suites) -> {args.out}")
     return 0 if merged["overall"] == "pass" else 1
 

@@ -22,6 +22,7 @@ __all__ = [
     "WEIGHT_BUDGET_CONSTANT",
     "DominationResult",
     "admissible_window",
+    "check_admissible",
     "LambdaSchedule",
     "domination_check",
     "lambda_schedule",
@@ -36,6 +37,22 @@ def admissible_window(d1: int, d2: int, eps: float) -> float:
     """Largest admissible round count d1*d2 / (B*eps^2), B = 2e^4; the weight
     schedule is valid for 1 <= n <= this bound."""
     return d1 * d2 / (WEIGHT_BUDGET_CONSTANT * eps**2)
+
+
+def check_admissible(d1: int, d2: int, n: int, eps: float) -> None:
+    """Raise ValueError unless d1*d2 >= 2, 0 < eps < 1 and n lies in the
+    weight-schedule window [1, admissible_window(d1, d2, eps)]."""
+    d = d1 * d2
+    if d < 2:
+        raise ValueError(f"need d1*d2 >= 2, got {d}")
+    if not 0 < eps < 1:
+        raise ValueError(f"need 0 < eps < 1, got {eps}")
+    n_max = admissible_window(d1, d2, eps)
+    if not 1 <= n <= n_max:
+        raise ValueError(
+            f"round count n={n} outside the admissible window [1, {n_max:.6g}] "
+            f"for d1*d2={d}, eps={eps}"
+        )
 
 
 @dataclass(frozen=True)
@@ -67,17 +84,8 @@ def lambda_schedule(d1: int, d2: int, n: int, eps: float) -> LambdaSchedule:
     """Weight schedule: a flat head of 2*d1*d2*exp(sqrt(8*n*eps^2*d1*d2)) for
     i < d1*d2 and a geometric tail exp(-i) beyond, valid when
     1 <= n <= d1*d2 / (B*eps^2) with B = 2e^4."""
+    check_admissible(d1, d2, n, eps)
     d = d1 * d2
-    if d < 2:
-        raise ValueError(f"need d1*d2 >= 2, got {d}")
-    if not 0 < eps < 1:
-        raise ValueError(f"need 0 < eps < 1, got {eps}")
-    n_max = admissible_window(d1, d2, eps)
-    if not 1 <= n <= n_max:
-        raise ValueError(
-            f"round count n={n} outside the admissible window [1, {n_max:.6g}] "
-            f"for d1*d2={d}, eps={eps}"
-        )
     log_head = log(2.0 * d) + sqrt(8.0 * n * eps**2 * d)
     log_weights = tuple(log_head if i < d else -float(i) for i in range(n + 1))
     sum_bound = 3.0 * d1**2 * d2**2 * exp(sqrt(8.0 * n * eps**2 * d))
@@ -116,11 +124,10 @@ def twirl_trace_bound(x: np.ndarray, twirled: np.ndarray) -> float:
     return float(np.trace(pseudo_inverse(twirled) @ x).real)
 
 
-def symmetric_span_dim(d: int, m: int, rng: np.random.Generator, oversample: int = 5) -> int:
+def symmetric_span_dim(d: int, m: int, rng: np.random.Generator) -> int:
     """Numeric dimension of span{phi^{(x) m} : phi in C^d} via a sampled Gram
-    matrix; the closed form is binom(d+m-1, m)."""
-    target = comb(d + m - 1, m)
-    count = target + oversample
+    matrix of five more vectors than the closed form binom(d+m-1, m)."""
+    count = comb(d + m - 1, m) + 5
     vecs = np.empty((count, d**m), dtype=complex)
     for idx in range(count):
         phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -138,8 +145,6 @@ def domination_check(
     eps: float,
     n_samples: int = 20,
     seed: int = 0,
-    method: str = "auto",
-    support_tol: float = 1e-9,
     eig_tol: float = 1e-8,
 ) -> DominationResult:
     """Certify sum_i lambda_i Gamma_i >= |v(U)><v(U)|^{(x)n} on Haar samples U.
@@ -154,7 +159,7 @@ def domination_check(
     rng = np.random.default_rng(seed)
     iota = spec.complement_basis()
 
-    gammas = [gamma_twirl(spec, n, i, method=method, seed=seed) for i in range(n + 1)]
+    gammas = [gamma_twirl(spec, n, i, seed=seed) for i in range(n + 1)]
     pinvs = [pseudo_inverse(g) for g in gammas]
 
     trace_margin = -np.inf
@@ -194,7 +199,7 @@ def domination_check(
     max_q = max(q_values)
     ok = (
         max_q <= 1.0 + 1e-9
-        and max_support_residual <= support_tol
+        and max_support_residual <= 1e-9
         and min_eig_ratio >= -eig_tol
         and trace_margin <= 1e-6
     )

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..linalg import psd_check, pseudo_inverse, support_projector
-from .domination import WEIGHT_BUDGET_CONSTANT
+from .domination import check_admissible
 
 __all__ = [
     "PsdDominationWitness",
@@ -138,17 +138,8 @@ class SummandChain:
 
 def summand_chain(d1: int, d2: int, n: int, eps: float, i: int) -> SummandChain:
     """The four-step bound chain for summand i of the weighted domination sum."""
+    check_admissible(d1, d2, n, eps)
     d = d1 * d2
-    if d < 2:
-        raise ValueError(f"need d1*d2 >= 2, got {d}")
-    if not 0 < eps < 1:
-        raise ValueError(f"need 0 < eps < 1, got {eps}")
-    n_max = d / (WEIGHT_BUDGET_CONSTANT * eps**2)
-    if not 1 <= n <= n_max:
-        raise ValueError(
-            f"round count n={n} outside the admissible window [1, {n_max:.6g}] "
-            f"for d1*d2={d}, eps={eps}"
-        )
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}")
 

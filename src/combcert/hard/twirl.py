@@ -56,10 +56,6 @@ class CommutantProjector:
     basis: np.ndarray
     dim: int
 
-    @property
-    def commutant_dim(self) -> int:
-        return self.basis.shape[1]
-
     def twirl(self, x: np.ndarray) -> np.ndarray:
         """Hilbert-Schmidt-orthogonal projection of x onto the commutant."""
         x = np.asarray(x, dtype=complex)
@@ -69,39 +65,31 @@ class CommutantProjector:
         return (self.basis @ v).reshape(self.dim, self.dim)
 
 
-def commutant_projector(
-    spec: HardInstanceSpec,
-    n: int,
-    seed: int = 0,
-    n_generators: int = 4,
-    dim_cap: int = COMMUTANT_DIM_CAP,
-    nullspace_tol: float = 1e-10,
-) -> CommutantProjector:
+def commutant_projector(spec: HardInstanceSpec, n: int, seed: int = 0) -> CommutantProjector:
     """Projector onto the commutant of {rho(U)} from generic Haar generators.
 
     A generic tuple of group elements generates a dense subgroup, so the
-    joint commutant of ``n_generators`` Haar samples equals the commutant of
-    the whole rho image almost surely. The commutant is recovered as the
-    nullspace of H = sum_g C_g^dagger C_g with C_g the commutator map
-    X -> gX - Xg on vectorized operators.
+    joint commutant of four Haar samples equals the commutant of the whole
+    rho image almost surely. The commutant is recovered as the nullspace
+    (eigenvalues up to 1e-10 of the largest) of H = sum_g C_g^dagger C_g
+    with C_g the commutator map X -> gX - Xg on vectorized operators.
     """
-    d_slot = spec.d1 * spec.d2
-    dim = d_slot**n
-    if dim > dim_cap:
+    dim = (spec.d1 * spec.d2) ** n
+    if dim > COMMUTANT_DIM_CAP:
         raise ValueError(
-            f"exact-commutant twirl dimension {dim} exceeds the cap {dim_cap}; "
+            f"exact-commutant twirl dimension {dim} exceeds the cap {COMMUTANT_DIM_CAP}; "
             f"use the permutation-frame or monte-carlo route"
         )
     rng = np.random.default_rng(seed)
     iota = spec.complement_basis()
     eye = np.eye(dim)
     h = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for _ in range(n_generators):
+    for _ in range(4):
         g = rho_action(spec, n, haar_unitary(spec.rotor_dim, rng), iota)
         c = np.kron(g, eye) - np.kron(eye, g.T)
         h += c.conj().T @ c
     vals, vecs = herm_eig(h)
-    cut = nullspace_tol * max(1.0, float(vals[-1]))
+    cut = 1e-10 * max(1.0, float(vals[-1]))
     basis = vecs[:, vals <= cut]
     return CommutantProjector(basis=basis, dim=dim)
 
@@ -112,11 +100,10 @@ def gamma_twirl_exact_commutant(
     i: int,
     projector: CommutantProjector | None = None,
     seed: int = 0,
-    dim_cap: int = COMMUTANT_DIM_CAP,
 ) -> np.ndarray:
     """Gamma_i as the commutant projection of |gamma_i><gamma_i|."""
     if projector is None:
-        projector = commutant_projector(spec, n, seed=seed, dim_cap=dim_cap)
+        projector = commutant_projector(spec, n, seed=seed)
     g = gamma_state(spec, n, i)
     out = projector.twirl(np.outer(g, g.conj()))
     return (out + out.conj().T) / 2
@@ -136,31 +123,6 @@ def _perm_matrix(sigma: tuple[int, ...], k: int) -> np.ndarray:
     return p
 
 
-def _cycle_count(sigma: tuple[int, ...]) -> int:
-    seen = [False] * len(sigma)
-    count = 0
-    for start in range(len(sigma)):
-        if seen[start]:
-            continue
-        count += 1
-        t = start
-        while not seen[t]:
-            seen[t] = True
-            t = sigma[t]
-    return count
-
-
-def _compose(sigma: tuple[int, ...], tau: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sigma[t] for t in tau)
-
-
-def _invert(sigma: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(sigma)
-    for a, b in enumerate(sigma):
-        inv[b] = a
-    return tuple(inv)
-
-
 def _interleave_slots(vec: np.ndarray, k: int, d1: int, i: int) -> np.ndarray:
     """(w_1..w_i, a_1..a_i) grouped order -> (w_1, a_1, ..., w_i, a_i)."""
     t = vec.reshape((k,) * i + (d1,) * i)
@@ -175,25 +137,25 @@ def _group_slots(vec: np.ndarray, k: int, d1: int, i: int) -> np.ndarray:
     return t.transpose(order).reshape(-1)
 
 
-def _twirled_core(delta_coords: np.ndarray, i: int, rank_tol: float = 1e-12):
+def _twirled_core(delta_coords: np.ndarray, i: int):
     """Eigendecomposition of N = E_U[(U^{(x)i} (x) I) |d^{(x)i}><d^{(x)i}| (...)^dg].
 
     Works in the grouped order (W^{(x)i}, A^{(x)i}). The frame projection
     P(X) = sum_{s,t} (G^+)_{st} p(s) (x) tr_W[(p(t)^dg (x) I) X] with
-    G_{st} = k^{cycles(s^{-1} t)} realizes the Haar average even when the
+    the Hilbert-Schmidt Gram matrix G_{st} = tr(p(s)^dg p(t)) = k^{cycles(s^{-1} t)}
+    of the permutation operators realizes the Haar average even when the
     permutation operators are linearly dependent (k < i), because the
     pseudo-inverse still yields the orthogonal projection onto their span.
+    Eigenvalues up to 1e-12 of the largest are dropped.
     """
     k, d1 = delta_coords.shape
     psi = _group_slots(kron_power(vectorize(delta_coords), i), k, d1, i)
     k_i, a_i = k**i, d1**i
     psi_mat = psi.reshape(k_i, a_i)
 
-    perms = list(permutations(range(i)))
-    mats = [_perm_matrix(s, k) for s in perms]
-    gram = np.array(
-        [[float(k) ** _cycle_count(_compose(_invert(s), t)) for t in perms] for s in perms]
-    )
+    mats = [_perm_matrix(s, k) for s in permutations(range(i))]
+    flat = np.array([p.reshape(-1) for p in mats])
+    gram = flat @ flat.T  # 0/1 entries: exact integer counts
     gram_pinv = np.linalg.pinv(gram, rcond=1e-12, hermitian=True)
 
     partials = []
@@ -201,24 +163,19 @@ def _twirled_core(delta_coords: np.ndarray, i: int, rank_tol: float = 1e-12):
         phi = p.conj().T @ psi_mat
         partials.append(phi.T @ psi_mat.conj())
     core = np.zeros((k_i * a_i, k_i * a_i), dtype=complex)
-    for s_idx in range(len(perms)):
+    for s_idx in range(len(mats)):
         b = np.zeros((a_i, a_i), dtype=complex)
-        for t_idx in range(len(perms)):
+        for t_idx in range(len(mats)):
             b += gram_pinv[s_idx, t_idx] * partials[t_idx]
         core += np.kron(mats[s_idx], b)
     core = (core + core.conj().T) / 2
     vals, vecs = herm_eig(core, check_tol=1e-8)
     lam_max = float(vals[-1]) if vals.size else 0.0
-    keep = vals > rank_tol * max(lam_max, 1e-300)
+    keep = vals > 1e-12 * max(lam_max, 1e-300)
     return vals[keep], vecs[:, keep]
 
 
-def gamma_twirl_weingarten(
-    spec: HardInstanceSpec,
-    n: int,
-    i: int,
-    order_cap: int = PERMUTATION_ORDER_CAP,
-) -> np.ndarray:
+def gamma_twirl_weingarten(spec: HardInstanceSpec, n: int, i: int) -> np.ndarray:
     """Gamma_i via the permutation-frame projection on the i twirled slots.
 
     The twirl only touches the rotated branch factors, so the core operator
@@ -227,9 +184,10 @@ def gamma_twirl_weingarten(
     """
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-    if i > order_cap:
+    if i > PERMUTATION_ORDER_CAP:
         raise ValueError(
-            f"permutation-frame route supports at most {order_cap} rotated slots, got i={i}; "
+            f"permutation-frame route supports at most {PERMUTATION_ORDER_CAP} rotated slots, "
+            f"got i={i}; "
             f"use the exact-commutant or monte-carlo route"
         )
     d1, d2 = spec.d1, spec.d2
@@ -271,10 +229,9 @@ def gamma_twirl_monte_carlo(
     i: int,
     samples: int = 100_000,
     seed: int = 0,
-    batch: int = 2000,
 ) -> tuple[np.ndarray, float]:
     """Haar-sample estimate of Gamma_i plus the entrywise standard-error scale
-    d1^n / sqrt(samples)."""
+    d1^n / sqrt(samples), averaged in batches of 2000 samples."""
     rng = np.random.default_rng(seed)
     d1, d2 = spec.d1, spec.d2
     k = spec.rotor_dim
@@ -286,7 +243,7 @@ def gamma_twirl_monte_carlo(
     acc = np.zeros((dim, dim), dtype=complex)
     done = 0
     while done < samples:
-        nb = min(batch, samples - done)
+        nb = min(2000, samples - done)
         u = haar_unitary_batch(k, nb, rng)
         rot = p0[None, :, :] + np.einsum("ak,nkl,bl->nab", iota, u, iota.conj(), optimize=True)
         y = np.broadcast_to(g, (nb, dim)).reshape((nb,) + (d2, d1) * n).copy()
@@ -302,31 +259,17 @@ def gamma_twirl_monte_carlo(
     return (est + est.conj().T) / 2, float(d1**n / np.sqrt(samples))
 
 
-def gamma_twirl(
-    spec: HardInstanceSpec,
-    n: int,
-    i: int,
-    method: str = "auto",
-    seed: int = 0,
-    samples: int = 100_000,
-    projector: CommutantProjector | None = None,
-) -> np.ndarray:
-    """Dispatch to a twirl route; ``auto`` picks an exact one or fails loudly."""
-    dim = (spec.d1 * spec.d2) ** n
-    if method == "auto":
-        if i <= PERMUTATION_ORDER_CAP:
-            method = "weingarten"
-        elif dim <= COMMUTANT_DIM_CAP:
-            method = "exact-commutant"
-        else:
-            raise ValueError(
-                f"no exact route for i={i}, dimension {dim}; "
-                f"request method='monte-carlo' explicitly"
-            )
-    if method == "weingarten":
+def gamma_twirl(spec: HardInstanceSpec, n: int, i: int, seed: int = 0) -> np.ndarray:
+    """Gamma_i by an exact route chosen from the input: the permutation frame
+    while i <= PERMUTATION_ORDER_CAP, else the exact commutant (built from
+    ``seed``) while the dimension is at most COMMUTANT_DIM_CAP, else a
+    ValueError; the Monte Carlo route is never taken silently."""
+    if i <= PERMUTATION_ORDER_CAP:
         return gamma_twirl_weingarten(spec, n, i)
-    if method == "exact-commutant":
-        return gamma_twirl_exact_commutant(spec, n, i, projector=projector, seed=seed)
-    if method == "monte-carlo":
-        return gamma_twirl_monte_carlo(spec, n, i, samples=samples, seed=seed)[0]
-    raise ValueError(f"unknown twirl method {method!r}")
+    dim = (spec.d1 * spec.d2) ** n
+    if dim <= COMMUTANT_DIM_CAP:
+        return gamma_twirl_exact_commutant(spec, n, i, seed=seed)
+    raise ValueError(
+        f"no exact route for i={i}, dimension {dim}; "
+        f"gamma_twirl_monte_carlo gives a statistical estimate"
+    )

@@ -40,6 +40,7 @@ __all__ = [
     "SeparationAudit",
     "build_block_isometry",
     "build_net_isometry",
+    "check_eps",
     "f_operator",
     "lipschitz_audit",
     "moment_audit",
@@ -49,6 +50,15 @@ __all__ = [
 GRAM_REJECTION_BUDGET = 200
 MIN_SEPARATION_PAIRS = 50
 SEPARATION_MAX_EPS = 1e-2
+
+
+def check_eps(eps: float, separation: bool = False) -> None:
+    """Raise ValueError unless 0 <= eps < 1 and, for the separation audit,
+    eps <= SEPARATION_MAX_EPS."""
+    if not 0 <= eps < 1:
+        raise ValueError(f"need 0 <= eps < 1, got {eps}")
+    if separation and eps > SEPARATION_MAX_EPS:
+        raise ValueError(f"separation arithmetic requires eps <= {SEPARATION_MAX_EPS}, got {eps}")
 
 
 @dataclass(frozen=True)
@@ -70,8 +80,7 @@ class NetParams:
     def __post_init__(self) -> None:
         if self.d1 < 1 or self.d2 < 2 or self.r < 1:
             raise ValueError(f"need d1 >= 1, d2 >= 2, r >= 1, got {self.d1}, {self.d2}, {self.r}")
-        if not 0 <= self.eps < 1:
-            raise ValueError(f"need 0 <= eps < 1, got {self.eps}")
+        check_eps(self.eps)
         mode = self.mode
         if mode == "auto":
             mode = "odd" if (self.d2 % 2 == 1 and self.r * (self.d2 - 1) < 2 * self.d1) else "even"
@@ -498,10 +507,7 @@ def separation_audit(
     and (v) the Choi distance dominates 2 eps sqrt(1-eps^2) tr|X| - 2 eps^2 d1.
     """
     p = blocks.params
-    if p.eps > SEPARATION_MAX_EPS:
-        raise ValueError(
-            f"separation arithmetic requires eps <= {SEPARATION_MAX_EPS}, got {p.eps}"
-        )
+    check_eps(p.eps, separation=True)
     if pairs < MIN_SEPARATION_PAIRS:
         raise ValueError(f"need at least {MIN_SEPARATION_PAIRS} pairs, got {pairs}")
     d1, r = p.d1, p.r

@@ -28,6 +28,7 @@ __all__ = [
     "make_report",
     "merge_reports",
     "report_digest",
+    "write_json",
     "write_report",
 ]
 
@@ -125,22 +126,27 @@ def report_digest(report: dict) -> str:
     return content_hash(canonical_body(report))
 
 
-def write_report(report: VerificationReport, path) -> dict:
-    """Write the report with its ``body_digest`` to ``path``, atomically.
+def write_json(doc: dict, path) -> None:
+    """Write ``doc`` as JSON to ``path``, atomically.
 
     The JSON goes to a temporary file beside ``path`` that is renamed over
     it, so a failed write leaves any previous file at ``path`` intact."""
-    d = report.to_dict()
-    d["body_digest"] = report_digest(d)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(d, fh, indent=2, sort_keys=True)
+            json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def write_report(report: VerificationReport, path) -> dict:
+    """Write the report with its ``body_digest`` to ``path`` (``write_json``)."""
+    d = report.to_dict()
+    d["body_digest"] = report_digest(d)
+    write_json(d, path)
     return d
 
 

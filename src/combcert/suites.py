@@ -62,6 +62,7 @@ from .net import (
     NetParams,
     build_block_isometry,
     build_net_isometry,
+    check_eps,
     f_operator,
     lipschitz_audit,
     moment_audit,
@@ -156,7 +157,9 @@ def effective_config(user: dict | None, samples: int | None = None) -> dict:
     int is stored as a float where the default is a float). Counts are >= 1,
     floats finite and > 0, grid cells have the defaults' number of integer
     entries (net cells may add a mode: auto, even or odd), and cells are checked
-    by the constructors that would reject them mid-run. Raises ConfigError."""
+    by the constructors that would reject them mid-run, as is ``net.eps`` (below
+    1, and at most ``SEPARATION_MAX_EPS`` when separation cells are configured).
+    Raises ConfigError."""
     if user is None:
         user = {}
     if not isinstance(user, dict):
@@ -219,7 +222,8 @@ def _cell(path: str, value, size: int) -> list:
 
 
 def _check_cells(cfg: dict) -> None:
-    """Reject the cells that the hard and net constructors would reject mid-run."""
+    """Reject the cells and the net eps that the hard and net constructors
+    would reject mid-run."""
     hard, net = cfg["hard"], cfg["net"]
     for path, cells in (
         ("hard.gamma_cells", hard["gamma_cells"]),
@@ -235,6 +239,10 @@ def _check_cells(cfg: dict) -> None:
     for cell in hard["mc_cells"]:
         if cell[3] > cell[2]:
             raise ConfigError(f"hard.mc_cells cell {cell}: need 0 <= i <= n")
+    try:
+        check_eps(net["eps"], separation=bool(net["separation_cells"]))
+    except ValueError as exc:
+        raise ConfigError(f"net.eps: {exc}") from exc
     for key in ("cells", "moment_cells", "lipschitz_cells", "separation_cells"):
         for cell in net[key]:
             if len(cell) > 3:
@@ -268,7 +276,6 @@ class Run:
 
     cfg: dict
     seed: int = 0
-    method: str = "auto"
     embed_matrices: bool = False
     matrices: dict = field(default_factory=dict)
 
@@ -322,6 +329,10 @@ class Cell:
     @_built_once
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
+
+    @_built_once
+    def testers(self) -> list:
+        return [_random_tester(self.rng) for _ in range(self.cfg["pairs"])]
 
     @_built_once
     def blocks(self):
@@ -469,11 +480,9 @@ def _random_tester(rng):
 
 
 def _tester_validity(c: Cell) -> dict:
-    rng = np.random.default_rng(c.seed)
     ok = True
     worst = 0.0
-    for _ in range(c.cfg["pairs"]):
-        tester, _ = _random_tester(rng)
+    for tester, _ in c.testers:
         cert = validate_tester(tester)
         ok = ok and cert.ok
         worst = max(worst, cert.sum_certificate.max_chain_residual)
@@ -481,11 +490,9 @@ def _tester_validity(c: Cell) -> dict:
 
 
 def _tester_contraction(c: Cell) -> dict:
-    rng = np.random.default_rng(c.seed)
     tol = c.cfg["contraction_tol"]
     worst = 0.0
-    for _ in range(c.cfg["pairs"]):
-        tester, chans = _random_tester(rng)
+    for tester, chans in c.testers:
         probs = success_probability(tester, chans)
         worst = max(worst, abs(float(probs.sum()) - 1.0))
     return _verdict(worst <= tol, tol, worst, pairs=c.cfg["pairs"])
@@ -540,13 +547,6 @@ def _gamma_comb(c: Cell) -> dict:
     return _verdict(ok, tol, worst, d1=d1, d2=d2, max_n=max_n)
 
 
-def _exact_route(c: Cell) -> str | None:
-    if c.run.method == "monte-carlo":
-        return ("Monte Carlo twirl is statistical; comb certification "
-                "needs an exact route (weingarten or exact-commutant)")
-    return None
-
-
 def _gamma_twirl_comb(c: Cell) -> dict:
     d1, d2 = c.key
     max_n = c.cfg["max_n"]
@@ -558,7 +558,7 @@ def _gamma_twirl_comb(c: Cell) -> dict:
         spaces = slot_spaces(c.spec, n)
         seq = comb_sequence(n)
         for i in range(n + 1):
-            g = gamma_twirl(c.spec, n, i, method=c.run.method, seed=c.seed)
+            g = gamma_twirl(c.spec, n, i, seed=c.seed)
             cert = certify_comb(LabeledOperator(g, spaces), seq, psd_tol=tol, chain_tol=tol)
             ok = ok and cert.ok
             worst = max(worst, cert.max_chain_residual, -cert.min_eig)
@@ -601,7 +601,7 @@ def _twirl_routes(c: Cell) -> dict:
 def _twirl_mc(c: Cell) -> dict:
     d1, d2, n, i = c.key
     n_samp = c.cfg["mc_samples"]
-    exact = gamma_twirl(c.spec, n, i, method="auto", seed=c.seed)
+    exact = gamma_twirl(c.spec, n, i, seed=c.seed)
     est, stderr = gamma_twirl_monte_carlo(c.spec, n, i, samples=n_samp, seed=c.seed)
     diff = float(np.linalg.norm(est - exact))
     factor = c.cfg["mc_sigma_factor"]
@@ -613,6 +613,8 @@ def _twirl_mc(c: Cell) -> dict:
 
 def _trace_bound_unitary(c: Cell) -> dict:
     cfg = c.cfg
+    if not cfg["trace_dims"]:
+        return {"status": "skip", "reason": "trace_dims is empty"}
     rng = np.random.default_rng(c.seed)
     tol = cfg["trace_tol"]
     max_excess = -np.inf
@@ -720,7 +722,7 @@ def _oversized_request(c: Cell) -> dict:
     rather than return an operator from some other route."""
     d1, d2, n, i = 2, 5, 5, 5
     try:
-        gamma_twirl(HardInstanceSpec.concrete(d1, d2), n, i, method="auto")
+        gamma_twirl(HardInstanceSpec.concrete(d1, d2), n, i)
     except ValueError:
         return {
             "status": "skip",
@@ -816,7 +818,7 @@ def _hard_table(run: Run) -> list:
             _group(
                 Cell(run, "gamma", key),
                 ("gamma-comb", "gamma-comb", _gamma_comb),
-                ("gamma-twirl-comb", "gamma-comb", _gamma_twirl_comb, _exact_route),
+                ("gamma-twirl-comb", "gamma-comb", _gamma_twirl_comb),
                 ("gamma-recursion", "gamma-comb-recursion", _gamma_recursion),
             ),
             _group(Cell(run, "cross", key), ("twirl-routes", "twirl-methods-agree", _twirl_routes)),
@@ -1028,10 +1030,10 @@ def check_table(suite: str, run: Run) -> list[tuple[Cell, list[Check]]]:
     return _SUITES[suite][0](run)
 
 
-def _run_suite(suite, config, seed, jobs, method="auto", samples=None, embed_matrices=False):
+def _run_suite(suite, config, seed, jobs, samples, embed_matrices):
     cfg = effective_config(config, samples)[suite]
     started = time.perf_counter()
-    run = Run(cfg, seed, method, embed_matrices)
+    run = Run(cfg, seed, embed_matrices)
     records = _run_table(check_table(suite, run), jobs)
     return make_report(
         suite=suite,
@@ -1048,20 +1050,20 @@ def run_combs_suite(
     config: dict | None = None,
     seed: int = 0,
     jobs: int = 1,
+    samples: int | None = None,
     embed_matrices: bool = False,
 ) -> VerificationReport:
-    return _run_suite("combs", config, seed, jobs, embed_matrices=embed_matrices)
+    return _run_suite("combs", config, seed, jobs, samples, embed_matrices)
 
 
 def run_hard_suite(
     config: dict | None = None,
     seed: int = 0,
     jobs: int = 1,
-    method: str = "auto",
     samples: int | None = None,
     embed_matrices: bool = False,
 ) -> VerificationReport:
-    return _run_suite("hard", config, seed, jobs, method, samples, embed_matrices)
+    return _run_suite("hard", config, seed, jobs, samples, embed_matrices)
 
 
 def run_net_suite(
@@ -1071,18 +1073,17 @@ def run_net_suite(
     samples: int | None = None,
     embed_matrices: bool = False,
 ) -> VerificationReport:
-    return _run_suite("net", config, seed, jobs, samples=samples, embed_matrices=embed_matrices)
+    return _run_suite("net", config, seed, jobs, samples, embed_matrices)
 
 
 def run_all_suites(
     config: dict | None = None,
     seed: int = 0,
     jobs: int = 1,
-    method: str = "auto",
     samples: int | None = None,
     embed_matrices: bool = False,
 ) -> list[VerificationReport]:
     return [
-        _run_suite(suite, config, seed, jobs, method, samples, embed_matrices)
+        _run_suite(suite, config, seed, jobs, samples, embed_matrices)
         for suite in _SUITES
     ]

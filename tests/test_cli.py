@@ -111,13 +111,10 @@ def test_tampered_weight_schedule_fails(tmp_path):
     assert failed and all(r["check_id"].startswith("domination") for r in failed)
 
 
-def test_mc_method_skips_certification_records(tmp_path):
-    code, out = _verify(tmp_path, "hard", SMALL_HARD, "--method", "mc")
-    assert code == 0
-    doc = _load(out, "hard")
-    skipped = [r for r in doc["records"] if r["status"] == "skip"]
-    assert any(r["check_id"].startswith("gamma-twirl-comb") for r in skipped)
-    assert all(r["reason"] for r in skipped)
+def test_method_flag_is_rejected(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        _verify(tmp_path, "hard", SMALL_HARD, "--method", "mc")
+    assert exc.value.code == 2
 
 
 def test_strict_escalates_warn_records(tmp_path, monkeypatch):
@@ -264,6 +261,8 @@ BAD_CONFIGS = {
     "bool-count": {"hard": {"max_n": True}},
     "mc-index-above-n": {"hard": {"mc_cells": [[1, 3, 2, 3]]}},
     "non-finite-tolerance": {"hard": {"trace_tol": float("inf")}},
+    "net-eps-not-below-1": {"net": {"eps": 1.5}},
+    "net-eps-above-separation-limit": {"net": {"eps": 0.05}},
 }
 
 
@@ -279,19 +278,22 @@ def test_bad_config_exits_2_before_any_report(tmp_path, capsys, payload):
 def test_empty_grids_skip_instead_of_reporting_non_finite(tmp_path):
     payload = json.loads(json.dumps(SMALL_HARD))
     payload["hard"]["rotor_trace_cells"] = []
+    payload["hard"]["trace_dims"] = []
     payload["hard"]["facts"]["eps"] = [0.9]
     code, out = _verify(tmp_path, "hard", payload)
     assert code == 0
     records = {r["check_id"]: r for r in _load(out, "hard")["records"]}
-    for check_id in ("twirl-trace-bound-rotor", "summand-chain"):
+    for check_id in ("twirl-trace-bound-unitary", "twirl-trace-bound-rotor", "summand-chain"):
         assert records[check_id]["status"] == "skip" and records[check_id]["reason"]
         assert records[check_id]["residual"] is None
 
 
-def test_non_finite_output_becomes_a_fail_record(tmp_path):
-    payload = json.loads(json.dumps(SMALL_HARD))
-    payload["hard"]["trace_dims"] = []  # leaves the unitary trace bound's excess at -inf
-    code, out = _verify(tmp_path, "hard", payload)
+def test_non_finite_output_becomes_a_fail_record(tmp_path, monkeypatch):
+    def unbounded(c):  # a passing verdict whose excess never left its -inf start
+        return suites._verdict(True, 1e-6, -1e-6, max_excess=-float("inf"), max_pure_gap=0.0)
+
+    monkeypatch.setattr(suites, "_trace_bound_unitary", unbounded)
+    code, out = _verify(tmp_path, "hard", SMALL_HARD)
     assert code == 1
     records = {r["check_id"]: r for r in _load(out, "hard")["records"]}
     rec = records["twirl-trace-bound-unitary"]
@@ -299,3 +301,34 @@ def test_non_finite_output_becomes_a_fail_record(tmp_path):
     assert rec["reason"] == "non-finite numbers: values.max_excess"
     assert "max_excess" not in rec["values"] and rec["values"]["max_pure_gap"] == 0.0
     assert [r for r in records.values() if r["status"] == "fail"] == [rec]
+
+
+def test_combs_suite_builds_each_tester_once(monkeypatch):
+    calls = []
+    real = suites.random_tester
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(suites, "random_tester", counting)
+    report = suites.run_combs_suite(SMALL_COMBS, seed=11)
+    assert len(calls) == SMALL_COMBS["combs"]["pairs"] == 6
+    statuses = {r.check_id: r.status for r in report.records}
+    assert statuses["tester-validity"] == statuses["tester-contraction"] == "pass"
+
+
+def test_failed_merge_keeps_previous_merged_file(tmp_path, monkeypatch, capsys):
+    _, out = _verify(tmp_path, "combs", SMALL_COMBS)
+    merged = tmp_path / "merged.json"
+    assert main(["merge", str(out / "combs_report.json"), "--out", str(merged)]) == 0
+    before = merged.read_bytes()
+
+    def broken_dump(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", broken_dump)
+    with pytest.raises(OSError):
+        main(["merge", str(out / "combs_report.json"), "--out", str(merged)])
+    assert merged.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []

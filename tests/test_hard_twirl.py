@@ -108,16 +108,18 @@ def test_gamma_twirl_dispatcher():
     spec = HardInstanceSpec.concrete(1, 2)
     g_auto = gamma_twirl(spec, 2, 1)
     np.testing.assert_allclose(g_auto, gamma_twirl_weingarten(spec, 2, 1), atol=1e-12)
-    with pytest.raises(ValueError):
-        gamma_twirl(spec, 2, 1, method="nonsense")
     # i above the permutation cap with dimension above the commutant cap must
     # refuse rather than silently sample
     big = HardInstanceSpec.concrete(2, 4)
     with pytest.raises(ValueError):
         gamma_twirl(big, 5, 5)
-    # explicit monte-carlo opt-in works there
-    out = gamma_twirl(spec, 2, 2, method="monte-carlo", samples=500, seed=0)
-    assert out.shape == (4, 4)
+
+
+def test_gamma_twirl_takes_the_exact_commutant_above_the_permutation_cap():
+    spec = HardInstanceSpec.concrete(1, 2)  # dimension 2**5 = 32 fits the commutant cap
+    np.testing.assert_array_equal(
+        gamma_twirl(spec, 5, 5, seed=3), gamma_twirl_exact_commutant(spec, 5, 5, seed=3)
+    )
 
 
 def test_weingarten_rejects_large_order():
