@@ -32,6 +32,17 @@ from .suites import (
 
 __all__ = ["main"]
 
+# a bad output path is invalid input (exit 2); other OSErrors, such as a
+# full disk, are not and propagate
+_PATH_ERRORS = (
+    FileExistsError,
+    FileNotFoundError,
+    IsADirectoryError,
+    NotADirectoryError,
+    PermissionError,
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="combcert",
@@ -102,7 +113,11 @@ def _cmd_verify(args) -> int:
     runners = {"combs": run_combs_suite, "hard": run_hard_suite, "net": run_net_suite}
     names = ["combs", "hard", "net"] if args.suite == "all" else [args.suite]
 
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except _PATH_ERRORS as exc:
+        print(f"error: cannot create output directory {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
     exit_code = 0
     for name in names:
         report = runners[name](
@@ -111,7 +126,11 @@ def _cmd_verify(args) -> int:
         if args.strict:
             report = _escalate(report)
         path = os.path.join(args.out, f"{name}_report.json")
-        doc = write_report(report, path)
+        try:
+            doc = write_report(report, path)
+        except _PATH_ERRORS as exc:
+            print(f"error: cannot write {path}: {exc.strerror}", file=sys.stderr)
+            return 2
         counts = Counter(rec["status"] for rec in doc["records"])
         summary = ", ".join(f"{v} {k}" for k, v in sorted(counts.items()))
         print(f"[{name}] {doc['overall']} ({summary}) -> {path}")
@@ -130,7 +149,11 @@ def _cmd_merge(args) -> int:
         print(f"merge: {exc}", file=sys.stderr)
         return 2
     merged = merge_reports(docs)
-    write_json(merged, args.out)
+    try:
+        write_json(merged, args.out)
+    except _PATH_ERRORS as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
     print(f"[merge] {merged['overall']} ({len(merged['suites'])} suites) -> {args.out}")
     return 0 if merged["overall"] == "pass" else 1
 

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import Channel, choi_operator, random_channel
-from .linalg import LabeledOperator, psd_check, psd_sqrt, pseudo_inverse, random_psd
+from .linalg import FactoredPsd, LabeledOperator, psd_check, psd_sqrt, pseudo_inverse, random_psd
 
 __all__ = [
     "CombCertificate",
@@ -121,13 +121,13 @@ class Comb:
         return len(self.sequence) // 2
 
 
-def comb_expected_trace(op: LabeledOperator, sequence: Sequence[str]) -> float:
+def comb_expected_trace(op: LabeledOperator | FactoredPsd, sequence: Sequence[str]) -> float:
     """Product of the even-position (input slot) dimensions."""
     return float(np.prod([op.dim_of(lbl) for lbl in sequence[0::2]]))
 
 
 def certify_comb(
-    op: LabeledOperator,
+    op: LabeledOperator | FactoredPsd,
     sequence: Sequence[str],
     psd_tol: float = 1e-8,
     chain_tol: float = 1e-8,
@@ -137,7 +137,9 @@ def certify_comb(
     Verifies positivity (eigenvalue floor ``-psd_tol * max(1, lambda_max)``)
     and walks the marginal chain from the last space down, recording the
     max-entry residual of each identity-factor condition plus the final
-    |X^(0) - 1| deviation.
+    |X^(0) - 1| deviation. A :class:`FactoredPsd` gives its verdict and its
+    first (dense) marginal from the factor; the walk continues on dense
+    marginals.
     """
     sequence = tuple(sequence)
     if len(sequence) % 2 != 0 or not sequence:
@@ -145,7 +147,10 @@ def certify_comb(
     if sorted(sequence) != sorted(op.labels):
         raise ValueError(f"sequence {sequence} does not match operator labels {op.labels}")
 
-    is_psd, lo, hi = psd_check(op.mat, tol=psd_tol, check_tol=max(psd_tol, 1e-10))
+    if isinstance(op, FactoredPsd):
+        is_psd, lo, hi = op.psd_check(tol=psd_tol)
+    else:
+        is_psd, lo, hi = psd_check(op.mat, tol=psd_tol, check_tol=max(psd_tol, 1e-10))
     residuals = []
     cur = op
     for j in range(len(sequence) // 2, 0, -1):

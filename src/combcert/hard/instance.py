@@ -21,7 +21,14 @@ from math import comb
 
 import numpy as np
 
-from ..linalg import LabeledOperator, haar_isometry, nullspace, partial_trace, vectorize
+from ..linalg import (
+    FactoredPsd,
+    LabeledOperator,
+    haar_isometry,
+    nullspace,
+    partial_trace,
+    vectorize,
+)
 
 __all__ = [
     "HardInstanceSpec",
@@ -191,6 +198,10 @@ class GammaFamily:
     def outer(self, i: int) -> LabeledOperator:
         g = self.gamma(i)
         return LabeledOperator(np.outer(g, g.conj()), slot_spaces(self.spec, self.n))
+
+    def factor(self, i: int) -> FactoredPsd:
+        """|gamma_i><gamma_i| as the rank-one factor (gamma_i, [1])."""
+        return FactoredPsd(self.gamma(i)[:, None], np.ones(1), slot_spaces(self.spec, self.n))
 
     def gram(self) -> np.ndarray:
         """Matrix of inner products <gamma_i | gamma_j> (should be d1^n delta_ij)."""

@@ -24,8 +24,8 @@ from math import comb
 
 import numpy as np
 
-from ..linalg import haar_unitary, haar_unitary_batch, herm_eig, vectorize
-from .instance import HardInstanceSpec, gamma_state, kron_power
+from ..linalg import FactoredPsd, haar_unitary, haar_unitary_batch, herm_eig, vectorize
+from .instance import HardInstanceSpec, gamma_state, kron_power, slot_spaces
 
 __all__ = [
     "COMMUTANT_DIM_CAP",
@@ -34,6 +34,7 @@ __all__ = [
     "commutant_projector",
     "rho_action",
     "gamma_twirl",
+    "gamma_twirl_factor",
     "gamma_twirl_exact_commutant",
     "gamma_twirl_weingarten",
     "gamma_twirl_monte_carlo",
@@ -175,12 +176,13 @@ def _twirled_core(delta_coords: np.ndarray, i: int):
     return vals[keep], vecs[:, keep]
 
 
-def gamma_twirl_weingarten(spec: HardInstanceSpec, n: int, i: int) -> np.ndarray:
-    """Gamma_i via the permutation-frame projection on the i twirled slots.
+def _weingarten_factor(spec: HardInstanceSpec, n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns G and weights nu with Gamma_i = G diag(nu) G^dagger / C(n, i).
 
     The twirl only touches the rotated branch factors, so the core operator
     on (W (x) A)^{(x) i} is twirled once, eigendecomposed, and each eigenvector
-    is embedded into every size-i slot subset, tensored with |V0>> elsewhere.
+    is embedded into every size-i slot subset, tensored with |V0>> elsewhere;
+    i = 0 is the untwirled rank-one (gamma_0, [1]).
     """
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
@@ -190,18 +192,17 @@ def gamma_twirl_weingarten(spec: HardInstanceSpec, n: int, i: int) -> np.ndarray
             f"got i={i}; "
             f"use the exact-commutant or monte-carlo route"
         )
+    if i == 0:
+        return gamma_state(spec, n, 0)[:, None], np.ones(1)
     d1, d2 = spec.d1, spec.d2
     slot = d1 * d2
     dim = slot**n
-    if i == 0:
-        g = gamma_state(spec, n, 0)
-        return np.outer(g, g.conj())
 
     iota = spec.complement_basis()
     k = spec.rotor_dim
     nu, cols = _twirled_core(spec.delta_coords(iota), i)
     if cols.shape[1] == 0:
-        return np.zeros((dim, dim), dtype=complex)
+        return np.zeros((dim, 0), dtype=complex), nu
 
     embed = kron_power(np.kron(iota, np.eye(d1)), i)
     embedded = embed @ np.stack(
@@ -219,6 +220,16 @@ def gamma_twirl_weingarten(spec: HardInstanceSpec, n: int, i: int) -> np.ndarray
         for m in range(embedded.shape[1]):
             t = np.kron(embedded[:, m], v0_rest).reshape((slot,) * n)
             g_cols[:, m] += t.transpose(axes).reshape(-1)
+    return g_cols, nu
+
+
+def gamma_twirl_weingarten(spec: HardInstanceSpec, n: int, i: int) -> np.ndarray:
+    """Gamma_i via the permutation-frame projection on the i twirled slots,
+    densified from :func:`_weingarten_factor`."""
+    g_cols, nu = _weingarten_factor(spec, n, i)
+    if i == 0:
+        g = g_cols[:, 0]
+        return np.outer(g, g.conj())
     gamma_i = (g_cols * nu) @ g_cols.conj().T / comb(n, i)
     return (gamma_i + gamma_i.conj().T) / 2
 
@@ -273,3 +284,20 @@ def gamma_twirl(spec: HardInstanceSpec, n: int, i: int, seed: int = 0) -> np.nda
         f"no exact route for i={i}, dimension {dim}; "
         f"gamma_twirl_monte_carlo gives a statistical estimate"
     )
+
+
+def gamma_twirl_factor(spec: HardInstanceSpec, n: int, i: int, seed: int = 0) -> FactoredPsd:
+    """Gamma_i as G diag(w) G^dagger on the slot spaces, by the route
+    :func:`gamma_twirl` takes.
+
+    On the permutation frame this is the factor that gamma_twirl_weingarten
+    densifies, (G, nu / C(n, i)); above PERMUTATION_ORDER_CAP it is
+    gamma_twirl's own dense result (dimension at most COMMUTANT_DIM_CAP, else
+    its ValueError) handed over as a full-rank factor.
+    """
+    spaces = slot_spaces(spec, n)
+    if i > PERMUTATION_ORDER_CAP:
+        vals, vecs = herm_eig(gamma_twirl(spec, n, i, seed=seed))
+        return FactoredPsd(vecs, vals, spaces)
+    g_cols, nu = _weingarten_factor(spec, n, i)
+    return FactoredPsd(g_cols, nu / comb(n, i), spaces)

@@ -16,6 +16,7 @@ __all__ = [
     "EigDecomposition",
     "PsdCheck",
     "LabeledOperator",
+    "FactoredPsd",
     "kron",
     "dagger",
     "vectorize",
@@ -270,8 +271,48 @@ def random_psd(dim: int, rng: np.random.Generator, rank: int | None = None) -> n
     return g @ g.conj().T
 
 
+def _checked_spaces(spaces) -> tuple[tuple[tuple[str, int], ...], int]:
+    """Normalized ``(label, dim)`` pairs and the product of the dims."""
+    spaces = tuple((str(lbl), int(d)) for lbl, d in spaces)
+    labels = [lbl for lbl, _ in spaces]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"duplicate labels in {labels}")
+    if any(d < 1 for _, d in spaces):
+        raise ValueError(f"space dimensions must be positive: {spaces}")
+    return spaces, int(np.prod([d for _, d in spaces])) if spaces else 1
+
+
+class _Labeled:
+    """Label bookkeeping for an operator on a tensor product of named spaces,
+    ``spaces`` fixing the Kronecker order."""
+
+    spaces: tuple[tuple[str, int], ...]
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(lbl for lbl, _ in self.spaces)
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(d for _, d in self.spaces)
+
+    def dim_of(self, label: str) -> int:
+        for lbl, d in self.spaces:
+            if lbl == label:
+                return d
+        raise KeyError(f"no space labeled {label!r} in {self.labels}")
+
+    def _positions(self, labels: Sequence[str]) -> list[int]:
+        out = []
+        for lbl in labels:
+            if lbl not in self.labels:
+                raise KeyError(f"no space labeled {lbl!r} in {self.labels}")
+            out.append(self.labels.index(lbl))
+        return out
+
+
 @dataclass(frozen=True)
-class LabeledOperator:
+class LabeledOperator(_Labeled):
     """Square operator on a tensor product of named spaces.
 
     ``spaces`` fixes the Kronecker order of ``mat``; operations address
@@ -285,14 +326,8 @@ class LabeledOperator:
     def __post_init__(self) -> None:
         mat = np.asarray(self.mat, dtype=complex)
         object.__setattr__(self, "mat", mat)
-        spaces = tuple((str(lbl), int(d)) for lbl, d in self.spaces)
+        spaces, d_total = _checked_spaces(self.spaces)
         object.__setattr__(self, "spaces", spaces)
-        labels = [lbl for lbl, _ in spaces]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate labels in {labels}")
-        if any(d < 1 for _, d in spaces):
-            raise ValueError(f"space dimensions must be positive: {spaces}")
-        d_total = int(np.prod([d for _, d in spaces])) if spaces else 1
         if mat.ndim != 2 or mat.shape != (d_total, d_total):
             raise ValueError(
                 f"matrix shape {mat.shape} does not match spaces {spaces} "
@@ -300,22 +335,8 @@ class LabeledOperator:
             )
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lbl for lbl, _ in self.spaces)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.spaces)
-
-    @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def dim_of(self, label: str) -> int:
-        for lbl, d in self.spaces:
-            if lbl == label:
-                return d
-        raise KeyError(f"no space labeled {label!r} in {self.labels}")
 
     def trace(self) -> complex:
         return complex(np.trace(self.mat))
@@ -357,10 +378,75 @@ class LabeledOperator:
         flip = self._positions(labels)
         return LabeledOperator(partial_transpose(self.mat, self.dims, flip), self.spaces)
 
-    def _positions(self, labels: Sequence[str]) -> list[int]:
-        out = []
-        for lbl in labels:
-            if lbl not in self.labels:
-                raise KeyError(f"no space labeled {lbl!r} in {self.labels}")
-            out.append(self.labels.index(lbl))
-        return out
+
+@dataclass(frozen=True)
+class FactoredPsd(_Labeled):
+    """X = G diag(w) G^dagger on a tensor product of named spaces, kept as
+    the factor ``G`` (dim x r, rows in the Kronecker order of ``spaces``)
+    and the real weights ``w``.
+
+    Positivity and marginals are read from the factor, so an operator of
+    rank r in dimension dim is never formed densely.
+    """
+
+    factor: np.ndarray
+    weights: np.ndarray
+    spaces: tuple[tuple[str, int], ...]
+
+    def __post_init__(self) -> None:
+        factor = np.asarray(self.factor, dtype=complex)
+        weights = np.asarray(self.weights)
+        if np.iscomplexobj(weights):
+            raise ValueError("factor weights must be real")
+        weights = weights.astype(float)
+        object.__setattr__(self, "factor", factor)
+        object.__setattr__(self, "weights", weights)
+        spaces, d_total = _checked_spaces(self.spaces)
+        object.__setattr__(self, "spaces", spaces)
+        if factor.ndim != 2 or factor.shape[0] != d_total:
+            raise ValueError(
+                f"factor shape {factor.shape} does not match spaces {spaces} "
+                f"(expected {d_total} rows)"
+            )
+        if weights.shape != (factor.shape[1],):
+            raise ValueError(
+                f"{weights.shape} weights for a factor with {factor.shape[1]} columns"
+            )
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("factor weights must be finite")
+
+    @property
+    def dim(self) -> int:
+        return self.factor.shape[0]
+
+    def trace(self) -> complex:
+        return complex(np.sum(self.weights * np.sum(np.abs(self.factor) ** 2, axis=0)))
+
+    def psd_check(self, tol: float = 1e-10) -> PsdCheck:
+        """:func:`psd_check`'s floor rule on the spectrum of X.
+
+        With the thin QR G = QR, X = Q (R diag(w) R^dagger) Q^dagger, so the
+        spectrum of X is that of the min(dim, r)-square core R diag(w) R^dagger
+        plus dim - min(dim, r) exact zeros from the directions outside the
+        range of Q.
+        """
+        r = np.linalg.qr(self.factor, mode="r")
+        vals = np.linalg.eigvalsh((r * self.weights) @ r.conj().T)
+        if r.shape[0] < self.dim:
+            vals = np.concatenate([vals, [0.0]])
+        lo = float(vals.min()) if vals.size else 0.0
+        hi = float(vals.max()) if vals.size else 0.0
+        return PsdCheck(ok=lo >= -tol * max(1.0, hi), min_eig=lo, max_eig=hi)
+
+    def partial_trace(self, labels: Sequence[str]) -> LabeledOperator:
+        """The dense marginal sum_b G_b diag(w) G_b^dagger over the basis
+        states b of the named spaces."""
+        drop = sorted(set(self._positions(labels)))
+        keep = [a for a in range(len(self.spaces)) if a not in drop]
+        rank = self.weights.size
+        t = self.factor.reshape(self.dims + (rank,)).transpose(keep + drop + [len(self.dims)])
+        kept = tuple(self.spaces[a] for a in keep)
+        d_keep = int(np.prod([d for _, d in kept])) if kept else 1
+        h = t.reshape(d_keep, self.dim // d_keep * rank)
+        w = np.tile(self.weights, self.dim // d_keep)
+        return LabeledOperator((h * w) @ h.conj().T, kept)

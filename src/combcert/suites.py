@@ -42,6 +42,7 @@ from .hard import (
     gamma_recursion_residual,
     gamma_twirl,
     gamma_twirl_exact_commutant,
+    gamma_twirl_factor,
     gamma_twirl_monte_carlo,
     gamma_twirl_weingarten,
     hard_vector_expansion,
@@ -54,9 +55,9 @@ from .hard import (
     twirl_trace_bound,
     xlog_bound_values,
 )
-from .hard.instance import comb_sequence, slot_spaces
+from .hard.instance import comb_sequence
 from .hard.twirl import COMMUTANT_DIM_CAP, PERMUTATION_ORDER_CAP
-from .linalg import LabeledOperator, haar_unitary, psd_sqrt, random_psd
+from .linalg import haar_unitary, psd_sqrt, random_psd
 from .net import (
     MIN_SEPARATION_PAIRS,
     NetParams,
@@ -541,7 +542,7 @@ def _gamma_comb(c: Cell) -> dict:
     for n in range(1, max_n + 1):
         fam = GammaFamily(c.spec, n)
         for i in range(n + 1):
-            cert = certify_comb(fam.outer(i), fam.comb_sequence, psd_tol=tol, chain_tol=tol)
+            cert = certify_comb(fam.factor(i), fam.comb_sequence, psd_tol=tol, chain_tol=tol)
             ok = ok and cert.ok
             worst = max(worst, cert.max_chain_residual, -cert.min_eig)
     return _verdict(ok, tol, worst, d1=d1, d2=d2, max_n=max_n)
@@ -553,17 +554,15 @@ def _gamma_twirl_comb(c: Cell) -> dict:
     tol = c.cfg["comb_tol"]
     worst = 0.0
     ok = True
-    gamma_hash = None
+    # the sample is the dense Gamma_1 at n = 1, as gamma_twirl returns it
+    gamma_hash = c.stash(gamma_twirl(c.spec, 1, 1, seed=c.seed))
     for n in range(1, max_n + 1):
-        spaces = slot_spaces(c.spec, n)
         seq = comb_sequence(n)
         for i in range(n + 1):
-            g = gamma_twirl(c.spec, n, i, seed=c.seed)
-            cert = certify_comb(LabeledOperator(g, spaces), seq, psd_tol=tol, chain_tol=tol)
+            g = gamma_twirl_factor(c.spec, n, i, seed=c.seed)
+            cert = certify_comb(g, seq, psd_tol=tol, chain_tol=tol)
             ok = ok and cert.ok
             worst = max(worst, cert.max_chain_residual, -cert.min_eig)
-            if gamma_hash is None and i == 1:
-                gamma_hash = c.stash(g)
     return _verdict(ok, tol, worst, d1=d1, d2=d2, max_n=max_n, sample_twirl=gamma_hash)
 
 

@@ -8,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+import combcert.cli as cli
 import combcert.hard.twirl as twirl
 import combcert.suites as suites
 from combcert.cli import main
@@ -331,4 +332,45 @@ def test_failed_merge_keeps_previous_merged_file(tmp_path, monkeypatch, capsys):
     with pytest.raises(OSError):
         main(["merge", str(out / "combs_report.json"), "--out", str(merged)])
     assert merged.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []
+
+
+def _one_error_line(err, path):
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert str(path) in err and "Traceback" not in err
+
+
+def test_verify_into_a_bad_output_path_exits_2_before_any_suite(tmp_path, monkeypatch, capsys):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(cli, "run_combs_suite", no_suite)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "x"  # like /dev/null/x: a path below a regular file
+    assert main(["verify", "--suite", "combs", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_error_line(captured.err, out)
+
+
+def test_verify_into_an_unwritable_report_path_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "combs_report.json").mkdir(parents=True)  # a directory where the report goes
+    cfg = _write_config(tmp_path, SMALL_COMBS)
+    assert main(["verify", "--suite", "combs", "--config", cfg, "--out", str(out)]) == 2
+    _one_error_line(capsys.readouterr().err, out / "combs_report.json")
+    assert [p.name for p in out.iterdir()] == ["combs_report.json"]
+
+
+def test_merge_into_a_bad_output_path_exits_2(tmp_path, capsys):
+    _, out = _verify(tmp_path, "combs", SMALL_COMBS)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    capsys.readouterr()
+    merged = blocker / "m.json"
+    assert main(["merge", str(out / "combs_report.json"), "--out", str(merged)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _one_error_line(captured.err, merged)
     assert [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")] == []

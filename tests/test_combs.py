@@ -12,7 +12,15 @@ from combcert.combs import (
     validate_tester,
 )
 from combcert.combs import Tester as _Tester  # underscore keeps pytest from collecting it
-from combcert.linalg import LabeledOperator, psd_check, random_psd, vectorize
+from combcert.hard import GammaFamily, HardInstanceSpec
+from combcert.linalg import (
+    FactoredPsd,
+    LabeledOperator,
+    haar_unitary,
+    psd_check,
+    random_psd,
+    vectorize,
+)
 
 
 def _choi_op(ch, out_label, in_label):
@@ -224,3 +232,37 @@ def test_prepare_measure_tester_discriminates_orthogonal_unitaries():
     probs2 = success_probability(tester, [Channel((u2,))])
     assert np.abs(probs1 - np.array([1.0, 0.0, 0.0])).max() < 1e-10
     assert np.abs(probs2 - np.array([0.0, 1.0, 0.0])).max() < 1e-10
+
+
+def test_factored_comb_rejects_a_negative_weight():
+    fam = GammaFamily(HardInstanceSpec.concrete(1, 3), 2)
+    good = fam.factor(1)
+    extra = np.random.default_rng(40).standard_normal(good.dim)
+    bad = FactoredPsd(np.column_stack([good.factor[:, 0], extra]), [1.0, -0.1], good.spaces)
+    cert = certify_comb(bad, fam.comb_sequence, psd_tol=1e-7, chain_tol=1e-7)
+    assert not cert.ok and cert.min_eig < 0
+
+
+def test_factored_comb_scaled_by_two_fails_the_chain():
+    fam = GammaFamily(HardInstanceSpec.concrete(1, 3), 2)
+    f = fam.factor(1)
+    cert = certify_comb(
+        FactoredPsd(2 * f.factor, f.weights, f.spaces), fam.comb_sequence,
+        psd_tol=1e-7, chain_tol=1e-7,
+    )
+    assert cert.min_eig == 0.0 and not cert.ok
+    assert cert.max_chain_residual > 1.0
+
+
+def test_full_rank_factor_reports_min_eig_from_the_core():
+    # with a unitary factor the spectrum of X is the weights, so its smallest
+    # eigenvalue is the smallest weight, not the 0 of a rank-deficient factor
+    rng = np.random.default_rng(41)
+    u = haar_unitary(6, rng)
+    w = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    f = FactoredPsd(u, w, (("A", 2), ("B", 3)))
+    cert = certify_comb(f, ("A", "B"), psd_tol=1e-8, chain_tol=1e-8)
+    assert cert.min_eig == pytest.approx(0.5, abs=1e-12)
+    assert cert.max_eig == pytest.approx(3.0, abs=1e-12)
+    dense = psd_check((u * w) @ u.conj().T)
+    assert cert.min_eig == pytest.approx(dense.min_eig, abs=1e-12)

@@ -10,12 +10,17 @@ from combcert.hard import (
     commutant_projector,
     gamma_twirl,
     gamma_twirl_exact_commutant,
+    gamma_twirl_factor,
     gamma_twirl_monte_carlo,
     gamma_twirl_weingarten,
     rho_action,
 )
 from combcert.hard.instance import comb_sequence, slot_spaces
 from combcert.linalg import LabeledOperator, haar_unitary, psd_check, random_psd
+from combcert.suites import DEFAULT_CONFIG
+
+GAMMA_CELLS = DEFAULT_CONFIG["hard"]["gamma_cells"]
+COMB_TOL = DEFAULT_CONFIG["hard"]["comb_tol"]
 
 
 def test_rho_action_is_a_representation():
@@ -117,12 +122,55 @@ def test_gamma_twirl_dispatcher():
 
 def test_gamma_twirl_takes_the_exact_commutant_above_the_permutation_cap():
     spec = HardInstanceSpec.concrete(1, 2)  # dimension 2**5 = 32 fits the commutant cap
-    np.testing.assert_array_equal(
-        gamma_twirl(spec, 5, 5, seed=3), gamma_twirl_exact_commutant(spec, 5, 5, seed=3)
-    )
+    dense = gamma_twirl(spec, 5, 5, seed=3)
+    np.testing.assert_array_equal(dense, gamma_twirl_exact_commutant(spec, 5, 5, seed=3))
+    # the factored form hands the same result over as a full-rank factor
+    f = gamma_twirl_factor(spec, 5, 5, seed=3)
+    assert f.factor.shape == (32, 32)
+    np.testing.assert_allclose(f.factor @ (f.weights[:, None] * f.factor.conj().T), dense,
+                               atol=1e-12)
+    with pytest.raises(ValueError):
+        gamma_twirl_factor(HardInstanceSpec.concrete(2, 4), 5, 5)
 
 
 def test_weingarten_rejects_large_order():
     spec = HardInstanceSpec.concrete(1, 2)
     with pytest.raises(ValueError):
         gamma_twirl_weingarten(spec, 6, 5)
+
+
+@pytest.mark.parametrize("d1,d2", GAMMA_CELLS)
+def test_factored_certificates_match_the_dense_ones(d1, d2):
+    spec = HardInstanceSpec.concrete(d1, d2)
+    for n in (1, 2, 3):
+        fam = GammaFamily(spec, n)
+        spaces = slot_spaces(spec, n)
+        for i in range(n + 1):
+            pairs = [
+                (fam.factor(i), fam.outer(i)),
+                (gamma_twirl_factor(spec, n, i), LabeledOperator(gamma_twirl(spec, n, i), spaces)),
+            ]
+            for factored, dense in pairs:
+                a = certify_comb(factored, fam.comb_sequence, psd_tol=COMB_TOL, chain_tol=COMB_TOL)
+                b = certify_comb(dense, fam.comb_sequence, psd_tol=COMB_TOL, chain_tol=COMB_TOL)
+                assert a.ok == b.ok, (d1, d2, n, i)
+                assert abs(a.max_eig - b.max_eig) <= 1e-9 * abs(b.max_eig), (d1, d2, n, i)
+                assert a.max_chain_residual <= COMB_TOL, (d1, d2, n, i)
+                assert a.min_eig == 0.0  # rank below dim: the null directions count exactly
+                assert a.trace_value == pytest.approx(b.trace_value, rel=1e-12)
+
+
+@pytest.mark.parametrize("d1,d2", GAMMA_CELLS)
+def test_twirl_factor_agrees_with_the_dense_twirl_on_random_probes(d1, d2):
+    # Freivalds-style: G diag(w) G^dagger x against the dense operator times x
+    rng = np.random.default_rng(31)
+    spec = HardInstanceSpec.concrete(d1, d2)
+    for n in (1, 2, 3):
+        for i in range(n + 1):
+            f = gamma_twirl_factor(spec, n, i)
+            dense = gamma_twirl_weingarten(spec, n, i)
+            x = rng.standard_normal((f.dim, 3)) + 1j * rng.standard_normal((f.dim, 3))
+            lhs = f.factor @ (f.weights[:, None] * (f.factor.conj().T @ x))
+            rhs = dense @ x
+            assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max()), (n, i)
+

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from combcert.linalg import (
+    FactoredPsd,
     LabeledOperator,
     devectorize,
     haar_isometry,
@@ -239,3 +240,37 @@ def test_labeled_operator_partial_ops_match_plain():
     scalar = op.partial_trace(["X", "Y", "Z"])
     assert scalar.spaces == ()
     assert abs(scalar.mat[0, 0] - np.trace(m)) < 1e-12
+
+
+@pytest.mark.parametrize("rank", [0, 1, 4, 30, 40])
+def test_factored_psd_matches_its_dense_operator(rank):
+    rng = np.random.default_rng(26)
+    spaces = (("X", 2), ("Y", 3), ("Z", 5))
+    g = rng.normal(size=(30, rank)) + 1j * rng.normal(size=(30, rank))
+    w = rng.uniform(0.1, 2.0, size=rank)
+    f = FactoredPsd(g, w, spaces)
+    dense = LabeledOperator((g * w) @ g.conj().T, spaces)
+    for drop in (["X"], ["Y"], ["Z"], ["X", "Z"], ["Z", "X"], ["X", "Y", "Z"]):
+        got, want = f.partial_trace(drop), dense.partial_trace(drop)
+        assert got.spaces == want.spaces
+        assert np.abs(got.mat - want.mat).max() <= 1e-12 * max(1.0, np.abs(want.mat).max())
+    assert abs(f.trace() - dense.trace()) <= 1e-12 * max(1.0, abs(dense.trace()))
+    got, want = f.psd_check(), psd_check(dense.mat)
+    assert got.ok and want.ok
+    scale = max(1.0, want.max_eig)
+    assert abs(got.max_eig - want.max_eig) <= 1e-12 * scale
+    # below full rank the missing directions are exact zeros
+    assert got.min_eig == (0.0 if rank < 30 else pytest.approx(want.min_eig, abs=1e-12 * scale))
+
+
+def test_factored_psd_validates_its_parts():
+    spaces = (("A", 2), ("B", 2))
+    with pytest.raises(ValueError):
+        FactoredPsd(np.ones((4, 2)), [1.0, 1j], spaces)
+    with pytest.raises(ValueError):
+        FactoredPsd(np.ones((4, 2)), [1.0], spaces)
+    with pytest.raises(ValueError):
+        FactoredPsd(np.ones((5, 2)), [1.0, 1.0], spaces)
+    with pytest.raises(ValueError):
+        FactoredPsd(np.ones((4, 2)), [1.0, np.nan], spaces)
+    assert not FactoredPsd(np.eye(4)[:, :2], [1.0, -1e-3], spaces).psd_check().ok
