@@ -15,6 +15,7 @@ from .facts import (
     log_binom,
     psd_domination_equiv,
     summand_chain,
+    summand_chains,
     xlog_bound_values,
 )
 from .instance import (
@@ -62,4 +63,5 @@ __all__ = [
     "xlog_bound_values",
     "psd_domination_equiv",
     "summand_chain",
+    "summand_chains",
 ]

@@ -25,6 +25,7 @@ __all__ = [
     "log_binom",
     "psd_domination_equiv",
     "summand_chain",
+    "summand_chains",
     "xlog_bound_values",
 ]
 
@@ -138,31 +139,43 @@ class SummandChain:
 
 def summand_chain(d1: int, d2: int, n: int, eps: float, i: int) -> SummandChain:
     """The four-step bound chain for summand i of the weighted domination sum."""
+    return next(_summand_chains(d1, d2, n, eps, (i,)))
+
+
+def summand_chains(d1: int, d2: int, n: int, eps: float) -> tuple[SummandChain, ...]:
+    """The bound chains of summands 0..n, the same values summand_chain gives
+    one at a time, with the window check and the constants of
+    (d1, d2, n, eps) computed once."""
+    return tuple(_summand_chains(d1, d2, n, eps, range(n + 1)))
+
+
+def _summand_chains(d1: int, d2: int, n: int, eps: float, indices):
     check_admissible(d1, d2, n, eps)
     d = d1 * d2
-    if not 0 <= i <= n:
-        raise ValueError(f"need 0 <= i <= n, got i={i}")
-
-    t_exact = (
-        log_binom(n, i)
-        + (n - i) * log(1.0 - eps**2)
-        + 2.0 * i * log(eps)
-        + log_binom(d + i - 2, i)
-    )
-    t_entropy = -n * kl_binary(i / n, eps**2) + (d + i) * binary_entropy(i / (d + i))
-    if i == 0:
-        t_simplified = 0.0
-    else:
-        t_simplified = -i * log(i / (n * eps**2)) + i * log(1.0 + d / i) + 2.0 * i
-    t_budget = sqrt(8.0 * n * eps**2 * d) if i < d else -2.0 * i
-    return SummandChain(
-        d1=d1,
-        d2=d2,
-        n=n,
-        eps=eps,
-        i=i,
-        t_exact=t_exact,
-        t_entropy=t_entropy,
-        t_simplified=t_simplified,
-        t_budget=t_budget,
-    )
+    eps2 = eps**2
+    log_keep = log(1.0 - eps2)
+    log_eps = log(eps)
+    n_eps2 = n * eps2
+    budget = sqrt(8.0 * n * eps2 * d)
+    for i in indices:
+        if not 0 <= i <= n:
+            raise ValueError(f"need 0 <= i <= n, got i={i}")
+        t_exact = (
+            log_binom(n, i) + (n - i) * log_keep + 2.0 * i * log_eps + log_binom(d + i - 2, i)
+        )
+        t_entropy = -n * kl_binary(i / n, eps2) + (d + i) * binary_entropy(i / (d + i))
+        if i == 0:
+            t_simplified = 0.0
+        else:
+            t_simplified = -i * log(i / n_eps2) + i * log(1.0 + d / i) + 2.0 * i
+        yield SummandChain(
+            d1=d1,
+            d2=d2,
+            n=n,
+            eps=eps,
+            i=i,
+            t_exact=t_exact,
+            t_entropy=t_entropy,
+            t_simplified=t_simplified,
+            t_budget=budget if i < d else -2.0 * i,
+        )

@@ -8,18 +8,25 @@ Routes:
   * exact-commutant — the twirl is the Hilbert-Schmidt-orthogonal projection
     onto the commutant of the rho image; a nullspace of stacked commutator
     maps over a few generic generators pins the commutant down exactly.
+    R(U) fixes im(V0), so in the basis ([V0 | iota] (x) I_{d1})^{(x) n} every
+    rho(U) is block-diagonal over the 2^n patterns of which slots lie in
+    im(iota), and the nullspace is solved one (row pattern, column pattern)
+    block at a time. This uses no Schur-Weyl duality, so the route stays
+    independent of the permutation frame.
   * permutation-frame (Weingarten-style) — for the i twirled slots the
     commutant of U^{(x) i} (x) I is spanned by permutation operators; the
     frame projection with the (pseudo-inverted) cycle Gram matrix gives the
     twirl in closed form, valid for any rotor dimension including singular
     Gram matrices.
-  * monte-carlo — a batched Haar-sample average, for spot checks at scale.
+  * monte-carlo — a batched Haar-sample average, for spot checks at scale;
+    the samples of a batch sit on the last axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import reduce
+from itertools import combinations, permutations, product
 from math import comb
 
 import numpy as np
@@ -71,9 +78,18 @@ def commutant_projector(spec: HardInstanceSpec, n: int, seed: int = 0) -> Commut
 
     A generic tuple of group elements generates a dense subgroup, so the
     joint commutant of four Haar samples equals the commutant of the whole
-    rho image almost surely. The commutant is recovered as the nullspace
-    (eigenvalues up to 1e-10 of the largest) of H = sum_g C_g^dagger C_g
-    with C_g the commutator map X -> gX - Xg on vectorized operators.
+    rho image almost surely. The commutant is the nullspace of
+    H = sum_g (2I - M_g - M_g^dagger), M_g = g (x) conj(g) the conjugation
+    X -> gXg^dagger on vectorized operators (for unitary g this is
+    sum_g C_g^dagger C_g with C_g the commutator map X -> gX - Xg).
+
+    H is solved block by block. In the basis W = ([V0 | iota] (x) I_{d1})^{(x) n}
+    each R(U) is diag(I, U), checked on every generator, so rho(U) is
+    block-diagonal over the 2^n patterns s of which slots lie in im(iota),
+    and conjugation maps each (row pattern, column pattern) block of
+    W^dagger X W to itself. Every block's eigenvalues up to
+    1e-10 * max(1, largest eigenvalue of any block) are kept; a kept block
+    eigenvector Y maps back to the commutant element W_s Y W_t^dagger.
     """
     dim = (spec.d1 * spec.d2) ** n
     if dim > COMMUTANT_DIM_CAP:
@@ -82,17 +98,43 @@ def commutant_projector(spec: HardInstanceSpec, n: int, seed: int = 0) -> Commut
             f"use the permutation-frame or monte-carlo route"
         )
     rng = np.random.default_rng(seed)
+    d1 = spec.d1
+    eye = np.eye(d1)
     iota = spec.complement_basis()
-    eye = np.eye(dim)
-    h = np.zeros((dim * dim, dim * dim), dtype=complex)
+    slot_basis = np.hstack([spec.v0, iota])
+    rotors = []
     for _ in range(4):
-        g = rho_action(spec, n, haar_unitary(spec.rotor_dim, rng), iota)
-        c = np.kron(g, eye) - np.kron(eye, g.T)
-        h += c.conj().T @ c
-    vals, vecs = herm_eig(h)
-    cut = 1e-10 * max(1.0, float(vals[-1]))
-    basis = vecs[:, vals <= cut]
-    return CommutantProjector(basis=basis, dim=dim)
+        r = slot_basis.conj().T @ spec.rotor(haar_unitary(spec.rotor_dim, rng), iota) @ slot_basis
+        leak = max(float(np.abs(r[:d1, d1:]).max()), float(np.abs(r[d1:, :d1]).max()))
+        if leak > 1e-12:
+            raise ValueError(f"rotor does not fix im(V0): off-block entry {leak:.3e}")
+        rotors.append(r)
+    rotors = np.array(rotors)
+    # slot pattern 0 is im(V0) (x) C^{d1}, pattern 1 is im(iota) (x) C^{d1}
+    slot_frames = (np.kron(spec.v0, eye), np.kron(iota, eye))
+    slot_gens = (np.kron(rotors[:, :d1, :d1], eye), np.kron(rotors[:, d1:, d1:], eye))
+    patterns = list(product((0, 1), repeat=n))
+    frames = [reduce(np.kron, [slot_frames[p] for p in s]) for s in patterns]
+    gens = [reduce(_kron_stack, [slot_gens[p] for p in s]) for s in patterns]
+
+    blocks = []
+    for a, b in product(range(len(patterns)), repeat=2):
+        m = _kron_stack(gens[a], gens[b].conj()).sum(axis=0)
+        h = 2.0 * len(rotors) * np.eye(m.shape[0]) - (m + m.conj().T)
+        blocks.append((a, b, herm_eig(h)))
+    cut = 1e-10 * max(1.0, max(float(eig.values[-1]) for _, _, eig in blocks))
+
+    rows = []
+    for a, b, (vals, vecs) in blocks:
+        y = vecs[:, vals <= cut].T.reshape(-1, frames[a].shape[1], frames[b].shape[1])
+        rows.append((frames[a] @ y @ frames[b].conj().T).reshape(len(y), dim * dim))
+    return CommutantProjector(basis=np.concatenate(rows).T, dim=dim)
+
+
+def _kron_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products a[g] (x) b[g] of two equally long stacks of matrices."""
+    out = np.einsum("gij,gkl->gikjl", a, b)
+    return out.reshape(len(a), a.shape[1] * b.shape[1], a.shape[2] * b.shape[2])
 
 
 def gamma_twirl_exact_commutant(
@@ -242,7 +284,10 @@ def gamma_twirl_monte_carlo(
     seed: int = 0,
 ) -> tuple[np.ndarray, float]:
     """Haar-sample estimate of Gamma_i plus the entrywise standard-error scale
-    d1^n / sqrt(samples), averaged in batches of 2000 samples."""
+    d1^n / sqrt(samples), averaged in batches of 2000 samples.
+
+    The samples of a batch sit on the last, contiguous axis, so each slot's
+    rotor applies as one einsum over (left, B_j, right, sample)."""
     rng = np.random.default_rng(seed)
     d1, d2 = spec.d1, spec.d2
     k = spec.rotor_dim
@@ -257,14 +302,12 @@ def gamma_twirl_monte_carlo(
         nb = min(2000, samples - done)
         u = haar_unitary_batch(k, nb, rng)
         rot = p0[None, :, :] + np.einsum("ak,nkl,bl->nab", iota, u, iota.conj(), optimize=True)
-        y = np.broadcast_to(g, (nb, dim)).reshape((nb,) + (d2, d1) * n).copy()
+        rot = np.moveaxis(rot, 0, -1)
+        y = np.repeat(g[:, None], nb, axis=1)
         for j in range(n):
-            axis = 1 + 2 * j
-            moved = np.moveaxis(y, axis, 1)
-            moved = np.einsum("nxy,ny...->nx...", rot, moved, optimize=True)
-            y = np.moveaxis(moved, 1, axis)
-        yf = y.reshape(nb, dim)
-        acc += yf.T @ yf.conj()
+            y = np.einsum("xyn,lyrn->lxrn", rot, y.reshape((d1 * d2) ** j, d2, -1, nb))
+        yf = y.reshape(dim, nb)
+        acc += yf @ yf.conj().T
         done += nb
     est = acc / samples
     return (est + est.conj().T) / 2, float(d1**n / np.sqrt(samples))

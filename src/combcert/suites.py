@@ -50,7 +50,7 @@ from .hard import (
     lambda_schedule,
     log_binom,
     psd_domination_equiv,
-    summand_chain,
+    summand_chains,
     symmetric_span_dim,
     twirl_trace_bound,
     xlog_bound_values,
@@ -791,12 +791,11 @@ def _summand_chain(c: Cell) -> dict:
             for n in sorted({x for x in (1, 2, 3, 17, n_max) if 1 <= x <= n_max}):
                 sched = lambda_schedule(d1, d2, n, eps)
                 total = 0.0
-                for i in range(n + 1):
-                    chain = summand_chain(d1, d2, n, eps, i)
+                for chain, log_weight in zip(summand_chains(d1, d2, n, eps), sched.log_weights):
                     if not chain.chain_ok(slack=slack):
                         violations += 1
                     summands += 1
-                    total += exp(chain.t_exact - sched.log_weights[i])
+                    total += exp(chain.t_exact - log_weight)
                 worst_assembled = max(worst_assembled, total - 1.0)
     if summands == 0:
         return {"status": "skip",

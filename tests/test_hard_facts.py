@@ -1,7 +1,7 @@
 """Tests for the scalar facts: entropies, envelopes, PSD domination, and the
 four-step summand bound chain."""
 
-from math import comb, exp, floor, log
+from math import comb, exp, floor, log, sqrt
 
 import numpy as np
 import pytest
@@ -13,10 +13,12 @@ from combcert.hard import (
     log_binom,
     psd_domination_equiv,
     summand_chain,
+    summand_chains,
     xlog_bound_values,
 )
 from combcert.hard.domination import WEIGHT_BUDGET_CONSTANT
 from combcert.linalg import pseudo_inverse, random_psd
+from combcert.suites import DEFAULT_CONFIG
 
 
 def test_binary_entropy_oracle_points():
@@ -127,3 +129,38 @@ def test_summand_chain_rejects_out_of_window():
         summand_chain(1, 2, 50, 0.1, 3)
     with pytest.raises(ValueError):
         summand_chain(1, 2, 2, 0.05, 3)  # i > n
+
+
+def _summand_terms_reference(d, n, eps, i):
+    """The per-summand formulas as summand_chain evaluated them before the
+    constants of (d1, d2, n, eps) were hoisted out of the loop over i."""
+    t_exact = (
+        log_binom(n, i)
+        + (n - i) * log(1.0 - eps**2)
+        + 2.0 * i * log(eps)
+        + log_binom(d + i - 2, i)
+    )
+    t_entropy = -n * kl_binary(i / n, eps**2) + (d + i) * binary_entropy(i / (d + i))
+    if i == 0:
+        t_simplified = 0.0
+    else:
+        t_simplified = -i * log(i / (n * eps**2)) + i * log(1.0 + d / i) + 2.0 * i
+    t_budget = sqrt(8.0 * n * eps**2 * d) if i < d else -2.0 * i
+    return t_exact, t_entropy, t_simplified, t_budget
+
+
+def test_summand_chains_are_bit_identical_to_the_per_summand_formulas():
+    facts = DEFAULT_CONFIG["hard"]["facts"]
+    for d1, d2 in facts["dim_pairs"]:
+        for eps in facts["eps"]:
+            n_max = floor(d1 * d2 / (WEIGHT_BUDGET_CONSTANT * eps**2))
+            for n in sorted({x for x in (1, 2, 3, 17, n_max) if 1 <= x <= n_max}):
+                chains = summand_chains(d1, d2, n, eps)
+                assert [c.i for c in chains] == list(range(n + 1))
+                for c in chains:
+                    assert c == summand_chain(d1, d2, n, eps, c.i)
+                    terms = (c.t_exact, c.t_entropy, c.t_simplified, c.t_budget)
+                    ref = _summand_terms_reference(d1 * d2, n, eps, c.i)
+                    assert terms == ref, (d1, d2, eps, n, c.i)
+    with pytest.raises(ValueError):
+        summand_chains(1, 2, 50, 0.1)

@@ -15,8 +15,14 @@ from combcert.hard import (
     gamma_twirl_weingarten,
     rho_action,
 )
-from combcert.hard.instance import comb_sequence, slot_spaces
-from combcert.linalg import LabeledOperator, haar_unitary, psd_check, random_psd
+from combcert.hard.instance import comb_sequence, gamma_state, slot_spaces
+from combcert.linalg import (
+    LabeledOperator,
+    haar_unitary,
+    haar_unitary_batch,
+    psd_check,
+    random_psd,
+)
 from combcert.suites import DEFAULT_CONFIG
 
 GAMMA_CELLS = DEFAULT_CONFIG["hard"]["gamma_cells"]
@@ -174,3 +180,92 @@ def test_twirl_factor_agrees_with_the_dense_twirl_on_random_probes(d1, d2):
             rhs = dense @ x
             assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max()), (n, i)
 
+
+
+def _dense_commutant_basis(spec, n, seed):
+    """The nullspace of the dense sum_g C_g^dagger C_g over the four Haar
+    generators commutant_projector draws from ``seed``, C_g the commutator
+    map X -> gX - Xg; the block route must reproduce its span."""
+    rng = np.random.default_rng(seed)
+    iota = spec.complement_basis()
+    dim = (spec.d1 * spec.d2) ** n
+    eye = np.eye(dim)
+    h = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for _ in range(4):
+        g = rho_action(spec, n, haar_unitary(spec.rotor_dim, rng), iota)
+        c = np.kron(g, eye) - np.kron(eye, g.T)
+        h += c.conj().T @ c
+    vals, vecs = np.linalg.eigh(h)
+    return vecs[:, vals <= 1e-10 * max(1.0, float(vals[-1]))]
+
+
+@pytest.mark.parametrize(
+    "d1,d2,n",
+    [(1, 2, 1), (1, 2, 2), (1, 2, 3), (1, 3, 1), (1, 3, 2), (1, 3, 3), (2, 4, 1), (2, 5, 1)],
+)
+def test_block_commutant_matches_the_dense_nullspace(d1, d2, n):
+    rng = np.random.default_rng(100 * d1 + 10 * d2 + n)
+    spec = HardInstanceSpec.random(d1, d2, rng)
+    proj = commutant_projector(spec, n, seed=9)
+    dense = _dense_commutant_basis(spec, n, seed=9)
+    assert proj.basis.shape == dense.shape
+    np.testing.assert_allclose(
+        proj.basis @ proj.basis.conj().T, dense @ dense.conj().T, rtol=0, atol=1e-10
+    )
+    shape = (proj.dim, proj.dim)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    tw = proj.twirl(x)
+    g = rho_action(spec, n, haar_unitary(spec.rotor_dim, rng))
+    assert np.abs(tw @ g - g @ tw).max() <= 1e-10 * max(1.0, np.abs(tw).max())
+
+
+def test_block_commutant_refuses_a_rotor_that_moves_im_v0(monkeypatch):
+    spec = HardInstanceSpec.concrete(1, 3)
+    scrambled = haar_unitary(3, np.random.default_rng(0))
+    monkeypatch.setattr(HardInstanceSpec, "rotor", lambda self, u, iota=None: scrambled)
+    with pytest.raises(ValueError, match="does not fix"):
+        commutant_projector(spec, 2)
+
+
+def _monte_carlo_reference(spec, n, i, samples, seed):
+    """The sample-first Monte Carlo loop (moveaxis, then a batched einsum per
+    slot) that gamma_twirl_monte_carlo's sample-last loop replaced."""
+    rng = np.random.default_rng(seed)
+    d1, d2 = spec.d1, spec.d2
+    iota = spec.complement_basis()
+    p0 = spec.v0 @ spec.v0.conj().T
+    g = gamma_state(spec, n, i)
+    dim = g.size
+    acc = np.zeros((dim, dim), dtype=complex)
+    done = 0
+    while done < samples:
+        nb = min(2000, samples - done)
+        u = haar_unitary_batch(spec.rotor_dim, nb, rng)
+        rot = p0[None, :, :] + np.einsum("ak,nkl,bl->nab", iota, u, iota.conj(), optimize=True)
+        y = np.broadcast_to(g, (nb, dim)).reshape((nb,) + (d2, d1) * n).copy()
+        for j in range(n):
+            axis = 1 + 2 * j
+            moved = np.moveaxis(y, axis, 1)
+            moved = np.einsum("nxy,ny...->nx...", rot, moved, optimize=True)
+            y = np.moveaxis(moved, 1, axis)
+        yf = y.reshape(nb, dim)
+        acc += yf.T @ yf.conj()
+        done += nb
+    est = acc / samples
+    return (est + est.conj().T) / 2
+
+
+def test_monte_carlo_matches_the_sample_first_loop_at_the_default_cell():
+    d1, d2, n, i = DEFAULT_CONFIG["hard"]["mc_cells"][0]
+    samples = DEFAULT_CONFIG["hard"]["mc_samples"]
+    spec = HardInstanceSpec.concrete(d1, d2)
+    est, _ = gamma_twirl_monte_carlo(spec, n, i, samples=samples, seed=7)
+    np.testing.assert_array_equal(est, _monte_carlo_reference(spec, n, i, samples, seed=7))
+
+
+@pytest.mark.parametrize("d1,d2,n,i", [(1, 3, 3, 2), (2, 4, 2, 2)])
+def test_monte_carlo_matches_the_sample_first_loop(d1, d2, n, i):
+    spec = HardInstanceSpec.concrete(d1, d2)
+    est, _ = gamma_twirl_monte_carlo(spec, n, i, samples=4500, seed=3)  # two full batches and a part
+    ref = _monte_carlo_reference(spec, n, i, 4500, seed=3)
+    assert np.abs(est - ref).max() <= 1e-15
