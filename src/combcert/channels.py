@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import LabeledOperator, haar_isometry, herm_eig, herm_eigvals, trace_norm, vectorize
+from .linalg import LabeledOperator, haar_isometry, herm_eig, herm_eigvals, trace_norm
 
 __all__ = [
     "Channel",
@@ -65,13 +65,17 @@ class Channel:
 
 
 def choi_from_kraus(kraus) -> np.ndarray:
-    """Choi operator sum_k |E_k>><<E_k| on (out, in), out index major."""
+    """Choi operator sum_k |E_k>><<E_k| on (out, in), out index major.
+
+    Each E_k may be a stack (..., d_out, d_in) of Kraus operators, one per
+    channel; the Choi operators then stack the same way."""
     ops = kraus.kraus if isinstance(kraus, Channel) else tuple(np.asarray(k, dtype=complex) for k in kraus)
-    d = ops[0].shape[0] * ops[0].shape[1]
-    c = np.zeros((d, d), dtype=complex)
+    lead = ops[0].shape[:-2]
+    d = ops[0].shape[-2] * ops[0].shape[-1]
+    c = np.zeros(lead + (d, d), dtype=complex)
     for k in ops:
-        v = vectorize(k)
-        c += np.outer(v, v.conj())
+        v = k.reshape(lead + (d,))
+        c += v[..., :, None] * v[..., None, :].conj()
     return c
 
 
@@ -109,9 +113,13 @@ def kraus_from_choi(choi: np.ndarray, d_out: int, d_in: int, rank_tol: float = 1
     return ops
 
 
-def kraus_rank(choi: np.ndarray, rank_tol: float = 1e-10) -> int:
-    """Number of Choi eigenvalues above rank_tol * lambda_max."""
+def kraus_rank(choi: np.ndarray, rank_tol: float = 1e-10) -> int | np.ndarray:
+    """Number of Choi eigenvalues above rank_tol * lambda_max; for a stack
+    of Choi operators, the array of each one's."""
     vals = herm_eigvals(choi)
+    if vals.ndim > 1:
+        lam_max = vals[..., -1:]
+        return np.sum((vals > rank_tol * lam_max) & (lam_max > 0.0), axis=-1)
     lam_max = float(vals[-1]) if vals.size else 0.0
     if lam_max <= 0.0:
         return 0
@@ -154,6 +162,7 @@ def apply_channel(channel: Channel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def choi_distance_lb(choi_a: np.ndarray, choi_b: np.ndarray, d_in: int) -> float:
-    """Diamond-distance lower bound ||C_A - C_B||_1 / d_in."""
+def choi_distance_lb(choi_a: np.ndarray, choi_b: np.ndarray, d_in: int) -> float | np.ndarray:
+    """Diamond-distance lower bound ||C_A - C_B||_1 / d_in; elementwise over
+    stacks of Choi operators."""
     return trace_norm(np.asarray(choi_a) - np.asarray(choi_b)) / d_in

@@ -34,6 +34,7 @@ __all__ = [
     "haar_unitary",
     "haar_unitary_batch",
     "haar_isometry",
+    "haar_from_ginibre",
     "random_psd",
 ]
 
@@ -129,7 +130,10 @@ def partial_transpose(x: np.ndarray, dims: Sequence[int], transpose: Iterable[in
 
 def _hermitian_part(x: np.ndarray, check_tol: float) -> np.ndarray:
     """(x + x^dagger) / 2 after validating Hermiticity to
-    ``check_tol * max(1, ||x||_F)``."""
+    ``check_tol * max(1, ||x||_F)``; a stack (..., d, d) member by member."""
+    x = np.asarray(x)
+    if x.ndim > 2:
+        return _hermitian_part_stack(x, check_tol)
     x = _as_square(x)
     xh = x.conj().T
     scale = max(1.0, float(np.linalg.norm(x)))
@@ -142,12 +146,30 @@ def _hermitian_part(x: np.ndarray, check_tol: float) -> np.ndarray:
     return (x + xh) / 2.0
 
 
+def _hermitian_part_stack(x: np.ndarray, check_tol: float) -> np.ndarray:
+    if x.shape[-1] != x.shape[-2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {x.shape}")
+    xh = np.swapaxes(x, -2, -1).conj()
+    scale = np.maximum(1.0, np.linalg.norm(x, axis=(-2, -1)))
+    asym = np.linalg.norm(x - xh, axis=(-2, -1))
+    bad = np.argwhere(asym > check_tol * scale)
+    if bad.size:
+        at = tuple(int(i) for i in bad[0])
+        raise ValueError(
+            f"stack member {at} is not Hermitian: ||X - X^dagger||_F = {asym[at]:.3e} "
+            f"exceeds {check_tol:.1e} * {scale[at]:.3e}"
+        )
+    return (x + xh) / 2.0
+
+
 def herm_eig(x: np.ndarray, check_tol: float = 1e-10) -> EigDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a
+    stack (..., d, d).
 
     Validates Hermiticity to ``check_tol * max(1, ||x||_F)`` and then
     diagonalizes the Hermitian part. Eigenvalues come back ascending with
-    orthonormal column eigenvectors.
+    orthonormal column eigenvectors. A stack is solved by one batched call
+    whose results equal the per-matrix calls bit for bit.
     """
     vals, vecs = np.linalg.eigh(_hermitian_part(x, check_tol))
     return EigDecomposition(values=vals, vectors=vecs)
@@ -156,9 +178,10 @@ def herm_eig(x: np.ndarray, check_tol: float = 1e-10) -> EigDecomposition:
 def herm_eigvals(x: np.ndarray, check_tol: float = 1e-10) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
 
-    Validates Hermiticity as :func:`herm_eig` does. A complex-typed
-    Hermitian part whose imaginary part is exactly zero is solved as the
-    real symmetric matrix it equals, which takes about half the time.
+    Validates Hermiticity as :func:`herm_eig` does, a stack member by
+    member. A complex-typed Hermitian part whose imaginary part is exactly
+    zero is solved as the real symmetric matrix it equals, which takes
+    about half the time; a stack is, when every member's is.
     """
     h = _hermitian_part(x, check_tol)
     if np.iscomplexobj(h) and not h.imag.any():
@@ -178,12 +201,15 @@ def psd_check(x: np.ndarray, tol: float = 1e-10, check_tol: float = 1e-10) -> Ps
     return PsdCheck(ok=lo >= -tol * max(1.0, hi), min_eig=lo, max_eig=hi)
 
 
-def trace_norm(x: np.ndarray) -> float:
-    """Sum of singular values."""
+def trace_norm(x: np.ndarray) -> float | np.ndarray:
+    """Sum of singular values; for a stack (..., m, n), the array of each
+    member's, equal bit for bit to the per-matrix calls."""
     x = np.asarray(x)
-    if x.ndim != 2:
+    if x.ndim == 2:
+        return float(np.linalg.svd(x, compute_uv=False).sum())
+    if x.ndim < 2:
         raise ValueError(f"expected a matrix, got shape {x.shape}")
-    return float(np.linalg.svd(x, compute_uv=False).sum())
+    return np.linalg.svd(x, compute_uv=False).sum(axis=-1)
 
 
 def pseudo_inverse(x: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
@@ -244,9 +270,7 @@ def haar_isometry(d_in: int, d_out: int, rng: np.random.Generator) -> np.ndarray
     if d_in < 1:
         raise ValueError(f"d_in must be positive, got {d_in}")
     g = rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return haar_from_ginibre(g)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -257,9 +281,21 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def haar_unitary_batch(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of ``count`` independent Haar-random unitaries, shape (count, dim, dim)."""
     g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+    return haar_from_ginibre(g)
+
+
+def haar_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """Haar-random isometry from a complex Ginibre matrix ``g`` (d_out x d_in,
+    or a stack of them): reduced QR, then the R-diagonal phase correction
+    that makes the distribution exactly Haar (Mezzadri, Notices AMS 54, 2007).
+
+    The samplers above draw their own Ginibre matrices; a caller that must
+    draw in another order passes its own. A stack gives the per-matrix
+    results bit for bit.
+    """
     q, r = np.linalg.qr(g)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def random_psd(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:

@@ -17,6 +17,14 @@ The audits are sampled surrogates for the existential net statements: they
 report empirical minima/means over Haar-sampled unitary pairs together with
 the exact finite identities used in the separation proof, and never claim to
 certify the existential cardinality results.
+
+Each audit runs its trials as stacks of at most AUDIT_BATCH: the linear
+algebra (QR, eigensolves, SVDs, products) is one batched call per stack.
+The Lipschitz and separation audits draw their Gaussian matrices in the
+per-trial order of a one-trial loop, and batched LAPACK and matmul calls
+equal the per-matrix calls bit for bit, so their values do not depend on
+the batching. The moment audit never forms the (d2*d1)-square operator F:
+F has rank at most r, and its moments are traces of r x r Gram products.
 """
 
 from __future__ import annotations
@@ -26,11 +34,26 @@ from math import sqrt
 
 import numpy as np
 
-from .channels import Channel, channel_from_isometry, choi_from_kraus, kraus_rank
-from .linalg import haar_isometry, haar_unitary, haar_unitary_batch, herm_eig, trace_norm
+from .channels import (
+    Channel,
+    channel_from_isometry,
+    choi_distance_lb,
+    choi_from_kraus,
+    kraus_rank,
+)
+from .linalg import (
+    haar_from_ginibre,
+    haar_isometry,
+    haar_unitary,
+    haar_unitary_batch,
+    herm_eig,
+    trace_norm,
+)
 
 __all__ = [
+    "AUDIT_BATCH",
     "GRAM_REJECTION_BUDGET",
+    "MIN_LIPSCHITZ_TRIALS",
     "MIN_SEPARATION_PAIRS",
     "SEPARATION_MAX_EPS",
     "BlockIsometry",
@@ -47,7 +70,9 @@ __all__ = [
     "separation_audit",
 ]
 
+AUDIT_BATCH = 2000  # trials, pairs or samples per stack in the sampled audits
 GRAM_REJECTION_BUDGET = 200
+MIN_LIPSCHITZ_TRIALS = 100
 MIN_SEPARATION_PAIRS = 50
 SEPARATION_MAX_EPS = 1e-2
 
@@ -201,8 +226,10 @@ class BlockIsometry:
 
 
 def _block_gram(v: np.ndarray, r: int) -> np.ndarray:
-    b = v.reshape(r, -1, v.shape[1])
-    return np.einsum("iba,jba->ij", b.conj(), b)
+    """Gram matrix tr(B_i^dagger B_j) of the r row blocks of v, or of each
+    member of a stack of such v."""
+    b = v.reshape(v.shape[:-2] + (r, -1, v.shape[-1]))
+    return np.einsum("...iba,...jba->...ij", b.conj(), b)
 
 
 def build_block_isometry(p: NetParams, rng: np.random.Generator) -> BlockIsometry:
@@ -301,12 +328,33 @@ def _build_odd(p: NetParams, rng: np.random.Generator) -> BlockIsometry:
 
 
 def rotated_branch(blocks: BlockIsometry, u: np.ndarray) -> np.ndarray:
-    """The branch (rotation applied to the canonical part) as (r*d2) x d1."""
+    """The branch (rotation applied to the canonical part) as (r*d2) x d1;
+    a stack of rotations gives a stack of branches."""
     p = blocks.params
-    if u.shape != (p.u_dim, p.u_dim):
+    if u.shape[-2:] != (p.u_dim, p.u_dim):
         raise ValueError(f"rotation must be {p.u_dim} x {p.u_dim}, got {u.shape}")
     j = blocks.j_embed
     return j @ (u @ (j.conj().T @ blocks.delta_canon)) + blocks.delta_prime
+
+
+def _branch_difference(blocks: BlockIsometry, ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
+    """Rotated branch at ux minus at uy, (r*d2) x d1 (stacks broadcast)."""
+    j = blocks.j_embed
+    return j @ ((ux - uy) @ (j.conj().T @ blocks.delta_canon))
+
+
+def _member_isometry(blocks: BlockIsometry, branch: np.ndarray) -> np.ndarray:
+    """sqrt(1 - eps^2) reference + eps branch, flag-embedded in even mode;
+    a stack of branches gives a stack of isometries."""
+    p = blocks.params
+    amp0, amp1 = sqrt(1.0 - p.eps**2), p.eps
+    if p.mode == "odd":
+        return amp0 * blocks.v0_full + amp1 * branch
+    lead = branch.shape[:-2]
+    v = np.zeros(lead + (p.r, 2, p.d2, p.d1), dtype=complex)
+    v[..., 0, :, :] = amp0 * blocks.v0_full.reshape(p.r, p.d2, p.d1)
+    v[..., 1, :, :] = amp1 * branch.reshape(lead + (p.r, p.d2, p.d1))
+    return v.reshape(lead + (p.r * 2 * p.d2, p.d1))
 
 
 def build_net_isometry(
@@ -319,25 +367,19 @@ def build_net_isometry(
     leading flag qubit: rows group as (anc, flag, d2)."""
     if blocks.params != p:
         raise ValueError("blocks were built for different parameters")
-    branch = rotated_branch(blocks, u)
-    amp0, amp1 = sqrt(1.0 - p.eps**2), p.eps
-    if p.mode == "even":
-        v = np.zeros((p.r, 2, p.d2, p.d1), dtype=complex)
-        v[:, 0] = amp0 * blocks.v0_full.reshape(p.r, p.d2, p.d1)
-        v[:, 1] = amp1 * branch.reshape(p.r, p.d2, p.d1)
-        v = v.reshape(p.r * 2 * p.d2, p.d1)
-    else:
-        v = amp0 * blocks.v0_full + amp1 * branch
+    v = _member_isometry(blocks, rotated_branch(blocks, u))
     return v, channel_from_isometry(v, p.r)
 
 
 def _cross_operator(a: np.ndarray, b: np.ndarray, r: int, d1: int) -> np.ndarray:
-    """Ancilla partial trace of |a>><<b| for two (r*out) x d1 block matrices."""
-    out = a.shape[0] // r
-    ta = a.reshape(r, out, d1)
-    tb = b.reshape(r, out, d1)
+    """Ancilla partial trace of |a>><<b| for two (r*out) x d1 block matrices,
+    or stacks of them (leading axes broadcast)."""
+    out = a.shape[-2] // r
+    ta = a.reshape(a.shape[:-2] + (r, out, d1))
+    tb = b.reshape(b.shape[:-2] + (r, out, d1))
     dim = out * d1
-    return np.einsum("iba,icd->bacd", ta, tb.conj(), optimize=True).reshape(dim, dim)
+    f = np.einsum("...iba,...icd->...bacd", ta, tb.conj(), optimize=True)
+    return f.reshape(f.shape[:-4] + (dim, dim))
 
 
 def f_operator(blocks: BlockIsometry, ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
@@ -345,11 +387,15 @@ def f_operator(blocks: BlockIsometry, ux: np.ndarray, uy: np.ndarray) -> np.ndar
 
     The operator whose trace norm drives the separation lower bound; lives
     on (output x input) without the even-mode flag, which changes none of
-    its singular values."""
+    its singular values. Stacks of rotations give a stack of operators."""
     p = blocks.params
-    j = blocks.j_embed
-    diff = j @ ((ux - uy) @ (j.conj().T @ blocks.delta_canon))
-    return _cross_operator(blocks.v0_full, diff, p.r, p.d1) / p.d1
+    return _cross_operator(blocks.v0_full, _branch_difference(blocks, ux, uy), p.r, p.d1) / p.d1
+
+
+def _chunks(total: int):
+    """Stack sizes that cover ``total`` draws, AUDIT_BATCH at a time."""
+    for start in range(0, total, AUDIT_BATCH):
+        yield min(AUDIT_BATCH, total - start)
 
 
 @dataclass(frozen=True)
@@ -364,41 +410,42 @@ class MomentAudit:
     ok: bool
 
 
+def _gram_moments(
+    blocks: BlockIsometry, ux: np.ndarray, uy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """||F||_F^2 and ||F^dagger F||_F^2 for each pair of rotation stacks,
+    as tr M and tr M^2 with M = A B / d1^2 (see :func:`moment_audit`)."""
+    p = blocks.params
+    m = blocks.gram @ _block_gram(_branch_difference(blocks, ux, uy), p.r) / p.d1**2
+    return np.einsum("nii->n", m).real, np.einsum("nij,nji->n", m, m).real
+
+
 def moment_audit(blocks: BlockIsometry, samples: int, rng: np.random.Generator) -> MomentAudit:
     """Monte Carlo second/fourth moments of the separation operator (odd mode).
 
     The second moment is an exact identity (d2-1)/d1 for any fixed blocks;
-    the fourth is bounded by 288/r^3. Batched over Haar pairs."""
+    the fourth is bounded by 288/r^3. Batched over Haar pairs, AUDIT_BATCH
+    at a time.
+
+    F = R^T conj(D) / d1, with the vectorized reference blocks as the rows
+    of R and the branch-difference blocks as those of D, has rank at most r.
+    With the r x r block Grams A = conj(R) R^T (``blocks.gram``) and
+    B = conj(D) D^T, and M = A B / d1^2, the moments are
+    m2 = ||F||_F^2 = tr M and m4 = ||F^dagger F||_F^2 = tr M^2, so F itself
+    is never formed."""
     p = blocks.params
     if p.mode != "odd":
         raise ValueError("moment identities are specific to the odd-mode template")
     if samples < 1000:
         raise ValueError(f"need at least 1000 samples, got {samples}")
     r, d1, d2 = p.r, p.d1, p.d2
-    h_a = p.u_dim
-    j = blocks.j_embed
-    sector_delta = j.conj().T @ blocks.delta_canon  # h_a x d1, unit rows then zeros
-    vec_ref = blocks.v0_full.reshape(r, d2 * d1)
-
-    # global row index of each rotation-sector coordinate
-    row_of = np.argmax(np.abs(j), axis=0)
-
     m2_vals = np.empty(samples)
     m4_vals = np.empty(samples)
     done = 0
-    batch = 2000
-    while done < samples:
-        nb = min(batch, samples - done)
-        ux = haar_unitary_batch(h_a, nb, rng)
-        uy = haar_unitary_batch(h_a, nb, rng)
-        diff_sector = (ux - uy) @ sector_delta  # (nb, h_a, d1)
-        diff_global = np.zeros((nb, r * d2, d1), dtype=complex)
-        diff_global[:, row_of, :] = diff_sector
-        vec_diff = diff_global.reshape(nb, r, d2 * d1)
-        f = np.einsum("ia,nib->nab", vec_ref, vec_diff.conj(), optimize=True) / d1
-        m2_vals[done : done + nb] = np.einsum("nab,nab->n", f, f.conj()).real
-        g = np.einsum("nab,nac->nbc", f.conj(), f, optimize=True)
-        m4_vals[done : done + nb] = np.einsum("nbc,nbc->n", g, g.conj()).real
+    for nb in _chunks(samples):
+        ux = haar_unitary_batch(p.u_dim, nb, rng)
+        uy = haar_unitary_batch(p.u_dim, nb, rng)
+        m2_vals[done : done + nb], m4_vals[done : done + nb] = _gram_moments(blocks, ux, uy)
         done += nb
 
     m2_mean = float(np.mean(m2_vals))
@@ -430,13 +477,44 @@ class LipschitzAudit:
     ok: bool
 
 
-def _unitary_step(dim: int, theta: float, rng: np.random.Generator) -> np.ndarray:
-    """exp(i theta H) for a random Hermitian H of unit Frobenius norm."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (g + g.conj().T) / 2
-    h /= np.linalg.norm(h)
+def _unitary_steps(g: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """exp(i theta H) for each H = (g + g^dagger)/2 scaled to unit Frobenius
+    norm, over a stack g (..., d, d) of Ginibre draws and angles theta (...)."""
+    h = (g + np.swapaxes(g, -2, -1).conj()) / 2
+    d = g.shape[-1]
+    # per-matrix norms: a batched norm differs from them in the last bits
+    norms = np.array([np.linalg.norm(m) for m in h.reshape(-1, d, d)])
+    h /= norms.reshape(h.shape[:-2] + (1, 1))
     vals, vecs = herm_eig(h)
-    return (vecs * np.exp(1j * theta * vals)) @ vecs.conj().T
+    phases = np.exp(1j * theta[..., None] * vals)
+    return (vecs * phases[..., None, :]) @ vecs.conj().swapaxes(-2, -1)
+
+
+def _lipschitz_chunk(
+    blocks: BlockIsometry, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """|f(U') - f(U)| and the joint displacement ||U' - U||_F for n trials.
+
+    The draws are made trial by trial in one fixed order (the Ginibre
+    matrices of ux and uy, the two angles, the Ginibre matrices of the two
+    steps), so the trials do not depend on how they are chunked; the linear
+    algebra then runs on the whole stack."""
+    d = blocks.params.u_dim
+    starts = np.empty((n, 4, d, d))
+    steps = np.empty((n, 4, d, d))
+    theta = np.empty((n, 2))
+    for t in range(n):
+        rng.standard_normal(out=starts[t])
+        theta[t] = np.exp(rng.uniform(np.log(1e-3), np.log(0.3), size=2))
+        rng.standard_normal(out=steps[t])
+    # axis 1 holds (x, y); real and imaginary parts alternate on the draw axis
+    u = haar_from_ginibre(starts[:, 0::2] + 1j * starts[:, 1::2])
+    u2 = u @ _unitary_steps(steps[:, 0::2] + 1j * steps[:, 1::2], theta)
+    moved = [np.linalg.norm(m) for m in (u2 - u).reshape(-1, d, d)]
+    dist = np.array([sqrt(a**2 + b**2) for a, b in zip(moved[0::2], moved[1::2])])
+    f0 = trace_norm(f_operator(blocks, u[:, 0], u[:, 1]))
+    f1 = trace_norm(f_operator(blocks, u2[:, 0], u2[:, 1]))
+    return np.abs(f1 - f0), dist
 
 
 def lipschitz_audit(blocks: BlockIsometry, trials: int, rng: np.random.Generator) -> LipschitzAudit:
@@ -444,27 +522,18 @@ def lipschitz_audit(blocks: BlockIsometry, trials: int, rng: np.random.Generator
 
     Each trial perturbs both rotations by exp(i theta H) with unit-Frobenius
     Hermitian H and theta spanning three decades, and compares the change of
-    f = tr|F| to the constant times the joint Frobenius displacement."""
+    f = tr|F| to the constant times the joint Frobenius displacement. The
+    trials run as stacks of at most AUDIT_BATCH."""
     p = blocks.params
-    if trials < 100:
-        raise ValueError(f"need at least 100 trials, got {trials}")
+    if trials < MIN_LIPSCHITZ_TRIALS:
+        raise ValueError(f"need at least {MIN_LIPSCHITZ_TRIALS} trials, got {trials}")
     lip = sqrt(2.0 / p.d1)
-    max_ratio = 0.0
-    violations = 0
-    for _ in range(trials):
-        ux = haar_unitary(p.u_dim, rng)
-        uy = haar_unitary(p.u_dim, rng)
-        theta_x, theta_y = np.exp(rng.uniform(np.log(1e-3), np.log(0.3), size=2))
-        ux2 = ux @ _unitary_step(p.u_dim, float(theta_x), rng)
-        uy2 = uy @ _unitary_step(p.u_dim, float(theta_y), rng)
-        dist = sqrt(np.linalg.norm(ux2 - ux) ** 2 + np.linalg.norm(uy2 - uy) ** 2)
-        f0 = trace_norm(f_operator(blocks, ux, uy))
-        f1 = trace_norm(f_operator(blocks, ux2, uy2))
-        delta = abs(f1 - f0)
-        if dist > 0:
-            max_ratio = max(max_ratio, delta / dist)
-        if delta > lip * dist + 1e-8:
-            violations += 1
+    chunks = [_lipschitz_chunk(blocks, n, rng) for n in _chunks(trials)]
+    delta = np.concatenate([c[0] for c in chunks])
+    dist = np.concatenate([c[1] for c in chunks])
+    moved = dist > 0
+    max_ratio = float(np.max(delta[moved] / dist[moved], initial=0.0))
+    violations = int(np.count_nonzero(delta > lip * dist + 1e-8))
     return LipschitzAudit(
         trials=trials,
         lipschitz_constant=lip,
@@ -494,6 +563,63 @@ class SeparationAudit:
     ok: bool
 
 
+def _separation_chunk(blocks: BlockIsometry, n: int, rng: np.random.Generator) -> dict:
+    """Per-pair distances, overlap norms, Kraus ranks and identity residuals
+    for n Haar pairs, all computed on stacks."""
+    p = blocks.params
+    d1, r, d = p.d1, p.r, p.u_dim
+    # one draw holds the pairs' Ginibre matrices in per-pair order
+    g = rng.standard_normal((n, 4, d, d))
+    u = haar_from_ginibre(g[:, 0::2] + 1j * g[:, 1::2])
+    u1, u2 = u[:, 0], u[:, 1]
+    # coinciding rotations have probability zero; one is redrawn after the stack
+    for k in np.flatnonzero(np.linalg.norm(u1 - u2, axis=(-2, -1)) < 1e-12):
+        while np.linalg.norm(u1[k] - u2[k]) < 1e-12:
+            u2[k] = haar_unitary(d, rng)
+
+    b1 = rotated_branch(blocks, u1)
+    v1 = _member_isometry(blocks, b1)
+    v2 = _member_isometry(blocks, rotated_branch(blocks, u2))
+    v = np.stack([v1, v2])
+    defect = float(np.abs(v.conj().swapaxes(-2, -1) @ v - np.eye(d1)).max())
+    if defect > 1e-10:
+        raise ValueError(f"not an isometry: ||V^dagger V - I||_max = {defect:.3e}")
+    out = v1.shape[-2] // r
+    choi1 = choi_from_kraus(v1.reshape(n, r, out, d1).swapaxes(0, 1))
+    choi2 = choi_from_kraus(v2.reshape(n, r, out, d1).swapaxes(0, 1))
+    dist = choi_distance_lb(choi1, choi2, d1)
+
+    f_mat = f_operator(blocks, u1, u2)
+    f_val = trace_norm(f_mat)
+    branch_res = np.abs(trace_norm(_cross_operator(b1, b1, r, d1)) - d1) / d1
+
+    # cross operator with orthogonal image/support (flag-embedded in even mode)
+    if p.mode == "even":
+        ref = np.zeros((r, 2, p.d2, d1), dtype=complex)
+        ref[:, 0] = blocks.v0_full.reshape(r, p.d2, d1)
+        diff = np.zeros((n, r, 2, p.d2, d1), dtype=complex)
+        diff[:, :, 1] = _branch_difference(blocks, u1, u2).reshape(n, r, p.d2, d1)
+        rows = r * 2 * p.d2
+        x = _cross_operator(ref.reshape(rows, d1), diff.reshape(n, rows, d1), r, d1)
+    else:
+        x = d1 * f_mat
+    x_norm = trace_norm(x)
+    scale = np.maximum(1.0, x_norm)
+    # per-matrix norms and Python float powers keep each pair's residual
+    # equal to the one-pair computation
+    nilp = [float(np.linalg.norm(xx)) / s**2 for xx, s in zip(x @ x, scale.tolist())]
+    return {
+        "dist": dist,
+        "x_norm": x_norm,
+        "f": f_val,
+        "rank": kraus_rank(choi1, rank_tol=1e-8),
+        "branch": branch_res,
+        "nilp": np.array(nilp),
+        "symm": np.abs(trace_norm(x + x.conj().swapaxes(-2, -1)) - 2 * x_norm) / scale,
+        "route": np.abs(x_norm - d1 * f_val) / scale,
+    }
+
+
 def separation_audit(
     blocks: BlockIsometry, pairs: int, rng: np.random.Generator
 ) -> SeparationAudit:
@@ -505,93 +631,51 @@ def separation_audit(
     d1, (ii) the cross operator X squares to zero, (iii) the symmetrized
     trace norm equals 2 tr|X|, (iv) the two construction routes for X agree,
     and (v) the Choi distance dominates 2 eps sqrt(1-eps^2) tr|X| - 2 eps^2 d1.
+    The pairs run as stacks of at most AUDIT_BATCH.
     """
     p = blocks.params
     check_eps(p.eps, separation=True)
     if pairs < MIN_SEPARATION_PAIRS:
         raise ValueError(f"need at least {MIN_SEPARATION_PAIRS} pairs, got {pairs}")
-    d1, r = p.d1, p.r
+    chunks = [_separation_chunk(blocks, n, rng) for n in _chunks(pairs)]
+    per_pair = {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
+    d1 = p.d1
     amp = 2 * p.eps * sqrt(1 - p.eps**2)
-
-    min_dist = np.inf
-    min_f = np.inf
-    max_rank = 0
-    branch_res = 0.0
-    nilp_res = 0.0
-    symm_res = 0.0
-    route_res = 0.0
-    floor_viol = 0.0
-
-    for _ in range(pairs):
-        u1 = haar_unitary(p.u_dim, rng)
-        u2 = haar_unitary(p.u_dim, rng)
-        while np.linalg.norm(u1 - u2) < 1e-12:
-            u2 = haar_unitary(p.u_dim, rng)
-
-        _, ch1 = build_net_isometry(p, u1, blocks)
-        _, ch2 = build_net_isometry(p, u2, blocks)
-        choi1 = choi_from_kraus(ch1)
-        dist = trace_norm(choi1 - choi_from_kraus(ch2)) / d1
-        min_dist = min(min_dist, dist)
-        max_rank = max(max_rank, kraus_rank(choi1, rank_tol=1e-8))
-
-        f_mat = f_operator(blocks, u1, u2)
-        f_val = trace_norm(f_mat)
-        min_f = min(min_f, f_val)
-
-        # branch self-overlap trace norm: PSD with trace d1
-        b1 = rotated_branch(blocks, u1)
-        branch_overlap = _cross_operator(b1, b1, r, d1)
-        branch_res = max(branch_res, abs(trace_norm(branch_overlap) - d1) / d1)
-
-        # cross operator with orthogonal image/support (flag-embedded in even mode)
-        if p.mode == "even":
-            ref = np.zeros((r, 2, p.d2, d1), dtype=complex)
-            ref[:, 0] = blocks.v0_full.reshape(r, p.d2, d1)
-            diff = np.zeros((r, 2, p.d2, d1), dtype=complex)
-            j = blocks.j_embed
-            diff[:, 1] = (j @ ((u1 - u2) @ (j.conj().T @ blocks.delta_canon))).reshape(
-                r, p.d2, d1
-            )
-            x = _cross_operator(ref.reshape(r * 2 * p.d2, d1), diff.reshape(r * 2 * p.d2, d1), r, d1)
-        else:
-            x = d1 * f_mat
-        x_norm = trace_norm(x)
-        scale = max(1.0, x_norm)
-        nilp_res = max(nilp_res, float(np.linalg.norm(x @ x)) / scale**2)
-        symm_res = max(symm_res, abs(trace_norm(x + x.conj().T) - 2 * x_norm) / scale)
-        route_res = max(route_res, abs(x_norm - d1 * f_val) / scale)
-
-        floor = amp * x_norm - 2 * p.eps**2 * d1
-        floor_viol = max(floor_viol, (floor - dist * d1) / d1)
+    floor = amp * per_pair["x_norm"] - 2 * p.eps**2 * d1
+    per_pair["floor"] = (floor - per_pair["dist"] * d1) / d1
+    min_dist = float(np.min(per_pair["dist"]))
+    min_f = float(np.min(per_pair["f"]))
+    max_rank = int(np.max(per_pair["rank"]))
+    worst = {key: max(0.0, float(np.max(per_pair[key])))
+             for key in ("branch", "nilp", "symm", "route", "floor")}
 
     choi_threshold = 0.07 * p.eps
     derived_floor = amp * min_f - 2 * p.eps**2
     ok = (
         min_dist >= choi_threshold
         and min_f >= 0.05
-        and max_rank <= r
-        and branch_res <= 1e-8
-        and symm_res <= 1e-8
-        and nilp_res <= 1e-10
-        and route_res <= 1e-8
-        and floor_viol <= 1e-8
+        and max_rank <= p.r
+        and worst["branch"] <= 1e-8
+        and worst["symm"] <= 1e-8
+        and worst["nilp"] <= 1e-10
+        and worst["route"] <= 1e-8
+        and worst["floor"] <= 1e-8
     )
     return SeparationAudit(
         pairs=pairs,
         eps=p.eps,
-        min_choi_distance=float(min_dist),
+        min_choi_distance=min_dist,
         choi_threshold=choi_threshold,
-        min_overlap_norm=float(min_f),
+        min_overlap_norm=min_f,
         overlap_threshold=0.05,
         max_kraus_rank=max_rank,
-        rank_bound=r,
+        rank_bound=p.r,
         derived_choi_floor=derived_floor,
-        branch_trace_residual=branch_res,
-        nilpotency_residual=nilp_res,
-        symmetrized_norm_residual=symm_res,
-        cross_route_residual=route_res,
-        choi_floor_violation=floor_viol,
+        branch_trace_residual=worst["branch"],
+        nilpotency_residual=worst["nilp"],
+        symmetrized_norm_residual=worst["symm"],
+        cross_route_residual=worst["route"],
+        choi_floor_violation=worst["floor"],
         tight_eps_regime=p.eps < 1e-4,
         ok=ok,
     )

@@ -59,6 +59,7 @@ from .hard.instance import comb_sequence
 from .hard.twirl import COMMUTANT_DIM_CAP, PERMUTATION_ORDER_CAP
 from .linalg import haar_unitary, psd_sqrt, random_psd
 from .net import (
+    MIN_LIPSCHITZ_TRIALS,
     MIN_SEPARATION_PAIRS,
     NetParams,
     build_block_isometry,
@@ -147,7 +148,11 @@ DEFAULT_CONFIG: dict = {
 
 _NET_MODES = ("auto", "even", "odd")
 # the smallest allowed value of an integer setting, where it is not 1
-_INT_FLOORS = {"combs.max_dim": 2, "net.separation_pairs": MIN_SEPARATION_PAIRS}
+_INT_FLOORS = {
+    "combs.max_dim": 2,
+    "net.lipschitz_trials": MIN_LIPSCHITZ_TRIALS,
+    "net.separation_pairs": MIN_SEPARATION_PAIRS,
+}
 
 
 def effective_config(user: dict | None, samples: int | None = None) -> dict:

@@ -13,7 +13,7 @@ from combcert.channels import (
     random_channel,
     stinespring,
 )
-from combcert.linalg import haar_unitary, partial_trace, psd_check, random_psd, vectorize
+from combcert.linalg import haar_isometry, haar_unitary, partial_trace, psd_check, random_psd, vectorize
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -146,6 +146,20 @@ def test_apply_channel_unitary_and_trace():
     ch2 = random_channel(3, 4, 2, rng)
     out = apply_channel(ch2, rho)
     assert abs(np.trace(out) - 1.0) < 1e-10
+
+
+def test_choi_kraus_rank_and_distance_stack_like_single_channels():
+    rng = np.random.default_rng(35)
+    channels = [random_channel(2, 3, 2, rng) for _ in range(4)]
+    channels[1] = Channel((haar_isometry(2, 3, rng), np.zeros((3, 2))))  # rank one
+    chois = choi_from_kraus([np.stack([ch.kraus[k] for ch in channels]) for k in range(2)])
+    assert chois.shape == (4, 6, 6)
+    ranks = kraus_rank(chois)
+    dists = choi_distance_lb(chois, chois[::-1], 2)
+    for i, ch in enumerate(channels):
+        assert np.array_equal(chois[i], choi_from_kraus(ch))
+        assert ranks[i] == kraus_rank(chois[i]) == (1 if i == 1 else 2)
+        assert dists[i] == choi_distance_lb(chois[i], chois[3 - i], 2)
 
 
 def test_choi_distance_lb_orthogonal_unitaries():

@@ -251,6 +251,7 @@ def test_bad_flag_values_exit_2(tmp_path):
 BAD_CONFIGS = {
     "gamma-cell-d2-below-2d1": {"hard": {"gamma_cells": [[2, 3]]}},
     "too-few-separation-pairs": {"net": {"separation_pairs": 10}},
+    "too-few-lipschitz-trials": {"net": {"lipschitz_trials": 50}},
     "short-net-cell": {"net": {"cells": [[3, 3]]}},
     "string-count": {"combs": {"channels": "x"}},
     "negative-tolerance": {"combs": {"comb_tol": -1}},

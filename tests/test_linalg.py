@@ -5,6 +5,7 @@ from combcert.linalg import (
     FactoredPsd,
     LabeledOperator,
     devectorize,
+    haar_from_ginibre,
     haar_isometry,
     haar_unitary,
     herm_eig,
@@ -53,6 +54,58 @@ def test_herm_eig_rejects_non_hermitian():
     for fn in (herm_eig, herm_eigvals, psd_check):
         with pytest.raises(ValueError):
             fn(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _hermitian_stack(rng, shape, d):
+    g = rng.normal(size=shape + (d, d)) + 1j * rng.normal(size=shape + (d, d))
+    return g + np.swapaxes(g, -2, -1).conj()
+
+
+@pytest.mark.parametrize("shape", [(5,), (3, 4)])
+def test_herm_eig_stack_equals_per_matrix_calls(shape):
+    x = _hermitian_stack(np.random.default_rng(15), shape, 6)
+    vals, vecs = herm_eig(x)
+    stacked_vals = herm_eigvals(x)
+    for idx in np.ndindex(shape):
+        one = herm_eig(x[idx])
+        assert np.array_equal(vals[idx], one.values)
+        assert np.array_equal(vecs[idx], one.vectors)
+        assert np.array_equal(stacked_vals[idx], herm_eigvals(x[idx]))
+
+
+def test_herm_eig_stack_rejects_a_non_hermitian_member():
+    x = _hermitian_stack(np.random.default_rng(16), (4,), 3)
+    x[2, 0, 1] += 1e-3
+    for fn in (herm_eig, herm_eigvals):
+        with pytest.raises(ValueError, match=r"member \(2,\)"):
+            fn(x)
+    # a relative asymmetry below the tolerance passes, member by member
+    y = _hermitian_stack(np.random.default_rng(16), (4,), 3)
+    y[2, 0, 1] += 1e-12
+    herm_eig(y)
+    with pytest.raises(ValueError):
+        herm_eig(np.zeros((2, 3, 4)))
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 5)])
+def test_trace_norm_stack_equals_per_matrix_calls(shape):
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(2, 7) + shape) + 1j * rng.normal(size=(2, 7) + shape)
+    norms = trace_norm(x)
+    assert norms.shape == (2, 7)
+    for idx in np.ndindex(2, 7):
+        assert norms[idx] == trace_norm(x[idx])
+    with pytest.raises(ValueError):
+        trace_norm(np.ones(3))
+
+
+def test_haar_from_ginibre_stack_equals_per_matrix_calls():
+    rng = np.random.default_rng(18)
+    g = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    u = haar_from_ginibre(g)
+    for k in range(6):
+        assert np.array_equal(u[k], haar_from_ginibre(g[k]))
+        assert np.abs(u[k].conj().T @ u[k] - np.eye(4)).max() < 1e-12
 
 
 def test_psd_check():

@@ -2,11 +2,15 @@
 constructions, member isometries, the overlap operator, and the three
 sampled audits."""
 
+from dataclasses import asdict
+from math import sqrt
+
 import numpy as np
 import pytest
 
+from combcert import net
 from combcert.channels import choi_from_kraus, kraus_rank
-from combcert.linalg import haar_unitary, trace_norm
+from combcert.linalg import haar_unitary, haar_unitary_batch, herm_eig, trace_norm
 from combcert.net import (
     GRAM_REJECTION_BUDGET,
     SEPARATION_MAX_EPS,
@@ -18,7 +22,7 @@ from combcert.net import (
     moment_audit,
     separation_audit,
 )
-from combcert.net import rotated_branch
+from combcert.net import _cross_operator, _gram_moments, rotated_branch
 
 
 def test_mode_resolution():
@@ -241,3 +245,174 @@ def test_rotated_branch_is_isometry_for_any_rotation():
         # in odd mode the rotated branch also stays orthogonal to the reference
         if p.mode == "odd":
             assert np.linalg.norm(b.v0_full.conj().T @ br) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The batched audits against the one-trial-at-a-time loops they replaced.
+# The loops are kept here as the reference: the Lipschitz and separation
+# audits must reproduce them bit for bit, RNG end state included.
+
+
+def _loop_unitary_step(dim, theta, rng):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    h = (g + g.conj().T) / 2
+    h /= np.linalg.norm(h)
+    vals, vecs = herm_eig(h)
+    return (vecs * np.exp(1j * theta * vals)) @ vecs.conj().T
+
+
+def _loop_lipschitz(blocks, trials, rng):
+    p = blocks.params
+    lip = sqrt(2.0 / p.d1)
+    max_ratio = 0.0
+    violations = 0
+    for _ in range(trials):
+        ux = haar_unitary(p.u_dim, rng)
+        uy = haar_unitary(p.u_dim, rng)
+        theta_x, theta_y = np.exp(rng.uniform(np.log(1e-3), np.log(0.3), size=2))
+        ux2 = ux @ _loop_unitary_step(p.u_dim, float(theta_x), rng)
+        uy2 = uy @ _loop_unitary_step(p.u_dim, float(theta_y), rng)
+        dist = sqrt(np.linalg.norm(ux2 - ux) ** 2 + np.linalg.norm(uy2 - uy) ** 2)
+        f0 = trace_norm(f_operator(blocks, ux, uy))
+        f1 = trace_norm(f_operator(blocks, ux2, uy2))
+        delta = abs(f1 - f0)
+        if dist > 0:
+            max_ratio = max(max_ratio, delta / dist)
+        if delta > lip * dist + 1e-8:
+            violations += 1
+    return max_ratio, violations
+
+
+def _loop_separation(blocks, pairs, rng):
+    p = blocks.params
+    d1, r = p.d1, p.r
+    amp = 2 * p.eps * sqrt(1 - p.eps**2)
+    min_dist = min_f = np.inf
+    max_rank = 0
+    branch_res = nilp_res = symm_res = route_res = floor_viol = 0.0
+    for _ in range(pairs):
+        u1 = haar_unitary(p.u_dim, rng)
+        u2 = haar_unitary(p.u_dim, rng)
+        while np.linalg.norm(u1 - u2) < 1e-12:
+            u2 = haar_unitary(p.u_dim, rng)
+        _, ch1 = build_net_isometry(p, u1, blocks)
+        _, ch2 = build_net_isometry(p, u2, blocks)
+        choi1 = choi_from_kraus(ch1)
+        dist = trace_norm(choi1 - choi_from_kraus(ch2)) / d1
+        min_dist = min(min_dist, dist)
+        max_rank = max(max_rank, kraus_rank(choi1, rank_tol=1e-8))
+        f_mat = f_operator(blocks, u1, u2)
+        f_val = trace_norm(f_mat)
+        min_f = min(min_f, f_val)
+        b1 = rotated_branch(blocks, u1)
+        branch_overlap = _cross_operator(b1, b1, r, d1)
+        branch_res = max(branch_res, abs(trace_norm(branch_overlap) - d1) / d1)
+        if p.mode == "even":
+            ref = np.zeros((r, 2, p.d2, d1), dtype=complex)
+            ref[:, 0] = blocks.v0_full.reshape(r, p.d2, d1)
+            diff = np.zeros((r, 2, p.d2, d1), dtype=complex)
+            j = blocks.j_embed
+            diff[:, 1] = (j @ ((u1 - u2) @ (j.conj().T @ blocks.delta_canon))).reshape(
+                r, p.d2, d1
+            )
+            x = _cross_operator(ref.reshape(r * 2 * p.d2, d1), diff.reshape(r * 2 * p.d2, d1), r, d1)
+        else:
+            x = d1 * f_mat
+        x_norm = trace_norm(x)
+        scale = max(1.0, x_norm)
+        nilp_res = max(nilp_res, float(np.linalg.norm(x @ x)) / scale**2)
+        symm_res = max(symm_res, abs(trace_norm(x + x.conj().T) - 2 * x_norm) / scale)
+        route_res = max(route_res, abs(x_norm - d1 * f_val) / scale)
+        floor = amp * x_norm - 2 * p.eps**2 * d1
+        floor_viol = max(floor_viol, (floor - dist * d1) / d1)
+    return {
+        "min_choi_distance": float(min_dist),
+        "min_overlap_norm": float(min_f),
+        "max_kraus_rank": max_rank,
+        "derived_choi_floor": amp * min_f - 2 * p.eps**2,
+        "branch_trace_residual": branch_res,
+        "nilpotency_residual": nilp_res,
+        "symmetrized_norm_residual": symm_res,
+        "cross_route_residual": route_res,
+        "choi_floor_violation": floor_viol,
+    }
+
+
+def _loop_moments(blocks, ux, uy):
+    """m2 = ||F||_F^2 and m4 = ||F^dagger F||_F^2 from the dense F stack."""
+    p = blocks.params
+    f = f_operator(blocks, ux, uy)
+    g = np.einsum("nab,nac->nbc", f.conj(), f)
+    return np.einsum("nab,nab->n", f, f.conj()).real, np.einsum("nbc,nbc->n", g, g.conj()).real
+
+
+def _twin_rngs(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+@pytest.mark.parametrize("d1,d2,r", [(4, 3, 3), (2, 4, 2)])
+def test_lipschitz_audit_equals_the_per_trial_loop(d1, d2, r):
+    blocks = build_block_isometry(NetParams(d1, d2, r, 0.005), np.random.default_rng(20))
+    rng_loop, rng_batch = _twin_rngs(21)
+    max_ratio, violations = _loop_lipschitz(blocks, 500, rng_loop)
+    a = lipschitz_audit(blocks, 500, rng_batch)
+    assert a.max_ratio == max_ratio and a.violations == violations
+    assert rng_batch.bit_generator.state == rng_loop.bit_generator.state
+
+
+@pytest.mark.parametrize("d1,d2,r", [(4, 3, 3), (2, 4, 2)])
+def test_lipschitz_audit_chunks_like_the_loop(monkeypatch, d1, d2, r):
+    # two full stacks and a remainder, at a batch size small enough to be quick
+    monkeypatch.setattr(net, "AUDIT_BATCH", 150)
+    blocks = build_block_isometry(NetParams(d1, d2, r, 0.005), np.random.default_rng(22))
+    rng_loop, rng_batch = _twin_rngs(23)
+    max_ratio, violations = _loop_lipschitz(blocks, 2 * 150 + 37, rng_loop)
+    a = lipschitz_audit(blocks, 2 * 150 + 37, rng_batch)
+    assert a.max_ratio == max_ratio and a.violations == violations
+    assert rng_batch.bit_generator.state == rng_loop.bit_generator.state
+
+
+@pytest.mark.parametrize("batch", [net.AUDIT_BATCH, 40])
+@pytest.mark.parametrize("d1,d2,r", [(4, 3, 3), (2, 4, 2)])
+def test_separation_audit_equals_the_per_pair_loop(monkeypatch, d1, d2, r, batch):
+    monkeypatch.setattr(net, "AUDIT_BATCH", batch)
+    blocks = build_block_isometry(NetParams(d1, d2, r, 0.005), np.random.default_rng(24))
+    rng_loop, rng_batch = _twin_rngs(25)
+    expected = _loop_separation(blocks, 100, rng_loop)
+    audit = asdict(separation_audit(blocks, 100, rng_batch))
+    for key, value in expected.items():
+        assert audit[key] == value, key
+    assert rng_batch.bit_generator.state == rng_loop.bit_generator.state
+
+
+@pytest.mark.parametrize("d1,d2,r", [(4, 3, 3), (6, 3, 4)])
+def test_gram_moments_match_the_dense_operator(d1, d2, r):
+    blocks = build_block_isometry(NetParams(d1, d2, r, 0.005), np.random.default_rng(26))
+    rng = np.random.default_rng(27)
+    ux, uy = haar_unitary_batch(blocks.params.u_dim, 500, rng), haar_unitary_batch(blocks.params.u_dim, 500, rng)
+    m2, m4 = _gram_moments(blocks, ux, uy)
+    m2_dense, m4_dense = _loop_moments(blocks, ux, uy)
+    assert np.max(np.abs(m2 - m2_dense) / m2_dense) <= 1e-13
+    assert np.max(np.abs(m4 - m4_dense) / m4_dense) <= 1e-13
+
+
+@pytest.mark.parametrize("d1,d2,r", [(4, 3, 3), (6, 3, 4)])
+def test_moment_audit_matches_the_dense_route(d1, d2, r):
+    blocks = build_block_isometry(NetParams(d1, d2, r, 0.005), np.random.default_rng(28))
+    rng_dense, rng_gram = _twin_rngs(29)
+    m2, m4 = [], []
+    for _ in range(5):  # the audit's stacks of 2000 Haar pairs
+        ux = haar_unitary_batch(blocks.params.u_dim, 2000, rng_dense)
+        uy = haar_unitary_batch(blocks.params.u_dim, 2000, rng_dense)
+        for vals, new in zip((m2, m4), _loop_moments(blocks, ux, uy)):
+            vals.append(new)
+    m2, m4 = np.concatenate(m2), np.concatenate(m4)
+    audit = moment_audit(blocks, 10_000, rng_gram)
+    assert rng_gram.bit_generator.state == rng_dense.bit_generator.state
+    for got, want in (
+        (audit.m2_mean, np.mean(m2)),
+        (audit.m4_mean, np.mean(m4)),
+        (audit.m2_stderr, np.std(m2, ddof=1) / np.sqrt(10_000)),
+        (audit.m4_stderr, np.std(m4, ddof=1) / np.sqrt(10_000)),
+    ):
+        assert abs(got - want) <= 1e-13 * want

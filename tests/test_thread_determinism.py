@@ -1,7 +1,8 @@
-"""The hard suite's canonical body must not depend on the BLAS thread count
-or on ``--jobs``: one (config, seed) gives one digest on any machine.
+"""The hard and net suites' canonical bodies must not depend on the BLAS
+thread count or on ``--jobs``: one (config, seed) gives one digest on any
+machine. The net suite's audits run stacked LAPACK and matmul calls.
 
-Each combination runs ``combcert verify --suite hard`` in a fresh process,
+Each combination runs ``combcert verify --suite <suite>`` in a fresh process,
 since OpenBLAS reads its thread count once, when numpy loads. The thread
 count is set in the child's environment only."""
 
@@ -18,26 +19,36 @@ THREADS = (None, "1", "2")  # None: OPENBLAS_NUM_THREADS unset, the library's de
 JOBS = ("1", "2")
 
 
-def _hard_digest(tmp_path: Path, seed: int, threads: str | None, jobs: str) -> str:
+def _digest(tmp_path: Path, suite: str, seed: int, threads: str | None, jobs: str) -> str:
     env = dict(os.environ)
     env.pop("OPENBLAS_NUM_THREADS", None)
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    out = tmp_path / f"seed{seed}-threads{threads}-jobs{jobs}"
+    out = tmp_path / f"{suite}-seed{seed}-threads{threads}-jobs{jobs}"
     subprocess.run(
-        [sys.executable, "-m", "combcert.cli", "verify", "--suite", "hard",
+        [sys.executable, "-m", "combcert.cli", "verify", "--suite", suite,
          "--seed", str(seed), "--jobs", jobs, "--out", str(out)],
         env=env, check=True, stdout=subprocess.DEVNULL,
     )
-    return json.loads((out / "hard_report.json").read_text())["body_digest"]
+    return json.loads((out / f"{suite}_report.json").read_text())["body_digest"]
+
+
+def _digests(tmp_path: Path, suite: str, seed: int) -> dict:
+    return {
+        (threads, jobs): _digest(tmp_path, suite, seed, threads, jobs)
+        for threads in THREADS
+        for jobs in JOBS
+    }
 
 
 @pytest.mark.parametrize("seed", [7, 23])
 def test_hard_digest_is_independent_of_blas_threads_and_jobs(tmp_path, seed):
-    digests = {
-        (threads, jobs): _hard_digest(tmp_path, seed, threads, jobs)
-        for threads in THREADS
-        for jobs in JOBS
-    }
+    digests = _digests(tmp_path, "hard", seed)
+    assert len(set(digests.values())) == 1, digests
+
+
+@pytest.mark.parametrize("seed", [7, 23])
+def test_net_digest_is_independent_of_blas_threads_and_jobs(tmp_path, seed):
+    digests = _digests(tmp_path, "net", seed)
     assert len(set(digests.values())) == 1, digests
