@@ -9,7 +9,8 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 the
 configuration or inputs were invalid. ``--strict`` escalates warnings to
 failures before the exit code is computed. A report depends only on the
 configuration and the seed: the hard suite's twirl route is chosen from
-each input by ``gamma_twirl``, not by a flag.
+each input by ``gamma_twirl``, not by a flag. ``--jobs K`` forks K workers
+for the check groups, each with one BLAS thread unless the user set a count.
 """
 
 from __future__ import annotations
@@ -21,8 +22,12 @@ import sys
 from collections import Counter
 from dataclasses import replace
 
-from .report import load_report, merge_reports, write_json, write_report
-from .suites import (
+# one BLAS thread per --jobs worker unless set; numpy reads these once, on import
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from .report import load_report, merge_reports, write_json, write_report  # noqa: E402
+from .suites import (  # noqa: E402
     ConfigError,
     effective_config,
     run_combs_suite,
@@ -68,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--strict", action="store_true", help="escalate warnings to failures"
     )
     verify.add_argument(
-        "--jobs", type=int, default=1, help="parallel parameter cells (default 1)"
+        "--jobs", type=int, default=1, help="worker processes for the check groups (default 1)"
     )
     verify.add_argument(
         "--embed-matrices",

@@ -4,21 +4,22 @@ A suite is a check table: one group of checks per grid cell, each check a
 row with an id, a claim anchor, a body that returns the record fields and
 an optional precondition that returns a skip reason. The runner derives
 each cell's seed, times and traps every check, turns non-finite output into
-a ``fail``, and hands whole groups to the thread pool. State a cell's checks
-share (a hard-instance spec, net blocks, a separation audit) is built on
-first use inside the body that asks for it, so that work is timed and
-trapped too. Grids whose preconditions fail are recorded as skips with the
-reason, never silently dropped. ``effective_config`` validates the whole
-configuration before any check runs and raises ``ConfigError`` (the CLI
-turns it into exit code 2).
+a ``fail``, and with ``jobs > 1`` runs whole groups in forked worker
+processes. State a cell's checks share (a hard-instance spec, net blocks, a
+separation audit) is built on first use inside the body that asks for it,
+so that work is timed and trapped too. Grids whose preconditions fail are
+recorded as skips with the reason, never silently dropped.
+``effective_config`` validates the whole configuration before any check
+runs and raises ``ConfigError`` (the CLI turns it into exit code 2).
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Future
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb as binom
 from math import exp, isfinite, log, sqrt
 from typing import Callable
@@ -286,23 +287,6 @@ class Run:
     matrices: dict = field(default_factory=dict)
 
 
-class _built_once:
-    """A property computed on first access and then kept on the instance.
-
-    functools.cached_property before Python 3.12 holds one lock per property
-    across all instances, which would serialize the pool's workers; a cell
-    is only ever used by one worker, so it needs no lock."""
-
-    def __init__(self, fn):
-        self.fn, self.name = fn, fn.__name__
-
-    def __get__(self, cell, owner=None):
-        if cell is None:
-            return self
-        value = cell.__dict__[self.name] = self.fn(cell)
-        return value
-
-
 class Cell:
     """One grid cell. Its checks run in order on one worker and share this
     object; each property below is built on first use, inside the timed and
@@ -312,7 +296,7 @@ class Cell:
         self.run, self.cfg, self.key, self.mode = run, run.cfg, tuple(key), mode
         self.seed_parts = (tag, *(self.key if seed_key is None else seed_key))
 
-    @_built_once
+    @cached_property
     def seed(self) -> int:
         return _cell_seed(self.run.seed, *self.seed_parts)
 
@@ -324,27 +308,27 @@ class Cell:
             self.run.matrices[digest] = wire
         return digest
 
-    @_built_once
+    @cached_property
     def spec(self) -> HardInstanceSpec:
         return HardInstanceSpec.concrete(*self.key[:2])
 
-    @_built_once
+    @cached_property
     def params(self) -> NetParams:
         return NetParams(*self.key, self.cfg["eps"], mode=self.mode)
 
-    @_built_once
+    @cached_property
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
 
-    @_built_once
+    @cached_property
     def testers(self) -> list:
         return [_random_tester(self.rng) for _ in range(self.cfg["pairs"])]
 
-    @_built_once
+    @cached_property
     def blocks(self):
         return build_block_isometry(self.params, self.rng)
 
-    @_built_once
+    @cached_property
     def audit(self):
         return separation_audit(self.blocks, self.cfg["separation_pairs"], self.rng)
 
@@ -405,18 +389,50 @@ def _drop_nonfinite(obj, path: str, bad: list):
     return dict(kept) if isinstance(obj, dict) else [val for _, val in kept]
 
 
-def _run_table(groups: list, jobs: int) -> list[CheckRecord]:
-    """Run each group's checks in order; with jobs > 1 the groups share a thread pool."""
-    def run_group(group):
-        cell, checks = group
-        return [_run_check(cell, check) for check in checks]
+def _run_group(index: int, groups: list | None = None) -> tuple[list[CheckRecord], dict]:
+    """Run group ``index`` (of the inherited table by default); its records and stashes."""
+    cell, checks = (groups or _inherited)[index]
+    cell.run.matrices = {}
+    return [_run_check(cell, check) for check in checks], cell.run.matrices
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            done = list(ex.map(run_group, groups))
+
+_inherited: list = []  # filled by the pool's initializer, in each forked worker only
+
+
+def _submit(ex, index: int) -> Future:
+    future = Future()
+    try:
+        future = ex.submit(_run_group, index)
+    except BrokenExecutor as exc:  # a worker died before every group was queued
+        future.set_exception(exc)
+    return future
+
+
+def _worker_result(future: Future, cell: Cell, checks: list) -> tuple[list[CheckRecord], dict]:
+    try:
+        return future.result()
+    except BrokenExecutor as exc:  # a worker died: its groups fail, the suite goes on
+        return [CheckRecord(c.check_id, c.anchor, "fail", seed=cell.seed,
+                            reason=f"its worker process died: {exc!r}") for c in checks], {}
+
+
+def _run_table(groups: list, jobs: int) -> tuple[list[CheckRecord], dict]:
+    """The records in table order and the matrices the checks stashed. With jobs > 1
+    each group runs whole in one of ``jobs`` workers, forked before the pool starts a
+    thread; they inherit the table, so only group indices and results are pickled."""
+    workers = min(jobs, len(groups))
+    if workers > 1:  # loaded only for a pool: they add about 20 ms to every start
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        results = [_run_group(i, groups) for i in range(len(groups))]
     else:
-        done = map(run_group, groups)
-    return [rec for records in done for rec in records]
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                                 initializer=_inherited.extend, initargs=(groups,)) as ex:
+            futures = [_submit(ex, i) for i in range(len(groups))]
+            results = [_worker_result(f, *group) for f, group in zip(futures, groups)]
+    matrices = {key: wire for _, stashed in results for key, wire in stashed.items()}
+    return [rec for records, _ in results for rec in records], matrices
 
 
 def _verdict(ok: bool, threshold: float, residual: float, warn: bool = False, **values) -> dict:
@@ -1036,8 +1052,7 @@ def check_table(suite: str, run: Run) -> list[tuple[Cell, list[Check]]]:
 def _run_suite(suite, config, seed, jobs, samples, embed_matrices):
     cfg = effective_config(config, samples)[suite]
     started = time.perf_counter()
-    run = Run(cfg, seed, embed_matrices)
-    records = _run_table(check_table(suite, run), jobs)
+    records, matrices = _run_table(check_table(suite, Run(cfg, seed, embed_matrices)), jobs)
     return make_report(
         suite=suite,
         config=cfg,
@@ -1045,7 +1060,7 @@ def _run_suite(suite, config, seed, jobs, samples, embed_matrices):
         seed=seed,
         started=started,
         tolerances=_SUITES[suite][1](cfg),
-        matrices=run.matrices,
+        matrices=matrices,
     )
 
 

@@ -4,7 +4,12 @@ Each scenario shrinks the default grids through a config file so the whole
 module stays fast while still exercising the real suites."""
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +153,68 @@ def test_reports_are_deterministic_across_runs_and_jobs(tmp_path):
     code3, out3 = _verify(tmp_path, "hard", SMALL_HARD, seed="12", subdir="c")
     assert code3 == 0
     assert canonical_body(_load(out3, "hard")) != body1
+
+
+def _table_ids(suite, payload):
+    run = suites.Run(suites.effective_config(payload)[suite])
+    return [check.check_id for _, checks in suites.check_table(suite, run) for check in checks]
+
+
+def test_jobs_run_groups_in_worker_processes_in_table_order(monkeypatch):
+    real = suites._run_check
+
+    def tagged(cell, check):
+        rec = real(cell, check)
+        return replace(rec, values={**rec.values, "pid": os.getpid()})
+
+    monkeypatch.setattr(suites, "_run_check", tagged)
+    report = suites.run_hard_suite(SMALL_HARD, seed=11, jobs=2)
+    assert [r.check_id for r in report.records] == _table_ids("hard", SMALL_HARD)
+    pids = {r.values["pid"] for r in report.records}
+    assert os.getpid() not in pids and 1 <= len(pids) <= 2
+    assert {r.status for r in report.records} <= {"pass", "skip"}
+
+
+def test_embedded_matrices_come_back_from_the_workers(tmp_path):
+    docs = []
+    for jobs in ("1", "2"):
+        code, out = _verify(tmp_path, "combs", SMALL_COMBS, "--embed-matrices", "--jobs", jobs,
+                            subdir=f"jobs{jobs}")
+        assert code == 0
+        docs.append(_load(out, "combs"))
+    assert docs[0]["matrices"] and docs[0]["matrices"] == docs[1]["matrices"]
+    assert docs[0]["body_digest"] == docs[1]["body_digest"]
+
+
+def test_a_dead_worker_fails_its_checks_and_the_report_is_written(tmp_path, monkeypatch):
+    def die(c):
+        os._exit(3)
+
+    monkeypatch.setattr(suites, "_gamma_recursion", die)
+    code, out = _verify(tmp_path, "hard", SMALL_HARD, "--jobs", "2")
+    assert code == 1
+    records = {r["check_id"]: r for r in _load(out, "hard")["records"]}
+    assert list(records) == _table_ids("hard", SMALL_HARD)
+    dead = records["gamma-recursion-1-2"]
+    assert dead["status"] == "fail" and "worker process died" in dead["reason"]
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_vars_after_import(**overrides):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = f"import combcert.cli, os; print([os.environ.get(v) for v in {BLAS_VARS!r}])"
+    done = subprocess.run([sys.executable, "-c", code], env={**env, **overrides},
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+def test_cli_pins_blas_threads_unless_the_user_set_them():
+    assert _blas_vars_after_import() == "['1', '1', '1']"
+    assert _blas_vars_after_import(OPENBLAS_NUM_THREADS="2") == "['2', '1', '1']"
 
 
 def test_inadmissible_domination_grid_skips_lambda_bound(tmp_path):

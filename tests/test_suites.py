@@ -4,6 +4,7 @@ crashing or slow shared computation shows up in the records."""
 
 import json
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -125,3 +126,14 @@ def test_close_domination_eps_values_get_distinct_seeds():
     }
     assert sorted(seeds) == ["domination-1-2-0.0100001-1", "domination-1-2-0.0100009-1"]
     assert len(set(seeds.values())) == 2
+
+
+def test_groups_not_queued_before_the_pool_broke_fail():
+    class BrokenPool:
+        def submit(self, fn, *args):
+            raise BrokenProcessPool("a worker died")
+
+    cell, checks = suites.check_table("combs", suites.Run(suites.effective_config(None)["combs"]))[2]
+    records, stashed = suites._worker_result(suites._submit(BrokenPool(), 2), cell, checks)
+    assert [r.check_id for r in records] == [c.check_id for c in checks] and stashed == {}
+    assert all(r.status == "fail" and "worker process died" in r.reason for r in records)

@@ -4,7 +4,9 @@ machine. The net suite's audits run stacked LAPACK and matmul calls.
 
 Each combination runs ``combcert verify --suite <suite>`` in a fresh process,
 since OpenBLAS reads its thread count once, when numpy loads. The thread
-count is set in the child's environment only."""
+count is set in the child's environment only. With it unset the CLI pins
+BLAS to one thread, so "unset" means the CLI's default of 1; "2" still
+covers a multithreaded BLAS."""
 
 import json
 import os
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-THREADS = (None, "1", "2")  # None: OPENBLAS_NUM_THREADS unset, the library's default
+THREADS = (None, "1", "2")  # None: OPENBLAS_NUM_THREADS unset, the CLI's default of 1
 JOBS = ("1", "2")
 
 
