@@ -1,10 +1,10 @@
-"""Kraus / Choi / Stinespring representations of completely positive maps.
+"""Kraus and Choi representations of channels, and channels from isometries.
 
 Conventions: a channel maps ``d_in -> d_out``. Its Choi operator lives on the
 ordered pair (out, in) — row index (b, a) with ``b`` major — and equals
 ``sum_k |E_k>><<E_k|`` for any Kraus family, so ``tr C = d_in`` and
-``tr_out C = I_in``. A Stinespring isometry stacks the Kraus blocks with the
-ancilla index major: ``V = sum_i |i>_anc (x) E_i``.
+``tr_out C = I_in``. An isometry (Stinespring dilation) stacks the Kraus
+blocks with the ancilla index major: ``V = sum_i |i>_anc (x) E_i``.
 """
 
 from __future__ import annotations
@@ -13,18 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import LabeledOperator, haar_isometry, herm_eig, herm_eigvals, trace_norm
+from .linalg import LabeledOperator, haar_isometry, herm_eigvals, trace_norm
 
 __all__ = [
     "Channel",
     "choi_from_kraus",
     "choi_operator",
-    "kraus_from_choi",
     "kraus_rank",
-    "stinespring",
     "channel_from_isometry",
     "random_channel",
-    "apply_channel",
     "choi_distance_lb",
 ]
 
@@ -87,32 +84,6 @@ def choi_operator(channel: Channel, out_label: str = "B", in_label: str = "A") -
     )
 
 
-def kraus_from_choi(choi: np.ndarray, d_out: int, d_in: int, rank_tol: float = 1e-10) -> list[np.ndarray]:
-    """Kraus family from a Choi operator via its eigendecomposition.
-
-    Keeps eigenvalues above ``rank_tol * lambda_max``. Each operator's global
-    phase is fixed by making its largest-modulus entry real and positive, so
-    the output is deterministic.
-    """
-    choi = np.asarray(choi, dtype=complex)
-    if choi.shape != (d_out * d_in, d_out * d_in):
-        raise ValueError(f"Choi shape {choi.shape} does not match d_out*d_in = {d_out * d_in}")
-    vals, vecs = herm_eig(choi)
-    lam_max = float(vals[-1]) if vals.size else 0.0
-    if lam_max <= 0.0:
-        raise ValueError("Choi operator has no positive spectrum")
-    if float(vals[0]) < -rank_tol * lam_max:
-        raise ValueError(f"Choi operator is not PSD: min eigenvalue {vals[0]:.3e}")
-    ops = []
-    for lam, v in zip(vals, vecs.T):
-        if lam <= rank_tol * lam_max:
-            continue
-        e = np.sqrt(lam) * v.reshape(d_out, d_in)
-        pivot = e.reshape(-1)[np.argmax(np.abs(e))]
-        ops.append(e * (np.conj(pivot) / abs(pivot)))
-    return ops
-
-
 def kraus_rank(choi: np.ndarray, rank_tol: float = 1e-10) -> int | np.ndarray:
     """Number of Choi eigenvalues above rank_tol * lambda_max; for a stack
     of Choi operators, the array of each one's."""
@@ -124,11 +95,6 @@ def kraus_rank(choi: np.ndarray, rank_tol: float = 1e-10) -> int | np.ndarray:
     if lam_max <= 0.0:
         return 0
     return int(np.sum(vals > rank_tol * lam_max))
-
-
-def stinespring(channel: Channel) -> np.ndarray:
-    """Stinespring isometry V = sum_i |i>_anc (x) E_i, shape (r*d_out, d_in)."""
-    return np.vstack(channel.kraus)
 
 
 def channel_from_isometry(v: np.ndarray, anc_dim: int, tol: float = 1e-10) -> Channel:
@@ -149,17 +115,6 @@ def random_channel(d_in: int, d_out: int, rank: int, rng: np.random.Generator) -
     if d_out * rank < d_in:
         raise ValueError(f"need d_out * rank >= d_in for an isometry, got {d_out}*{rank} < {d_in}")
     return channel_from_isometry(haar_isometry(d_in, d_out * rank, rng), rank)
-
-
-def apply_channel(channel: Channel, rho: np.ndarray) -> np.ndarray:
-    """sum_k E_k rho E_k^dagger."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (channel.d_in, channel.d_in):
-        raise ValueError(f"state shape {rho.shape} does not match d_in = {channel.d_in}")
-    out = np.zeros((channel.d_out, channel.d_out), dtype=complex)
-    for k in channel.kraus:
-        out += k @ rho @ k.conj().T
-    return out
 
 
 def choi_distance_lb(choi_a: np.ndarray, choi_b: np.ndarray, d_in: int) -> float | np.ndarray:

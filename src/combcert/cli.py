@@ -99,7 +99,7 @@ def _load_config(path: str | None) -> dict | None:
 
 def _escalate(report):
     records = tuple(
-        replace(rec, status="fail", reason=(rec.reason or "") or "escalated from warn by --strict")
+        replace(rec, status="fail", reason=rec.reason or "escalated from warn by --strict")
         if rec.status == "warn"
         else rec
         for rec in report.records

@@ -26,7 +26,6 @@ from .linalg import FactoredPsd, LabeledOperator, psd_check, psd_sqrt, pseudo_in
 
 __all__ = [
     "CombCertificate",
-    "Comb",
     "Tester",
     "TesterCertificate",
     "link_product",
@@ -36,6 +35,7 @@ __all__ = [
     "success_probability",
     "channels_network",
     "random_comb",
+    "random_small_channel",
     "random_tester",
 ]
 
@@ -99,26 +99,6 @@ class CombCertificate:
     @property
     def max_chain_residual(self) -> float:
         return max(self.chain_residuals) if self.chain_residuals else 0.0
-
-
-@dataclass(frozen=True)
-class Comb:
-    """Operator together with the ordered space sequence it is a comb over."""
-
-    op: LabeledOperator
-    sequence: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        seq = tuple(self.sequence)
-        object.__setattr__(self, "sequence", seq)
-        if len(seq) % 2 != 0 or not seq:
-            raise ValueError(f"comb sequence must have even positive length, got {seq}")
-        if sorted(seq) != sorted(self.op.labels):
-            raise ValueError(f"sequence {seq} does not match operator labels {self.op.labels}")
-
-    @property
-    def n(self) -> int:
-        return len(self.sequence) // 2
 
 
 def comb_expected_trace(op: LabeledOperator | FactoredPsd, sequence: Sequence[str]) -> float:
@@ -202,10 +182,6 @@ class Tester:
                     f"tester element labels {el.labels} do not match sequence {self.sequence}"
                 )
 
-    @property
-    def n(self) -> int:
-        return len(self.sequence) // 2
-
     def element_sum(self) -> LabeledOperator:
         acc = self.elements[0].reorder(self.sequence)
         mat = acc.mat.copy()
@@ -282,12 +258,18 @@ def success_probability(tester: Tester, network) -> np.ndarray:
     return np.asarray(probs)
 
 
+def random_small_channel(d_in: int, d_out: int, rng: np.random.Generator) -> Channel:
+    """Haar-random channel of Kraus rank 1 or 2, raised to ceil(d_in / d_out),
+    the least rank a d_in -> d_out channel needs."""
+    return random_channel(d_in, d_out, max(int(rng.integers(1, 3)), -(-d_in // d_out)), rng)
+
+
 def random_comb(
     pair_dims: Sequence[tuple[int, int]],
     rng: np.random.Generator,
     labels: Sequence[str] | None = None,
-) -> Comb:
-    """Random n-comb built as the link of a chain of random channel Chois.
+) -> LabeledOperator:
+    """Random n-comb over ``labels``, built as the link of random channel Chois.
 
     Step j is a Haar-random channel M_{j-1} (x) A_j -> B_j (x) M_j with small
     random memory dimensions (final memory traced out), so the comb
@@ -308,8 +290,7 @@ def random_comb(
         d_a, d_b = pair_dims[j - 1]
         d_in = mem[j - 1] * d_a
         d_out = d_b * mem[j]
-        rank = max(int(rng.integers(1, 3)), -(-d_in // d_out))
-        ch = random_channel(d_in, d_out, rank, rng)
+        ch = random_small_channel(d_in, d_out, rng)
         choi = choi_operator(ch, out_label="_out", in_label="_in")
         # split grouped in/out spaces into (memory, slot) factors
         mat = choi.mat
@@ -323,8 +304,7 @@ def random_comb(
         net = step if net is None else link_product(net, step)
     assert net is not None
     net = net.partial_trace(["_m0", f"_m{n}"])
-    seq = tuple(labels)
-    return Comb(op=net.reorder(seq), sequence=seq)
+    return net.reorder(labels)
 
 
 def random_tester(
@@ -350,7 +330,7 @@ def random_tester(
     cap_pairs += [(pair_dims[n - 1][1], 1)]
     cap_labels = [HEAD_LABEL] + labels + [TAIL_LABEL]
     comb = random_comb(cap_pairs, rng, labels=cap_labels)
-    total = comb.op.partial_trace([HEAD_LABEL, TAIL_LABEL]).reorder(labels)
+    total = comb.partial_trace([HEAD_LABEL, TAIL_LABEL]).reorder(labels)
 
     d = total.dim
     root = psd_sqrt(total.mat)

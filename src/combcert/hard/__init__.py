@@ -24,6 +24,7 @@ from .instance import (
     gamma_recursion_residual,
     gamma_state,
     hard_vector_expansion,
+    rho_action,
 )
 from .twirl import (
     CommutantProjector,
@@ -33,7 +34,6 @@ from .twirl import (
     gamma_twirl_factor,
     gamma_twirl_monte_carlo,
     gamma_twirl_weingarten,
-    rho_action,
 )
 
 __all__ = [

@@ -22,6 +22,7 @@ __all__ = [
     "WEIGHT_BUDGET_CONSTANT",
     "DominationResult",
     "admissible_window",
+    "budget_exponent",
     "check_admissible",
     "LambdaSchedule",
     "domination_check",
@@ -37,6 +38,12 @@ def admissible_window(d1: int, d2: int, eps: float) -> float:
     """Largest admissible round count d1*d2 / (B*eps^2), B = 2e^4; the weight
     schedule is valid for 1 <= n <= this bound."""
     return d1 * d2 / (WEIGHT_BUDGET_CONSTANT * eps**2)
+
+
+def budget_exponent(d1: int, d2: int, n: int, eps: float) -> float:
+    """sqrt(8*n*eps^2*d1*d2): the exponent in the weight schedule's flat head
+    and sum bound, and each summand chain's budget below i = d1*d2."""
+    return sqrt(8.0 * n * eps**2 * (d1 * d2))
 
 
 def check_admissible(d1: int, d2: int, n: int, eps: float) -> None:
@@ -86,9 +93,10 @@ def lambda_schedule(d1: int, d2: int, n: int, eps: float) -> LambdaSchedule:
     1 <= n <= d1*d2 / (B*eps^2) with B = 2e^4."""
     check_admissible(d1, d2, n, eps)
     d = d1 * d2
-    log_head = log(2.0 * d) + sqrt(8.0 * n * eps**2 * d)
+    exponent = budget_exponent(d1, d2, n, eps)
+    log_head = log(2.0 * d) + exponent
     log_weights = tuple(log_head if i < d else -float(i) for i in range(n + 1))
-    sum_bound = 3.0 * d1**2 * d2**2 * exp(sqrt(8.0 * n * eps**2 * d))
+    sum_bound = 3.0 * d1**2 * d2**2 * exp(exponent)
     sched = LambdaSchedule(
         d1=d1, d2=d2, n=n, eps=eps, log_weights=log_weights, sum_bound=sum_bound
     )

@@ -9,13 +9,13 @@ that makes the weight schedule sum below one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, lgamma, log, sqrt
+from math import exp, lgamma, log
 from typing import NamedTuple
 
 import numpy as np
 
 from ..linalg import psd_check, pseudo_inverse, support_projector
-from .domination import check_admissible
+from .domination import budget_exponent, check_admissible
 
 __all__ = [
     "PsdDominationWitness",
@@ -156,7 +156,7 @@ def _summand_chains(d1: int, d2: int, n: int, eps: float, indices):
     log_keep = log(1.0 - eps2)
     log_eps = log(eps)
     n_eps2 = n * eps2
-    budget = sqrt(8.0 * n * eps2 * d)
+    budget = budget_exponent(d1, d2, n, eps)
     for i in indices:
         if not 0 <= i <= n:
             raise ValueError(f"need 0 <= i <= n, got i={i}")

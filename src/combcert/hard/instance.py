@@ -38,6 +38,7 @@ __all__ = [
     "gamma_recursion_residual",
     "hard_vector_expansion",
     "kron_power",
+    "rho_action",
 ]
 
 
@@ -140,6 +141,12 @@ class HardInstanceSpec:
         return np.sqrt(1 - eps**2) * self.v0 + eps * (iota @ np.asarray(u) @ self.delta_coords(iota))
 
 
+def rho_action(spec: HardInstanceSpec, n: int, u: np.ndarray, iota: np.ndarray | None = None) -> np.ndarray:
+    """(R(U) (x) I_{d1})^{(x) n} on the full slot space."""
+    slot = np.kron(spec.rotor(u, iota), np.eye(spec.d1))
+    return kron_power(slot, n)
+
+
 def gamma_state(spec: HardInstanceSpec, n: int, i: int) -> np.ndarray:
     """gamma_i on n slots; vector of dimension (d1*d2)^n, slot layout (B, A) per copy."""
     if not 0 <= i <= n:
@@ -195,10 +202,6 @@ class GammaFamily:
             self._vectors[i] = gamma_state(self.spec, self.n, i)
         return self._vectors[i]
 
-    def outer(self, i: int) -> LabeledOperator:
-        g = self.gamma(i)
-        return LabeledOperator(np.outer(g, g.conj()), slot_spaces(self.spec, self.n))
-
     def factor(self, i: int) -> FactoredPsd:
         """|gamma_i><gamma_i| as the rank-one factor (gamma_i, [1])."""
         return FactoredPsd(self.gamma(i)[:, None], np.ones(1), slot_spaces(self.spec, self.n))
@@ -244,8 +247,6 @@ def gamma_recursion_residual(spec: HardInstanceSpec, n: int, i: int) -> float:
 class ExpansionCheck:
     residual: float
     coefficients: tuple[float, ...]
-    norm_lhs: float
-    norm_rhs: float
 
 
 def hard_vector_expansion(
@@ -256,9 +257,7 @@ def hard_vector_expansion(
     iota = spec.complement_basis()
     v = spec.member(eps, u, iota)
     lhs = kron_power(vectorize(v), n)
-
-    slot_op = np.kron(spec.rotor(u, iota), np.eye(spec.d1))
-    rho = kron_power(slot_op, n)
+    rho = rho_action(spec, n, u, iota)
     coeffs = []
     rhs = np.zeros_like(lhs)
     for i in range(n + 1):
@@ -268,6 +267,4 @@ def hard_vector_expansion(
     return ExpansionCheck(
         residual=float(np.abs(lhs - rhs).max()),
         coefficients=tuple(coeffs),
-        norm_lhs=float(np.linalg.norm(lhs)),
-        norm_rhs=float(np.linalg.norm(rhs)),
     )

@@ -39,7 +39,6 @@ __all__ = [
     "PERMUTATION_ORDER_CAP",
     "CommutantProjector",
     "commutant_projector",
-    "rho_action",
     "gamma_twirl",
     "gamma_twirl_factor",
     "gamma_twirl_exact_commutant",
@@ -49,12 +48,6 @@ __all__ = [
 
 COMMUTANT_DIM_CAP = 48
 PERMUTATION_ORDER_CAP = 4
-
-
-def rho_action(spec: HardInstanceSpec, n: int, u: np.ndarray, iota: np.ndarray | None = None) -> np.ndarray:
-    """(R(U) (x) I_{d1})^{(x) n} on the full slot space."""
-    slot = np.kron(spec.rotor(u, iota), np.eye(spec.d1))
-    return kron_power(slot, n)
 
 
 @dataclass(frozen=True)

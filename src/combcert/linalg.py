@@ -17,12 +17,8 @@ __all__ = [
     "PsdCheck",
     "LabeledOperator",
     "FactoredPsd",
-    "kron",
-    "dagger",
     "vectorize",
-    "devectorize",
     "partial_trace",
-    "partial_transpose",
     "herm_eig",
     "herm_eigvals",
     "psd_check",
@@ -52,32 +48,9 @@ class PsdCheck(NamedTuple):
     max_eig: float
 
 
-def dagger(x: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(x).conj().T
-
-
-def kron(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more matrices, left to right."""
-    if not factors:
-        raise ValueError("kron needs at least one factor")
-    out = np.asarray(factors[0])
-    for f in factors[1:]:
-        out = np.kron(out, np.asarray(f))
-    return out
-
-
 def vectorize(x: np.ndarray) -> np.ndarray:
     """Row-major vectorization |X>> of a matrix."""
     return np.asarray(x).reshape(-1)
-
-
-def devectorize(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vectorize` for a ``rows x cols`` matrix."""
-    v = np.asarray(v)
-    if v.size != rows * cols:
-        raise ValueError(f"cannot devectorize length {v.size} into {rows}x{cols}")
-    return v.reshape(rows, cols)
 
 
 def _as_square(x: np.ndarray) -> np.ndarray:
@@ -110,22 +83,6 @@ def partial_trace(x: np.ndarray, dims: Sequence[int], trace_out: Iterable[int]) 
     reduced = np.einsum(t, ket + bra, out_axes)
     d_keep = int(np.prod([dims[a] for a in keep])) if keep else 1
     return reduced.reshape(d_keep, d_keep)
-
-
-def partial_transpose(x: np.ndarray, dims: Sequence[int], transpose: Iterable[int]) -> np.ndarray:
-    """Transpose the listed tensor factors in place of the full transpose."""
-    x = _as_square(x)
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
-    if x.shape[0] != int(np.prod(dims)):
-        raise ValueError(f"dims {dims} do not match matrix dimension {x.shape[0]}")
-    flip = set(int(a) for a in transpose)
-    if any(a < 0 or a >= n for a in flip):
-        raise ValueError(f"transpose axes {sorted(flip)} out of range for {n} factors")
-    t = x.reshape(dims + dims)
-    perm = [n + a if a in flip else a for a in range(n)]
-    perm += [a if a in flip else n + a for a in range(n)]
-    return t.transpose(perm).reshape(x.shape)
 
 
 def _hermitian_part(x: np.ndarray, check_tol: float) -> np.ndarray:
@@ -195,9 +152,13 @@ def psd_check(x: np.ndarray, tol: float = 1e-10, check_tol: float = 1e-10) -> Ps
     PSD iff lambda_min >= -tol * max(1, lambda_max). Only eigenvalues are
     computed (:func:`herm_eigvals`).
     """
-    vals = herm_eigvals(x, check_tol=check_tol)
-    lo = float(vals[0]) if vals.size else 0.0
-    hi = float(vals[-1]) if vals.size else 0.0
+    return _floor_rule(herm_eigvals(x, check_tol=check_tol), tol)
+
+
+def _floor_rule(vals: np.ndarray, tol: float) -> PsdCheck:
+    """The PSD verdict on a spectrum: lambda_min >= -tol * max(1, lambda_max)."""
+    lo = float(vals.min()) if vals.size else 0.0
+    hi = float(vals.max()) if vals.size else 0.0
     return PsdCheck(ok=lo >= -tol * max(1.0, hi), min_eig=lo, max_eig=hi)
 
 
@@ -409,11 +370,6 @@ class LabeledOperator(_Labeled):
         keep = tuple(sp for i, sp in enumerate(self.spaces) if i not in set(drop))
         return LabeledOperator(reduced, keep)
 
-    def partial_transpose(self, labels: Sequence[str]) -> "LabeledOperator":
-        """Transpose the named spaces."""
-        flip = self._positions(labels)
-        return LabeledOperator(partial_transpose(self.mat, self.dims, flip), self.spaces)
-
 
 @dataclass(frozen=True)
 class FactoredPsd(_Labeled):
@@ -470,9 +426,7 @@ class FactoredPsd(_Labeled):
         vals = np.linalg.eigvalsh((r * self.weights) @ r.conj().T)
         if r.shape[0] < self.dim:
             vals = np.concatenate([vals, [0.0]])
-        lo = float(vals.min()) if vals.size else 0.0
-        hi = float(vals.max()) if vals.size else 0.0
-        return PsdCheck(ok=lo >= -tol * max(1.0, hi), min_eig=lo, max_eig=hi)
+        return _floor_rule(vals, tol)
 
     def partial_trace(self, labels: Sequence[str]) -> LabeledOperator:
         """The dense marginal sum_b G_b diag(w) G_b^dagger over the basis

@@ -219,11 +219,6 @@ class BlockIsometry:
             return 2.0 * p.d1 / p.r
         return 3.0 * p.d1 / p.r
 
-    def blocks(self) -> np.ndarray:
-        """Reference-branch blocks, one d2 x d1 slab per ancilla level."""
-        p = self.params
-        return self.v0_full.reshape(p.r, p.d2, p.d1)
-
 
 def _block_gram(v: np.ndarray, r: int) -> np.ndarray:
     """Gram matrix tr(B_i^dagger B_j) of the r row blocks of v, or of each

@@ -151,12 +151,25 @@ def write_report(report: VerificationReport, path) -> dict:
 
 
 def load_report(path) -> dict:
+    """Read a suite report. A document ``merge_reports`` could not read
+    raises ValueError naming the path and the field."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"not a verification report: {path} holds a JSON {type(doc).__name__}")
     if doc.get("schema") != 1:
         raise ValueError(f"unsupported report schema {doc.get('schema')!r} in {path}")
-    if "suite" not in doc or "records" not in doc:
-        raise ValueError(f"not a verification report: {path}")
+    for key in ("suite", "records", "overall"):
+        if key not in doc:
+            raise ValueError(f"not a verification report: {path} has no {key!r}")
+    if not isinstance(doc["records"], list):
+        raise ValueError(f"{path}: 'records' must be a list, got {type(doc['records']).__name__}")
+    for i, rec in enumerate(doc["records"]):
+        if not isinstance(rec, dict) or rec.get("status") not in _STATUSES:
+            raise ValueError(f"{path}: records[{i}].status must be one of {_STATUSES}")
+        for key in ("check_id", "anchor"):
+            if not isinstance(rec.get(key), str):
+                raise ValueError(f"{path}: records[{i}].{key} must be a string")
     return doc
 
 

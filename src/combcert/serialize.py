@@ -1,5 +1,4 @@
-"""Wire formats for complex matrices and labeled operators, plus canonical
-JSON and content hashing.
+"""Wire format for complex matrices, plus canonical JSON and content hashing.
 
 Matrices serialize as row-major nested lists of the real and imaginary parts.
 Canonical JSON (sorted keys, compact separators, no NaN/Inf) makes content
@@ -13,13 +12,9 @@ import json
 
 import numpy as np
 
-from .linalg import LabeledOperator
-
 __all__ = [
     "canonical_json",
     "content_hash",
-    "labeled_operator_from_wire",
-    "labeled_operator_to_wire",
     "matrix_from_wire",
     "matrix_to_wire",
 ]
@@ -44,19 +39,6 @@ def matrix_from_wire(d: dict) -> np.ndarray:
     if re.shape != (d["rows"], d["cols"]) or im.shape != re.shape:
         raise ValueError("wire matrix parts do not match the declared shape")
     return re + 1j * im
-
-
-def labeled_operator_to_wire(op: LabeledOperator) -> dict:
-    """Adds the ordered (label, dim) space list to the matrix wire form."""
-    d = matrix_to_wire(op.mat)
-    d["spaces"] = [[str(lbl), int(dim)] for lbl, dim in op.spaces]
-    return d
-
-
-def labeled_operator_from_wire(d: dict) -> LabeledOperator:
-    return LabeledOperator(
-        matrix_from_wire(d), tuple((lbl, int(dim)) for lbl, dim in d["spaces"])
-    )
 
 
 def canonical_json(obj) -> str:

@@ -26,10 +26,11 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import Channel, choi_from_kraus, choi_operator, kraus_rank, random_channel
+from .channels import Channel, choi_from_kraus, choi_operator, kraus_rank
 from .combs import (
     certify_comb,
     link_product,
+    random_small_channel,
     random_tester,
     success_probability,
     validate_tester,
@@ -82,7 +83,6 @@ __all__ = [
     "Run",
     "check_table",
     "effective_config",
-    "run_all_suites",
     "run_combs_suite",
     "run_hard_suite",
     "run_net_suite",
@@ -449,11 +449,6 @@ def _fields(obj, *names) -> dict:
 # combs suite
 
 
-def _random_channel(rng, d_in: int, d_out: int):
-    """Kraus rank 1 or 2, raised to the least rank a d_in -> d_out channel needs."""
-    return random_channel(d_in, d_out, max(int(rng.integers(1, 3)), -(-d_in // d_out)), rng)
-
-
 def _choi_comb(c: Cell) -> dict:
     cfg = c.cfg
     rng = np.random.default_rng(c.seed)
@@ -464,7 +459,7 @@ def _choi_comb(c: Cell) -> dict:
     for _ in range(cfg["channels"]):
         d_in = int(rng.integers(2, cfg["max_dim"] + 1))
         d_out = int(rng.integers(2, cfg["max_dim"] + 1))
-        choi = choi_operator(_random_channel(rng, d_in, d_out))
+        choi = choi_operator(random_small_channel(d_in, d_out, rng))
         cert = certify_comb(choi, ("A", "B"), psd_tol=tol, chain_tol=tol)
         worst = max(worst, cert.max_chain_residual, -cert.min_eig)
         ok = ok and cert.ok
@@ -482,8 +477,8 @@ def _link_vs_kraus(c: Cell) -> dict:
         d_a = int(rng.integers(2, cfg["max_dim"] + 1))
         d_m = int(rng.integers(2, cfg["max_dim"] + 1))
         d_b = int(rng.integers(2, cfg["max_dim"] + 1))
-        ch1 = _random_channel(rng, d_a, d_m)
-        ch2 = _random_channel(rng, d_m, d_b)
+        ch1 = random_small_channel(d_a, d_m, rng)
+        ch2 = random_small_channel(d_m, d_b, rng)
         composed = Channel(tuple(f @ e for e in ch1.kraus for f in ch2.kraus))
         direct = choi_operator(composed, out_label="B", in_label="A")
         linked = link_product(
@@ -498,7 +493,7 @@ def _random_tester(rng):
     n = int(rng.integers(1, 3))
     pair_dims = [(int(rng.integers(2, 4)), int(rng.integers(2, 4))) for _ in range(n)]
     tester = random_tester(pair_dims, int(rng.integers(2, 4)), rng)
-    return tester, [_random_channel(rng, a, b) for a, b in pair_dims]
+    return tester, [random_small_channel(a, b, rng) for a, b in pair_dims]
 
 
 def _tester_validity(c: Cell) -> dict:
@@ -1093,15 +1088,3 @@ def run_net_suite(
 ) -> VerificationReport:
     return _run_suite("net", config, seed, jobs, samples, embed_matrices)
 
-
-def run_all_suites(
-    config: dict | None = None,
-    seed: int = 0,
-    jobs: int = 1,
-    samples: int | None = None,
-    embed_matrices: bool = False,
-) -> list[VerificationReport]:
-    return [
-        _run_suite(suite, config, seed, jobs, samples, embed_matrices)
-        for suite in _SUITES
-    ]

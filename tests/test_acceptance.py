@@ -12,16 +12,16 @@ from math import exp, log, sqrt
 
 import numpy as np
 
-from combcert.channels import Channel, choi_from_kraus, choi_operator, kraus_rank, random_channel
+from combcert.channels import Channel, choi_from_kraus, choi_operator, kraus_rank
 from combcert.combs import (
     certify_comb,
     link_product,
+    random_small_channel,
     random_tester,
     success_probability,
     validate_tester,
 )
 from combcert.hard import (
-    GammaFamily,
     HardInstanceSpec,
     commutant_projector,
     domination_check,
@@ -39,7 +39,7 @@ from combcert.hard import (
     twirl_trace_bound,
     xlog_bound_values,
 )
-from combcert.hard.instance import comb_sequence, slot_spaces
+from combcert.hard.instance import comb_sequence, gamma_outer, slot_spaces
 from combcert.hard.twirl import COMMUTANT_DIM_CAP, PERMUTATION_ORDER_CAP
 from combcert.linalg import LabeledOperator, haar_unitary, psd_sqrt, random_psd
 from combcert.net import (
@@ -51,7 +51,7 @@ from combcert.net import (
     separation_audit,
 )
 from combcert.report import canonical_body
-from combcert.suites import run_all_suites
+from combcert.suites import run_combs_suite, run_hard_suite, run_net_suite
 
 SEED = 20260819
 GAMMA_CELLS = [(1, 2), (1, 3), (2, 4), (2, 5)]  # d1 in {1,2}, d2 in {2d1, 2d1+1}
@@ -76,9 +76,8 @@ def test_criterion_01_comb_calculus():
     for _ in range(50):
         d_in = int(rng.integers(2, 5))
         d_out = int(rng.integers(2, 5))
-        rank = max(int(rng.integers(1, 3)), -(-d_in // d_out))
         cert = certify_comb(
-            choi_operator(random_channel(d_in, d_out, rank, rng)),
+            choi_operator(random_small_channel(d_in, d_out, rng)),
             ("A", "B"), psd_tol=1e-8, chain_tol=1e-8,
         )
         assert cert.ok
@@ -88,8 +87,8 @@ def test_criterion_01_comb_calculus():
     link_res = 0.0
     for _ in range(50):
         d_a, d_m, d_b = (int(rng.integers(2, 5)) for _ in range(3))
-        ch1 = random_channel(d_a, d_m, max(int(rng.integers(1, 3)), -(-d_a // d_m)), rng)
-        ch2 = random_channel(d_m, d_b, max(int(rng.integers(1, 3)), -(-d_m // d_b)), rng)
+        ch1 = random_small_channel(d_a, d_m, rng)
+        ch2 = random_small_channel(d_m, d_b, rng)
         composed = Channel(tuple(f @ e for e in ch1.kraus for f in ch2.kraus))
         direct = choi_operator(composed, out_label="B", in_label="A")
         linked = link_product(
@@ -105,10 +104,7 @@ def test_criterion_01_comb_calculus():
         pair_dims = [(int(rng.integers(2, 4)), int(rng.integers(2, 4))) for _ in range(n)]
         tester = random_tester(pair_dims, int(rng.integers(2, 4)), rng)
         assert validate_tester(tester).ok
-        chans = [
-            random_channel(a, b, max(int(rng.integers(1, 3)), -(-a // b)), rng)
-            for a, b in pair_dims
-        ]
+        chans = [random_small_channel(a, b, rng) for a, b in pair_dims]
         probs = success_probability(tester, chans)
         contraction_res = max(contraction_res, abs(float(probs.sum()) - 1.0))
     assert contraction_res <= 1e-8
@@ -125,11 +121,10 @@ def test_criterion_02_gamma_states_and_twirls_are_combs():
     for d1, d2 in GAMMA_CELLS:
         spec = HardInstanceSpec.concrete(d1, d2)
         for n in range(1, 4):
-            fam = GammaFamily(spec, n)
             spaces = slot_spaces(spec, n)
             seq = comb_sequence(n)
             for i in range(n + 1):
-                cert = certify_comb(fam.outer(i), fam.comb_sequence,
+                cert = certify_comb(gamma_outer(spec, n, i), seq,
                                     psd_tol=1e-7, chain_tol=1e-7)
                 assert cert.ok, f"state comb failed at d1={d1} d2={d2} n={n} i={i}"
                 comb_res = max(comb_res, cert.max_chain_residual, -cert.min_eig)
@@ -393,8 +388,9 @@ def test_criterion_09_channel_family_separation():
 
 def test_criterion_10_end_to_end_determinism():
     t0 = time.perf_counter()
-    first = run_all_suites(None, seed=SEED)
-    second = run_all_suites(None, seed=SEED)
+    runners = (run_combs_suite, run_hard_suite, run_net_suite)
+    first = [run(None, seed=SEED) for run in runners]
+    second = [run(None, seed=SEED) for run in runners]
     assert [r.suite for r in first] == ["combs", "hard", "net"]
     for a, b in zip(first, second):
         assert a.overall != "fail", f"{a.suite} suite failed during determinism run"

@@ -3,15 +3,12 @@ import pytest
 
 from combcert.channels import (
     Channel,
-    apply_channel,
     channel_from_isometry,
     choi_distance_lb,
     choi_from_kraus,
     choi_operator,
-    kraus_from_choi,
     kraus_rank,
     random_channel,
-    stinespring,
 )
 from combcert.linalg import haar_isometry, haar_unitary, partial_trace, psd_check, random_psd, vectorize
 
@@ -67,31 +64,6 @@ def test_channel_rejects_incomplete_kraus():
         Channel((0.5 * np.eye(2),))
 
 
-def test_kraus_from_choi_roundtrip():
-    rng = np.random.default_rng(32)
-    for _ in range(8):
-        ch = random_channel(3, 2, 2, rng)
-        c = choi_from_kraus(ch)
-        rebuilt = kraus_from_choi(c, 2, 3)
-        assert len(rebuilt) == kraus_rank(c)
-        c2 = choi_from_kraus(rebuilt)
-        assert np.abs(c - c2).max() < 1e-10
-        # recovered family is trace preserving
-        Channel(tuple(rebuilt))
-
-
-def test_kraus_from_choi_phase_is_deterministic():
-    rng = np.random.default_rng(33)
-    ch = random_channel(2, 2, 2, rng)
-    c = choi_from_kraus(ch)
-    a = kraus_from_choi(c, 2, 2)
-    b = kraus_from_choi(c.copy(), 2, 2)
-    for x, y in zip(a, b):
-        assert np.abs(x - y).max() == 0.0
-        pivot = x.reshape(-1)[np.argmax(np.abs(x))]
-        assert abs(pivot.imag) < 1e-12 and pivot.real > 0
-
-
 def test_kraus_rank():
     rng = np.random.default_rng(34)
     u = haar_unitary(3, rng)
@@ -104,7 +76,7 @@ def test_kraus_rank():
 def test_stinespring_dilation():
     rng = np.random.default_rng(35)
     ch = random_channel(3, 2, 3, rng)
-    v = stinespring(ch)
+    v = np.vstack(ch.kraus)
     r = len(ch.kraus)
     assert v.shape == (r * 2, 3)
     assert np.abs(v.conj().T @ v - np.eye(3)).max() < 1e-10
@@ -112,7 +84,7 @@ def test_stinespring_dilation():
     rho = _random_state(3, rng)
     big = v @ rho @ v.conj().T
     out = partial_trace(big, (r, 2), [0])
-    assert np.abs(out - apply_channel(ch, rho)).max() < 1e-12
+    assert np.abs(out - sum(k @ rho @ k.conj().T for k in ch.kraus)).max() < 1e-12
     # roundtrip through channel_from_isometry preserves the Choi
     ch2 = channel_from_isometry(v, r)
     assert np.abs(choi_from_kraus(ch) - choi_from_kraus(ch2)).max() < 1e-12
@@ -121,7 +93,7 @@ def test_stinespring_dilation():
 def test_dilations_differ_by_ancilla_unitary():
     rng = np.random.default_rng(36)
     ch = random_channel(2, 3, 2, rng)
-    v = stinespring(ch)
+    v = np.vstack(ch.kraus)
     w = haar_unitary(2, rng)
     v2 = np.kron(w, np.eye(3)) @ v
     ch2 = channel_from_isometry(v2, 2)
@@ -135,17 +107,6 @@ def test_channel_from_isometry_validates():
         channel_from_isometry(v, 2)
     with pytest.raises(ValueError):
         channel_from_isometry(np.eye(6)[:, :3], 4)
-
-
-def test_apply_channel_unitary_and_trace():
-    rng = np.random.default_rng(38)
-    u = haar_unitary(3, rng)
-    ch = Channel((u,))
-    rho = _random_state(3, rng)
-    assert np.abs(apply_channel(ch, rho) - u @ rho @ u.conj().T).max() < 1e-12
-    ch2 = random_channel(3, 4, 2, rng)
-    out = apply_channel(ch2, rho)
-    assert abs(np.trace(out) - 1.0) < 1e-10
 
 
 def test_choi_kraus_rank_and_distance_stack_like_single_channels():

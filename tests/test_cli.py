@@ -17,7 +17,7 @@ import combcert.cli as cli
 import combcert.hard.twirl as twirl
 import combcert.suites as suites
 from combcert.cli import main
-from combcert.report import canonical_body, report_digest
+from combcert.report import canonical_body
 
 SMALL_COMBS = {"combs": {"channels": 6, "max_dim": 3, "pairs": 6}}
 SMALL_HARD = {
@@ -252,12 +252,15 @@ def test_twirl_routes_build_one_projector_per_spec_and_n(monkeypatch):
     )
 
 
-def test_run_all_suites_passes_samples_to_net():
+def test_verify_all_passes_samples_to_net(tmp_path):
     payload = {**SMALL_COMBS, **SMALL_HARD, **SMALL_NET}
-    net_all = suites.run_all_suites(payload, seed=11, samples=300)[2]
-    net_alone = suites.run_net_suite(payload, seed=11, samples=300)
-    assert net_all.config["moment_samples"] == net_alone.config["moment_samples"] == 300
-    assert report_digest(net_all.to_dict()) == report_digest(net_alone.to_dict())
+    code_all, out_all = _verify(tmp_path, "all", payload, "--samples", "300", subdir="all")
+    code_net, out_net = _verify(tmp_path, "net", payload, "--samples", "300", subdir="net")
+    # moment_audit needs 1000 samples, so f-moments is a fail record in both runs
+    assert code_all == code_net
+    net_all, net_alone = _load(out_all, "net"), _load(out_net, "net")
+    assert net_all["config"]["moment_samples"] == net_alone["config"]["moment_samples"] == 300
+    assert net_all["body_digest"] == net_alone["body_digest"]
 
 
 def test_verify_all_writes_three_reports(tmp_path):
@@ -294,6 +297,33 @@ def test_merge_command(tmp_path, capsys):
 
     code = main(["merge", str(tmp_path / "missing.json"), "--out", str(tmp_path / "m.json")])
     assert code == 2
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "mangle, field",
+    [
+        (lambda doc: [doc], "list"),
+        (lambda doc: {**doc, "records": [_without(doc["records"][0], "status")]}, "status"),
+        (lambda doc: {**doc, "records": "abc"}, "records"),
+        (lambda doc: _without(doc, "overall"), "overall"),
+    ],
+    ids=["json-array", "record-without-status", "records-not-a-list", "no-overall"],
+)
+def test_merge_rejects_a_malformed_report_with_one_line(tmp_path, capsys, mangle, field):
+    _, out = _verify(tmp_path, "combs", SMALL_COMBS)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mangle(_load(out, "combs"))))
+    capsys.readouterr()
+    merged = tmp_path / "merged.json"
+    assert main(["merge", str(bad), "--out", str(merged)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("merge:") and err.count("\n") == 1, err
+    assert str(bad) in err and field in err
+    assert not merged.exists()
 
 
 def test_embed_matrices_inlines_referenced_payloads(tmp_path):

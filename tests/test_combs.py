@@ -152,7 +152,7 @@ def test_random_comb_certifies():
     rng = np.random.default_rng(58)
     for pairs in ([(2, 2)], [(2, 3), (3, 2)], [(2, 2), (2, 2), (2, 2)]):
         comb = random_comb(pairs, rng)
-        cert = certify_comb(comb.op, comb.sequence, psd_tol=1e-9, chain_tol=1e-9)
+        cert = certify_comb(comb, comb.labels, psd_tol=1e-9, chain_tol=1e-9)
         assert cert.ok
         expected = np.prod([a for a, _ in pairs])
         assert abs(cert.trace_value - expected) < 1e-8
@@ -194,11 +194,11 @@ def test_tester_contraction_identity():
     for _ in range(5):
         tester = random_tester([(2, 2), (2, 2)], int(rng.integers(1, 4)), rng)
         comb = random_comb([(2, 2), (2, 2)], rng)
-        probs = success_probability(tester, comb.op)
+        probs = success_probability(tester, comb)
         assert probs.min() > -1e-10
         assert abs(probs.sum() - 1.0) < 1e-9
         total = tester.element_sum()
-        scalar = link_product(total, comb.op)
+        scalar = link_product(total, comb)
         assert scalar.spaces == ()
         assert abs(scalar.mat[0, 0] - 1.0) < 1e-9
 

@@ -11,7 +11,7 @@ from combcert.hard import (
     gamma_state,
     hard_vector_expansion,
 )
-from combcert.hard.instance import kron_power
+from combcert.hard.instance import comb_sequence, gamma_outer, kron_power
 from combcert.linalg import haar_isometry, vectorize
 
 GRID = [(1, 2), (1, 3), (2, 4), (2, 5)]
@@ -111,8 +111,9 @@ def test_gamma_outer_is_comb():
     for d1, d2 in [(1, 2), (1, 3), (2, 4)]:
         for n in (1, 2):
             spec = random_spec(d1, d2, rng)
-            fam = GammaFamily(spec=spec, n=n)
             for i in range(n + 1):
-                cert = certify_comb(fam.outer(i), fam.comb_sequence, psd_tol=1e-8, chain_tol=1e-8)
+                cert = certify_comb(
+                    gamma_outer(spec, n, i), comb_sequence(n), psd_tol=1e-8, chain_tol=1e-8
+                )
                 assert cert.ok, (d1, d2, n, i, cert)
                 np.testing.assert_allclose(cert.trace_value, d1**n, atol=1e-9)

@@ -15,7 +15,7 @@ from combcert.hard import (
     gamma_twirl_weingarten,
     rho_action,
 )
-from combcert.hard.instance import comb_sequence, gamma_state, slot_spaces
+from combcert.hard.instance import comb_sequence, gamma_outer, gamma_state, slot_spaces
 from combcert.linalg import (
     LabeledOperator,
     haar_unitary,
@@ -153,7 +153,7 @@ def test_factored_certificates_match_the_dense_ones(d1, d2):
         spaces = slot_spaces(spec, n)
         for i in range(n + 1):
             pairs = [
-                (fam.factor(i), fam.outer(i)),
+                (fam.factor(i), gamma_outer(spec, n, i)),
                 (gamma_twirl_factor(spec, n, i), LabeledOperator(gamma_twirl(spec, n, i), spaces)),
             ]
             for factored, dense in pairs:

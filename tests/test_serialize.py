@@ -5,12 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from combcert.linalg import LabeledOperator
 from combcert.serialize import (
     canonical_json,
     content_hash,
-    labeled_operator_from_wire,
-    labeled_operator_to_wire,
     matrix_from_wire,
     matrix_to_wire,
 )
@@ -31,17 +28,6 @@ def test_matrix_wire_rejects_bad_shapes():
     wire["cols"] = 3
     with pytest.raises(ValueError):
         matrix_from_wire(wire)
-
-
-def test_labeled_operator_wire_round_trip():
-    rng = np.random.default_rng(1)
-    mat = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    op = LabeledOperator(mat, (("A", 2), ("B", 3)))
-    wire = labeled_operator_to_wire(op)
-    assert wire["spaces"] == [["A", 2], ["B", 3]]
-    back = labeled_operator_from_wire(wire)
-    assert back.spaces == op.spaces
-    assert np.array_equal(back.mat, op.mat)
 
 
 def test_canonical_json_is_sorted_and_compact():
