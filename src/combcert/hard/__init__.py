@@ -19,12 +19,11 @@ from .facts import (
     xlog_bound_values,
 )
 from .instance import (
-    GammaFamily,
     HardInstanceSpec,
+    gamma_outer,
     gamma_recursion_residual,
     gamma_state,
     hard_vector_expansion,
-    rho_action,
 )
 from .twirl import (
     CommutantProjector,
@@ -38,13 +37,12 @@ from .twirl import (
 
 __all__ = [
     "HardInstanceSpec",
-    "GammaFamily",
     "gamma_state",
+    "gamma_outer",
     "gamma_recursion_residual",
     "hard_vector_expansion",
     "CommutantProjector",
     "commutant_projector",
-    "rho_action",
     "gamma_twirl",
     "gamma_twirl_factor",
     "gamma_twirl_exact_commutant",

@@ -11,6 +11,11 @@ For n parallel uses, |V>>^{(x) n} expands over the subset-symmetrized vectors
 
 which are pairwise orthogonal with squared norm d1^n. Slot layout throughout:
 (B_1, A_1, B_2, A_2, ...), each slot carrying vec of a d2 x d1 matrix.
+
+Two slot-wise kernels build every such object without forming an operator
+on all n slots: :func:`on_each_slot` applies (op (x) I_{d1})^{(x) n} one slot
+axis at a time, and :func:`subset_sum` places a block on each size-i slot
+subset.
 """
 
 from __future__ import annotations
@@ -21,33 +26,61 @@ from math import comb
 
 import numpy as np
 
-from ..linalg import (
-    FactoredPsd,
-    LabeledOperator,
-    haar_isometry,
-    nullspace,
-    partial_trace,
-    vectorize,
-)
+from ..linalg import FactoredPsd, haar_isometry, nullspace, vectorize
 
 __all__ = [
     "HardInstanceSpec",
-    "GammaFamily",
     "gamma_state",
     "gamma_outer",
     "gamma_recursion_residual",
     "hard_vector_expansion",
     "kron_power",
-    "rho_action",
+    "on_each_slot",
+    "subset_sum",
 ]
 
 
 def kron_power(v: np.ndarray, n: int) -> np.ndarray:
-    """n-fold Kronecker power of a vector or matrix."""
-    out = np.asarray(v)
-    for _ in range(n - 1):
+    """n-fold Kronecker power of a vector or matrix; n = 0 gives the
+    one-entry unit of ``v``'s dtype and ndim."""
+    v = np.asarray(v)
+    out = np.ones((1,) * v.ndim, dtype=v.dtype)
+    for _ in range(n):
         out = np.kron(out, v)
     return out
+
+
+def on_each_slot(op: np.ndarray, y: np.ndarray, n: int, d1: int) -> np.ndarray:
+    """(op (x) I_{d1})^{(x) n} applied to the columns of ``y``, one slot at a time.
+
+    ``op`` is an a x b matrix shared by all m columns, or an (a, b, m) stack
+    with one operator per column; ``y`` is (b*d1)^n x m and the result
+    (a*d1)^n x m. Slot j is read as (done slots, B_j, A_j and later slots,
+    column), so the full operator is never formed.
+    """
+    a, b = op.shape[:2]
+    m = y.shape[1]
+    ops = "xy" if op.ndim == 2 else "xym"
+    for j in range(n):
+        y = y.reshape((a * d1) ** j, b, d1 * (b * d1) ** (n - 1 - j), m)
+        y = np.einsum(f"{ops},lyrm->lxrm", op, y)
+    return y.reshape((a * d1) ** n, m)
+
+
+def subset_sum(block: np.ndarray, rest: np.ndarray, n: int, i: int, slot: int) -> np.ndarray:
+    """sum over size-i subsets S of the n slots of ``block`` on S (x) ``rest``
+    on the other slots, each in slot order.
+
+    ``block`` is slot^i x m (m columns done at once) and ``rest`` a vector of
+    length slot^(n-i); the result is slot^n x m.
+    """
+    m = block.shape[1]
+    t = (block[:, None, :] * rest[None, :, None]).reshape((slot,) * n + (m,))
+    out = np.zeros_like(t)
+    for subset in combinations(range(n), i):
+        others = tuple(j for j in range(n) if j not in subset)
+        out += t.transpose(*np.argsort(subset + others), n)
+    return out.reshape(slot**n, m)
 
 
 @dataclass(frozen=True)
@@ -141,27 +174,13 @@ class HardInstanceSpec:
         return np.sqrt(1 - eps**2) * self.v0 + eps * (iota @ np.asarray(u) @ self.delta_coords(iota))
 
 
-def rho_action(spec: HardInstanceSpec, n: int, u: np.ndarray, iota: np.ndarray | None = None) -> np.ndarray:
-    """(R(U) (x) I_{d1})^{(x) n} on the full slot space."""
-    slot = np.kron(spec.rotor(u, iota), np.eye(spec.d1))
-    return kron_power(slot, n)
-
-
 def gamma_state(spec: HardInstanceSpec, n: int, i: int) -> np.ndarray:
     """gamma_i on n slots; vector of dimension (d1*d2)^n, slot layout (B, A) per copy."""
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-    v0v = vectorize(spec.v0)
-    dv = vectorize(spec.delta)
-    dim = (spec.d1 * spec.d2) ** n
-    acc = np.zeros(dim, dtype=complex)
-    for subset in combinations(range(n), i):
-        chosen = set(subset)
-        vec = np.ones(1, dtype=complex)
-        for j in range(n):
-            vec = np.kron(vec, dv if j in chosen else v0v)
-        acc += vec
-    return acc / np.sqrt(comb(n, i))
+    block = kron_power(vectorize(spec.delta), i)[:, None]
+    rest = kron_power(vectorize(spec.v0), n - i)
+    return subset_sum(block, rest, n, i, spec.d1 * spec.d2)[:, 0] / np.sqrt(comb(n, i))
 
 
 def slot_spaces(spec: HardInstanceSpec, n: int) -> tuple[tuple[str, int], ...]:
@@ -181,39 +200,9 @@ def comb_sequence(n: int) -> tuple[str, ...]:
     return tuple(seq)
 
 
-def gamma_outer(spec: HardInstanceSpec, n: int, i: int) -> LabeledOperator:
-    """|gamma_i><gamma_i| as a labeled operator on the slot spaces."""
-    g = gamma_state(spec, n, i)
-    return LabeledOperator(np.outer(g, g.conj()), slot_spaces(spec, n))
-
-
-class GammaFamily:
-    """Cached gamma vectors for one (spec, n) cell."""
-
-    def __init__(self, spec: HardInstanceSpec, n: int):
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
-        self.spec = spec
-        self.n = n
-        self._vectors: dict[int, np.ndarray] = {}
-
-    def gamma(self, i: int) -> np.ndarray:
-        if i not in self._vectors:
-            self._vectors[i] = gamma_state(self.spec, self.n, i)
-        return self._vectors[i]
-
-    def factor(self, i: int) -> FactoredPsd:
-        """|gamma_i><gamma_i| as the rank-one factor (gamma_i, [1])."""
-        return FactoredPsd(self.gamma(i)[:, None], np.ones(1), slot_spaces(self.spec, self.n))
-
-    def gram(self) -> np.ndarray:
-        """Matrix of inner products <gamma_i | gamma_j> (should be d1^n delta_ij)."""
-        vs = [self.gamma(i) for i in range(self.n + 1)]
-        return np.array([[np.vdot(a, b) for b in vs] for a in vs])
-
-    @property
-    def comb_sequence(self) -> tuple[str, ...]:
-        return comb_sequence(self.n)
+def gamma_outer(spec: HardInstanceSpec, n: int, i: int) -> FactoredPsd:
+    """|gamma_i><gamma_i| on the slot spaces as the rank-one factor (gamma_i, [1])."""
+    return FactoredPsd(gamma_state(spec, n, i)[:, None], np.ones(1), slot_spaces(spec, n))
 
 
 def gamma_recursion_residual(spec: HardInstanceSpec, n: int, i: int) -> float:
@@ -225,13 +214,8 @@ def gamma_recursion_residual(spec: HardInstanceSpec, n: int, i: int) -> float:
     """
     if n < 2:
         raise ValueError("recursion needs n >= 2")
-    g = gamma_state(spec, n, i)
-    full = np.outer(g, g.conj())
-    slot = spec.d1 * spec.d2
-    dims = (slot,) * (n - 1) + (spec.d2, spec.d1)
-    lhs = partial_trace(full, dims, [n - 1])
-
-    dim_rest = slot ** (n - 1)
+    lhs = gamma_outer(spec, n, i).partial_trace([f"B{n}"]).mat
+    dim_rest = (spec.d1 * spec.d2) ** (n - 1)
     mix = np.zeros((dim_rest, dim_rest), dtype=complex)
     if i <= n - 1:
         gi = gamma_state(spec, n - 1, i)
@@ -252,19 +236,16 @@ class ExpansionCheck:
 def hard_vector_expansion(
     spec: HardInstanceSpec, n: int, eps: float, u: np.ndarray
 ) -> ExpansionCheck:
-    """Residual of |V_{eps,U}>>^{(x) n} = sum_i c_i rho(U) |gamma_i> with
-    c_i = (sqrt(1-eps^2))^{n-i} eps^i sqrt(binom(n, i))."""
+    """Residual of |V_{eps,U}>>^{(x) n} = rho(U) sum_i c_i |gamma_i> with
+    c_i = (sqrt(1-eps^2))^{n-i} eps^i sqrt(binom(n, i)) and
+    rho(U) = (R(U) (x) I_{d1})^{(x) n} applied slot by slot."""
     iota = spec.complement_basis()
     v = spec.member(eps, u, iota)
     lhs = kron_power(vectorize(v), n)
-    rho = rho_action(spec, n, u, iota)
-    coeffs = []
-    rhs = np.zeros_like(lhs)
-    for i in range(n + 1):
-        c = (np.sqrt(1 - eps**2)) ** (n - i) * eps**i * np.sqrt(comb(n, i))
-        coeffs.append(float(c))
-        rhs += c * (rho @ gamma_state(spec, n, i))
+    coeffs = [np.sqrt(1 - eps**2) ** (n - i) * eps**i * np.sqrt(comb(n, i)) for i in range(n + 1)]
+    gammas = np.stack([gamma_state(spec, n, i) for i in range(n + 1)], axis=1)
+    rhs = on_each_slot(spec.rotor(u, iota), (gammas @ coeffs)[:, None], n, spec.d1)[:, 0]
     return ExpansionCheck(
         residual=float(np.abs(lhs - rhs).max()),
-        coefficients=tuple(coeffs),
+        coefficients=tuple(float(c) for c in coeffs),
     )

@@ -26,13 +26,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from math import comb
 
 import numpy as np
 
 from ..linalg import FactoredPsd, haar_unitary, haar_unitary_batch, herm_eig, vectorize
-from .instance import HardInstanceSpec, gamma_state, kron_power, slot_spaces
+from .instance import (
+    HardInstanceSpec,
+    gamma_state,
+    kron_power,
+    on_each_slot,
+    slot_spaces,
+    subset_sum,
+)
 
 __all__ = [
     "COMMUTANT_DIM_CAP",
@@ -159,11 +166,11 @@ def _perm_matrix(sigma: tuple[int, ...], k: int) -> np.ndarray:
     return p
 
 
-def _interleave_slots(vec: np.ndarray, k: int, d1: int, i: int) -> np.ndarray:
-    """(w_1..w_i, a_1..a_i) grouped order -> (w_1, a_1, ..., w_i, a_i)."""
-    t = vec.reshape((k,) * i + (d1,) * i)
+def _interleave_slots(cols: np.ndarray, k: int, d1: int, i: int) -> np.ndarray:
+    """(w_1..w_i, a_1..a_i) grouped order -> (w_1, a_1, ..., w_i, a_i), per column."""
+    t = cols.reshape((k,) * i + (d1,) * i + (-1,))
     order = [ax for pair in zip(range(i), range(i, 2 * i)) for ax in pair]
-    return t.transpose(order).reshape(-1)
+    return t.transpose(*order, 2 * i).reshape(cols.shape)
 
 
 def _group_slots(vec: np.ndarray, k: int, d1: int, i: int) -> np.ndarray:
@@ -230,32 +237,10 @@ def _weingarten_factor(spec: HardInstanceSpec, n: int, i: int) -> tuple[np.ndarr
     if i == 0:
         return gamma_state(spec, n, 0)[:, None], np.ones(1)
     d1, d2 = spec.d1, spec.d2
-    slot = d1 * d2
-    dim = slot**n
-
     iota = spec.complement_basis()
-    k = spec.rotor_dim
     nu, cols = _twirled_core(spec.delta_coords(iota), i)
-    if cols.shape[1] == 0:
-        return np.zeros((dim, 0), dtype=complex), nu
-
-    embed = kron_power(np.kron(iota, np.eye(d1)), i)
-    embedded = embed @ np.stack(
-        [_interleave_slots(c, k, d1, i) for c in cols.T], axis=1
-    )
-    v0_rest = kron_power(vectorize(spec.v0), n - i) if n > i else np.ones(1, dtype=complex)
-
-    g_cols = np.zeros((dim, embedded.shape[1]), dtype=complex)
-    for subset in combinations(range(n), i):
-        chosen = set(subset)
-        rest = [j for j in range(n) if j not in chosen]
-        axes = []
-        for j in range(n):
-            axes.append(subset.index(j) if j in chosen else i + rest.index(j))
-        for m in range(embedded.shape[1]):
-            t = np.kron(embedded[:, m], v0_rest).reshape((slot,) * n)
-            g_cols[:, m] += t.transpose(axes).reshape(-1)
-    return g_cols, nu
+    embedded = on_each_slot(iota, _interleave_slots(cols, spec.rotor_dim, d1, i), i, d1)
+    return subset_sum(embedded, kron_power(vectorize(spec.v0), n - i), n, i, d1 * d2), nu
 
 
 def gamma_twirl_weingarten(spec: HardInstanceSpec, n: int, i: int) -> np.ndarray:
@@ -279,10 +264,9 @@ def gamma_twirl_monte_carlo(
     """Haar-sample estimate of Gamma_i plus the entrywise standard-error scale
     d1^n / sqrt(samples), averaged in batches of 2000 samples.
 
-    The samples of a batch sit on the last, contiguous axis, so each slot's
-    rotor applies as one einsum over (left, B_j, right, sample)."""
+    The samples of a batch sit on the last, contiguous axis, one rotor per
+    column of :func:`on_each_slot`."""
     rng = np.random.default_rng(seed)
-    d1, d2 = spec.d1, spec.d2
     k = spec.rotor_dim
     iota = spec.complement_basis()
     p0 = spec.v0 @ spec.v0.conj().T
@@ -296,14 +280,11 @@ def gamma_twirl_monte_carlo(
         u = haar_unitary_batch(k, nb, rng)
         rot = p0[None, :, :] + np.einsum("ak,nkl,bl->nab", iota, u, iota.conj(), optimize=True)
         rot = np.moveaxis(rot, 0, -1)
-        y = np.repeat(g[:, None], nb, axis=1)
-        for j in range(n):
-            y = np.einsum("xyn,lyrn->lxrn", rot, y.reshape((d1 * d2) ** j, d2, -1, nb))
-        yf = y.reshape(dim, nb)
-        acc += yf @ yf.conj().T
+        y = on_each_slot(rot, np.repeat(g[:, None], nb, axis=1), n, spec.d1)
+        acc += y @ y.conj().T
         done += nb
     est = acc / samples
-    return (est + est.conj().T) / 2, float(d1**n / np.sqrt(samples))
+    return (est + est.conj().T) / 2, float(spec.d1**n / np.sqrt(samples))
 
 
 def gamma_twirl(spec: HardInstanceSpec, n: int, i: int, seed: int = 0) -> np.ndarray:

@@ -54,6 +54,7 @@ __all__ = [
     "AUDIT_BATCH",
     "GRAM_REJECTION_BUDGET",
     "MIN_LIPSCHITZ_TRIALS",
+    "MIN_MOMENT_SAMPLES",
     "MIN_SEPARATION_PAIRS",
     "SEPARATION_MAX_EPS",
     "BlockIsometry",
@@ -73,6 +74,7 @@ __all__ = [
 AUDIT_BATCH = 2000  # trials, pairs or samples per stack in the sampled audits
 GRAM_REJECTION_BUDGET = 200
 MIN_LIPSCHITZ_TRIALS = 100
+MIN_MOMENT_SAMPLES = 1000
 MIN_SEPARATION_PAIRS = 50
 SEPARATION_MAX_EPS = 1e-2
 
@@ -431,8 +433,8 @@ def moment_audit(blocks: BlockIsometry, samples: int, rng: np.random.Generator) 
     p = blocks.params
     if p.mode != "odd":
         raise ValueError("moment identities are specific to the odd-mode template")
-    if samples < 1000:
-        raise ValueError(f"need at least 1000 samples, got {samples}")
+    if samples < MIN_MOMENT_SAMPLES:
+        raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} samples, got {samples}")
     r, d1, d2 = p.r, p.d1, p.d2
     m2_vals = np.empty(samples)
     m4_vals = np.empty(samples)

@@ -36,12 +36,13 @@ from .combs import (
     validate_tester,
 )
 from .hard import (
-    GammaFamily,
     HardInstanceSpec,
     admissible_window,
     commutant_projector,
     domination_check,
+    gamma_outer,
     gamma_recursion_residual,
+    gamma_state,
     gamma_twirl,
     gamma_twirl_exact_commutant,
     gamma_twirl_factor,
@@ -62,6 +63,7 @@ from .hard.twirl import COMMUTANT_DIM_CAP, PERMUTATION_ORDER_CAP
 from .linalg import haar_unitary, psd_sqrt, random_psd
 from .net import (
     MIN_LIPSCHITZ_TRIALS,
+    MIN_MOMENT_SAMPLES,
     MIN_SEPARATION_PAIRS,
     NetParams,
     build_block_isometry,
@@ -152,6 +154,7 @@ _NET_MODES = ("auto", "even", "odd")
 _INT_FLOORS = {
     "combs.max_dim": 2,
     "net.lipschitz_trials": MIN_LIPSCHITZ_TRIALS,
+    "net.moment_samples": MIN_MOMENT_SAMPLES,
     "net.separation_pairs": MIN_SEPARATION_PAIRS,
 }
 
@@ -536,8 +539,9 @@ def _hard_family(c: Cell) -> dict:
     rng = np.random.default_rng(c.seed)
     gram_res = 0.0
     for n in range(1, c.cfg["max_n"] + 1):
-        fam = GammaFamily(c.spec, n)
-        gram_res = max(gram_res, float(np.abs(fam.gram() - d1**n * np.eye(n + 1)).max()))
+        gammas = np.stack([gamma_state(c.spec, n, i) for i in range(n + 1)], axis=1)
+        gram = gammas.conj().T @ gammas
+        gram_res = max(gram_res, float(np.abs(gram - d1**n * np.eye(n + 1)).max()))
     exp_res = 0.0
     for _ in range(3):
         u = haar_unitary(c.spec.rotor_dim, rng)
@@ -556,9 +560,9 @@ def _gamma_comb(c: Cell) -> dict:
     worst = 0.0
     ok = True
     for n in range(1, max_n + 1):
-        fam = GammaFamily(c.spec, n)
+        seq = comb_sequence(n)
         for i in range(n + 1):
-            cert = certify_comb(fam.factor(i), fam.comb_sequence, psd_tol=tol, chain_tol=tol)
+            cert = certify_comb(gamma_outer(c.spec, n, i), seq, psd_tol=tol, chain_tol=tol)
             ok = ok and cert.ok
             worst = max(worst, cert.max_chain_residual, -cert.min_eig)
     return _verdict(ok, tol, worst, d1=d1, d2=d2, max_n=max_n)

@@ -252,14 +252,21 @@ def test_twirl_routes_build_one_projector_per_spec_and_n(monkeypatch):
     )
 
 
-def test_verify_all_passes_samples_to_net(tmp_path):
+def test_verify_all_passes_samples_to_net(tmp_path, capsys):
     payload = {**SMALL_COMBS, **SMALL_HARD, **SMALL_NET}
-    code_all, out_all = _verify(tmp_path, "all", payload, "--samples", "300", subdir="all")
-    code_net, out_net = _verify(tmp_path, "net", payload, "--samples", "300", subdir="net")
-    # moment_audit needs 1000 samples, so f-moments is a fail record in both runs
-    assert code_all == code_net
+    # moment_audit needs net.MIN_MOMENT_SAMPLES, so fewer is a config error
+    code, out = _verify(tmp_path, "all", payload, "--samples", "300", subdir="few")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "net.moment_samples" in err
+    assert not out.exists() or not any(out.iterdir())
+
+    code_all, out_all = _verify(tmp_path, "all", payload, "--samples", "1100", subdir="all")
+    code_net, out_net = _verify(tmp_path, "net", payload, "--samples", "1100", subdir="net")
+    assert code_all == code_net == 0
     net_all, net_alone = _load(out_all, "net"), _load(out_net, "net")
-    assert net_all["config"]["moment_samples"] == net_alone["config"]["moment_samples"] == 300
+    assert net_all["config"]["moment_samples"] == net_alone["config"]["moment_samples"] == 1100
     assert net_all["body_digest"] == net_alone["body_digest"]
 
 
@@ -353,6 +360,7 @@ BAD_CONFIGS = {
     "string-count": {"combs": {"channels": "x"}},
     "negative-tolerance": {"combs": {"comb_tol": -1}},
     "zero-moment-samples": {"net": {"moment_samples": 0}},
+    "moment-samples-below-the-audit-floor": {"net": {"moment_samples": 999}},
     "zero-channels": {"combs": {"channels": 0, "pairs": 0}},
     "unknown-key": {"combs": {"chanels": 3}},
     "unknown-net-mode": {"net": {"cells": [[4, 3, 3, "sideways"]]}},

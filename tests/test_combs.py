@@ -12,7 +12,8 @@ from combcert.combs import (
     validate_tester,
 )
 from combcert.combs import Tester as _Tester  # underscore keeps pytest from collecting it
-from combcert.hard import GammaFamily, HardInstanceSpec
+from combcert.hard import HardInstanceSpec, gamma_outer
+from combcert.hard.instance import comb_sequence
 from combcert.linalg import (
     FactoredPsd,
     LabeledOperator,
@@ -235,19 +236,17 @@ def test_prepare_measure_tester_discriminates_orthogonal_unitaries():
 
 
 def test_factored_comb_rejects_a_negative_weight():
-    fam = GammaFamily(HardInstanceSpec.concrete(1, 3), 2)
-    good = fam.factor(1)
+    good = gamma_outer(HardInstanceSpec.concrete(1, 3), 2, 1)
     extra = np.random.default_rng(40).standard_normal(good.dim)
     bad = FactoredPsd(np.column_stack([good.factor[:, 0], extra]), [1.0, -0.1], good.spaces)
-    cert = certify_comb(bad, fam.comb_sequence, psd_tol=1e-7, chain_tol=1e-7)
+    cert = certify_comb(bad, comb_sequence(2), psd_tol=1e-7, chain_tol=1e-7)
     assert not cert.ok and cert.min_eig < 0
 
 
 def test_factored_comb_scaled_by_two_fails_the_chain():
-    fam = GammaFamily(HardInstanceSpec.concrete(1, 3), 2)
-    f = fam.factor(1)
+    f = gamma_outer(HardInstanceSpec.concrete(1, 3), 2, 1)
     cert = certify_comb(
-        FactoredPsd(2 * f.factor, f.weights, f.spaces), fam.comb_sequence,
+        FactoredPsd(2 * f.factor, f.weights, f.spaces), comb_sequence(2),
         psd_tol=1e-7, chain_tol=1e-7,
     )
     assert cert.min_eig == 0.0 and not cert.ok

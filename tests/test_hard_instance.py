@@ -1,18 +1,21 @@
-"""Tests for the hard isometry family and its gamma vectors."""
+"""Tests for the hard isometry family, its gamma vectors and the slot-wise kernels."""
+
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
 
 from combcert.combs import certify_comb
 from combcert.hard import (
-    GammaFamily,
     HardInstanceSpec,
+    gamma_outer,
     gamma_recursion_residual,
     gamma_state,
     hard_vector_expansion,
 )
-from combcert.hard.instance import comb_sequence, gamma_outer, kron_power
-from combcert.linalg import haar_isometry, vectorize
+from combcert.hard.instance import comb_sequence, kron_power, on_each_slot, subset_sum
+from combcert.linalg import haar_isometry, haar_unitary, haar_unitary_batch, vectorize
 
 GRID = [(1, 2), (1, 3), (2, 4), (2, 5)]
 
@@ -71,8 +74,8 @@ def test_gamma_gram_is_diagonal():
     for d1, d2 in GRID:
         for n in (1, 2, 3):
             spec = random_spec(d1, d2, rng)
-            fam = GammaFamily(spec=spec, n=n)
-            gram = fam.gram()
+            gammas = np.stack([gamma_state(spec, n, i) for i in range(n + 1)], axis=1)
+            gram = gammas.conj().T @ gammas
             np.testing.assert_allclose(gram, np.eye(n + 1) * d1**n, atol=1e-9)
 
 
@@ -117,3 +120,85 @@ def test_gamma_outer_is_comb():
                 )
                 assert cert.ok, (d1, d2, n, i, cert)
                 np.testing.assert_allclose(cert.trace_value, d1**n, atol=1e-9)
+
+
+def test_kron_power_zero_is_the_unit():
+    v = np.array([1.0, 2.0j])
+    unit = kron_power(v, 0)
+    assert unit.shape == (1,) and unit.dtype == v.dtype and unit[0] == 1
+    m = np.arange(6.0).reshape(2, 3)
+    unit = kron_power(m, 0)
+    assert unit.shape == (1, 1) and unit.dtype == m.dtype and unit[0, 0] == 1
+    np.testing.assert_array_equal(kron_power(m, 1), m)
+    np.testing.assert_array_equal(kron_power(v, 3), np.kron(np.kron(v, v), v))
+
+
+def _dense_on_each_slot(op, y, n, d1):
+    """The full (op (x) I_{d1})^{(x) n} times y, formed densely."""
+    return kron_power(np.kron(op, np.eye(d1)), n) @ y
+
+
+@pytest.mark.parametrize("d1,d2,n", [(1, 3, 3), (2, 4, 2), (2, 5, 2)])
+def test_on_each_slot_matches_the_dense_operator(d1, d2, n):
+    rng = np.random.default_rng(10 * d2 + n)
+    spec = random_spec(d1, d2, rng)
+    iota = spec.complement_basis()
+    rotor = spec.rotor(haar_unitary(spec.rotor_dim, rng), iota)
+    for op in (rotor, iota):  # square, and d2 x k
+        cols = (op.shape[1] * d1) ** n
+        y = rng.standard_normal((cols, 3)) + 1j * rng.standard_normal((cols, 3))
+        np.testing.assert_allclose(
+            on_each_slot(op, y, n, d1), _dense_on_each_slot(op, y, n, d1), rtol=0, atol=1e-13
+        )
+    # a stack with one rotor per column
+    u = haar_unitary_batch(spec.rotor_dim, 4, rng)
+    stack = np.stack([spec.rotor(w, iota) for w in u], axis=-1)
+    y = rng.standard_normal(((d1 * d2) ** n, 4)) + 0j
+    expected = np.stack(
+        [_dense_on_each_slot(stack[..., m], y[:, m], n, d1) for m in range(4)], axis=1
+    )
+    np.testing.assert_allclose(on_each_slot(stack, y, n, d1), expected, rtol=0, atol=1e-13)
+
+
+def _gamma_state_reference(spec, n, i):
+    """gamma_i as one Kronecker chain per size-i subset, in slot order."""
+    v0v, dv = vectorize(spec.v0), vectorize(spec.delta)
+    acc = np.zeros((spec.d1 * spec.d2) ** n, dtype=complex)
+    for subset in combinations(range(n), i):
+        vec = np.ones(1, dtype=complex)
+        for j in range(n):
+            vec = np.kron(vec, dv if j in subset else v0v)
+        acc += vec
+    return acc / np.sqrt(comb(n, i))
+
+
+def test_gamma_state_matches_the_per_subset_kron_loop():
+    rng = np.random.default_rng(12)
+    for d1, d2 in GRID:
+        for n in (1, 2, 3):
+            concrete = HardInstanceSpec.concrete(d1, d2)
+            spec = random_spec(d1, d2, rng)
+            for i in range(n + 1):
+                np.testing.assert_array_equal(
+                    gamma_state(concrete, n, i), _gamma_state_reference(concrete, n, i)
+                )
+                np.testing.assert_allclose(
+                    gamma_state(spec, n, i), _gamma_state_reference(spec, n, i),
+                    rtol=0, atol=1e-14,
+                )
+
+
+@pytest.mark.parametrize("n,i", [(1, 0), (1, 1), (3, 1), (3, 2), (4, 2), (4, 4)])
+def test_subset_sum_places_each_column_on_every_subset(n, i):
+    slot = 3
+    rng = np.random.default_rng(10 * n + i)
+    block = rng.standard_normal((slot**i, 4)) + 1j * rng.standard_normal((slot**i, 4))
+    rest = rng.standard_normal(slot ** (n - i)) + 0j
+    expected = np.zeros((slot**n, 4), dtype=complex)
+    for subset in combinations(range(n), i):
+        others = [j for j in range(n) if j not in subset]
+        axes = [subset.index(j) if j in subset else i + others.index(j) for j in range(n)]
+        for m in range(4):
+            t = np.kron(block[:, m], rest).reshape((slot,) * n)
+            expected[:, m] += t.transpose(axes).reshape(-1)
+    np.testing.assert_array_equal(subset_sum(block, rest, n, i, slot), expected)

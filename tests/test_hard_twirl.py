@@ -5,7 +5,6 @@ import pytest
 
 from combcert.combs import certify_comb
 from combcert.hard import (
-    GammaFamily,
     HardInstanceSpec,
     commutant_projector,
     gamma_twirl,
@@ -13,9 +12,15 @@ from combcert.hard import (
     gamma_twirl_factor,
     gamma_twirl_monte_carlo,
     gamma_twirl_weingarten,
-    rho_action,
 )
-from combcert.hard.instance import comb_sequence, gamma_outer, gamma_state, slot_spaces
+from combcert.hard.instance import (
+    comb_sequence,
+    gamma_outer,
+    gamma_state,
+    kron_power,
+    on_each_slot,
+    slot_spaces,
+)
 from combcert.linalg import (
     LabeledOperator,
     haar_unitary,
@@ -29,13 +34,20 @@ GAMMA_CELLS = DEFAULT_CONFIG["hard"]["gamma_cells"]
 COMB_TOL = DEFAULT_CONFIG["hard"]["comb_tol"]
 
 
+def _dense_rho(spec, n, u, iota=None):
+    """rho(U) = (R(U) (x) I_{d1})^{(x) n} formed densely on all n slots."""
+    return kron_power(np.kron(spec.rotor(u, iota), np.eye(spec.d1)), n)
+
+
 def test_rho_action_is_a_representation():
+    # rho(U) rho(W) = rho(UW), applied slot by slot
     rng = np.random.default_rng(0)
     spec = HardInstanceSpec.random(2, 5, rng)
     k = spec.rotor_dim
     u, w = haar_unitary(k, rng), haar_unitary(k, rng)
-    lhs = rho_action(spec, 2, u) @ rho_action(spec, 2, w)
-    np.testing.assert_allclose(lhs, rho_action(spec, 2, u @ w), atol=1e-12)
+    y = rng.standard_normal((100, 3)) + 1j * rng.standard_normal((100, 3))
+    lhs = on_each_slot(spec.rotor(u), on_each_slot(spec.rotor(w), y, 2, 2), 2, 2)
+    np.testing.assert_allclose(lhs, on_each_slot(spec.rotor(u @ w), y, 2, 2), atol=1e-12)
 
 
 def test_commutant_projector_is_projection_onto_commutant():
@@ -48,7 +60,7 @@ def test_commutant_projector_is_projection_onto_commutant():
     # idempotent
     np.testing.assert_allclose(proj.twirl(tw), tw, atol=1e-10)
     # output commutes with a fresh group element
-    g = rho_action(spec, 2, haar_unitary(spec.rotor_dim, rng))
+    g = _dense_rho(spec, 2, haar_unitary(spec.rotor_dim, rng))
     np.testing.assert_allclose(tw @ g, g @ tw, atol=1e-9)
     # the identity lies in the commutant and is fixed
     eye = np.eye(dim, dtype=complex)
@@ -89,7 +101,7 @@ def test_twirl_output_invariances():
             # trace d1^n, PSD, commutes with fresh rho(U)
             np.testing.assert_allclose(np.trace(g).real, d1**n, atol=1e-9)
             assert psd_check(g, tol=1e-10).ok
-            r = rho_action(spec, n, haar_unitary(spec.rotor_dim, rng))
+            r = _dense_rho(spec, n, haar_unitary(spec.rotor_dim, rng))
             assert np.linalg.norm(g @ r - r @ g) <= 1e-9
 
 
@@ -149,16 +161,17 @@ def test_weingarten_rejects_large_order():
 def test_factored_certificates_match_the_dense_ones(d1, d2):
     spec = HardInstanceSpec.concrete(d1, d2)
     for n in (1, 2, 3):
-        fam = GammaFamily(spec, n)
+        seq = comb_sequence(n)
         spaces = slot_spaces(spec, n)
         for i in range(n + 1):
+            g = gamma_state(spec, n, i)
             pairs = [
-                (fam.factor(i), gamma_outer(spec, n, i)),
+                (gamma_outer(spec, n, i), LabeledOperator(np.outer(g, g.conj()), spaces)),
                 (gamma_twirl_factor(spec, n, i), LabeledOperator(gamma_twirl(spec, n, i), spaces)),
             ]
             for factored, dense in pairs:
-                a = certify_comb(factored, fam.comb_sequence, psd_tol=COMB_TOL, chain_tol=COMB_TOL)
-                b = certify_comb(dense, fam.comb_sequence, psd_tol=COMB_TOL, chain_tol=COMB_TOL)
+                a = certify_comb(factored, seq, psd_tol=COMB_TOL, chain_tol=COMB_TOL)
+                b = certify_comb(dense, seq, psd_tol=COMB_TOL, chain_tol=COMB_TOL)
                 assert a.ok == b.ok, (d1, d2, n, i)
                 assert abs(a.max_eig - b.max_eig) <= 1e-9 * abs(b.max_eig), (d1, d2, n, i)
                 assert a.max_chain_residual <= COMB_TOL, (d1, d2, n, i)
@@ -192,7 +205,7 @@ def _dense_commutant_basis(spec, n, seed):
     eye = np.eye(dim)
     h = np.zeros((dim * dim, dim * dim), dtype=complex)
     for _ in range(4):
-        g = rho_action(spec, n, haar_unitary(spec.rotor_dim, rng), iota)
+        g = _dense_rho(spec, n, haar_unitary(spec.rotor_dim, rng), iota)
         c = np.kron(g, eye) - np.kron(eye, g.T)
         h += c.conj().T @ c
     vals, vecs = np.linalg.eigh(h)
@@ -215,7 +228,7 @@ def test_block_commutant_matches_the_dense_nullspace(d1, d2, n):
     shape = (proj.dim, proj.dim)
     x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     tw = proj.twirl(x)
-    g = rho_action(spec, n, haar_unitary(spec.rotor_dim, rng))
+    g = _dense_rho(spec, n, haar_unitary(spec.rotor_dim, rng))
     assert np.abs(tw @ g - g @ tw).max() <= 1e-10 * max(1.0, np.abs(tw).max())
 
 

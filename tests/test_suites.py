@@ -42,8 +42,8 @@ def test_effective_config_types_and_samples():
     assert cfg["combs"]["comb_tol"] == 1.0 and isinstance(cfg["combs"]["comb_tol"], float)
     assert isinstance(cfg["hard"]["domination"]["eps"][0], float)
     assert cfg["hard"]["gamma_cells"] == suites.DEFAULT_CONFIG["hard"]["gamma_cells"]
-    cfg = suites.effective_config({"hard": {"mc_samples": 7}}, samples=9)
-    assert cfg["hard"]["mc_samples"] == cfg["net"]["moment_samples"] == 9
+    cfg = suites.effective_config({"hard": {"mc_samples": 7}}, samples=1009)
+    assert cfg["hard"]["mc_samples"] == cfg["net"]["moment_samples"] == 1009
     with pytest.raises(suites.ConfigError, match="mc_samples"):
         suites.effective_config(None, samples=0)
     with pytest.raises(suites.ConfigError, match="must be an object"):
