@@ -147,12 +147,6 @@ class HardInstanceSpec:
         """Orthonormal basis (columns) of im(V0)^perp, shape (d2, d2-d1)."""
         return nullspace(self.v0.conj().T)
 
-    def delta_coords(self, iota: np.ndarray | None = None) -> np.ndarray:
-        """Delta expressed in the complement basis: iota^dagger Delta."""
-        if iota is None:
-            iota = self.complement_basis()
-        return iota.conj().T @ self.delta
-
     def rotor(self, u: np.ndarray, iota: np.ndarray | None = None) -> np.ndarray:
         """R(U) = V0 V0^dagger + iota U iota^dagger on C^{d2}."""
         u = np.asarray(u, dtype=complex)
@@ -171,7 +165,7 @@ class HardInstanceSpec:
             raise ValueError(f"eps must lie in [0, 1), got {eps}")
         if iota is None:
             iota = self.complement_basis()
-        return np.sqrt(1 - eps**2) * self.v0 + eps * (iota @ np.asarray(u) @ self.delta_coords(iota))
+        return np.sqrt(1 - eps**2) * self.v0 + eps * (iota @ np.asarray(u) @ (iota.conj().T @ self.delta))
 
 
 def gamma_state(spec: HardInstanceSpec, n: int, i: int) -> np.ndarray:

@@ -17,7 +17,10 @@ Routes:
     commutant of U^{(x) i} (x) I is spanned by permutation operators; the
     frame projection with the (pseudo-inverted) cycle Gram matrix gives the
     twirl in closed form, valid for any rotor dimension including singular
-    Gram matrices.
+    Gram matrices. In the complement frame iota the twirled core depends on
+    (d2 - d1, d1, i) alone and lives on the symmetric subspace
+    Sym^i(C^{d2-d1} (x) C^{d1}), where it is solved at dimension
+    C((d2-d1)*d1 + i - 1, i) and then embedded slot by slot.
   * monte-carlo — a batched Haar-sample average, for spot checks at scale;
     the samples of a batch sit on the last axis.
 """
@@ -27,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations, product
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -152,79 +155,68 @@ def gamma_twirl_exact_commutant(
     return (out + out.conj().T) / 2
 
 
-def _perm_matrix(sigma: tuple[int, ...], k: int) -> np.ndarray:
-    """Permutation operator P_sigma on (C^k)^{(x) i}: factor t receives the
-    former factor sigma^{-1}(t)."""
-    i = len(sigma)
-    dim = k**i
-    digits = np.array(np.unravel_index(np.arange(dim), (k,) * i))
-    inv = np.argsort(np.asarray(sigma))
-    x_digits = digits[inv, :] if i else digits
-    x_index = np.ravel_multi_index(tuple(x_digits), (k,) * i)
-    p = np.zeros((dim, dim))
-    p[x_index, np.arange(dim)] = 1.0
-    return p
+def _cycle_count(p: tuple[int, ...]) -> int:
+    """Number of cycles of the permutation j -> p[j], counted by their least element."""
+    count = 0
+    for j in range(len(p)):
+        x = p[j]
+        while x > j:
+            x = p[x]
+        count += x == j
+    return count
 
 
-def _interleave_slots(cols: np.ndarray, k: int, d1: int, i: int) -> np.ndarray:
-    """(w_1..w_i, a_1..a_i) grouped order -> (w_1, a_1, ..., w_i, a_i), per column."""
-    t = cols.reshape((k,) * i + (d1,) * i + (-1,))
-    order = [ax for pair in zip(range(i), range(i, 2 * i)) for ax in pair]
-    return t.transpose(*order, 2 * i).reshape(cols.shape)
+def _sym_basis(k: int, d1: int, i: int) -> np.ndarray:
+    """Orthonormal occupation-number basis of Sym^i(C^k (x) C^{d1}), in the
+    slot order (w_1, a_1, ..., w_i, a_i): one real column per multiset of
+    slot states, spread evenly over that multiset's orderings."""
+    slot = k * d1
+    states = np.sort(np.indices((slot,) * i).reshape(i, -1), axis=0)
+    _, col, size = np.unique(states, axis=1, return_inverse=True, return_counts=True)
+    col = col.reshape(-1)
+    basis = np.zeros((slot**i, size.size))
+    basis[np.arange(slot**i), col] = 1 / np.sqrt(size[col])
+    return basis
 
 
-def _group_slots(vec: np.ndarray, k: int, d1: int, i: int) -> np.ndarray:
-    """(w_1, a_1, ..., w_i, a_i) -> (w_1..w_i, a_1..a_i)."""
-    t = vec.reshape(tuple(dim for _ in range(i) for dim in (k, d1)))
-    order = list(range(0, 2 * i, 2)) + list(range(1, 2 * i, 2))
-    return t.transpose(order).reshape(-1)
+def _twirled_core(k: int, d1: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of N = E_U[(U^{(x)i} (x) I) |D^{(x)i}>><<D^{(x)i}| (...)^dg]
+    for any k x d1 isometry D, in the slot order (w_1, a_1, ..., w_i, a_i).
 
-
-def _twirled_core(delta_coords: np.ndarray, i: int):
-    """Eigendecomposition of N = E_U[(U^{(x)i} (x) I) |d^{(x)i}><d^{(x)i}| (...)^dg].
-
-    Works in the grouped order (W^{(x)i}, A^{(x)i}). The frame projection
-    P(X) = sum_{s,t} (G^+)_{st} p(s) (x) tr_W[(p(t)^dg (x) I) X] with
-    the Hilbert-Schmidt Gram matrix G_{st} = tr(p(s)^dg p(t)) = k^{cycles(s^{-1} t)}
-    of the permutation operators realizes the Haar average even when the
-    permutation operators are linearly dependent (k < i), because the
-    pseudo-inverse still yields the orthogonal projection onto their span.
-    Eigenvalues up to 1e-12 of the largest are dropped.
+    UD is a Haar isometry whatever D is, so N depends on (k, d1, i) alone.
+    The frame projection with the pseudo-inverted Hilbert-Schmidt Gram
+    matrix G_{st} = k^{cycles(s^{-1} t)} of the permutation operators gives
+    N = sum_{s,t} (G^+)_{st} p_k(s) (x) p_{d1}(t), valid even when the
+    operators are linearly dependent (k < i). G^+ is a class function h of
+    s^{-1} t, so N = i! sum_s h(s) (p_k(s) (x) I) on Sym^i(C^k (x) C^{d1}),
+    which holds N's range. That C(k*d1 + i - 1, i)-square matrix is solved
+    on the basis of :func:`_sym_basis`; eigenvalues up to 1e-12 of the
+    largest are dropped.
     """
-    k, d1 = delta_coords.shape
-    psi = _group_slots(kron_power(vectorize(delta_coords), i), k, d1, i)
-    k_i, a_i = k**i, d1**i
-    psi_mat = psi.reshape(k_i, a_i)
-
-    mats = [_perm_matrix(s, k) for s in permutations(range(i))]
-    flat = np.array([p.reshape(-1) for p in mats])
-    gram = flat @ flat.T  # 0/1 entries: exact integer counts
-    gram_pinv = np.linalg.pinv(gram, rcond=1e-12, hermitian=True)
-
-    partials = []
-    for p in mats:
-        phi = p.conj().T @ psi_mat
-        partials.append(phi.T @ psi_mat.conj())
-    core = np.zeros((k_i * a_i, k_i * a_i), dtype=complex)
-    for s_idx in range(len(mats)):
-        b = np.zeros((a_i, a_i), dtype=complex)
-        for t_idx in range(len(mats)):
-            b += gram_pinv[s_idx, t_idx] * partials[t_idx]
-        core += np.kron(mats[s_idx], b)
-    core = (core + core.conj().T) / 2
-    vals, vecs = herm_eig(core, check_tol=1e-8)
-    lam_max = float(vals[-1]) if vals.size else 0.0
-    keep = vals > 1e-12 * max(lam_max, 1e-300)
-    return vals[keep], vecs[:, keep]
+    perms = list(permutations(range(i)))
+    gram = np.array([[float(k) ** _cycle_count(tuple(s.index(x) for x in t)) for t in perms]
+                     for s in perms])
+    h = np.linalg.pinv(gram, rcond=1e-12, hermitian=True)[0]  # perms[0] is the identity
+    basis = _sym_basis(k, d1, i)
+    slots = basis.reshape((k, d1) * i + (-1,))
+    core = np.zeros((basis.shape[1],) * 2)
+    for weight, s in zip(h, perms):
+        # p_k(s) (x) I permutes the w axes and leaves the a axes in place
+        axes = [2 * s[j // 2] if j % 2 == 0 else j for j in range(2 * i)] + [2 * i]
+        core += weight * (basis.T @ slots.transpose(axes).reshape(basis.shape))
+    vals, vecs = herm_eig(factorial(i) * core)
+    keep = vals > 1e-12 * vals[-1]  # tr N = d1^i, so vals[-1] > 0
+    return vals[keep], basis @ vecs[:, keep]
 
 
 def _weingarten_factor(spec: HardInstanceSpec, n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Columns G and weights nu with Gamma_i = G diag(nu) G^dagger / C(n, i).
 
     The twirl only touches the rotated branch factors, so the core operator
-    on (W (x) A)^{(x) i} is twirled once, eigendecomposed, and each eigenvector
-    is embedded into every size-i slot subset, tensored with |V0>> elsewhere;
-    i = 0 is the untwirled rank-one (gamma_0, [1]).
+    on (W (x) A)^{(x) i} (:func:`_twirled_core`) is eigendecomposed once, and
+    each eigenvector is mapped into C^{d2} by iota on each slot and embedded
+    into every size-i slot subset, tensored with |V0>> elsewhere; i = 0 is the
+    untwirled rank-one (gamma_0, [1]).
     """
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
@@ -237,9 +229,8 @@ def _weingarten_factor(spec: HardInstanceSpec, n: int, i: int) -> tuple[np.ndarr
     if i == 0:
         return gamma_state(spec, n, 0)[:, None], np.ones(1)
     d1, d2 = spec.d1, spec.d2
-    iota = spec.complement_basis()
-    nu, cols = _twirled_core(spec.delta_coords(iota), i)
-    embedded = on_each_slot(iota, _interleave_slots(cols, spec.rotor_dim, d1, i), i, d1)
+    nu, cols = _twirled_core(spec.rotor_dim, d1, i)
+    embedded = on_each_slot(spec.complement_basis(), cols, i, d1)
     return subset_sum(embedded, kron_power(vectorize(spec.v0), n - i), n, i, d1 * d2), nu
 
 

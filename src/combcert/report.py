@@ -113,11 +113,6 @@ def canonical_body(report: dict) -> dict:
     body.pop("body_digest", None)
     for rec in body.get("records", []):
         rec.pop("wall_time_s", None)
-    for suite in body.get("suites", []):
-        suite.pop("created", None)
-        suite.pop("total_wall_time_s", None)
-        for rec in suite.get("records", []):
-            rec.pop("wall_time_s", None)
     return body
 
 

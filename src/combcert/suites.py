@@ -167,8 +167,9 @@ def effective_config(user: dict | None, samples: int | None = None) -> dict:
     int is stored as a float where the default is a float). Counts are >= 1,
     floats finite and > 0, grid cells have the defaults' number of integer
     entries (net cells may add a mode: auto, even or odd), and cells are checked
-    by the constructors that would reject them mid-run, as is ``net.eps`` (below
-    1, and at most ``SEPARATION_MAX_EPS`` when separation cells are configured).
+    by the constructors that would reject them mid-run, as are
+    ``hard.family_eps`` (below 1) and ``net.eps`` (below 1, and at most
+    ``SEPARATION_MAX_EPS`` when separation cells are configured).
     Raises ConfigError."""
     if user is None:
         user = {}
@@ -232,9 +233,11 @@ def _cell(path: str, value, size: int) -> list:
 
 
 def _check_cells(cfg: dict) -> None:
-    """Reject the cells and the net eps that the hard and net constructors
+    """Reject the cells and the eps values that the hard and net constructors
     would reject mid-run."""
     hard, net = cfg["hard"], cfg["net"]
+    if hard["family_eps"] >= 1:  # HardInstanceSpec.member needs eps in [0, 1)
+        raise ConfigError(f"hard.family_eps must be below 1, got {hard['family_eps']}")
     for path, cells in (
         ("hard.gamma_cells", hard["gamma_cells"]),
         ("hard.mc_cells", hard["mc_cells"]),

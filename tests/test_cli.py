@@ -369,6 +369,7 @@ BAD_CONFIGS = {
     "mc-index-above-n": {"hard": {"mc_cells": [[1, 3, 2, 3]]}},
     "non-finite-tolerance": {"hard": {"trace_tol": float("inf")}},
     "net-eps-not-below-1": {"net": {"eps": 1.5}},
+    "family-eps-not-below-1": {"hard": {"family_eps": 1.0}},
     "net-eps-above-separation-limit": {"net": {"eps": 0.05}},
 }
 

@@ -1,8 +1,12 @@
 """Tests for the three twirl routes and their mutual agreement."""
 
+from itertools import permutations
+from math import comb
+
 import numpy as np
 import pytest
 
+import combcert.hard.twirl as twirl
 from combcert.combs import certify_comb
 from combcert.hard import (
     HardInstanceSpec,
@@ -282,3 +286,95 @@ def test_monte_carlo_matches_the_sample_first_loop(d1, d2, n, i):
     est, _ = gamma_twirl_monte_carlo(spec, n, i, samples=4500, seed=3)  # two full batches and a part
     ref = _monte_carlo_reference(spec, n, i, 4500, seed=3)
     assert np.abs(est - ref).max() <= 1e-15
+
+
+def _dense_frame_core(delta_coords, i):
+    """The Delta-dependent frame formula the Sym^i solve replaced, formed
+    densely: N = sum_{s,t} (G^+)_{st} p(s) (x) tr_W[(p(t)^dg (x) I) |psi><psi|]
+    with psi = vec(D)^{(x) i} in the grouped order (w_1..w_i, a_1..a_i),
+    returned in the slot order (w_1, a_1, ..., w_i, a_i)."""
+    k, d1 = delta_coords.shape
+    digits = np.indices((k,) * i).reshape(i, -1)
+    mats = []
+    for sigma in permutations(range(i)):  # factor t receives factor sigma^{-1}(t)
+        p = np.zeros((k**i, k**i))
+        p[np.ravel_multi_index(tuple(digits[np.argsort(sigma)]), (k,) * i), np.arange(k**i)] = 1
+        mats.append(p)
+    flat = np.array([p.reshape(-1) for p in mats])
+    gram_pinv = np.linalg.pinv(flat @ flat.T, rcond=1e-12, hermitian=True)
+    psi = kron_power(delta_coords, i)  # psi as a k^i x d1^i matrix
+    partials = [(p.T @ psi).T @ psi.conj() for p in mats]
+    core = sum(np.kron(p, sum(g * b for g, b in zip(row, partials)))
+               for p, row in zip(mats, gram_pinv))
+    order = [ax for j in range(i) for ax in (j, i + j)]
+    t = core.reshape((k,) * i + (d1,) * i + (k,) * i + (d1,) * i)
+    return t.transpose(order + [2 * i + ax for ax in order]).reshape(core.shape)
+
+
+@pytest.mark.parametrize("d1,d2,i", [(2, 4, 4), (2, 5, 3)])
+def test_sym_core_matches_the_dense_frame_formula(d1, d2, i):
+    # the dense formula depends on Delta; the core must not, so random specs
+    # are compared against the same (k, d1, i) core
+    rng = np.random.default_rng(10 * d2 + i)
+    vals, cols = twirl._twirled_core(d2 - d1, d1, i)
+    core = (cols * vals) @ cols.conj().T
+    for spec in (HardInstanceSpec.concrete(d1, d2), HardInstanceSpec.random(d1, d2, rng),
+                 HardInstanceSpec.random(d1, d2, rng)):
+        dense = _dense_frame_core(spec.complement_basis().conj().T @ spec.delta, i)
+        assert np.abs(core - dense).max() <= 1e-14
+
+
+CORE_CELLS = [(k, d1, i) for k, d1 in [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]
+              for i in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("k,d1,i", CORE_CELLS)
+def test_sym_core_rank_is_the_symmetric_dimension(k, d1, i):
+    vals, cols = twirl._twirled_core(k, d1, i)
+    assert len(vals) == cols.shape[1] == comb(k * d1 + i - 1, i)
+    assert cols.shape[0] == (k * d1) ** i
+    np.testing.assert_allclose(vals.sum(), d1**i, rtol=1e-12)  # tr N = |vec(D)|^{2i}
+
+
+def _partitions(i, most=None):
+    """Partitions of i as non-increasing tuples."""
+    if i == 0:
+        return [()]
+    most = i if most is None else most
+    return [(p,) + rest for p in range(min(i, most), 0, -1) for rest in _partitions(i - p, p)]
+
+
+def _schur_dim(lam, n):
+    """dim S_lam(C^n) by the hook-content formula."""
+    cols = [sum(1 for row in lam if row > c) for c in range(lam[0])] if lam else []
+    out = 1.0
+    for r, row in enumerate(lam):
+        for c in range(row):
+            out *= (n + c - r) / (row - c + cols[c] - r - 1)
+    return round(out)
+
+
+@pytest.mark.parametrize("k,d1,i", CORE_CELLS)
+def test_sym_core_multiplicities_follow_the_cauchy_decomposition(k, d1, i):
+    # Sym^i(C^k (x) C^{d1}) = sum_lam S_lam(C^k) (x) S_lam(C^{d1}), N a scalar on each
+    vals, _ = twirl._twirled_core(k, d1, i)
+    breaks = np.flatnonzero(np.diff(vals) > 1e-9 * vals[-1])
+    sizes = np.diff(np.concatenate([[0], breaks + 1, [len(vals)]]))
+    dims = [_schur_dim(lam, k) * _schur_dim(lam, d1) for lam in _partitions(i)]
+    assert sorted(sizes) == sorted(d for d in dims if d)
+
+
+def test_permutation_frame_solves_only_on_the_symmetric_subspace(monkeypatch):
+    seen = []
+    real = twirl.herm_eig
+
+    def recording(x, *args, **kwargs):
+        seen.append(x.shape[-1])
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(twirl, "herm_eig", recording)
+    spec = HardInstanceSpec.concrete(2, 5)
+    for i in range(1, 5):
+        seen.clear()
+        twirl.gamma_twirl_factor(spec, 4, i)
+        assert seen and max(seen) <= comb(spec.rotor_dim * spec.d1 + i - 1, i), (i, seen)
