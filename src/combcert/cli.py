@@ -108,6 +108,8 @@ def _escalate(report):
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:  # numpy's SeedSequence takes non-negative seeds only
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     if args.samples is not None and args.samples < 1:

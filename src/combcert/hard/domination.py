@@ -136,11 +136,13 @@ def symmetric_span_dim(d: int, m: int, rng: np.random.Generator) -> int:
     """Numeric dimension of span{phi^{(x) m} : phi in C^d} via a sampled Gram
     matrix of five more vectors than the closed form binom(d+m-1, m)."""
     count = comb(d + m - 1, m) + 5
-    vecs = np.empty((count, d**m), dtype=complex)
-    for idx in range(count):
-        phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        phi /= np.linalg.norm(phi)
-        vecs[idx] = kron_power(phi, m)
+    # one draw in the order of per-vector real-then-imaginary draws
+    parts = rng.standard_normal((count, 2, d))
+    phi = parts[:, 0] + 1j * parts[:, 1]
+    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+    vecs = np.ones((count, 1), dtype=complex)
+    for _ in range(m):  # row-wise kron_power(phi, m)
+        vecs = (vecs[:, :, None] * phi[:, None, :]).reshape(count, -1)
     gram = vecs @ vecs.conj().T
     vals = herm_eigvals(gram)
     lam_max = float(vals[-1]) if vals.size else 0.0

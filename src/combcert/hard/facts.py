@@ -20,6 +20,7 @@ from .domination import budget_exponent, check_admissible
 __all__ = [
     "PsdDominationWitness",
     "SummandChain",
+    "SummandChains",
     "binary_entropy",
     "kl_binary",
     "log_binom",
@@ -30,37 +31,51 @@ __all__ = [
 ]
 
 
-def binary_entropy(p: float) -> float:
+# binary_entropy, kl_binary and log_binom take a scalar or an array. Every
+# log and log-gamma comes from ``math``, entry by entry, and + - * / run in
+# the same association on both, so array entries equal the scalar values bit
+# for bit. A skipped branch (p = 0 or p = 1) takes the value 0.0 = log(1).
+
+
+def _math(f, x, where=True):
+    """``f`` (log or lgamma) of a scalar or of each array entry, and
+    f(1) = 0.0 where ``where`` fails."""
+    if not isinstance(x, np.ndarray):
+        return f(x) if where else 0.0
+    x = np.where(where, x, 1)
+    return np.fromiter(map(f, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
+
+
+def _holds(cond) -> bool:
+    """Whether a comparison holds, for a scalar or at every array entry."""
+    return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
+
+
+def binary_entropy(p):
     """H(p) = -p ln p - (1-p) ln(1-p) in nats, with H(0) = H(1) = 0."""
-    if not 0.0 <= p <= 1.0:
+    if not _holds((0.0 <= p) & (p <= 1.0)):
         raise ValueError(f"need 0 <= p <= 1, got {p}")
-    out = 0.0
-    if p > 0.0:
-        out -= p * log(p)
-    if p < 1.0:
-        out -= (1.0 - p) * log(1.0 - p)
-    return out
+    return 0.0 - p * _math(log, p, p > 0.0) - (1.0 - p) * _math(log, 1.0 - p, p < 1.0)
 
 
-def kl_binary(p: float, q: float) -> float:
+def kl_binary(p, q: float):
     """D(p || q) between coin biases, in nats."""
-    if not 0.0 <= p <= 1.0:
+    if not _holds((0.0 <= p) & (p <= 1.0)):
         raise ValueError(f"need 0 <= p <= 1, got {p}")
     if not 0.0 < q < 1.0:
         raise ValueError(f"need 0 < q < 1, got {q}")
-    out = 0.0
-    if p > 0.0:
-        out += p * log(p / q)
-    if p < 1.0:
-        out += (1.0 - p) * log((1.0 - p) / (1.0 - q))
-    return out
+    return (
+        0.0
+        + p * _math(log, p / q, p > 0.0)
+        + (1.0 - p) * _math(log, (1.0 - p) / (1.0 - q), p < 1.0)
+    )
 
 
-def log_binom(n: int, k: int) -> float:
+def log_binom(n, k):
     """ln C(n, k) via log-gamma; exact enough for chained comparisons."""
-    if not 0 <= k <= n:
+    if not _holds((0 <= k) & (k <= n)):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
+    return _math(lgamma, n + 1) - _math(lgamma, k + 1) - _math(lgamma, n - k + 1)
 
 
 def xlog_bound_values(budget: float, xs) -> tuple[np.ndarray, float]:
@@ -129,53 +144,75 @@ class SummandChain:
     t_budget: float
 
     def chain_ok(self, slack: float = 1e-12) -> bool:
-        pad = slack * max(1.0, abs(self.t_exact), abs(self.t_budget))
-        return (
-            self.t_exact <= self.t_entropy + pad
-            and self.t_entropy <= self.t_simplified + pad
-            and self.t_simplified <= self.t_budget + pad
-        )
+        return bool(_chain_holds(self, slack))
+
+
+@dataclass(frozen=True, eq=False)
+class SummandChains:
+    """The bound chains of summands ``i`` as arrays, one entry per summand;
+    iterating gives the SummandChain of each entry."""
+
+    d1: int
+    d2: int
+    n: int
+    eps: float
+    i: np.ndarray
+    t_exact: np.ndarray
+    t_entropy: np.ndarray
+    t_simplified: np.ndarray
+    t_budget: np.ndarray
+
+    def chain_ok(self, slack: float = 1e-12) -> np.ndarray:
+        """Whether each summand's chain holds, as a boolean array."""
+        return _chain_holds(self, slack)
+
+    def __iter__(self):
+        columns = (self.i, self.t_exact, self.t_entropy, self.t_simplified, self.t_budget)
+        for row in zip(*(c.tolist() for c in columns)):
+            yield SummandChain(self.d1, self.d2, self.n, self.eps, *row)
+
+
+def _chain_holds(c, slack: float):
+    """The chain test with its pad slack * max(1, |t_exact|, |t_budget|), on
+    scalar or array terms alike."""
+    pad = slack * np.maximum(np.maximum(1.0, np.abs(c.t_exact)), np.abs(c.t_budget))
+    return (
+        (c.t_exact <= c.t_entropy + pad)
+        & (c.t_entropy <= c.t_simplified + pad)
+        & (c.t_simplified <= c.t_budget + pad)
+    )
 
 
 def summand_chain(d1: int, d2: int, n: int, eps: float, i: int) -> SummandChain:
     """The four-step bound chain for summand i of the weighted domination sum."""
-    return next(_summand_chains(d1, d2, n, eps, (i,)))
+    terms = _summand_terms(d1, d2, n, eps, i)
+    return SummandChain(d1, d2, n, eps, i, *map(float, terms))
 
 
-def summand_chains(d1: int, d2: int, n: int, eps: float) -> tuple[SummandChain, ...]:
-    """The bound chains of summands 0..n, the same values summand_chain gives
-    one at a time, with the window check and the constants of
-    (d1, d2, n, eps) computed once."""
-    return tuple(_summand_chains(d1, d2, n, eps, range(n + 1)))
+def summand_chains(d1: int, d2: int, n: int, eps: float) -> SummandChains:
+    """The bound chains of summands 0..n as arrays, each entry the value
+    summand_chain gives one at a time."""
+    i = np.arange(n + 1)
+    return SummandChains(d1, d2, n, eps, i, *_summand_terms(d1, d2, n, eps, i))
 
 
-def _summand_chains(d1: int, d2: int, n: int, eps: float, indices):
+def _summand_terms(d1: int, d2: int, n: int, eps: float, i):
+    """t_exact, t_entropy, t_simplified and t_budget of summand i, an int or
+    an int array, by the array-or-scalar facts above."""
     check_admissible(d1, d2, n, eps)
+    if not _holds((0 <= i) & (i <= n)):
+        raise ValueError(f"need 0 <= i <= n, got i={i}")
     d = d1 * d2
     eps2 = eps**2
-    log_keep = log(1.0 - eps2)
-    log_eps = log(eps)
-    n_eps2 = n * eps2
-    budget = budget_exponent(d1, d2, n, eps)
-    for i in indices:
-        if not 0 <= i <= n:
-            raise ValueError(f"need 0 <= i <= n, got i={i}")
-        t_exact = (
-            log_binom(n, i) + (n - i) * log_keep + 2.0 * i * log_eps + log_binom(d + i - 2, i)
-        )
-        t_entropy = -n * kl_binary(i / n, eps2) + (d + i) * binary_entropy(i / (d + i))
-        if i == 0:
-            t_simplified = 0.0
-        else:
-            t_simplified = -i * log(i / n_eps2) + i * log(1.0 + d / i) + 2.0 * i
-        yield SummandChain(
-            d1=d1,
-            d2=d2,
-            n=n,
-            eps=eps,
-            i=i,
-            t_exact=t_exact,
-            t_entropy=t_entropy,
-            t_simplified=t_simplified,
-            t_budget=budget if i < d else -2.0 * i,
-        )
+    t_exact = (
+        log_binom(n, i) + (n - i) * log(1.0 - eps2) + 2.0 * i * log(eps) + log_binom(d + i - 2, i)
+    )
+    t_entropy = -n * kl_binary(i / n, eps2) + (d + i) * binary_entropy(i / (d + i))
+    # 0.0 at i = 0, where each term has a zero factor
+    t_simplified = (
+        -i * _math(log, i / (n * eps2), i > 0)
+        + i * _math(log, 1.0 + d / np.maximum(i, 1), i > 0)
+        + 2.0 * i
+    )
+    t_budget = np.where(i < d, budget_exponent(d1, d2, n, eps), -2.0 * i)
+    return t_exact, t_entropy, t_simplified, t_budget

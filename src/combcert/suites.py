@@ -168,8 +168,9 @@ def effective_config(user: dict | None, samples: int | None = None) -> dict:
     floats finite and > 0, grid cells have the defaults' number of integer
     entries (net cells may add a mode: auto, even or odd), and cells are checked
     by the constructors that would reject them mid-run, as are
-    ``hard.family_eps`` (below 1) and ``net.eps`` (below 1, and at most
-    ``SEPARATION_MAX_EPS`` when separation cells are configured).
+    ``hard.family_eps``, ``hard.facts.eps`` and ``hard.domination.eps``
+    (below 1) and ``net.eps`` (below 1, and at most ``SEPARATION_MAX_EPS``
+    when separation cells are configured).
     Raises ConfigError."""
     if user is None:
         user = {}
@@ -236,8 +237,15 @@ def _check_cells(cfg: dict) -> None:
     """Reject the cells and the eps values that the hard and net constructors
     would reject mid-run."""
     hard, net = cfg["hard"], cfg["net"]
-    if hard["family_eps"] >= 1:  # HardInstanceSpec.member needs eps in [0, 1)
-        raise ConfigError(f"hard.family_eps must be below 1, got {hard['family_eps']}")
+    # HardInstanceSpec.member and the weight-schedule window need eps < 1
+    below_one = [("hard.family_eps", hard["family_eps"])] + [
+        (f"hard.{key}.eps[{k}]", eps)
+        for key in ("facts", "domination")
+        for k, eps in enumerate(hard[key]["eps"])
+    ]
+    for path, eps in below_one:
+        if eps >= 1:
+            raise ConfigError(f"{path} must be below 1, got {eps}")
     for path, cells in (
         ("hard.gamma_cells", hard["gamma_cells"]),
         ("hard.mc_cells", hard["mc_cells"]),
@@ -762,14 +770,12 @@ def _binomial_entropy(c: Cell) -> dict:
     violations = 0
     worst_eq = 0.0
     for n in (1, 3, 10, 40):
+        k = np.arange(n + 1)
         for p in (0.01, 0.2, 0.5, 0.9):
-            for k in range(n + 1):
-                lhs = log_binom(n, k) + k * log(p) + (n - k) * log(1 - p)
-                rhs = -n * kl_binary(k / n, p)
-                if lhs > rhs + slack:
-                    violations += 1
-                if k in (0, n):
-                    worst_eq = max(worst_eq, abs(lhs - rhs))
+            lhs = log_binom(n, k) + k * log(p) + (n - k) * log(1 - p)
+            rhs = -n * kl_binary(k / n, p)
+            violations += int(np.count_nonzero(lhs > rhs + slack))
+            worst_eq = max(worst_eq, float(np.max(np.abs(lhs - rhs)[[0, n]])))
     ok = violations == 0 and worst_eq <= slack
     return _verdict(ok, slack, worst_eq, violations=violations, endpoint_gap=worst_eq)
 
@@ -812,14 +818,13 @@ def _summand_chain(c: Cell) -> dict:
         for eps in facts["eps"]:
             n_max = int(admissible_window(d1, d2, eps))
             for n in sorted({x for x in (1, 2, 3, 17, n_max) if 1 <= x <= n_max}):
-                sched = lambda_schedule(d1, d2, n, eps)
-                total = 0.0
-                for chain, log_weight in zip(summand_chains(d1, d2, n, eps), sched.log_weights):
-                    if not chain.chain_ok(slack=slack):
-                        violations += 1
-                    summands += 1
-                    total += exp(chain.t_exact - log_weight)
-                worst_assembled = max(worst_assembled, total - 1.0)
+                chains = summand_chains(d1, d2, n, eps)
+                violations += int(np.count_nonzero(~chains.chain_ok(slack=slack)))
+                summands += chains.i.size
+                log_terms = chains.t_exact - np.array(lambda_schedule(d1, d2, n, eps).log_weights)
+                # a left-to-right sum, as a += loop over the terms adds them
+                terms = np.fromiter(map(exp, log_terms.tolist()), dtype=float, count=n + 1)
+                worst_assembled = max(worst_assembled, float(np.cumsum(terms)[-1]) - 1.0)
     if summands == 0:
         return {"status": "skip",
                 "reason": "no facts cell lies inside the weight-schedule window"}

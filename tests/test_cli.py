@@ -352,6 +352,14 @@ def test_bad_flag_values_exit_2(tmp_path):
     assert main(["verify", "--suite", "hard", "--samples", "0", "--out", out]) == 2
 
 
+def test_negative_seed_exits_2_before_any_report(tmp_path, capsys):
+    code, out = _verify(tmp_path, "all", {}, seed="-1")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "config error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
 BAD_CONFIGS = {
     "gamma-cell-d2-below-2d1": {"hard": {"gamma_cells": [[2, 3]]}},
     "too-few-separation-pairs": {"net": {"separation_pairs": 10}},
@@ -370,6 +378,8 @@ BAD_CONFIGS = {
     "non-finite-tolerance": {"hard": {"trace_tol": float("inf")}},
     "net-eps-not-below-1": {"net": {"eps": 1.5}},
     "family-eps-not-below-1": {"hard": {"family_eps": 1.0}},
+    "facts-eps-not-below-1": {"hard": {"facts": {"eps": [0.01, 1.5]}}},
+    "domination-eps-not-below-1": {"hard": {"domination": {"eps": [1.5]}}},
     "net-eps-above-separation-limit": {"net": {"eps": 0.05}},
 }
 

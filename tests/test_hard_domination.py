@@ -13,6 +13,8 @@ from combcert.hard import (
     symmetric_span_dim,
     twirl_trace_bound,
 )
+from combcert.hard import domination
+from combcert.hard.instance import kron_power
 from combcert.linalg import haar_unitary, random_psd
 
 
@@ -98,6 +100,23 @@ def test_symmetric_span_dimension_closed_form():
     for d in (1, 2, 3, 4):
         for m in (1, 2, 3, 4, 5):
             assert symmetric_span_dim(d, m, rng) == comb(d + m - 1, m)
+
+
+def test_symmetric_span_dim_draws_the_per_vector_stream(monkeypatch):
+    # the Gram matrix equals the one built from per-vector real-then-imaginary
+    # draws and kron_power calls, and the generator ends in the same state
+    grams = []
+    monkeypatch.setattr(domination, "herm_eigvals", lambda g: grams.append(g) or np.zeros(1))
+    for d, m in [(1, 3), (2, 1), (3, 2), (4, 5)]:
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        symmetric_span_dim(d, m, rng)
+        vecs = []
+        for _ in range(comb(d + m - 1, m) + 5):
+            phi = ref.standard_normal(d) + 1j * ref.standard_normal(d)
+            vecs.append(kron_power(phi / np.linalg.norm(phi), m))
+        vecs = np.array(vecs)
+        assert np.abs(grams[-1] - vecs @ vecs.conj().T).max() <= 1e-14
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_domination_certificate_small_cells():

@@ -7,6 +7,7 @@ from combcert.linalg import (
     haar_from_ginibre,
     haar_isometry,
     haar_unitary,
+    haar_unitary_batch,
     herm_eig,
     herm_eigvals,
     nullspace,
@@ -212,6 +213,59 @@ def test_haar_isometry():
     assert np.abs(v.conj().T @ v - np.eye(3)).max() < 1e-12
     with pytest.raises(ValueError):
         haar_isometry(4, 3, rng)
+
+
+def _qr_haar_reference(g):
+    """The sampler as it was built on LAPACK: reduced QR, then the phase of
+    R's diagonal moved into Q."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+@pytest.mark.parametrize("shape", [(k, k) for k in range(1, 9)] + [(2, 1), (5, 2), (7, 3), (12, 6)])
+def test_haar_from_ginibre_matches_qr_with_phase_fix(shape):
+    rng = np.random.default_rng(22)
+    g = rng.standard_normal((200, *shape)) + 1j * rng.standard_normal((200, *shape))
+    u = haar_from_ginibre(g)
+    assert u.shape == g.shape
+    assert np.abs(u - _qr_haar_reference(g)).max() <= 1e-13
+    assert np.array_equal(u[7], haar_from_ginibre(g[7]))
+
+
+def test_haar_unitary_batch_is_unitary_to_rounding():
+    rng = np.random.default_rng(23)
+    for k in (2, 3, 4):
+        u = haar_unitary_batch(k, 10**5, rng)
+        gram = np.swapaxes(u, -1, -2).conj() @ u
+        assert np.abs(gram - np.eye(k)).max() <= 1e-14
+
+
+def _haar_moment_z_scores(u):
+    """|E u11|, |E u11^2| and |E |u11|^2 - 1/k| over a stack of k x k draws,
+    each in units of its standard error. Haar measure gives 0, 0 and 1/k."""
+    x = u[:, 0, 0]
+    k, n = u.shape[-1], len(u)
+    return [
+        abs(np.mean(y) - target) / (np.std(y) / np.sqrt(n))
+        for y, target in ((x, 0.0), (x**2, 0.0), (np.abs(x) ** 2, 1.0 / k))
+    ]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_haar_unitary_batch_first_entry_moments(k):
+    z = _haar_moment_z_scores(haar_unitary_batch(k, 40000, np.random.default_rng(24)))
+    assert max(z) < 5, z
+
+
+def test_haar_moment_check_rejects_samplers_that_are_not_haar():
+    rng = np.random.default_rng(25)
+    for k in (2, 3, 4):
+        g = rng.standard_normal((40000, k, k)) + 1j * rng.standard_normal((40000, k, k))
+        real = haar_from_ginibre(g.real.astype(complex))  # orthogonal, E u11^2 = 1/k
+        unfixed = np.linalg.qr(g)[0]  # LAPACK's QR with no phase fix, E u11 != 0
+        assert _haar_moment_z_scores(real)[1] > 5
+        assert _haar_moment_z_scores(unfixed)[0] > 5
 
 
 def test_vectorize_conventions():

@@ -38,9 +38,12 @@ def test_default_tables_list_the_expected_ids_without_running_a_body():
 
 
 def test_effective_config_types_and_samples():
-    cfg = suites.effective_config({"combs": {"comb_tol": 1}, "hard": {"domination": {"eps": [1]}}})
+    cfg = suites.effective_config({"combs": {"comb_tol": 1}})
     assert cfg["combs"]["comb_tol"] == 1.0 and isinstance(cfg["combs"]["comb_tol"], float)
-    assert isinstance(cfg["hard"]["domination"]["eps"][0], float)
+    # no integer is a valid eps, which lies in (0, 1); the message shows the
+    # list entry already stored as a float
+    with pytest.raises(suites.ConfigError, match=r"domination\.eps\[0\] must be below 1, got 1\.0$"):
+        suites.effective_config({"hard": {"domination": {"eps": [1]}}})
     assert cfg["hard"]["gamma_cells"] == suites.DEFAULT_CONFIG["hard"]["gamma_cells"]
     cfg = suites.effective_config({"hard": {"mc_samples": 7}}, samples=1009)
     assert cfg["hard"]["mc_samples"] == cfg["net"]["moment_samples"] == 1009
