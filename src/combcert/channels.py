@@ -88,13 +88,10 @@ def kraus_rank(choi: np.ndarray, rank_tol: float = 1e-10) -> int | np.ndarray:
     """Number of Choi eigenvalues above rank_tol * lambda_max; for a stack
     of Choi operators, the array of each one's."""
     vals = herm_eigvals(choi)
-    if vals.ndim > 1:
-        lam_max = vals[..., -1:]
-        return np.sum((vals > rank_tol * lam_max) & (lam_max > 0.0), axis=-1)
-    lam_max = float(vals[-1]) if vals.size else 0.0
-    if lam_max <= 0.0:
-        return 0
-    return int(np.sum(vals > rank_tol * lam_max))
+    lam_max = vals[..., -1:]
+    ranks = np.count_nonzero((vals > rank_tol * lam_max) & (lam_max > 0.0), axis=-1)
+    # one operator's rank goes into JSON records, which take a Python int
+    return ranks if np.ndim(ranks) else int(ranks)
 
 
 def channel_from_isometry(v: np.ndarray, anc_dim: int, tol: float = 1e-10) -> Channel:

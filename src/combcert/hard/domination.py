@@ -4,7 +4,9 @@ For the admissible parameter window, the weighted sum sum_i lambda_i Gamma_i
 dominates |V(U)><V(U)|^{(x) n} for every group element U. The certificate is
 numeric and two-route: the scalar form q(U) = sum_i <v|Gamma_i^+|v> / lambda_i
 <= 1 together with a support check, and the direct minimum eigenvalue of the
-difference operator.
+difference operator. Every float sum here (q(U) and the weight total) adds
+its terms left to right, so the values do not depend on the Python version's
+builtin ``sum``.
 """
 
 from __future__ import annotations
@@ -62,29 +64,28 @@ def check_admissible(d1: int, d2: int, n: int, eps: float) -> None:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LambdaSchedule:
-    """Weights lambda_0..lambda_n with their admissibility data.
+    """Weights lambda_0..lambda_n with their closed-form sum bound.
 
-    ``log_weights`` is the exact log-domain form; ``weights`` is its
-    exponential and underflows to zero deep in the geometric tail, so
-    log-domain consumers should prefer ``log_weights``.
+    ``log_weights`` is the exact log-domain form as a float array;
+    ``weights`` is its exponential, entry by entry with ``math.exp``, and
+    underflows to zero deep in the geometric tail, so log-domain consumers
+    should prefer ``log_weights``.
     """
 
-    d1: int
-    d2: int
-    n: int
-    eps: float
-    log_weights: tuple[float, ...]
+    log_weights: np.ndarray
     sum_bound: float
 
     @property
-    def weights(self) -> tuple[float, ...]:
-        return tuple(exp(w) for w in self.log_weights)
+    def weights(self) -> np.ndarray:
+        logs = self.log_weights
+        return np.fromiter(map(exp, logs.tolist()), dtype=float, count=logs.size)
 
     @property
     def total(self) -> float:
-        return float(sum(self.weights))
+        """The weights added left to right."""
+        return float(np.cumsum(self.weights)[-1])
 
 
 def lambda_schedule(d1: int, d2: int, n: int, eps: float) -> LambdaSchedule:
@@ -95,11 +96,9 @@ def lambda_schedule(d1: int, d2: int, n: int, eps: float) -> LambdaSchedule:
     d = d1 * d2
     exponent = budget_exponent(d1, d2, n, eps)
     log_head = log(2.0 * d) + exponent
-    log_weights = tuple(log_head if i < d else -float(i) for i in range(n + 1))
+    i = np.arange(n + 1)
     sum_bound = 3.0 * d1**2 * d2**2 * exp(exponent)
-    sched = LambdaSchedule(
-        d1=d1, d2=d2, n=n, eps=eps, log_weights=log_weights, sum_bound=sum_bound
-    )
+    sched = LambdaSchedule(log_weights=np.where(i < d, log_head, -i), sum_bound=sum_bound)
     if sched.total > sum_bound:
         raise ValueError(
             f"weight sum {sched.total:.6g} exceeds its closed-form bound {sum_bound:.6g}"
@@ -167,7 +166,6 @@ def domination_check(
     d1, d2 = spec.d1, spec.d2
     sched = lambda_schedule(d1, d2, n, eps)
     rng = np.random.default_rng(seed)
-    iota = spec.complement_basis()
 
     gammas = [gamma_twirl(spec, n, i, seed=seed) for i in range(n + 1)]
     pinvs = [pseudo_inverse(g) for g in gammas]
@@ -179,7 +177,8 @@ def domination_check(
         val = float((g_vec.conj() @ (pinvs[i] @ g_vec)).real)
         trace_margin = max(trace_margin, val - bound)
 
-    weighted = sum(w * g for w, g in zip(sched.weights, gammas))
+    weights = sched.weights.tolist()
+    weighted = sum(w * g for w, g in zip(weights, gammas))
     lam_total = sched.total
     joint_support = support_projector(weighted)
 
@@ -188,15 +187,14 @@ def domination_check(
     min_eig_ratio = np.inf
     for _ in range(n_samples):
         u = haar_unitary(spec.rotor_dim, rng)
-        v = kron_power(vectorize(spec.member(eps, u, iota)), n)
+        v = kron_power(vectorize(spec.member(eps, u)), n)
         norm_v = np.linalg.norm(v)
 
         # pseudo-inverses vanish off their support, so each term reads the
         # energy of the v-component inside the matching twirl support
-        q = sum(
-            float((v.conj() @ (pinvs[i] @ v)).real) / sched.weights[i]
-            for i in range(n + 1)
-        )
+        q = 0.0
+        for pinv, w in zip(pinvs, weights):
+            q += float((v.conj() @ (pinv @ v)).real) / w
         residual = float(np.linalg.norm(v - joint_support @ v)) / norm_v
 
         diff = weighted - np.outer(v, v.conj())

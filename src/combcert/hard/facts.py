@@ -1,9 +1,10 @@
-"""Scalar facts behind the weighted-domination bookkeeping.
+"""Numeric facts behind the weighted-domination bookkeeping.
 
 Everything here is elementary real analysis: entropy/KL identities for
 binomial tails, the x*log(M/x) <= M/e envelope, the rank-one PSD domination
 criterion, and the four-step chain of upper bounds on each weighted summand
-that makes the weight schedule sum below one.
+that makes the weight schedule sum below one. The entropy facts and the
+summand chains have one array code path; a scalar argument is a 0-d array.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .domination import budget_exponent, check_admissible
 
 __all__ = [
     "PsdDominationWitness",
-    "SummandChain",
     "SummandChains",
     "binary_entropy",
     "kl_binary",
@@ -31,36 +31,30 @@ __all__ = [
 ]
 
 
-# binary_entropy, kl_binary and log_binom take a scalar or an array. Every
-# log and log-gamma comes from ``math``, entry by entry, and + - * / run in
-# the same association on both, so array entries equal the scalar values bit
-# for bit. A skipped branch (p = 0 or p = 1) takes the value 0.0 = log(1).
+# binary_entropy, kl_binary and log_binom take a scalar or an array and
+# return an array of the same shape (0-d for a scalar). Every log and
+# log-gamma comes from ``math``, entry by entry, so each entry equals the
+# Python-float value bit for bit. A skipped branch (p = 0 or p = 1) takes the
+# value 0.0 = log(1).
 
 
-def _math(f, x, where=True):
-    """``f`` (log or lgamma) of a scalar or of each array entry, and
-    f(1) = 0.0 where ``where`` fails."""
-    if not isinstance(x, np.ndarray):
-        return f(x) if where else 0.0
+def _math(f, x, where=True) -> np.ndarray:
+    """``f`` (log or lgamma) of each entry of ``x``, and f(1) = 0.0 where
+    ``where`` fails."""
     x = np.where(where, x, 1)
     return np.fromiter(map(f, x.ravel().tolist()), dtype=float, count=x.size).reshape(x.shape)
 
 
-def _holds(cond) -> bool:
-    """Whether a comparison holds, for a scalar or at every array entry."""
-    return bool(cond.all()) if isinstance(cond, np.ndarray) else bool(cond)
-
-
 def binary_entropy(p):
     """H(p) = -p ln p - (1-p) ln(1-p) in nats, with H(0) = H(1) = 0."""
-    if not _holds((0.0 <= p) & (p <= 1.0)):
+    if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ValueError(f"need 0 <= p <= 1, got {p}")
     return 0.0 - p * _math(log, p, p > 0.0) - (1.0 - p) * _math(log, 1.0 - p, p < 1.0)
 
 
 def kl_binary(p, q: float):
     """D(p || q) between coin biases, in nats."""
-    if not _holds((0.0 <= p) & (p <= 1.0)):
+    if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ValueError(f"need 0 <= p <= 1, got {p}")
     if not 0.0 < q < 1.0:
         raise ValueError(f"need 0 < q < 1, got {q}")
@@ -73,7 +67,7 @@ def kl_binary(p, q: float):
 
 def log_binom(n, k):
     """ln C(n, k) via log-gamma; exact enough for chained comparisons."""
-    if not _holds((0 <= k) & (k <= n)):
+    if not np.all((0 <= k) & (k <= n)):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     return _math(lgamma, n + 1) - _math(lgamma, k + 1) - _math(lgamma, n - k + 1)
 
@@ -121,9 +115,10 @@ def psd_domination_equiv(m: np.ndarray, psi: np.ndarray, tol: float = 1e-9) -> P
     )
 
 
-@dataclass(frozen=True)
-class SummandChain:
-    """Chained log-domain upper bounds on one weighted-sum term.
+@dataclass(frozen=True, eq=False)
+class SummandChains:
+    """Chained log-domain upper bounds on the weighted-sum terms of
+    summands ``i``, one array entry per summand.
 
     t_exact      ln[ C(n,i) (1-eps^2)^{n-i} eps^{2i} C(d1 d2 + i - 2, i) ]
     t_entropy    -n D(i/n || eps^2) + (d1 d2 + i) H(i / (d1 d2 + i))
@@ -133,29 +128,6 @@ class SummandChain:
     In the admissible window each bound dominates its predecessor.
     """
 
-    d1: int
-    d2: int
-    n: int
-    eps: float
-    i: int
-    t_exact: float
-    t_entropy: float
-    t_simplified: float
-    t_budget: float
-
-    def chain_ok(self, slack: float = 1e-12) -> bool:
-        return bool(_chain_holds(self, slack))
-
-
-@dataclass(frozen=True, eq=False)
-class SummandChains:
-    """The bound chains of summands ``i`` as arrays, one entry per summand;
-    iterating gives the SummandChain of each entry."""
-
-    d1: int
-    d2: int
-    n: int
-    eps: float
     i: np.ndarray
     t_exact: np.ndarray
     t_entropy: np.ndarray
@@ -163,44 +135,35 @@ class SummandChains:
     t_budget: np.ndarray
 
     def chain_ok(self, slack: float = 1e-12) -> np.ndarray:
-        """Whether each summand's chain holds, as a boolean array."""
-        return _chain_holds(self, slack)
-
-    def __iter__(self):
-        columns = (self.i, self.t_exact, self.t_entropy, self.t_simplified, self.t_budget)
-        for row in zip(*(c.tolist() for c in columns)):
-            yield SummandChain(self.d1, self.d2, self.n, self.eps, *row)
-
-
-def _chain_holds(c, slack: float):
-    """The chain test with its pad slack * max(1, |t_exact|, |t_budget|), on
-    scalar or array terms alike."""
-    pad = slack * np.maximum(np.maximum(1.0, np.abs(c.t_exact)), np.abs(c.t_budget))
-    return (
-        (c.t_exact <= c.t_entropy + pad)
-        & (c.t_entropy <= c.t_simplified + pad)
-        & (c.t_simplified <= c.t_budget + pad)
-    )
+        """Whether each summand's chain holds up to the pad
+        slack * max(1, |t_exact|, |t_budget|), as a boolean array."""
+        pad = slack * np.maximum(np.maximum(1.0, np.abs(self.t_exact)), np.abs(self.t_budget))
+        return (
+            (self.t_exact <= self.t_entropy + pad)
+            & (self.t_entropy <= self.t_simplified + pad)
+            & (self.t_simplified <= self.t_budget + pad)
+        )
 
 
-def summand_chain(d1: int, d2: int, n: int, eps: float, i: int) -> SummandChain:
-    """The four-step bound chain for summand i of the weighted domination sum."""
-    terms = _summand_terms(d1, d2, n, eps, i)
-    return SummandChain(d1, d2, n, eps, i, *map(float, terms))
+def summand_chain(d1: int, d2: int, n: int, eps: float, i: int) -> SummandChains:
+    """The four-step bound chain for summand i of the weighted domination
+    sum, as 0-d SummandChains."""
+    i = np.asarray(i)
+    return SummandChains(i, *_summand_terms(d1, d2, n, eps, i))
 
 
 def summand_chains(d1: int, d2: int, n: int, eps: float) -> SummandChains:
     """The bound chains of summands 0..n as arrays, each entry the value
     summand_chain gives one at a time."""
     i = np.arange(n + 1)
-    return SummandChains(d1, d2, n, eps, i, *_summand_terms(d1, d2, n, eps, i))
+    return SummandChains(i, *_summand_terms(d1, d2, n, eps, i))
 
 
 def _summand_terms(d1: int, d2: int, n: int, eps: float, i):
-    """t_exact, t_entropy, t_simplified and t_budget of summand i, an int or
-    an int array, by the array-or-scalar facts above."""
+    """t_exact, t_entropy, t_simplified and t_budget of the summands in the
+    int array ``i``, by the array facts above."""
     check_admissible(d1, d2, n, eps)
-    if not _holds((0 <= i) & (i <= n)):
+    if not np.all((0 <= i) & (i <= n)):
         raise ValueError(f"need 0 <= i <= n, got i={i}")
     d = d1 * d2
     eps2 = eps**2

@@ -20,7 +20,7 @@ subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -88,12 +88,15 @@ class HardInstanceSpec:
     """Fixed isometry pair (V0, Delta) with orthogonal images.
 
     ``rotor_dim`` = d2 - d1 is the dimension the unitary parameter acts on;
-    orthogonality of the images forces rotor_dim >= d1.
+    orthogonality of the images forces rotor_dim >= d1. ``iota`` is an
+    orthonormal basis (columns) of im(V0)^perp, shape (d2, d2-d1), computed
+    once per spec.
     """
 
     v0: np.ndarray
     delta: np.ndarray
     tol: float = 1e-10
+    iota: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         v0 = np.asarray(self.v0, dtype=complex)
@@ -113,6 +116,7 @@ class HardInstanceSpec:
         cross = float(np.abs(v0.conj().T @ delta).max())
         if cross > self.tol:
             raise ValueError(f"V0 and Delta images are not orthogonal: overlap {cross:.3e}")
+        object.__setattr__(self, "iota", nullspace(v0.conj().T))
 
     @property
     def d1(self) -> int:
@@ -143,11 +147,7 @@ class HardInstanceSpec:
         w = haar_isometry(2 * d1, d2, rng)
         return HardInstanceSpec(w[:, :d1], w[:, d1:])
 
-    def complement_basis(self) -> np.ndarray:
-        """Orthonormal basis (columns) of im(V0)^perp, shape (d2, d2-d1)."""
-        return nullspace(self.v0.conj().T)
-
-    def rotor(self, u: np.ndarray, iota: np.ndarray | None = None) -> np.ndarray:
+    def rotor(self, u: np.ndarray) -> np.ndarray:
         """R(U) = V0 V0^dagger + iota U iota^dagger on C^{d2}."""
         u = np.asarray(u, dtype=complex)
         k = self.rotor_dim
@@ -155,16 +155,13 @@ class HardInstanceSpec:
             raise ValueError(f"rotation must act on dimension {k}, got shape {u.shape}")
         if float(np.abs(u.conj().T @ u - np.eye(k)).max()) > 1e-9:
             raise ValueError("rotation parameter is not unitary")
-        if iota is None:
-            iota = self.complement_basis()
-        return self.v0 @ self.v0.conj().T + iota @ u @ iota.conj().T
+        return self.v0 @ self.v0.conj().T + self.iota @ u @ self.iota.conj().T
 
-    def member(self, eps: float, u: np.ndarray, iota: np.ndarray | None = None) -> np.ndarray:
+    def member(self, eps: float, u: np.ndarray) -> np.ndarray:
         """Family member sqrt(1-eps^2) V0 + eps R(U) Delta (a d2 x d1 isometry)."""
         if not 0 <= eps < 1:
             raise ValueError(f"eps must lie in [0, 1), got {eps}")
-        if iota is None:
-            iota = self.complement_basis()
+        iota = self.iota
         return np.sqrt(1 - eps**2) * self.v0 + eps * (iota @ np.asarray(u) @ (iota.conj().T @ self.delta))
 
 
@@ -233,12 +230,10 @@ def hard_vector_expansion(
     """Residual of |V_{eps,U}>>^{(x) n} = rho(U) sum_i c_i |gamma_i> with
     c_i = (sqrt(1-eps^2))^{n-i} eps^i sqrt(binom(n, i)) and
     rho(U) = (R(U) (x) I_{d1})^{(x) n} applied slot by slot."""
-    iota = spec.complement_basis()
-    v = spec.member(eps, u, iota)
-    lhs = kron_power(vectorize(v), n)
+    lhs = kron_power(vectorize(spec.member(eps, u)), n)
     coeffs = [np.sqrt(1 - eps**2) ** (n - i) * eps**i * np.sqrt(comb(n, i)) for i in range(n + 1)]
     gammas = np.stack([gamma_state(spec, n, i) for i in range(n + 1)], axis=1)
-    rhs = on_each_slot(spec.rotor(u, iota), (gammas @ coeffs)[:, None], n, spec.d1)[:, 0]
+    rhs = on_each_slot(spec.rotor(u), (gammas @ coeffs)[:, None], n, spec.d1)[:, 0]
     return ExpansionCheck(
         residual=float(np.abs(lhs - rhs).max()),
         coefficients=tuple(float(c) for c in coeffs),

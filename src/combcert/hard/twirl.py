@@ -103,11 +103,11 @@ def commutant_projector(spec: HardInstanceSpec, n: int, seed: int = 0) -> Commut
     rng = np.random.default_rng(seed)
     d1 = spec.d1
     eye = np.eye(d1)
-    iota = spec.complement_basis()
+    iota = spec.iota
     slot_basis = np.hstack([spec.v0, iota])
     rotors = []
     for _ in range(4):
-        r = slot_basis.conj().T @ spec.rotor(haar_unitary(spec.rotor_dim, rng), iota) @ slot_basis
+        r = slot_basis.conj().T @ spec.rotor(haar_unitary(spec.rotor_dim, rng)) @ slot_basis
         leak = max(float(np.abs(r[:d1, d1:]).max()), float(np.abs(r[d1:, :d1]).max()))
         if leak > 1e-12:
             raise ValueError(f"rotor does not fix im(V0): off-block entry {leak:.3e}")
@@ -230,7 +230,7 @@ def _weingarten_factor(spec: HardInstanceSpec, n: int, i: int) -> tuple[np.ndarr
         return gamma_state(spec, n, 0)[:, None], np.ones(1)
     d1, d2 = spec.d1, spec.d2
     nu, cols = _twirled_core(spec.rotor_dim, d1, i)
-    embedded = on_each_slot(spec.complement_basis(), cols, i, d1)
+    embedded = on_each_slot(spec.iota, cols, i, d1)
     return subset_sum(embedded, kron_power(vectorize(spec.v0), n - i), n, i, d1 * d2), nu
 
 
@@ -259,7 +259,7 @@ def gamma_twirl_monte_carlo(
     column of :func:`on_each_slot`."""
     rng = np.random.default_rng(seed)
     k = spec.rotor_dim
-    iota = spec.complement_basis()
+    iota = spec.iota
     p0 = spec.v0 @ spec.v0.conj().T
     g = gamma_state(spec, n, i)
     dim = g.size

@@ -86,34 +86,21 @@ def partial_trace(x: np.ndarray, dims: Sequence[int], trace_out: Iterable[int]) 
 
 
 def _hermitian_part(x: np.ndarray, check_tol: float) -> np.ndarray:
-    """(x + x^dagger) / 2 after validating Hermiticity to
-    ``check_tol * max(1, ||x||_F)``; a stack (..., d, d) member by member."""
+    """(x + x^dagger) / 2 of a square matrix or of each matrix of a stack
+    (..., d, d), after validating Hermiticity member by member to
+    ``check_tol * max(1, ||x||_F)``."""
     x = np.asarray(x)
-    if x.ndim > 2:
-        return _hermitian_part_stack(x, check_tol)
-    x = _as_square(x)
-    xh = x.conj().T
-    scale = max(1.0, float(np.linalg.norm(x)))
-    asym = float(np.linalg.norm(x - xh))
-    if asym > check_tol * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: ||X - X^dagger||_F = {asym:.3e} "
-            f"exceeds {check_tol:.1e} * {scale:.3e}"
-        )
-    return (x + xh) / 2.0
-
-
-def _hermitian_part_stack(x: np.ndarray, check_tol: float) -> np.ndarray:
-    if x.shape[-1] != x.shape[-2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {x.shape}")
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {x.shape}")
     xh = np.swapaxes(x, -2, -1).conj()
     scale = np.maximum(1.0, np.linalg.norm(x, axis=(-2, -1)))
     asym = np.linalg.norm(x - xh, axis=(-2, -1))
-    bad = np.argwhere(asym > check_tol * scale)
-    if bad.size:
-        at = tuple(int(i) for i in bad[0])
+    bad = asym > check_tol * scale
+    if bad.any():
+        at = tuple(int(i) for i in np.argwhere(bad)[0])
+        where = f"stack member {at}" if at else "matrix"
         raise ValueError(
-            f"stack member {at} is not Hermitian: ||X - X^dagger||_F = {asym[at]:.3e} "
+            f"{where} is not Hermitian: ||X - X^dagger||_F = {asym[at]:.3e} "
             f"exceeds {check_tol:.1e} * {scale[at]:.3e}"
         )
     return (x + xh) / 2.0
@@ -163,13 +150,8 @@ def _floor_rule(vals: np.ndarray, tol: float) -> PsdCheck:
 
 
 def trace_norm(x: np.ndarray) -> float | np.ndarray:
-    """Sum of singular values; for a stack (..., m, n), the array of each
-    member's, equal bit for bit to the per-matrix calls."""
-    x = np.asarray(x)
-    if x.ndim == 2:
-        return float(np.linalg.svd(x, compute_uv=False).sum())
-    if x.ndim < 2:
-        raise ValueError(f"expected a matrix, got shape {x.shape}")
+    """Sum of singular values of a matrix; for a stack (..., m, n), the array
+    of each member's, equal bit for bit to the per-matrix calls."""
     return np.linalg.svd(x, compute_uv=False).sum(axis=-1)
 
 

@@ -52,10 +52,14 @@ from .linalg import (
 
 __all__ = [
     "AUDIT_BATCH",
+    "F_ROUTE_TOL",
     "GRAM_REJECTION_BUDGET",
+    "IDENTITY_TOL",
+    "ISO_TOL",
     "MIN_LIPSCHITZ_TRIALS",
     "MIN_MOMENT_SAMPLES",
     "MIN_SEPARATION_PAIRS",
+    "NILPOTENCY_TOL",
     "SEPARATION_MAX_EPS",
     "BlockIsometry",
     "LipschitzAudit",
@@ -77,6 +81,13 @@ MIN_LIPSCHITZ_TRIALS = 100
 MIN_MOMENT_SAMPLES = 1000
 MIN_SEPARATION_PAIRS = 50
 SEPARATION_MAX_EPS = 1e-2
+
+# the net suite's tolerances on exact identities, the first three listed in
+# its reports
+ISO_TOL = 1e-10  # ||V^dagger V - I||_F of a family member
+F_ROUTE_TOL = 1e-10  # ||F - F'|| between the two construction routes of F
+IDENTITY_TOL = 1e-8  # the separation proof's trace-norm identities
+NILPOTENCY_TOL = 1e-10  # ||X^2||_F / max(1, tr|X|)^2 of the cross operator X
 
 
 def check_eps(eps: float, separation: bool = False) -> None:
@@ -652,11 +663,11 @@ def separation_audit(
         min_dist >= choi_threshold
         and min_f >= 0.05
         and max_rank <= p.r
-        and worst["branch"] <= 1e-8
-        and worst["symm"] <= 1e-8
-        and worst["nilp"] <= 1e-10
-        and worst["route"] <= 1e-8
-        and worst["floor"] <= 1e-8
+        and worst["branch"] <= IDENTITY_TOL
+        and worst["symm"] <= IDENTITY_TOL
+        and worst["nilp"] <= NILPOTENCY_TOL
+        and worst["route"] <= IDENTITY_TOL
+        and worst["floor"] <= IDENTITY_TOL
     )
     return SeparationAudit(
         pairs=pairs,

@@ -19,7 +19,7 @@ import hashlib
 import time
 from concurrent.futures import BrokenExecutor, Future
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from math import comb as binom
 from math import exp, isfinite, log, sqrt
 from typing import Callable
@@ -62,9 +62,13 @@ from .hard.instance import comb_sequence
 from .hard.twirl import COMMUTANT_DIM_CAP, PERMUTATION_ORDER_CAP
 from .linalg import haar_unitary, psd_sqrt, random_psd
 from .net import (
+    F_ROUTE_TOL,
+    IDENTITY_TOL,
+    ISO_TOL,
     MIN_LIPSCHITZ_TRIALS,
     MIN_MOMENT_SAMPLES,
     MIN_SEPARATION_PAIRS,
+    NILPOTENCY_TOL,
     NetParams,
     build_block_isometry,
     build_net_isometry,
@@ -564,7 +568,8 @@ def _hard_family(c: Cell) -> dict:
                     gram_residual=gram_res, expansion_residual=exp_res)
 
 
-def _gamma_comb(c: Cell) -> dict:
+def _certify_gamma_family(c: Cell, factor, **values) -> dict:
+    """certify_comb on factor(spec, n, i) for every n <= max_n and i <= n."""
     d1, d2 = c.key
     max_n = c.cfg["max_n"]
     tol = c.cfg["comb_tol"]
@@ -573,28 +578,22 @@ def _gamma_comb(c: Cell) -> dict:
     for n in range(1, max_n + 1):
         seq = comb_sequence(n)
         for i in range(n + 1):
-            cert = certify_comb(gamma_outer(c.spec, n, i), seq, psd_tol=tol, chain_tol=tol)
+            cert = certify_comb(factor(c.spec, n, i), seq, psd_tol=tol, chain_tol=tol)
             ok = ok and cert.ok
             worst = max(worst, cert.max_chain_residual, -cert.min_eig)
-    return _verdict(ok, tol, worst, d1=d1, d2=d2, max_n=max_n)
+    return _verdict(ok, tol, worst, d1=d1, d2=d2, max_n=max_n, **values)
+
+
+def _gamma_comb(c: Cell) -> dict:
+    return _certify_gamma_family(c, gamma_outer)
 
 
 def _gamma_twirl_comb(c: Cell) -> dict:
-    d1, d2 = c.key
-    max_n = c.cfg["max_n"]
-    tol = c.cfg["comb_tol"]
-    worst = 0.0
-    ok = True
     # the sample is the dense Gamma_1 at n = 1, as gamma_twirl returns it
     gamma_hash = c.stash(gamma_twirl(c.spec, 1, 1, seed=c.seed))
-    for n in range(1, max_n + 1):
-        seq = comb_sequence(n)
-        for i in range(n + 1):
-            g = gamma_twirl_factor(c.spec, n, i, seed=c.seed)
-            cert = certify_comb(g, seq, psd_tol=tol, chain_tol=tol)
-            ok = ok and cert.ok
-            worst = max(worst, cert.max_chain_residual, -cert.min_eig)
-    return _verdict(ok, tol, worst, d1=d1, d2=d2, max_n=max_n, sample_twirl=gamma_hash)
+    return _certify_gamma_family(
+        c, partial(gamma_twirl_factor, seed=c.seed), sample_twirl=gamma_hash
+    )
 
 
 def _gamma_recursion(c: Cell) -> dict:
@@ -821,7 +820,7 @@ def _summand_chain(c: Cell) -> dict:
                 chains = summand_chains(d1, d2, n, eps)
                 violations += int(np.count_nonzero(~chains.chain_ok(slack=slack)))
                 summands += chains.i.size
-                log_terms = chains.t_exact - np.array(lambda_schedule(d1, d2, n, eps).log_weights)
+                log_terms = chains.t_exact - lambda_schedule(d1, d2, n, eps).log_weights
                 # a left-to-right sum, as a += loop over the terms adds them
                 terms = np.fromiter(map(exp, log_terms.tolist()), dtype=float, count=n + 1)
                 worst_assembled = max(worst_assembled, float(np.cumsum(terms)[-1]) - 1.0)
@@ -930,8 +929,8 @@ def _net_isometry(c: Cell) -> dict:
     c1 = choi_from_kraus(build_net_isometry(p0, haar_unitary(p0.u_dim, rng2), b0)[1])
     c2 = choi_from_kraus(build_net_isometry(p0, haar_unitary(p0.u_dim, rng2), b0)[1])
     eps0_res = float(np.linalg.norm(c1 - c2))
-    ok = iso_res <= 1e-10 and rank_max <= p.r and eps0_res <= 1e-12
-    return _verdict(ok, 1e-10, iso_res, mode=p.mode, kraus_rank_max=rank_max, rank_bound=p.r,
+    ok = iso_res <= ISO_TOL and rank_max <= p.r and eps0_res <= 1e-12
+    return _verdict(ok, ISO_TOL, iso_res, mode=p.mode, kraus_rank_max=rank_max, rank_bound=p.r,
                     out_dim=p.out_dim, eps_zero_choi_residual=eps0_res)
 
 
@@ -950,8 +949,8 @@ def _f_operator(c: Cell) -> dict:
     ) / p.d1
     route_res = float(np.linalg.norm(f - f2))
     zero_res = float(np.linalg.norm(f_operator(blocks, ux, ux)))
-    ok = route_res <= 1e-10 and zero_res <= 1e-14
-    return _verdict(ok, 1e-10, route_res, mode=p.mode, sample_f=c.stash(f),
+    ok = route_res <= F_ROUTE_TOL and zero_res <= 1e-14
+    return _verdict(ok, F_ROUTE_TOL, route_res, mode=p.mode, sample_f=c.stash(f),
                     identical_pair_norm=zero_res)
 
 
@@ -1001,9 +1000,9 @@ def _trace_norm_identities(c: Cell) -> dict:
         audit.cross_route_residual,
         audit.choi_floor_violation,
     )
-    ok = worst <= 1e-8 and audit.nilpotency_residual <= 1e-10
+    ok = worst <= IDENTITY_TOL and audit.nilpotency_residual <= NILPOTENCY_TOL
     return _verdict(
-        ok, 1e-8, worst, mode=c.params.mode,
+        ok, IDENTITY_TOL, worst, mode=c.params.mode,
         **_fields(audit, "branch_trace_residual", "nilpotency_residual",
                   "symmetrized_norm_residual", "cross_route_residual", "choi_floor_violation"),
     )
@@ -1047,7 +1046,8 @@ _SUITES = {
         **{k: cfg[k] for k in ("comb_tol", "recursion_tol", "cross_tol", "trace_tol")},
         "chain_slack": cfg["facts"]["chain_slack"],
     }),
-    "net": (_net_table, lambda cfg: {"iso_tol": 1e-10, "f_route_tol": 1e-10, "identity_tol": 1e-8}),
+    "net": (_net_table, lambda cfg: {
+        "iso_tol": ISO_TOL, "f_route_tol": F_ROUTE_TOL, "identity_tol": IDENTITY_TOL}),
 }
 
 

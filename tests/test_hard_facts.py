@@ -156,11 +156,14 @@ def test_summand_chains_are_bit_identical_to_the_per_summand_formulas():
             n_max = floor(d1 * d2 / (WEIGHT_BUDGET_CONSTANT * eps**2))
             for n in sorted({x for x in (1, 2, 3, 17, n_max) if 1 <= x <= n_max}):
                 chains = summand_chains(d1, d2, n, eps)
-                assert [c.i for c in chains] == list(range(n + 1))
-                for c in chains:
-                    assert c == summand_chain(d1, d2, n, eps, c.i)
-                    terms = (c.t_exact, c.t_entropy, c.t_simplified, c.t_budget)
-                    ref = _summand_terms_reference(d1 * d2, n, eps, c.i)
-                    assert terms == ref, (d1, d2, eps, n, c.i)
+                assert chains.i.tolist() == list(range(n + 1))
+                columns = (chains.t_exact, chains.t_entropy, chains.t_simplified, chains.t_budget)
+                for i in range(n + 1):
+                    terms = tuple(float(col[i]) for col in columns)
+                    one = summand_chain(d1, d2, n, eps, i)
+                    assert terms == tuple(float(t) for t in (
+                        one.t_exact, one.t_entropy, one.t_simplified, one.t_budget))
+                    ref = _summand_terms_reference(d1 * d2, n, eps, i)
+                    assert terms == ref, (d1, d2, eps, n, i)
     with pytest.raises(ValueError):
         summand_chains(1, 2, 50, 0.1)

@@ -142,9 +142,8 @@ def _dense_on_each_slot(op, y, n, d1):
 def test_on_each_slot_matches_the_dense_operator(d1, d2, n):
     rng = np.random.default_rng(10 * d2 + n)
     spec = random_spec(d1, d2, rng)
-    iota = spec.complement_basis()
-    rotor = spec.rotor(haar_unitary(spec.rotor_dim, rng), iota)
-    for op in (rotor, iota):  # square, and d2 x k
+    rotor = spec.rotor(haar_unitary(spec.rotor_dim, rng))
+    for op in (rotor, spec.iota):  # square, and d2 x k
         cols = (op.shape[1] * d1) ** n
         y = rng.standard_normal((cols, 3)) + 1j * rng.standard_normal((cols, 3))
         np.testing.assert_allclose(
@@ -152,7 +151,7 @@ def test_on_each_slot_matches_the_dense_operator(d1, d2, n):
         )
     # a stack with one rotor per column
     u = haar_unitary_batch(spec.rotor_dim, 4, rng)
-    stack = np.stack([spec.rotor(w, iota) for w in u], axis=-1)
+    stack = np.stack([spec.rotor(w) for w in u], axis=-1)
     y = rng.standard_normal(((d1 * d2) ** n, 4)) + 0j
     expected = np.stack(
         [_dense_on_each_slot(stack[..., m], y[:, m], n, d1) for m in range(4)], axis=1

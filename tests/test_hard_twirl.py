@@ -38,9 +38,9 @@ GAMMA_CELLS = DEFAULT_CONFIG["hard"]["gamma_cells"]
 COMB_TOL = DEFAULT_CONFIG["hard"]["comb_tol"]
 
 
-def _dense_rho(spec, n, u, iota=None):
+def _dense_rho(spec, n, u):
     """rho(U) = (R(U) (x) I_{d1})^{(x) n} formed densely on all n slots."""
-    return kron_power(np.kron(spec.rotor(u, iota), np.eye(spec.d1)), n)
+    return kron_power(np.kron(spec.rotor(u), np.eye(spec.d1)), n)
 
 
 def test_rho_action_is_a_representation():
@@ -204,12 +204,11 @@ def _dense_commutant_basis(spec, n, seed):
     generators commutant_projector draws from ``seed``, C_g the commutator
     map X -> gX - Xg; the block route must reproduce its span."""
     rng = np.random.default_rng(seed)
-    iota = spec.complement_basis()
     dim = (spec.d1 * spec.d2) ** n
     eye = np.eye(dim)
     h = np.zeros((dim * dim, dim * dim), dtype=complex)
     for _ in range(4):
-        g = _dense_rho(spec, n, haar_unitary(spec.rotor_dim, rng), iota)
+        g = _dense_rho(spec, n, haar_unitary(spec.rotor_dim, rng))
         c = np.kron(g, eye) - np.kron(eye, g.T)
         h += c.conj().T @ c
     vals, vecs = np.linalg.eigh(h)
@@ -239,7 +238,7 @@ def test_block_commutant_matches_the_dense_nullspace(d1, d2, n):
 def test_block_commutant_refuses_a_rotor_that_moves_im_v0(monkeypatch):
     spec = HardInstanceSpec.concrete(1, 3)
     scrambled = haar_unitary(3, np.random.default_rng(0))
-    monkeypatch.setattr(HardInstanceSpec, "rotor", lambda self, u, iota=None: scrambled)
+    monkeypatch.setattr(HardInstanceSpec, "rotor", lambda self, u: scrambled)
     with pytest.raises(ValueError, match="does not fix"):
         commutant_projector(spec, 2)
 
@@ -249,7 +248,7 @@ def _monte_carlo_reference(spec, n, i, samples, seed):
     slot) that gamma_twirl_monte_carlo's sample-last loop replaced."""
     rng = np.random.default_rng(seed)
     d1, d2 = spec.d1, spec.d2
-    iota = spec.complement_basis()
+    iota = spec.iota
     p0 = spec.v0 @ spec.v0.conj().T
     g = gamma_state(spec, n, i)
     dim = g.size
@@ -320,7 +319,7 @@ def test_sym_core_matches_the_dense_frame_formula(d1, d2, i):
     core = (cols * vals) @ cols.conj().T
     for spec in (HardInstanceSpec.concrete(d1, d2), HardInstanceSpec.random(d1, d2, rng),
                  HardInstanceSpec.random(d1, d2, rng)):
-        dense = _dense_frame_core(spec.complement_basis().conj().T @ spec.delta, i)
+        dense = _dense_frame_core(spec.iota.conj().T @ spec.delta, i)
         assert np.abs(core - dense).max() <= 1e-14
 
 
