@@ -136,11 +136,9 @@ def certify_comb(
     for j in range(len(sequence) // 2, 0, -1):
         out_lbl, in_lbl = sequence[2 * j - 1], sequence[2 * j - 2]
         y = cur.partial_trace([out_lbl])
-        d_in = op.dim_of(in_lbl)
-        z_mat = y.partial_trace([in_lbl]).mat / d_in
-        z = LabeledOperator(z_mat, tuple(sp for sp in y.spaces if sp[0] != in_lbl))
-        expected = z.tensor(LabeledOperator.identity(((in_lbl, d_in),))).reorder(y.labels)
-        residuals.append(float(np.abs(y.mat - expected.mat).max()))
+        z = y.partial_trace([in_lbl])
+        z = LabeledOperator(z.mat / op.dim_of(in_lbl), z.spaces)
+        residuals.append(y.identity_factor_residual(in_lbl, z.mat))
         cur = z
     residuals.append(float(abs(cur.mat[0, 0] - 1.0)))
 

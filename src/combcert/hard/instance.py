@@ -21,6 +21,7 @@ subset.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -42,11 +43,17 @@ __all__ = [
 
 def kron_power(v: np.ndarray, n: int) -> np.ndarray:
     """n-fold Kronecker power of a vector or matrix; n = 0 gives the
-    one-entry unit of ``v``'s dtype and ndim."""
+    one-entry unit of ``v``'s dtype and ndim.
+
+    Each factor is np.kron's broadcast outer product with the axes of the
+    two operands interleaved, so the entries equal np.kron's bit for bit.
+    """
     v = np.asarray(v)
     out = np.ones((1,) * v.ndim, dtype=v.dtype)
+    interleave = [ax for j in range(v.ndim) for ax in (j, v.ndim + j)]
     for _ in range(n):
-        out = np.kron(out, v)
+        shape = tuple(a * b for a, b in zip(out.shape, v.shape))
+        out = np.multiply.outer(out, v).transpose(interleave).reshape(shape)
     return out
 
 
@@ -90,19 +97,19 @@ class HardInstanceSpec:
     ``rotor_dim`` = d2 - d1 is the dimension the unitary parameter acts on;
     orthogonality of the images forces rotor_dim >= d1. ``iota`` is an
     orthonormal basis (columns) of im(V0)^perp, shape (d2, d2-d1), computed
-    once per spec.
+    once per spec. ``v0``, ``delta`` and ``iota`` are read-only copies, so
+    the gamma vectors a spec caches (:func:`gamma_state`) stay valid.
     """
 
     v0: np.ndarray
     delta: np.ndarray
     tol: float = 1e-10
     iota: np.ndarray = field(init=False, repr=False, compare=False)
+    _gammas: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        v0 = np.asarray(self.v0, dtype=complex)
-        delta = np.asarray(self.delta, dtype=complex)
-        object.__setattr__(self, "v0", v0)
-        object.__setattr__(self, "delta", delta)
+        v0 = np.array(self.v0, dtype=complex)
+        delta = np.array(self.delta, dtype=complex)
         if v0.ndim != 2 or v0.shape != delta.shape:
             raise ValueError(f"V0 and Delta must share a 2d shape, got {v0.shape} vs {delta.shape}")
         d2, d1 = v0.shape
@@ -116,7 +123,9 @@ class HardInstanceSpec:
         cross = float(np.abs(v0.conj().T @ delta).max())
         if cross > self.tol:
             raise ValueError(f"V0 and Delta images are not orthogonal: overlap {cross:.3e}")
-        object.__setattr__(self, "iota", nullspace(v0.conj().T))
+        for name, m in (("v0", v0), ("delta", delta), ("iota", nullspace(v0.conj().T))):
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
 
     @property
     def d1(self) -> int:
@@ -131,9 +140,11 @@ class HardInstanceSpec:
         return self.d2 - self.d1
 
     @staticmethod
+    @cache
     def concrete(d1: int, d2: int) -> "HardInstanceSpec":
         """Canonical pair: V0 embeds onto the first d1 basis vectors, Delta
-        onto the next d1."""
+        onto the next d1. One spec per (d1, d2) is built in a process and
+        shared by every caller, with the gamma vectors it caches."""
         if d2 < 2 * d1:
             raise ValueError(f"need d2 >= 2*d1, got d2={d2}, d1={d1}")
         v0 = np.eye(d2, d1, dtype=complex)
@@ -166,12 +177,21 @@ class HardInstanceSpec:
 
 
 def gamma_state(spec: HardInstanceSpec, n: int, i: int) -> np.ndarray:
-    """gamma_i on n slots; vector of dimension (d1*d2)^n, slot layout (B, A) per copy."""
+    """gamma_i on n slots; vector of dimension (d1*d2)^n, slot layout (B, A) per copy.
+
+    Built once per (spec, n, i) and kept on the spec; the array returned is
+    read-only.
+    """
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-    block = kron_power(vectorize(spec.delta), i)[:, None]
-    rest = kron_power(vectorize(spec.v0), n - i)
-    return subset_sum(block, rest, n, i, spec.d1 * spec.d2)[:, 0] / np.sqrt(comb(n, i))
+    gamma = spec._gammas.get((n, i))
+    if gamma is None:
+        block = kron_power(vectorize(spec.delta), i)[:, None]
+        rest = kron_power(vectorize(spec.v0), n - i)
+        gamma = subset_sum(block, rest, n, i, spec.d1 * spec.d2)[:, 0] / np.sqrt(comb(n, i))
+        gamma.flags.writeable = False
+        spec._gammas[(n, i)] = gamma
+    return gamma
 
 
 def slot_spaces(spec: HardInstanceSpec, n: int) -> tuple[tuple[str, int], ...]:
@@ -205,7 +225,7 @@ def gamma_recursion_residual(spec: HardInstanceSpec, n: int, i: int) -> float:
     """
     if n < 2:
         raise ValueError("recursion needs n >= 2")
-    lhs = gamma_outer(spec, n, i).partial_trace([f"B{n}"]).mat
+    lhs = gamma_outer(spec, n, i).partial_trace([f"B{n}"])
     dim_rest = (spec.d1 * spec.d2) ** (n - 1)
     mix = np.zeros((dim_rest, dim_rest), dtype=complex)
     if i <= n - 1:
@@ -214,8 +234,7 @@ def gamma_recursion_residual(spec: HardInstanceSpec, n: int, i: int) -> float:
     if i >= 1:
         gm = gamma_state(spec, n - 1, i - 1)
         mix += (comb(n - 1, i - 1) / comb(n, i)) * np.outer(gm, gm.conj())
-    rhs = np.kron(mix, np.eye(spec.d1))
-    return float(np.abs(lhs - rhs).max())
+    return lhs.identity_factor_residual(f"A{n}", mix)
 
 
 @dataclass(frozen=True)

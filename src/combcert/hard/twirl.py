@@ -28,7 +28,7 @@ Routes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import permutations, product
 from math import comb, factorial
 
@@ -179,6 +179,7 @@ def _sym_basis(k: int, d1: int, i: int) -> np.ndarray:
     return basis
 
 
+@cache
 def _twirled_core(k: int, d1: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of N = E_U[(U^{(x)i} (x) I) |D^{(x)i}>><<D^{(x)i}| (...)^dg]
     for any k x d1 isometry D, in the slot order (w_1, a_1, ..., w_i, a_i).
@@ -191,7 +192,8 @@ def _twirled_core(k: int, d1: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     s^{-1} t, so N = i! sum_s h(s) (p_k(s) (x) I) on Sym^i(C^k (x) C^{d1}),
     which holds N's range. That C(k*d1 + i - 1, i)-square matrix is solved
     on the basis of :func:`_sym_basis`; eigenvalues up to 1e-12 of the
-    largest are dropped.
+    largest are dropped. Solved once per (k, d1, i) in a process; both
+    arrays returned are read-only.
     """
     perms = list(permutations(range(i)))
     gram = np.array([[float(k) ** _cycle_count(tuple(s.index(x) for x in t)) for t in perms]
@@ -206,7 +208,9 @@ def _twirled_core(k: int, d1: int, i: int) -> tuple[np.ndarray, np.ndarray]:
         core += weight * (basis.T @ slots.transpose(axes).reshape(basis.shape))
     vals, vecs = herm_eig(factorial(i) * core)
     keep = vals > 1e-12 * vals[-1]  # tr N = d1^i, so vals[-1] > 0
-    return vals[keep], basis @ vecs[:, keep]
+    vals, cols = vals[keep], basis @ vecs[:, keep]
+    vals.flags.writeable = cols.flags.writeable = False
+    return vals, cols
 
 
 def _weingarten_factor(spec: HardInstanceSpec, n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -258,9 +262,10 @@ def gamma_twirl_monte_carlo(
     The samples of a batch sit on the last, contiguous axis, one rotor per
     column of :func:`on_each_slot`."""
     rng = np.random.default_rng(seed)
-    k = spec.rotor_dim
-    iota = spec.iota
-    p0 = spec.v0 @ spec.v0.conj().T
+    k, d2 = spec.rotor_dim, spec.d2
+    # vec(iota U iota^dagger) = (iota (x) conj(iota)) vec(U), row-major
+    lift = np.kron(spec.iota, spec.iota.conj())
+    p0 = (spec.v0 @ spec.v0.conj().T).reshape(-1, 1)
     g = gamma_state(spec, n, i)
     dim = g.size
 
@@ -269,8 +274,7 @@ def gamma_twirl_monte_carlo(
     while done < samples:
         nb = min(2000, samples - done)
         u = haar_unitary_batch(k, nb, rng)
-        rot = p0[None, :, :] + np.einsum("ak,nkl,bl->nab", iota, u, iota.conj(), optimize=True)
-        rot = np.moveaxis(rot, 0, -1)
+        rot = (p0 + lift @ u.reshape(nb, k * k).T).reshape(d2, d2, nb)
         y = on_each_slot(rot, np.repeat(g[:, None], nb, axis=1), n, spec.d1)
         acc += y @ y.conj().T
         done += nb

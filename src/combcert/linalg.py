@@ -364,6 +364,22 @@ class LabeledOperator(_Labeled):
         keep = tuple(sp for i, sp in enumerate(self.spaces) if i not in set(drop))
         return LabeledOperator(reduced, keep)
 
+    def identity_factor_residual(self, label: str, z: np.ndarray) -> float:
+        """max |X - z (x) I_label| entrywise, the identity sitting at
+        ``label``'s position and ``z`` a matrix on the other spaces in their
+        order here.
+
+        z (x) I is never formed: X is read as (lo, label, hi, lo, label, hi)
+        and z, broadcast against the identity, is subtracted.
+        """
+        at = self._positions([label])[0]
+        d = self.dims[at]
+        lo = int(np.prod(self.dims[:at]))
+        hi = self.dim // (lo * d)
+        x = self.mat.reshape(lo, d, hi, lo, d, hi)
+        z = np.asarray(z).reshape(lo, 1, hi, lo, 1, hi)
+        return float(np.abs(x - z * np.eye(d).reshape(1, d, 1, 1, d, 1)).max())
+
 
 @dataclass(frozen=True)
 class FactoredPsd(_Labeled):

@@ -720,8 +720,8 @@ def _domination(c: Cell) -> dict:
         "q_spread": float(max(res.quadratic_forms) - min(res.quadratic_forms)),
         "min_eig_ratio": res.min_eig_ratio,
         "trace_bound_margin": res.trace_bound_margin,
-        "lambda_total": res.details["lambda_total"],
-        "lambda_sum_bound": res.details["lambda_sum_bound"],
+        "lambda_total": res.lambda_total,
+        "lambda_sum_bound": res.lambda_sum_bound,
     }
     if lam_scale != 1.0:
         values["lambda_scale"] = lam_scale

@@ -245,7 +245,7 @@ def test_criterion_06_weighted_twirl_domination():
                 assert res.ok, f"domination failed at d2={d2} eps={eps} n={n}"
                 worst_q = max(worst_q, res.max_quadratic_form)
                 worst_eig_ratio = min(worst_eig_ratio, res.min_eig_ratio)
-                lam = res.details["lambda_total"]
+                lam = res.lambda_total
                 analytic = 3 * d1**2 * d2**2 * exp(sqrt(8 * n * eps**2 * d1 * d2))
                 worst_lambda_margin = max(worst_lambda_margin, lam - analytic)
                 cells += 1

@@ -14,8 +14,16 @@ from combcert.hard import (
     twirl_trace_bound,
 )
 from combcert.hard import domination
-from combcert.hard.instance import kron_power
-from combcert.linalg import haar_unitary, random_psd
+from combcert.hard.instance import gamma_state, kron_power
+from combcert.hard.twirl import gamma_twirl
+from combcert.linalg import (
+    haar_unitary,
+    herm_eigvals,
+    pseudo_inverse,
+    random_psd,
+    support_projector,
+    vectorize,
+)
 
 
 def test_lambda_schedule_oracle_values():
@@ -138,6 +146,57 @@ def test_domination_certificate_small_cells():
                 # the quadratic form is a group invariant: samples must agree
                 spread = max(res.quadratic_forms) - min(res.quadratic_forms)
                 assert spread <= 1e-9
+
+
+def _per_sample_domination(spec, n, eps, n_samples, seed):
+    """domination_check's sample loop, one Haar matrix at a time: the
+    quadratic forms, the largest support residual and min_eig_ratio."""
+    sched = lambda_schedule(spec.d1, spec.d2, n, eps)
+    rng = np.random.default_rng(seed)
+    gammas = [gamma_twirl(spec, n, i, seed=seed) for i in range(n + 1)]
+    pinvs = [pseudo_inverse(g) for g in gammas]
+    weights = sched.weights.tolist()
+    weighted = sum(w * g for w, g in zip(weights, gammas))
+    joint_support = support_projector(weighted)
+    q_values, max_residual, min_ratio = [], 0.0, np.inf
+    for _ in range(n_samples):
+        u = haar_unitary(spec.rotor_dim, rng)
+        v = kron_power(vectorize(spec.member(eps, u)), n)
+        q = 0.0
+        for pinv, w in zip(pinvs, weights):
+            q += float((v.conj() @ (pinv @ v)).real) / w
+        q_values.append(q)
+        residual = float(np.linalg.norm(v - joint_support @ v)) / np.linalg.norm(v)
+        max_residual = max(max_residual, residual)
+        min_eig = float(herm_eigvals(weighted - np.outer(v, v.conj()), check_tol=1e-8)[0])
+        min_ratio = min(min_ratio, min_eig / sched.total)
+    return q_values, max_residual, min_ratio
+
+
+def test_domination_batch_equals_the_per_sample_loop():
+    for d1, d2 in [(1, 2), (1, 3)]:
+        spec = HardInstanceSpec.concrete(d1, d2)
+        for eps in (0.01, 0.05):
+            for n in (1, 2, 3):
+                res = domination_check(spec, n, eps, n_samples=20, seed=11)
+                q_values, max_residual, min_ratio = _per_sample_domination(spec, n, eps, 20, 11)
+                assert res.quadratic_forms == tuple(q_values), (d1, d2, eps, n)
+                assert res.min_eig_ratio == min_ratio, (d1, d2, eps, n)
+                assert abs(res.max_support_residual - max_residual) <= 1e-15
+
+
+def test_domination_check_draws_the_per_sample_stream(monkeypatch):
+    # the Ginibre stack is the per-sample real-then-imaginary draws, in order
+    stacks = []
+    real = domination.haar_from_ginibre
+    monkeypatch.setattr(domination, "haar_from_ginibre", lambda g: stacks.append(g) or real(g))
+    spec = HardInstanceSpec.concrete(1, 3)
+    domination_check(spec, 2, 0.05, n_samples=7, seed=4)
+    ref = np.random.default_rng(4)
+    k = spec.rotor_dim
+    draws = [ref.standard_normal((k, k)) + 1j * ref.standard_normal((k, k)) for _ in range(7)]
+    assert len(stacks) == 1
+    np.testing.assert_array_equal(stacks[0], np.array(draws))
 
 
 def test_domination_rejects_inadmissible_round_count():

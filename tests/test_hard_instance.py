@@ -34,6 +34,21 @@ def test_concrete_spec_validates():
         np.testing.assert_allclose(spec.v0.conj().T @ spec.delta, 0, atol=1e-12)
 
 
+def test_concrete_specs_and_gamma_states_are_shared_and_read_only():
+    spec = HardInstanceSpec.concrete(2, 5)
+    assert HardInstanceSpec.concrete(2, 5) is spec
+    gamma = gamma_state(spec, 2, 1)
+    assert gamma_state(spec, 2, 1) is gamma
+    for arr in (spec.v0, spec.delta, spec.iota, gamma):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    # a spec keeps copies: the caller's arrays stay writable
+    v0 = np.eye(4, 2, dtype=complex)
+    delta = np.eye(4, 2, k=-2, dtype=complex)
+    HardInstanceSpec(v0, delta)
+    v0[0, 0] = delta[2, 0] = 1
+
+
 def test_spec_rejects_bad_inputs():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):

@@ -327,6 +327,14 @@ CORE_CELLS = [(k, d1, i) for k, d1 in [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]
               for i in (1, 2, 3, 4)]
 
 
+def test_twirled_core_is_solved_once_and_read_only():
+    vals, cols = twirl._twirled_core(3, 2, 2)
+    assert twirl._twirled_core(3, 2, 2)[1] is cols
+    for arr in (vals, cols):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
 @pytest.mark.parametrize("k,d1,i", CORE_CELLS)
 def test_sym_core_rank_is_the_symmetric_dimension(k, d1, i):
     vals, cols = twirl._twirled_core(k, d1, i)
@@ -364,6 +372,8 @@ def test_sym_core_multiplicities_follow_the_cauchy_decomposition(k, d1, i):
 
 
 def test_permutation_frame_solves_only_on_the_symmetric_subspace(monkeypatch):
+    # a core solved earlier in the process is cached and would hide the solve
+    twirl._twirled_core.cache_clear()
     seen = []
     real = twirl.herm_eig
 

@@ -16,6 +16,11 @@ from pathlib import Path
 
 import pytest
 
+from combcert.hard import HardInstanceSpec
+from combcert.hard.twirl import _twirled_core
+from combcert.report import report_digest
+from combcert.suites import run_hard_suite
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 THREADS = (None, "1", "2")  # None: OPENBLAS_NUM_THREADS unset, the CLI's default of 1
 JOBS = ("1", "2")
@@ -54,3 +59,12 @@ def test_hard_digest_is_independent_of_blas_threads_and_jobs(tmp_path, seed):
 def test_net_digest_is_independent_of_blas_threads_and_jobs(tmp_path, seed):
     digests = _digests(tmp_path, "net", seed)
     assert len(set(digests.values())) == 1, digests
+
+
+def test_hard_digest_is_the_same_with_the_per_process_caches_warm(tmp_path):
+    # specs, gamma vectors and twirl cores are kept for the life of a process
+    HardInstanceSpec.concrete.cache_clear()
+    _twirled_core.cache_clear()
+    cold = report_digest(run_hard_suite(seed=7).to_dict())
+    warm = report_digest(run_hard_suite(seed=7).to_dict())
+    assert cold == warm == _digest(tmp_path, "hard", 7, None, "1")
