@@ -66,17 +66,10 @@ def kl_binary(p, q: float):
 
 
 def log_binom(n, k):
-    """ln C(n, k) via log-gamma; exact enough for chained comparisons.
-
-    lgamma runs once per distinct argument among n + 1, k + 1 and n - k + 1.
-    """
+    """ln C(n, k) via log-gamma; exact enough for chained comparisons."""
     if not np.all((0 <= k) & (k <= n)):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    # n + 1, k + 1 and n - k + 1, each broadcast to the shape of n - k
-    args = np.array([n + 1 + 0 * k, k + 1 + 0 * n, n - k + 1])
-    distinct = np.unique(args)
-    lg = _math(lgamma, distinct)[np.searchsorted(distinct, args)]
-    return lg[0] - lg[1] - lg[2]
+    return _math(lgamma, n + 1) - _math(lgamma, k + 1) - _math(lgamma, n - k + 1)
 
 
 def xlog_bound_values(budget: float, xs) -> tuple[np.ndarray, float]:

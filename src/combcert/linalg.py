@@ -369,16 +369,22 @@ class LabeledOperator(_Labeled):
         ``label``'s position and ``z`` a matrix on the other spaces in their
         order here.
 
-        z (x) I is never formed: X is read as (lo, label, hi, lo, label, hi)
-        and z, broadcast against the identity, is subtracted.
+        X is read as (lo, label, hi, lo, label, hi) and taken one (p, q)
+        block of the identity's indices at a time: z is subtracted from a
+        diagonal block and an off-diagonal block is read as is, so neither
+        z (x) I nor any temporary larger than z is formed.
         """
         at = self._positions([label])[0]
         d = self.dims[at]
         lo = int(np.prod(self.dims[:at]))
         hi = self.dim // (lo * d)
         x = self.mat.reshape(lo, d, hi, lo, d, hi)
-        z = np.asarray(z).reshape(lo, 1, hi, lo, 1, hi)
-        return float(np.abs(x - z * np.eye(d).reshape(1, d, 1, 1, d, 1)).max())
+        z = np.asarray(z).reshape(lo, hi, lo, hi)
+        # np.max, not max(): a NaN block maximum must reach the result
+        return float(np.max([
+            np.abs(x[:, p, :, :, q, :] - z if p == q else x[:, p, :, :, q, :]).max()
+            for p in range(d) for q in range(d)
+        ]))
 
 
 @dataclass(frozen=True)

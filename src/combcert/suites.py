@@ -3,9 +3,9 @@
 A suite is a check table: one group of checks per grid cell, each check a
 row with an id, a claim anchor, a body that returns the record fields and
 an optional precondition that returns a skip reason. The runner derives
-each cell's seed, times and traps every check, turns non-finite output into
-a ``fail``, and with ``jobs > 1`` runs whole groups in forked worker
-processes. State a cell's checks share (a hard-instance spec, net blocks, a
+each cell's seed, times and traps every check and turns non-finite output
+into a ``fail``; every check runs in the calling process, in table order.
+State a cell's checks share (a hard-instance spec, net blocks, a
 separation audit) is built on first use inside the body that asks for it,
 so that work is timed and trapped too. Grids whose preconditions fail are
 recorded as skips with the reason, never silently dropped.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import time
-from concurrent.futures import BrokenExecutor, Future
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from math import comb as binom
@@ -297,7 +296,8 @@ def _cell_seed(master: int, *parts) -> int:
 
 @dataclass
 class Run:
-    """The settings of one suite run, shared by every cell of its table."""
+    """The settings of one suite run, shared by every cell of its table, and
+    the matrix wire forms its checks stash when embedding."""
 
     cfg: dict
     seed: int = 0
@@ -306,7 +306,7 @@ class Run:
 
 
 class Cell:
-    """One grid cell. Its checks run in order on one worker and share this
+    """One grid cell. Its checks run one after another and share this
     object; each property below is built on first use, inside the timed and
     trapped body that asks for it."""
 
@@ -405,52 +405,6 @@ def _drop_nonfinite(obj, path: str, bad: list):
         else:
             kept.append((key, _drop_nonfinite(val, where, bad)))
     return dict(kept) if isinstance(obj, dict) else [val for _, val in kept]
-
-
-def _run_group(index: int, groups: list | None = None) -> tuple[list[CheckRecord], dict]:
-    """Run group ``index`` (of the inherited table by default); its records and stashes."""
-    cell, checks = (groups or _inherited)[index]
-    cell.run.matrices = {}
-    return [_run_check(cell, check) for check in checks], cell.run.matrices
-
-
-_inherited: list = []  # filled by the pool's initializer, in each forked worker only
-
-
-def _submit(ex, index: int) -> Future:
-    future = Future()
-    try:
-        future = ex.submit(_run_group, index)
-    except BrokenExecutor as exc:  # a worker died before every group was queued
-        future.set_exception(exc)
-    return future
-
-
-def _worker_result(future: Future, cell: Cell, checks: list) -> tuple[list[CheckRecord], dict]:
-    try:
-        return future.result()
-    except BrokenExecutor as exc:  # a worker died: its groups fail, the suite goes on
-        return [CheckRecord(c.check_id, c.anchor, "fail", seed=cell.seed,
-                            reason=f"its worker process died: {exc!r}") for c in checks], {}
-
-
-def _run_table(groups: list, jobs: int) -> tuple[list[CheckRecord], dict]:
-    """The records in table order and the matrices the checks stashed. With jobs > 1
-    each group runs whole in one of ``jobs`` workers, forked before the pool starts a
-    thread; they inherit the table, so only group indices and results are pickled."""
-    workers = min(jobs, len(groups))
-    if workers > 1:  # loaded only for a pool: they add about 20 ms to every start
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        results = [_run_group(i, groups) for i in range(len(groups))]
-    else:
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                                 initializer=_inherited.extend, initargs=(groups,)) as ex:
-            futures = [_submit(ex, i) for i in range(len(groups))]
-            results = [_worker_result(f, *group) for f, group in zip(futures, groups)]
-    matrices = {key: wire for _, stashed in results for key, wire in stashed.items()}
-    return [rec for records, _ in results for rec in records], matrices
 
 
 def _verdict(ok: bool, threshold: float, residual: float, warn: bool = False, **values) -> dict:
@@ -1056,10 +1010,12 @@ def check_table(suite: str, run: Run) -> list[tuple[Cell, list[Check]]]:
     return _SUITES[suite][0](run)
 
 
-def _run_suite(suite, config, seed, jobs, samples, embed_matrices):
+def _run_suite(suite, config, seed, samples, embed_matrices):
     cfg = effective_config(config, samples)[suite]
     started = time.perf_counter()
-    records, matrices = _run_table(check_table(suite, Run(cfg, seed, embed_matrices)), jobs)
+    run = Run(cfg, seed, embed_matrices)
+    records = [_run_check(cell, check)
+               for cell, checks in check_table(suite, run) for check in checks]
     return make_report(
         suite=suite,
         config=cfg,
@@ -1067,36 +1023,33 @@ def _run_suite(suite, config, seed, jobs, samples, embed_matrices):
         seed=seed,
         started=started,
         tolerances=_SUITES[suite][1](cfg),
-        matrices=matrices,
+        matrices=run.matrices,
     )
 
 
 def run_combs_suite(
     config: dict | None = None,
     seed: int = 0,
-    jobs: int = 1,
     samples: int | None = None,
     embed_matrices: bool = False,
 ) -> VerificationReport:
-    return _run_suite("combs", config, seed, jobs, samples, embed_matrices)
+    return _run_suite("combs", config, seed, samples, embed_matrices)
 
 
 def run_hard_suite(
     config: dict | None = None,
     seed: int = 0,
-    jobs: int = 1,
     samples: int | None = None,
     embed_matrices: bool = False,
 ) -> VerificationReport:
-    return _run_suite("hard", config, seed, jobs, samples, embed_matrices)
+    return _run_suite("hard", config, seed, samples, embed_matrices)
 
 
 def run_net_suite(
     config: dict | None = None,
     seed: int = 0,
-    jobs: int = 1,
     samples: int | None = None,
     embed_matrices: bool = False,
 ) -> VerificationReport:
-    return _run_suite("net", config, seed, jobs, samples, embed_matrices)
+    return _run_suite("net", config, seed, samples, embed_matrices)
 

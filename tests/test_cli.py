@@ -126,8 +126,8 @@ def test_method_flag_is_rejected(tmp_path):
 def test_strict_escalates_warn_records(tmp_path, monkeypatch):
     real = suites.run_combs_suite
 
-    def warned(config, seed, jobs=1, embed_matrices=False):
-        rep = real(config, seed, jobs=jobs, embed_matrices=embed_matrices)
+    def warned(config, seed, embed_matrices=False):
+        rep = real(config, seed, embed_matrices=embed_matrices)
         import dataclasses
 
         recs = list(rep.records)
@@ -160,7 +160,7 @@ def _table_ids(suite, payload):
     return [check.check_id for _, checks in suites.check_table(suite, run) for check in checks]
 
 
-def test_jobs_run_groups_in_worker_processes_in_table_order(monkeypatch):
+def test_every_check_runs_in_the_calling_process_in_table_order(tmp_path, monkeypatch):
     real = suites._run_check
 
     def tagged(cell, check):
@@ -168,14 +168,15 @@ def test_jobs_run_groups_in_worker_processes_in_table_order(monkeypatch):
         return replace(rec, values={**rec.values, "pid": os.getpid()})
 
     monkeypatch.setattr(suites, "_run_check", tagged)
-    report = suites.run_hard_suite(SMALL_HARD, seed=11, jobs=2)
-    assert [r.check_id for r in report.records] == _table_ids("hard", SMALL_HARD)
-    pids = {r.values["pid"] for r in report.records}
-    assert os.getpid() not in pids and 1 <= len(pids) <= 2
-    assert {r.status for r in report.records} <= {"pass", "skip"}
+    code, out = _verify(tmp_path, "hard", SMALL_HARD, "--jobs", "2")
+    assert code == 0
+    records = _load(out, "hard")["records"]
+    assert [r["check_id"] for r in records] == _table_ids("hard", SMALL_HARD)
+    assert {r["values"]["pid"] for r in records} == {os.getpid()}
+    assert {r["status"] for r in records} <= {"pass", "skip"}
 
 
-def test_embedded_matrices_come_back_from_the_workers(tmp_path):
+def test_embedded_matrices_are_the_same_at_any_jobs_value(tmp_path):
     docs = []
     for jobs in ("1", "2"):
         code, out = _verify(tmp_path, "combs", SMALL_COMBS, "--embed-matrices", "--jobs", jobs,
@@ -184,19 +185,6 @@ def test_embedded_matrices_come_back_from_the_workers(tmp_path):
         docs.append(_load(out, "combs"))
     assert docs[0]["matrices"] and docs[0]["matrices"] == docs[1]["matrices"]
     assert docs[0]["body_digest"] == docs[1]["body_digest"]
-
-
-def test_a_dead_worker_fails_its_checks_and_the_report_is_written(tmp_path, monkeypatch):
-    def die(c):
-        os._exit(3)
-
-    monkeypatch.setattr(suites, "_gamma_recursion", die)
-    code, out = _verify(tmp_path, "hard", SMALL_HARD, "--jobs", "2")
-    assert code == 1
-    records = {r["check_id"]: r for r in _load(out, "hard")["records"]}
-    assert list(records) == _table_ids("hard", SMALL_HARD)
-    dead = records["gamma-recursion-1-2"]
-    assert dead["status"] == "fail" and "worker process died" in dead["reason"]
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

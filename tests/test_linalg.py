@@ -364,3 +364,51 @@ def test_factored_psd_validates_its_parts():
     with pytest.raises(ValueError):
         FactoredPsd(np.ones((4, 2)), [1.0, np.nan], spaces)
     assert not FactoredPsd(np.eye(4)[:, :2], [1.0, -1e-3], spaces).psd_check().ok
+
+
+def _broadcast_residual(op, label, z):
+    # the residual as one broadcast over the whole operator, the reference
+    at = op.labels.index(label)
+    d = op.dims[at]
+    lo = int(np.prod(op.dims[:at]))
+    hi = op.dim // (lo * d)
+    x = op.mat.reshape(lo, d, hi, lo, d, hi)
+    z = np.asarray(z).reshape(lo, 1, hi, lo, 1, hi)
+    return float(np.abs(x - z * np.eye(d).reshape(1, d, 1, 1, d, 1)).max())
+
+
+@pytest.mark.parametrize(
+    "spaces, label",
+    [
+        ((("X", 2), ("Y", 3), ("Z", 4)), "X"),
+        ((("X", 2), ("Y", 3), ("Z", 4)), "Y"),
+        ((("X", 2), ("Y", 3), ("Z", 4)), "Z"),
+        ((("X", 3), ("Y", 1), ("Z", 2)), "Y"),
+        ((("X", 1000), ("Y", 2)), "Y"),
+    ],
+)
+def test_identity_factor_residual_equals_the_broadcast_formula(spaces, label):
+    rng = np.random.default_rng(27)
+    dims = dict(spaces)
+    d, d_rest = dims[label], int(np.prod(list(dims.values()))) // dims[label]
+    z = rng.normal(size=(d_rest, d_rest)) + 1j * rng.normal(size=(d_rest, d_rest))
+    rest = [(lbl, dim) for lbl, dim in spaces if lbl != label]
+    near = LabeledOperator(z, tuple(rest)).tensor(LabeledOperator.identity([(label, d)]))
+    near = near.reorder([lbl for lbl, _ in spaces])
+    dim = near.dim
+    noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    op = LabeledOperator(noise, spaces)
+    assert op.identity_factor_residual(label, z) == _broadcast_residual(op, label, z)
+    # close to z (x) I, with the largest deviation planted in each
+    # (p, q) block of the identity's indices in turn
+    lo = int(np.prod([size for _, size in spaces[: op.labels.index(label)]]))
+    hi = dim // (lo * d)
+    for p in range(d):
+        for q in range(d):
+            mat = near.mat + 1e-9 * noise
+            mat.reshape(lo, d, hi, lo, d, hi)[-1, p, 0, 0, q, -1] += 5.0
+            op = LabeledOperator(mat, spaces)
+            assert op.identity_factor_residual(label, z) == _broadcast_residual(op, label, z)
+    mat = near.mat.copy()
+    mat[0, -1] = np.nan
+    assert np.isnan(LabeledOperator(mat, spaces).identity_factor_residual(label, z))

@@ -1,6 +1,8 @@
 """The hard and net suites' canonical bodies must not depend on the BLAS
-thread count or on ``--jobs``: one (config, seed) gives one digest on any
-machine. The net suite's audits run stacked LAPACK and matmul calls.
+thread count: one (config, seed) gives one digest on any machine. The net
+suite's audits run stacked LAPACK and matmul calls. ``--jobs`` changes
+nothing, since every check runs in one process; ``test_cli`` checks that a
+``--jobs`` value leaves the digest as it is.
 
 Each combination runs ``combcert verify --suite <suite>`` in a fresh process,
 since OpenBLAS reads its thread count once, when numpy loads. The thread
@@ -23,30 +25,25 @@ from combcert.suites import run_hard_suite
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 THREADS = (None, "1", "2")  # None: OPENBLAS_NUM_THREADS unset, the CLI's default of 1
-JOBS = ("1", "2")
 
 
-def _digest(tmp_path: Path, suite: str, seed: int, threads: str | None, jobs: str) -> str:
+def _digest(tmp_path: Path, suite: str, seed: int, threads: str | None) -> str:
     env = dict(os.environ)
     env.pop("OPENBLAS_NUM_THREADS", None)
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    out = tmp_path / f"{suite}-seed{seed}-threads{threads}-jobs{jobs}"
+    out = tmp_path / f"{suite}-seed{seed}-threads{threads}"
     subprocess.run(
         [sys.executable, "-m", "combcert.cli", "verify", "--suite", suite,
-         "--seed", str(seed), "--jobs", jobs, "--out", str(out)],
+         "--seed", str(seed), "--out", str(out)],
         env=env, check=True, stdout=subprocess.DEVNULL,
     )
     return json.loads((out / f"{suite}_report.json").read_text())["body_digest"]
 
 
 def _digests(tmp_path: Path, suite: str, seed: int) -> dict:
-    return {
-        (threads, jobs): _digest(tmp_path, suite, seed, threads, jobs)
-        for threads in THREADS
-        for jobs in JOBS
-    }
+    return {threads: _digest(tmp_path, suite, seed, threads) for threads in THREADS}
 
 
 @pytest.mark.parametrize("seed", [7, 23])
@@ -67,4 +64,4 @@ def test_hard_digest_is_the_same_with_the_per_process_caches_warm(tmp_path):
     _twirled_core.cache_clear()
     cold = report_digest(run_hard_suite(seed=7).to_dict())
     warm = report_digest(run_hard_suite(seed=7).to_dict())
-    assert cold == warm == _digest(tmp_path, "hard", 7, None, "1")
+    assert cold == warm == _digest(tmp_path, "hard", 7, None)
