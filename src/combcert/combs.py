@@ -12,56 +12,105 @@ networks with inputs on the even-position spaces and outputs on the odd ones.
 The link product contracts two labeled operators over their shared spaces
 (with a partial transpose on the shared part) and is the composition rule for
 such Chois.
+
+Random channels, combs and testers are drawn and built in two steps. The
+``draw_*`` functions make every generator call of one object, in a fixed
+order, and do no arithmetic; ``small_channels`` and ``build_testers`` then
+build a whole list of draws, with same-shaped work (the Haar isometries,
+Chois, square roots and pseudo-inverses) as one stack per shape.
+A stack gives each member's per-matrix result bit for bit, so an object does
+not depend on what it was built with. ``random_small_channel``,
+``random_comb`` and ``random_tester`` are the one-object forms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cache
+from math import prod
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import Channel, choi_operator, random_channel
-from .linalg import FactoredPsd, LabeledOperator, psd_check, psd_sqrt, pseudo_inverse, random_psd
+from .channels import Channel, channel_from_isometry, choi_from_kraus, choi_operator
+from .linalg import (
+    FactoredPsd,
+    LabeledOperator,
+    PsdCheck,
+    haar_from_ginibre,
+    identity_factor_residual,
+    partial_trace,
+    psd_check,
+    psd_checks,
+    psd_sqrt,
+    pseudo_inverse,
+)
 
 __all__ = [
+    "ChannelDraw",
     "CombCertificate",
     "Tester",
     "TesterCertificate",
-    "link_product",
+    "TesterDraw",
+    "build_testers",
     "certify_comb",
-    "comb_expected_trace",
-    "validate_tester",
-    "success_probability",
+    "certify_combs",
     "channels_network",
-    "random_comb",
-    "random_small_channel",
+    "comb_expected_trace",
+    "draw_small_channel",
+    "draw_tester",
+    "link_product",
     "random_tester",
+    "small_channels",
+    "success_probability",
+    "validate_tester",
+    "validate_testers",
 ]
 
 HEAD_LABEL = "_head"
 TAIL_LABEL = "_tail"
+# the contraction order of a two-operand einsum; passing it spares einsum
+# the search that optimize=True runs, and the contraction is the same
+_PAIR_PATH = ["einsum_path", (0, 1)]
+_ONE = complex(1.0)
 
 
-def link_product(x: LabeledOperator, y: LabeledOperator) -> LabeledOperator:
-    """Link product X * Y = tr_shared[(X^{T_shared} (x) I)(I (x) Y)].
+def _by_shape(fn: Callable, items: Sequence[np.ndarray]) -> list:
+    """``fn`` applied to each item, one call per distinct item shape: the
+    items of one shape are stacked, ``fn`` returns one result per stack
+    member, and the results come back in item order."""
+    groups: dict[tuple, list[int]] = {}
+    for i, item in enumerate(items):
+        groups.setdefault(item.shape, []).append(i)
+    out = [None] * len(items)
+    for idx in groups.values():
+        for i, res in zip(idx, fn(np.stack([items[i] for i in idx]))):
+            out[i] = res
+    return out
 
-    The result lives on the symmetric difference of the label sets, in
-    sorted label order (the operation is commutative, so no operand order
-    survives anyway). Operators sharing no label reduce to a tensor product;
-    full overlap gives a scalar (1x1, empty label tuple).
-    """
-    shared = sorted(set(x.labels) & set(y.labels))
+
+class _LinkPlan(NamedTuple):
+    x_sub: list[int]
+    y_sub: list[int]
+    out_sub: list[int]
+    out_spaces: tuple[tuple[str, int], ...]
+    d_out: int
+
+
+@cache
+def _link_plan(x_spaces: tuple, y_spaces: tuple) -> _LinkPlan:
+    """einsum subscripts and output spaces of the link product of operators
+    on ``x_spaces`` and ``y_spaces``, derived once per pair of layouts."""
+    x_dims, y_dims = dict(x_spaces), dict(y_spaces)
+    shared = sorted(x_dims.keys() & y_dims.keys())
     for lbl in shared:
-        if x.dim_of(lbl) != y.dim_of(lbl):
+        if x_dims[lbl] != y_dims[lbl]:
             raise ValueError(
                 f"shared label {lbl!r} has mismatched dimensions "
-                f"{x.dim_of(lbl)} != {y.dim_of(lbl)}"
+                f"{x_dims[lbl]} != {y_dims[lbl]}"
             )
-    out_labels = sorted(set(x.labels) ^ set(y.labels))
-    out_spaces = tuple(
-        (lbl, x.dim_of(lbl) if lbl in x.labels else y.dim_of(lbl)) for lbl in out_labels
-    )
+    out_labels = sorted(x_dims.keys() ^ y_dims.keys())
+    out_spaces = tuple((lbl, x_dims[lbl] if lbl in x_dims else y_dims[lbl]) for lbl in out_labels)
 
     # integer einsum subscripts: ket/bra id per (owner, label); shared labels
     # use one id for both operands on the ket side and one on the bra side,
@@ -73,20 +122,33 @@ def link_product(x: LabeledOperator, y: LabeledOperator) -> LabeledOperator:
         key = ("s" if label in shared else owner, label, side)
         return ids.setdefault(key, len(ids))
 
-    x_sub = [_id("x", l, 0) for l in x.labels] + [_id("x", l, 1) for l in x.labels]
-    y_sub = [_id("y", l, 0) for l in y.labels] + [_id("y", l, 1) for l in y.labels]
-    owner = {l: ("x" if l in x.labels else "y") for l in out_labels}
-    out_sub = [_id(owner[l], l, 0) for l in out_labels] + [_id(owner[l], l, 1) for l in out_labels]
+    def _sub(owner: str, labels) -> list[int]:
+        return [_id(owner, l, 0) for l in labels] + [_id(owner, l, 1) for l in labels]
 
-    tx = x.mat.reshape(x.dims + x.dims)
-    ty = y.mat.reshape(y.dims + y.dims)
-    res = np.einsum(tx, x_sub, ty, y_sub, out_sub, optimize=True)
-    d_out = int(np.prod([d for _, d in out_spaces])) if out_spaces else 1
-    return LabeledOperator(res.reshape(d_out, d_out), out_spaces)
+    x_sub = _sub("x", x_dims)
+    y_sub = _sub("y", y_dims)
+    out_sub = [_id("x" if l in x_dims else "y", l, side) for side in (0, 1) for l in out_labels]
+    return _LinkPlan(x_sub, y_sub, out_sub, out_spaces, prod(d for _, d in out_spaces))
 
 
-@dataclass(frozen=True)
-class CombCertificate:
+def link_product(x: LabeledOperator, y: LabeledOperator) -> LabeledOperator:
+    """Link product X * Y = tr_shared[(X^{T_shared} (x) I)(I (x) Y)].
+
+    The result lives on the symmetric difference of the label sets, in
+    sorted label order (the operation is commutative, so no operand order
+    survives anyway). Operators sharing no label reduce to a tensor product;
+    full overlap gives a scalar (1x1, empty label tuple).
+    """
+    plan = _link_plan(x.spaces, y.spaces)
+    res = np.einsum(
+        x.mat.reshape(x.dims + x.dims), plan.x_sub,
+        y.mat.reshape(y.dims + y.dims), plan.y_sub,
+        plan.out_sub, optimize=_PAIR_PATH,
+    )
+    return LabeledOperator(res.reshape(plan.d_out, plan.d_out), plan.out_spaces)
+
+
+class CombCertificate(NamedTuple):
     ok: bool
     min_eig: float
     max_eig: float
@@ -103,7 +165,16 @@ class CombCertificate:
 
 def comb_expected_trace(op: LabeledOperator | FactoredPsd, sequence: Sequence[str]) -> float:
     """Product of the even-position (input slot) dimensions."""
-    return float(np.prod([op.dim_of(lbl) for lbl in sequence[0::2]]))
+    return float(prod(op.dim_of(lbl) for lbl in sequence[0::2]))
+
+
+def _comb_sequence(op: LabeledOperator | FactoredPsd, sequence: Sequence[str]) -> tuple[str, ...]:
+    sequence = tuple(sequence)
+    if len(sequence) % 2 != 0 or not sequence:
+        raise ValueError(f"comb sequence must have even positive length, got {sequence}")
+    if sorted(sequence) != sorted(op.labels):
+        raise ValueError(f"sequence {sequence} does not match operator labels {op.labels}")
+    return sequence
 
 
 def certify_comb(
@@ -121,32 +192,73 @@ def certify_comb(
     first (dense) marginal from the factor; the walk continues on dense
     marginals.
     """
-    sequence = tuple(sequence)
-    if len(sequence) % 2 != 0 or not sequence:
-        raise ValueError(f"comb sequence must have even positive length, got {sequence}")
-    if sorted(sequence) != sorted(op.labels):
-        raise ValueError(f"sequence {sequence} does not match operator labels {op.labels}")
-
+    sequence = _comb_sequence(op, sequence)
     if isinstance(op, FactoredPsd):
-        is_psd, lo, hi = op.psd_check(tol=psd_tol)
+        verdict = op.psd_check(tol=psd_tol)
     else:
-        is_psd, lo, hi = psd_check(op.mat, tol=psd_tol, check_tol=max(psd_tol, 1e-10))
-    residuals = []
-    cur = op
-    for j in range(len(sequence) // 2, 0, -1):
-        out_lbl, in_lbl = sequence[2 * j - 1], sequence[2 * j - 2]
-        y = cur.partial_trace([out_lbl])
-        z = y.partial_trace([in_lbl])
-        z = LabeledOperator(z.mat / op.dim_of(in_lbl), z.spaces)
-        residuals.append(y.identity_factor_residual(in_lbl, z.mat))
-        cur = z
-    residuals.append(float(abs(cur.mat[0, 0] - 1.0)))
+        verdict = psd_check(op.mat, tol=psd_tol, check_tol=max(psd_tol, 1e-10))
+    return _certificate(op, sequence, verdict, psd_tol, chain_tol)
 
-    ok = bool(is_psd and max(residuals) <= chain_tol)
+
+def certify_combs(
+    ops: Sequence[LabeledOperator],
+    sequences: Sequence[Sequence[str]],
+    psd_tol: float = 1e-8,
+    chain_tol: float = 1e-8,
+) -> list[CombCertificate]:
+    """:func:`certify_comb` of each dense operator over its sequence; the
+    positivity checks of same-shaped operators are one stacked call."""
+    sequences = [_comb_sequence(op, seq) for op, seq in zip(ops, sequences, strict=True)]
+    verdicts = _by_shape(
+        lambda x: psd_checks(x, tol=psd_tol, check_tol=max(psd_tol, 1e-10)),
+        [op.mat for op in ops],
+    )
+    return [_certificate(op, seq, verdict, psd_tol, chain_tol)
+            for op, seq, verdict in zip(ops, sequences, verdicts)]
+
+
+@cache
+def _chain_plan(y_spaces: tuple, sequence: tuple[str, ...]) -> tuple[tuple, ...]:
+    """The layouts of the marginal chain walk over ``sequence`` that starts
+    from y = tr_{H_{2n-1}} X on ``y_spaces``: for j = n..1, the dims of y,
+    the position of H_{2j-2} in y, the dims of z = tr_{H_{2j-2}} y and the
+    position of H_{2j-3} in z (None at j = 1)."""
+    dim = dict(y_spaces)
+    y = [lbl for lbl, _ in y_spaces]
+    steps = []
+    for j in range(len(sequence) // 2, 0, -1):
+        z = [lbl for lbl in y if lbl != sequence[2 * j - 2]]
+        out_at = z.index(sequence[2 * j - 3]) if j > 1 else None
+        steps.append((tuple(dim[l] for l in y), y.index(sequence[2 * j - 2]),
+                      tuple(dim[l] for l in z), out_at))
+        y = z[:out_at] + z[out_at + 1:] if j > 1 else z
+    return tuple(steps)
+
+
+def _certificate(
+    op: LabeledOperator | FactoredPsd,
+    sequence: tuple[str, ...],
+    verdict: PsdCheck,
+    psd_tol: float,
+    chain_tol: float,
+) -> CombCertificate:
+    """The certificate of ``op`` given its positivity verdict: the marginal
+    chain walk and the trace. The first marginal comes from ``op`` (from the
+    factor of a :class:`FactoredPsd`); the walk goes on on plain arrays."""
+    y = op.partial_trace([sequence[-1]])
+    y_mat = y.mat
+    residuals = []
+    for y_dims, in_at, z_dims, out_at in _chain_plan(y.spaces, sequence):
+        z = partial_trace(y_mat, y_dims, (in_at,)) / y_dims[in_at]
+        residuals.append(identity_factor_residual(y_mat, y_dims, in_at, z))
+        if out_at is not None:
+            y_mat = partial_trace(z, z_dims, (out_at,))
+    residuals.append(float(abs(z[0, 0] - 1.0)))
+
     return CombCertificate(
-        ok=ok,
-        min_eig=lo,
-        max_eig=hi,
+        ok=bool(verdict.ok and max(residuals) <= chain_tol),
+        min_eig=verdict.min_eig,
+        max_eig=verdict.max_eig,
         chain_residuals=tuple(residuals),
         trace_value=float(op.trace().real),
         expected_trace=comb_expected_trace(op, sequence),
@@ -188,8 +300,7 @@ class Tester:
         return LabeledOperator(mat, acc.spaces)
 
 
-@dataclass(frozen=True)
-class TesterCertificate:
+class TesterCertificate(NamedTuple):
     ok: bool
     element_min_eigs: tuple[float, ...]
     sum_certificate: CombCertificate
@@ -199,28 +310,38 @@ class TesterCertificate:
 
 def validate_tester(tester: Tester, psd_tol: float = 1e-8, chain_tol: float = 1e-8) -> TesterCertificate:
     """Certify tester element positivity and the padded-sum comb conditions."""
-    min_eigs = []
-    all_psd = True
-    for el in tester.elements:
-        ok, lo, _ = psd_check(el.mat, tol=psd_tol, check_tol=max(psd_tol, 1e-10))
-        min_eigs.append(lo)
-        all_psd = all_psd and ok
-    total = tester.element_sum()
-    padded = (
-        LabeledOperator.identity(((HEAD_LABEL, 1),))
-        .tensor(total)
-        .tensor(LabeledOperator.identity(((TAIL_LABEL, 1),)))
-    )
-    seq = (HEAD_LABEL,) + tester.sequence + (TAIL_LABEL,)
-    cert = certify_comb(padded, seq, psd_tol=psd_tol, chain_tol=chain_tol)
-    expected = float(np.prod([total.dim_of(lbl) for lbl in tester.sequence[1::2]]))
-    return TesterCertificate(
-        ok=bool(all_psd and cert.ok),
-        element_min_eigs=tuple(min_eigs),
-        sum_certificate=cert,
-        trace_value=float(total.trace().real),
-        expected_trace=expected,
-    )
+    return validate_testers([tester], psd_tol, chain_tol)[0]
+
+
+def validate_testers(
+    testers: Sequence[Tester], psd_tol: float = 1e-8, chain_tol: float = 1e-8
+) -> list[TesterCertificate]:
+    """:func:`validate_tester` of each tester; the positivity checks of
+    same-shaped elements, and of same-shaped element sums, are one stacked
+    call each."""
+    elements = [el.mat for t in testers for el in t.elements]
+    checks = iter(_by_shape(
+        lambda x: psd_checks(x, tol=psd_tol, check_tol=max(psd_tol, 1e-10)), elements))
+    totals = [t.element_sum() for t in testers]
+    # I_head (x) total (x) I_tail: np.kron with a dimension-1 identity is one
+    # product with its entry 1 + 0j, so two products give the krons bit for bit
+    padded = [
+        LabeledOperator(total.mat * _ONE * _ONE, ((HEAD_LABEL, 1),) + total.spaces + ((TAIL_LABEL, 1),))
+        for total in totals
+    ]
+    certs = certify_combs(
+        padded, [(HEAD_LABEL,) + t.sequence + (TAIL_LABEL,) for t in testers], psd_tol, chain_tol)
+    out = []
+    for tester, total, cert in zip(testers, totals, certs):
+        element_checks = [next(checks) for _ in tester.elements]
+        out.append(TesterCertificate(
+            ok=bool(all(c.ok for c in element_checks) and cert.ok),
+            element_min_eigs=tuple(c.min_eig for c in element_checks),
+            sum_certificate=cert,
+            trace_value=float(total.trace().real),
+            expected_trace=float(prod(total.dim_of(lbl) for lbl in tester.sequence[1::2])),
+        ))
+    return out
 
 
 def channels_network(channels: Sequence[Channel], sequence: Sequence[str]) -> LabeledOperator:
@@ -256,10 +377,84 @@ def success_probability(tester: Tester, network) -> np.ndarray:
     return np.asarray(probs)
 
 
+# ---------------------------------------------------------------------------
+# random channels, combs and testers: draws, then stacked builds
+
+
+class ChannelDraw(NamedTuple):
+    """The draws of one random small channel: the Kraus rank and the complex
+    Ginibre matrix, (d_out * rank) x d_in, that its isometry orthonormalizes."""
+
+    d_out: int
+    rank: int
+    ginibre: np.ndarray
+
+
+def draw_small_channel(d_in: int, d_out: int, rng: np.random.Generator) -> ChannelDraw:
+    """Draw a Haar-random channel of Kraus rank 1 or 2, raised to
+    ceil(d_in / d_out), the least rank a d_in -> d_out channel needs."""
+    rank = max(int(rng.integers(1, 3)), -(-d_in // d_out))
+    shape = (d_out * rank, d_in)
+    return ChannelDraw(d_out, rank, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def small_channels(draws: Sequence[ChannelDraw]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The Stinespring isometries (ancilla-major rows, as
+    :func:`channel_from_isometry` reads them) and the Choi operators of the
+    drawn channels."""
+    isometries = _by_shape(haar_from_ginibre, [d.ginibre for d in draws])
+    kraus = [v.reshape(d.rank, d.d_out, -1) for v, d in zip(isometries, draws)]
+    chois = _by_shape(lambda k: choi_from_kraus(list(np.swapaxes(k, 0, 1))), kraus)
+    return isometries, chois
+
+
 def random_small_channel(d_in: int, d_out: int, rng: np.random.Generator) -> Channel:
-    """Haar-random channel of Kraus rank 1 or 2, raised to ceil(d_in / d_out),
-    the least rank a d_in -> d_out channel needs."""
-    return random_channel(d_in, d_out, max(int(rng.integers(1, 3)), -(-d_in // d_out)), rng)
+    """The channel of one :func:`draw_small_channel`."""
+    draw = draw_small_channel(d_in, d_out, rng)
+    return channel_from_isometry(haar_from_ginibre(draw.ginibre), draw.rank)
+
+
+class _CombDraw(NamedTuple):
+    pair_dims: tuple[tuple[int, int], ...]
+    labels: tuple[str, ...]
+    mem: tuple[int, ...]
+    steps: tuple[ChannelDraw, ...]
+
+
+def _draw_comb(pair_dims, rng: np.random.Generator, labels=None) -> _CombDraw:
+    n = len(pair_dims)
+    if n < 1:
+        raise ValueError("need at least one slot pair")
+    if labels is None:
+        labels = [f"{side}{j}" for j in range(1, n + 1) for side in ("A", "B")]
+    labels = tuple(labels)
+    if len(labels) != 2 * n:
+        raise ValueError(f"need {2 * n} labels, got {len(labels)}")
+    mem = (1,) + tuple(int(rng.integers(1, 3)) for _ in range(n))
+    steps = tuple(
+        draw_small_channel(mem[j - 1] * d_a, d_b * mem[j], rng)
+        for j, (d_a, d_b) in enumerate(pair_dims, start=1)
+    )
+    return _CombDraw(tuple(pair_dims), labels, mem, steps)
+
+
+def _link_comb(draw: _CombDraw, chois: Sequence[np.ndarray]) -> LabeledOperator:
+    """The comb of a draw from its step Chois: link the steps over their
+    memories, trace out the first and last memory."""
+    labels, mem = draw.labels, draw.mem
+    net: LabeledOperator | None = None
+    for j, ((d_a, d_b), choi) in enumerate(zip(draw.pair_dims, chois), start=1):
+        # split the step's grouped (out, in) spaces into (slot, memory) factors
+        spaces = (
+            (labels[2 * j - 1], d_b),
+            (f"_m{j}", mem[j]),
+            (f"_m{j - 1}", mem[j - 1]),
+            (labels[2 * j - 2], d_a),
+        )
+        step = LabeledOperator(choi, spaces)
+        net = step if net is None else link_product(net, step)
+    assert net is not None
+    return net.partial_trace(["_m0", f"_m{len(mem) - 1}"]).reorder(labels)
 
 
 def random_comb(
@@ -273,36 +468,78 @@ def random_comb(
     random memory dimensions (final memory traced out), so the comb
     conditions hold by construction and the comb is generically not a product.
     """
+    draw = _draw_comb(pair_dims, rng, labels)
+    return _link_comb(draw, small_channels(draw.steps)[1])
+
+
+class TesterDraw(NamedTuple):
+    """The draws of one random tester: its comb's and the Ginibre matrices
+    of its outcome weights."""
+
+    labels: tuple[str, ...]
+    comb: _CombDraw
+    parts: tuple[np.ndarray, ...]
+
+
+def draw_tester(
+    pair_dims: Sequence[tuple[int, int]],
+    n_outcomes: int,
+    rng: np.random.Generator,
+    labels: Sequence[str] | None = None,
+) -> TesterDraw:
+    """Draw a random tester over the slot pairs ``pair_dims``; see
+    :func:`random_tester`."""
     n = len(pair_dims)
-    if n < 1:
-        raise ValueError("need at least one slot pair")
+    if n_outcomes < 1:
+        raise ValueError("need at least one outcome")
     if labels is None:
         labels = [f"{side}{j}" for j in range(1, n + 1) for side in ("A", "B")]
-    labels = list(labels)
-    if len(labels) != 2 * n:
-        raise ValueError(f"need {2 * n} labels, got {len(labels)}")
+    labels = tuple(labels)
+    cap_pairs = [(1, pair_dims[0][0])]
+    cap_pairs += [(pair_dims[j][1], pair_dims[j + 1][0]) for j in range(n - 1)]
+    cap_pairs += [(pair_dims[n - 1][1], 1)]
+    comb = _draw_comb(cap_pairs, rng, labels=(HEAD_LABEL,) + labels + (TAIL_LABEL,))
+    d = prod(a * b for a, b in pair_dims)
+    parts = tuple(
+        rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(n_outcomes)
+    )
+    return TesterDraw(labels, comb, parts)
 
-    mem = [1] + [int(rng.integers(1, 3)) for _ in range(n)]
-    net: LabeledOperator | None = None
-    for j in range(1, n + 1):
-        d_a, d_b = pair_dims[j - 1]
-        d_in = mem[j - 1] * d_a
-        d_out = d_b * mem[j]
-        ch = random_small_channel(d_in, d_out, rng)
-        choi = choi_operator(ch, out_label="_out", in_label="_in")
-        # split grouped in/out spaces into (memory, slot) factors
-        mat = choi.mat
-        spaces = (
-            (labels[2 * j - 1], d_b),
-            (f"_m{j}", mem[j]),
-            (f"_m{j - 1}", mem[j - 1]),
-            (labels[2 * j - 2], d_a),
+
+def _element(parts: np.ndarray, s_isqrt: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """The Hermitian parts of root (s^{-1/2} P s^{-1/2}) root for a stack of
+    parts P, matrix by matrix."""
+    mat = root @ (s_isqrt @ parts @ s_isqrt) @ root
+    return (mat + np.swapaxes(mat.conj(), -1, -2)) / 2
+
+
+def build_testers(draws: Sequence[TesterDraw]) -> list[Tester]:
+    """The testers of the draws: T_i = T^{1/2} R_i T^{1/2}, with T the
+    drawn (n+1)-comb's slot operator and R_i = S^{-1/2} P_i S^{-1/2} for the
+    PSD parts P_i = G_i G_i^dagger and S = sum_i P_i (S^{-1/2} on the
+    support of S). The eigensolves are stacked across testers by shape;
+    the products, one tester's parts at a time."""
+    chois = iter(small_channels([s for d in draws for s in d.comb.steps])[1])
+    totals = [
+        _link_comb(d.comb, [next(chois) for _ in d.comb.steps])
+        .partial_trace([HEAD_LABEL, TAIL_LABEL])
+        .reorder(d.labels)
+        for d in draws
+    ]
+    roots = _by_shape(psd_sqrt, [t.mat for t in totals])
+    parts = []
+    for d in draws:
+        g = np.stack(d.parts)
+        parts.append(g @ np.swapaxes(g.conj(), -1, -2))
+    # the builtin sum adds the parts left to right, from 0
+    s_isqrt = _by_shape(lambda s: psd_sqrt(pseudo_inverse(s)), [sum(p) for p in parts])
+    return [
+        Tester(
+            elements=tuple(LabeledOperator(el, total.spaces) for el in _element(p, s, root)),
+            sequence=d.labels,
         )
-        step = LabeledOperator(mat, spaces)
-        net = step if net is None else link_product(net, step)
-    assert net is not None
-    net = net.partial_trace(["_m0", f"_m{n}"])
-    return net.reorder(labels)
+        for d, total, p, s, root in zip(draws, totals, parts, s_isqrt, roots)
+    ]
 
 
 def random_tester(
@@ -317,27 +554,4 @@ def random_tester(
     dimension-1 caps, then sets T_i = T^{1/2} R_i T^{1/2} where {R_i} is a
     random resolution of the identity, so sum_i T_i = T exactly.
     """
-    n = len(pair_dims)
-    if n_outcomes < 1:
-        raise ValueError("need at least one outcome")
-    if labels is None:
-        labels = [f"{side}{j}" for j in range(1, n + 1) for side in ("A", "B")]
-    labels = list(labels)
-    cap_pairs = [(1, pair_dims[0][0])]
-    cap_pairs += [(pair_dims[j][1], pair_dims[j + 1][0]) for j in range(n - 1)]
-    cap_pairs += [(pair_dims[n - 1][1], 1)]
-    cap_labels = [HEAD_LABEL] + labels + [TAIL_LABEL]
-    comb = random_comb(cap_pairs, rng, labels=cap_labels)
-    total = comb.partial_trace([HEAD_LABEL, TAIL_LABEL]).reorder(labels)
-
-    d = total.dim
-    root = psd_sqrt(total.mat)
-    parts = [random_psd(d, rng) for _ in range(n_outcomes)]
-    s = sum(parts)
-    s_isqrt = psd_sqrt(pseudo_inverse(s))
-    elements = []
-    for a in parts:
-        r = s_isqrt @ a @ s_isqrt
-        mat = root @ r @ root
-        elements.append(LabeledOperator((mat + mat.conj().T) / 2, total.spaces))
-    return Tester(elements=tuple(elements), sequence=tuple(labels))
+    return build_testers([draw_tester(pair_dims, n_outcomes, rng, labels)])[0]

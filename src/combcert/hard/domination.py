@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, exp, log, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,8 +107,7 @@ def lambda_schedule(d1: int, d2: int, n: int, eps: float) -> LambdaSchedule:
     return sched
 
 
-@dataclass(frozen=True)
-class DominationResult:
+class DominationResult(NamedTuple):
     """Evidence that sum_i lambda_i Gamma_i >= |v(U)><v(U)| over sampled U."""
 
     max_quadratic_form: float

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -237,8 +238,7 @@ def gamma_recursion_residual(spec: HardInstanceSpec, n: int, i: int) -> float:
     return lhs.identity_factor_residual(f"A{n}", mix)
 
 
-@dataclass(frozen=True)
-class ExpansionCheck:
+class ExpansionCheck(NamedTuple):
     residual: float
     coefficients: tuple[float, ...]
 

@@ -27,10 +27,10 @@ Routes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import permutations, product
 from math import comb, factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +60,7 @@ COMMUTANT_DIM_CAP = 48
 PERMUTATION_ORDER_CAP = 4
 
 
-@dataclass(frozen=True)
-class CommutantProjector:
+class CommutantProjector(NamedTuple):
     """Orthonormal basis of a matrix-group commutant, as vectorized columns."""
 
     basis: np.ndarray

@@ -8,6 +8,8 @@ vectorization throughout: ``vec(X) = X.reshape(-1)``, so ``|i><j|`` maps to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -19,9 +21,11 @@ __all__ = [
     "FactoredPsd",
     "vectorize",
     "partial_trace",
+    "identity_factor_residual",
     "herm_eig",
     "herm_eigvals",
     "psd_check",
+    "psd_checks",
     "trace_norm",
     "pseudo_inverse",
     "psd_sqrt",
@@ -68,21 +72,65 @@ def partial_trace(x: np.ndarray, dims: Sequence[int], trace_out: Iterable[int]) 
     matrix on the remaining factors, in their original relative order.
     """
     x = _as_square(x)
+    plan = _trace_plan(tuple(dims), tuple(trace_out))
+    if x.shape[0] != plan.dim:
+        raise ValueError(f"dims {plan.shape[:len(plan.shape) // 2]} do not match matrix dimension {x.shape[0]}")
+    return _traced(x, plan)
+
+
+class _TracePlan(NamedTuple):
+    shape: tuple[int, ...]
+    subscripts: list[int]
+    out: list[int]
+    dim: int
+    d_keep: int
+    keep: tuple[int, ...]
+
+
+@cache
+def _trace_plan(dims: tuple, trace_out: tuple) -> _TracePlan:
+    """einsum subscripts that trace the factors at positions ``trace_out``
+    out of a matrix on factors of dimensions ``dims``; derived once per
+    (dims, trace_out)."""
     dims = tuple(int(d) for d in dims)
     n = len(dims)
-    if x.shape[0] != int(np.prod(dims)):
-        raise ValueError(f"dims {dims} do not match matrix dimension {x.shape[0]}")
     traced = sorted(set(int(a) for a in trace_out))
     if any(a < 0 or a >= n for a in traced):
         raise ValueError(f"trace_out {traced} out of range for {n} factors")
-    keep = [a for a in range(n) if a not in traced]
-    t = x.reshape(dims + dims)
-    ket = list(range(n))
+    keep = tuple(a for a in range(n) if a not in traced)
     bra = [a if a in traced else n + a for a in range(n)]
-    out_axes = [a for a in keep] + [n + a for a in keep]
-    reduced = np.einsum(t, ket + bra, out_axes)
-    d_keep = int(np.prod([dims[a] for a in keep])) if keep else 1
-    return reduced.reshape(d_keep, d_keep)
+    return _TracePlan(
+        dims + dims, list(range(n)) + bra, list(keep) + [n + a for a in keep],
+        prod(dims), prod(dims[a] for a in keep), keep,
+    )
+
+
+def _traced(x: np.ndarray, plan: _TracePlan) -> np.ndarray:
+    return np.einsum(x.reshape(plan.shape), plan.subscripts, plan.out).reshape(plan.d_keep, plan.d_keep)
+
+
+def identity_factor_residual(x: np.ndarray, dims: Sequence[int], at: int, z: np.ndarray) -> float:
+    """max |X - z (x) I| entrywise, for X on factors of dimensions ``dims``,
+    the identity on factor ``at`` and ``z`` a matrix on the other factors in
+    their order.
+
+    X is read as (lo, d, hi, lo, d, hi) and taken one row (p, .) of blocks
+    of the identity's indices at a time: z is subtracted from the diagonal
+    block (p, p), the other blocks are read as they are, and z (x) I is
+    never formed. The largest temporary is one real row of blocks.
+    """
+    d = dims[at]
+    lo = prod(dims[:at])
+    hi = x.shape[0] // (lo * d)
+    x = x.reshape(lo, d, hi, lo, d, hi)
+    z = np.asarray(z).reshape(lo, hi, lo, hi)
+    rows = []
+    for p in range(d):
+        row = np.abs(x[:, p])
+        row[:, :, :, p] = np.abs(x[:, p, :, :, p] - z)
+        rows.append(row.max())
+    # np.max, not max(): a NaN row maximum must reach the result
+    return float(np.max(rows))
 
 
 def _hermitian_part(x: np.ndarray, check_tol: float) -> np.ndarray:
@@ -125,12 +173,21 @@ def herm_eigvals(x: np.ndarray, check_tol: float = 1e-10) -> np.ndarray:
     Validates Hermiticity as :func:`herm_eig` does, a stack member by
     member. A complex-typed Hermitian part whose imaginary part is exactly
     zero is solved as the real symmetric matrix it equals, which takes
-    about half the time; a stack is, when every member's is.
+    about half the time; in a stack, each such member is, so a stack gives
+    the per-matrix results bit for bit.
     """
     h = _hermitian_part(x, check_tol)
-    if np.iscomplexobj(h) and not h.imag.any():
-        h = h.real
-    return np.linalg.eigvalsh(h)
+    if not np.iscomplexobj(h):
+        return np.linalg.eigvalsh(h)
+    real = ~h.imag.any(axis=(-2, -1))
+    if real.all():
+        return np.linalg.eigvalsh(h.real)
+    if not real.any():
+        return np.linalg.eigvalsh(h)
+    vals = np.empty(h.shape[:-1])
+    vals[real] = np.linalg.eigvalsh(h[real].real)
+    vals[~real] = np.linalg.eigvalsh(h[~real])
+    return vals
 
 
 def psd_check(x: np.ndarray, tol: float = 1e-10, check_tol: float = 1e-10) -> PsdCheck:
@@ -140,6 +197,17 @@ def psd_check(x: np.ndarray, tol: float = 1e-10, check_tol: float = 1e-10) -> Ps
     computed (:func:`herm_eigvals`).
     """
     return _floor_rule(herm_eigvals(x, check_tol=check_tol), tol)
+
+
+def psd_checks(x: np.ndarray, tol: float = 1e-10, check_tol: float = 1e-10) -> list[PsdCheck]:
+    """:func:`psd_check` of each matrix of a stack (n, d, d), from one
+    batched eigenvalue call; equal to the per-matrix calls."""
+    vals = herm_eigvals(x, check_tol=check_tol)
+    if not vals.shape[-1]:
+        return [_floor_rule(v, tol) for v in vals]
+    lo, hi = vals.min(axis=-1), vals.max(axis=-1)
+    ok = lo >= -tol * np.maximum(1.0, hi)
+    return [PsdCheck(*row) for row in zip(ok.tolist(), lo.tolist(), hi.tolist())]
 
 
 def _floor_rule(vals: np.ndarray, tol: float) -> PsdCheck:
@@ -156,26 +224,31 @@ def trace_norm(x: np.ndarray) -> float | np.ndarray:
 
 
 def pseudo_inverse(x: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
-    """Moore-Penrose inverse of a Hermitian PSD matrix on its support.
+    """Moore-Penrose inverse of a Hermitian PSD matrix on its support, or of
+    each matrix of a stack (..., d, d), equal to the per-matrix calls.
 
     Eigenvalues above ``rank_tol * lambda_max`` are inverted; the rest are
-    treated as exact zeros (support convention).
+    treated as exact zeros (support convention), and a matrix with
+    lambda_max <= 0 has the zero inverse.
     """
     vals, vecs = herm_eig(x)
-    lam_max = float(vals[-1]) if vals.size else 0.0
-    if lam_max <= 0.0:
-        return np.zeros_like(np.asarray(x, dtype=complex))
-    keep = vals > rank_tol * lam_max
+    lam_max = vals[..., -1:]
+    keep = (vals > rank_tol * lam_max) & (lam_max > 0.0)
     inv = np.zeros_like(vals)
     inv[keep] = 1.0 / vals[keep]
-    return (vecs * inv) @ vecs.conj().T
+    return _spectral(vecs, inv)
 
 
 def psd_sqrt(x: np.ndarray, check_tol: float = 1e-10) -> np.ndarray:
-    """Hermitian square root of a PSD matrix (negative eigenvalues clipped to 0)."""
+    """Hermitian square root of a PSD matrix (negative eigenvalues clipped
+    to 0), or of each matrix of a stack, equal to the per-matrix calls."""
     vals, vecs = herm_eig(x, check_tol=check_tol)
-    root = np.sqrt(np.clip(vals, 0.0, None))
-    return (vecs * root) @ vecs.conj().T
+    return _spectral(vecs, np.sqrt(np.clip(vals, 0.0, None)))
+
+
+def _spectral(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """vecs diag(vals) vecs^dagger, matrix by matrix over a stack."""
+    return (vecs * vals[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
 def support_projector(x: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
@@ -262,44 +335,68 @@ def random_psd(dim: int, rng: np.random.Generator, rank: int | None = None) -> n
     return g @ g.conj().T
 
 
-def _checked_spaces(spaces) -> tuple[tuple[tuple[str, int], ...], int]:
-    """Normalized ``(label, dim)`` pairs and the product of the dims."""
+class _Layout(NamedTuple):
+    """Validated ``(label, dim)`` pairs with their labels, dims, total
+    dimension and label positions."""
+
+    spaces: tuple[tuple[str, int], ...]
+    labels: tuple[str, ...]
+    dims: tuple[int, ...]
+    dim: int
+    index: dict[str, int]
+
+
+def _layout(spaces) -> _Layout:
+    try:
+        return _layout_of(spaces)
+    except TypeError:  # unhashable pairs, such as lists
+        return _layout_of(tuple(map(tuple, spaces)))
+
+
+@cache
+def _layout_of(spaces) -> _Layout:
     spaces = tuple((str(lbl), int(d)) for lbl, d in spaces)
-    labels = [lbl for lbl, _ in spaces]
+    labels = tuple(lbl for lbl, _ in spaces)
     if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate labels in {labels}")
+        raise ValueError(f"duplicate labels in {list(labels)}")
     if any(d < 1 for _, d in spaces):
         raise ValueError(f"space dimensions must be positive: {spaces}")
-    return spaces, int(np.prod([d for _, d in spaces])) if spaces else 1
+    dims = tuple(d for _, d in spaces)
+    return _Layout(spaces, labels, dims, prod(dims), {lbl: i for i, lbl in enumerate(labels)})
 
 
 class _Labeled:
     """Label bookkeeping for an operator on a tensor product of named spaces,
-    ``spaces`` fixing the Kronecker order."""
+    ``spaces`` fixing the Kronecker order. The layout of a ``spaces`` value
+    is validated and derived once per process and shared."""
 
     spaces: tuple[tuple[str, int], ...]
+    _layout: _Layout
+
+    def _set_layout(self) -> int:
+        """Normalize ``spaces``; return the total dimension."""
+        layout = _layout(self.spaces)
+        object.__setattr__(self, "spaces", layout.spaces)
+        object.__setattr__(self, "_layout", layout)
+        return layout.dim
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(lbl for lbl, _ in self.spaces)
+        return self._layout.labels
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.spaces)
+        return self._layout.dims
 
     def dim_of(self, label: str) -> int:
-        for lbl, d in self.spaces:
-            if lbl == label:
-                return d
-        raise KeyError(f"no space labeled {label!r} in {self.labels}")
+        return self._layout.dims[self._positions([label])[0]]
 
     def _positions(self, labels: Sequence[str]) -> list[int]:
-        out = []
+        index = self._layout.index
         for lbl in labels:
-            if lbl not in self.labels:
+            if lbl not in index:
                 raise KeyError(f"no space labeled {lbl!r} in {self.labels}")
-            out.append(self.labels.index(lbl))
-        return out
+        return [index[lbl] for lbl in labels]
 
 
 @dataclass(frozen=True)
@@ -317,11 +414,10 @@ class LabeledOperator(_Labeled):
     def __post_init__(self) -> None:
         mat = np.asarray(self.mat, dtype=complex)
         object.__setattr__(self, "mat", mat)
-        spaces, d_total = _checked_spaces(self.spaces)
-        object.__setattr__(self, "spaces", spaces)
+        d_total = self._set_layout()
         if mat.ndim != 2 or mat.shape != (d_total, d_total):
             raise ValueError(
-                f"matrix shape {mat.shape} does not match spaces {spaces} "
+                f"matrix shape {mat.shape} does not match spaces {self.spaces} "
                 f"(expected {(d_total, d_total)})"
             )
 
@@ -334,7 +430,7 @@ class LabeledOperator(_Labeled):
 
     @staticmethod
     def identity(spaces: Sequence[tuple[str, int]]) -> "LabeledOperator":
-        d = int(np.prod([dim for _, dim in spaces])) if spaces else 1
+        d = prod(dim for _, dim in spaces)
         return LabeledOperator(np.eye(d, dtype=complex), tuple(spaces))
 
     def tensor(self, other: "LabeledOperator") -> "LabeledOperator":
@@ -351,7 +447,7 @@ class LabeledOperator(_Labeled):
         if new_labels == self.labels:
             return self
         n = len(self.spaces)
-        idx = [self.labels.index(lbl) for lbl in new_labels]
+        idx = self._positions(new_labels)
         t = self.mat.reshape(self.dims + self.dims)
         perm = idx + [n + i for i in idx]
         new_spaces = tuple(self.spaces[i] for i in idx)
@@ -359,32 +455,14 @@ class LabeledOperator(_Labeled):
 
     def partial_trace(self, labels: Sequence[str]) -> "LabeledOperator":
         """Trace out the named spaces."""
-        drop = self._positions(labels)
-        reduced = partial_trace(self.mat, self.dims, drop)
-        keep = tuple(sp for i, sp in enumerate(self.spaces) if i not in set(drop))
-        return LabeledOperator(reduced, keep)
+        plan = _trace_plan(self.dims, tuple(self._positions(labels)))
+        return LabeledOperator(_traced(self.mat, plan), tuple(self.spaces[a] for a in plan.keep))
 
     def identity_factor_residual(self, label: str, z: np.ndarray) -> float:
         """max |X - z (x) I_label| entrywise, the identity sitting at
         ``label``'s position and ``z`` a matrix on the other spaces in their
-        order here.
-
-        X is read as (lo, label, hi, lo, label, hi) and taken one (p, q)
-        block of the identity's indices at a time: z is subtracted from a
-        diagonal block and an off-diagonal block is read as is, so neither
-        z (x) I nor any temporary larger than z is formed.
-        """
-        at = self._positions([label])[0]
-        d = self.dims[at]
-        lo = int(np.prod(self.dims[:at]))
-        hi = self.dim // (lo * d)
-        x = self.mat.reshape(lo, d, hi, lo, d, hi)
-        z = np.asarray(z).reshape(lo, hi, lo, hi)
-        # np.max, not max(): a NaN block maximum must reach the result
-        return float(np.max([
-            np.abs(x[:, p, :, :, q, :] - z if p == q else x[:, p, :, :, q, :]).max()
-            for p in range(d) for q in range(d)
-        ]))
+        order here (see :func:`identity_factor_residual`)."""
+        return identity_factor_residual(self.mat, self.dims, self._positions([label])[0], z)
 
 
 @dataclass(frozen=True)
@@ -409,11 +487,10 @@ class FactoredPsd(_Labeled):
         weights = weights.astype(float)
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "weights", weights)
-        spaces, d_total = _checked_spaces(self.spaces)
-        object.__setattr__(self, "spaces", spaces)
+        d_total = self._set_layout()
         if factor.ndim != 2 or factor.shape[0] != d_total:
             raise ValueError(
-                f"factor shape {factor.shape} does not match spaces {spaces} "
+                f"factor shape {factor.shape} does not match spaces {self.spaces} "
                 f"(expected {d_total} rows)"
             )
         if weights.shape != (factor.shape[1],):
@@ -452,7 +529,7 @@ class FactoredPsd(_Labeled):
         rank = self.weights.size
         t = self.factor.reshape(self.dims + (rank,)).transpose(keep + drop + [len(self.dims)])
         kept = tuple(self.spaces[a] for a in keep)
-        d_keep = int(np.prod([d for _, d in kept])) if kept else 1
+        d_keep = prod(d for _, d in kept)
         h = t.reshape(d_keep, self.dim // d_keep * rank)
         w = np.tile(self.weights, self.dim // d_keep)
         return LabeledOperator((h * w) @ h.conj().T, kept)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -406,8 +407,7 @@ def _chunks(total: int):
         yield min(AUDIT_BATCH, total - start)
 
 
-@dataclass(frozen=True)
-class MomentAudit:
+class MomentAudit(NamedTuple):
     samples: int
     m2_mean: float
     m2_stderr: float
@@ -422,10 +422,40 @@ def _gram_moments(
     blocks: BlockIsometry, ux: np.ndarray, uy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """||F||_F^2 and ||F^dagger F||_F^2 for each pair of rotation stacks,
-    as tr M and tr M^2 with M = A B / d1^2 (see :func:`moment_audit`)."""
+    as tr M and tr M^2 with M = A B / d1^2 (see :func:`moment_audit`).
+
+    B is taken from the rotation-space difference (ux - uy) J^dagger Delta,
+    whose rows are the only nonzero rows of the embedded branch difference:
+    they are gathered into (ancilla, output level) order and the zero rows,
+    which add nothing to B, are never formed."""
     p = blocks.params
-    m = blocks.gram @ _block_gram(_branch_difference(blocks, ux, uy), p.r) / p.d1**2
+    rows = _rotor_rows(blocks)
+    w = (ux - uy) @ (blocks.j_embed.conj().T @ blocks.delta_canon)
+    # np.take, not w[:, rows]: einsum's summation order follows the memory
+    # layout, and only the C-ordered gather keeps the embedded route's bits
+    m = blocks.gram @ _block_gram(np.take(w, rows, axis=1), p.r) / p.d1**2
     return np.einsum("nii->n", m).real, np.einsum("nij,nji->n", m, m).real
+
+
+def _rotor_rows(blocks: BlockIsometry) -> np.ndarray:
+    """The rotation-space columns of ``j_embed`` in (ancilla, output level)
+    order of the global rows they select, so that every ancilla block gets
+    the same number of rows.
+
+    Raises ValueError unless ``j_embed`` selects one global row per column
+    and every ancilla block holds the same set of output levels."""
+    p = blocks.params
+    j = blocks.j_embed
+    row = np.argmax(np.abs(j), axis=0)
+    if not np.array_equal(j, np.eye(j.shape[0])[:, row]):
+        raise ValueError("j_embed does not select one global row per rotation-space column")
+    anc, level = np.divmod(row, p.d2)
+    order = np.lexsort((level, anc))
+    if row.size % p.r == 0:
+        anc, level = anc[order].reshape(p.r, -1), level[order].reshape(p.r, -1)
+        if (anc == np.arange(p.r)[:, None]).all() and (level == level[0]).all():
+            return order
+    raise ValueError("the rotation space does not hold the same output levels in every ancilla block")
 
 
 def moment_audit(blocks: BlockIsometry, samples: int, rng: np.random.Generator) -> MomentAudit:
@@ -476,8 +506,7 @@ def moment_audit(blocks: BlockIsometry, samples: int, rng: np.random.Generator) 
     )
 
 
-@dataclass(frozen=True)
-class LipschitzAudit:
+class LipschitzAudit(NamedTuple):
     trials: int
     lipschitz_constant: float
     max_ratio: float
@@ -551,8 +580,7 @@ def lipschitz_audit(blocks: BlockIsometry, trials: int, rng: np.random.Generator
     )
 
 
-@dataclass(frozen=True)
-class SeparationAudit:
+class SeparationAudit(NamedTuple):
     pairs: int
     eps: float
     min_choi_distance: float

@@ -21,18 +21,21 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from math import comb as binom
 from math import exp, isfinite, log, sqrt
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channels import Channel, choi_from_kraus, choi_operator, kraus_rank
+from .channels import channel_from_isometry, choi_from_kraus, kraus_rank
 from .combs import (
+    build_testers,
     certify_comb,
+    certify_combs,
+    draw_small_channel,
+    draw_tester,
     link_product,
-    random_small_channel,
-    random_tester,
+    small_channels,
     success_probability,
-    validate_tester,
+    validate_testers,
 )
 from .hard import (
     HardInstanceSpec,
@@ -59,7 +62,7 @@ from .hard import (
 )
 from .hard.instance import comb_sequence
 from .hard.twirl import COMMUTANT_DIM_CAP, PERMUTATION_ORDER_CAP
-from .linalg import haar_unitary, psd_sqrt, random_psd
+from .linalg import LabeledOperator, haar_unitary, psd_sqrt, random_psd
 from .net import (
     F_ROUTE_TOL,
     IDENTITY_TOL,
@@ -340,7 +343,7 @@ class Cell:
 
     @cached_property
     def testers(self) -> list:
-        return [_random_tester(self.rng) for _ in range(self.cfg["pairs"])]
+        return _random_testers(self.rng, self.cfg["pairs"])
 
     @cached_property
     def blocks(self):
@@ -351,8 +354,7 @@ class Cell:
         return separation_audit(self.blocks, self.cfg["separation_pairs"], self.rng)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One row of a check table. ``body(cell)`` returns the record fields
     (status, values, threshold, residual, reason); ``precondition(cell)``
     returns a skip reason, or None when the body should run."""
@@ -421,58 +423,76 @@ def _fields(obj, *names) -> dict:
 # combs suite
 
 
+# Each body draws all of its random objects first, in the order a one-object
+# loop draws them, and then builds them as stacks (see combcert.combs).
+
+
+def _dims(rng, max_dim: int, count: int) -> list[int]:
+    return [int(rng.integers(2, max_dim + 1)) for _ in range(count)]
+
+
 def _choi_comb(c: Cell) -> dict:
     cfg = c.cfg
     rng = np.random.default_rng(c.seed)
     tol = cfg["comb_tol"]
-    worst = 0.0
     ok = True
-    first_hash = None
+    draws = []
     for _ in range(cfg["channels"]):
-        d_in = int(rng.integers(2, cfg["max_dim"] + 1))
-        d_out = int(rng.integers(2, cfg["max_dim"] + 1))
-        choi = choi_operator(random_small_channel(d_in, d_out, rng))
-        cert = certify_comb(choi, ("A", "B"), psd_tol=tol, chain_tol=tol)
+        d_in, d_out = _dims(rng, cfg["max_dim"], 2)
+        draws.append((d_in, draw_small_channel(d_in, d_out, rng)))
+    chois = [
+        LabeledOperator(choi, (("B", draw.d_out), ("A", d_in)))
+        for (d_in, draw), choi in zip(draws, small_channels([d for _, d in draws])[1])
+    ]
+    worst = 0.0
+    for cert in certify_combs(chois, [("A", "B")] * len(chois), psd_tol=tol, chain_tol=tol):
         worst = max(worst, cert.max_chain_residual, -cert.min_eig)
         ok = ok and cert.ok
-        if first_hash is None:
-            first_hash = c.stash(choi.mat)
-    return _verdict(ok, tol, worst, channels=cfg["channels"], sample_choi=first_hash)
+    return _verdict(ok, tol, worst, channels=cfg["channels"], sample_choi=c.stash(chois[0].mat))
 
 
 def _link_vs_kraus(c: Cell) -> dict:
     cfg = c.cfg
     rng = np.random.default_rng(c.seed)
     tol = cfg["link_tol"]
-    worst = 0.0
+    dims, draws = [], []
     for _ in range(cfg["pairs"]):
-        d_a = int(rng.integers(2, cfg["max_dim"] + 1))
-        d_m = int(rng.integers(2, cfg["max_dim"] + 1))
-        d_b = int(rng.integers(2, cfg["max_dim"] + 1))
-        ch1 = random_small_channel(d_a, d_m, rng)
-        ch2 = random_small_channel(d_m, d_b, rng)
-        composed = Channel(tuple(f @ e for e in ch1.kraus for f in ch2.kraus))
-        direct = choi_operator(composed, out_label="B", in_label="A")
+        d_a, d_m, d_b = _dims(rng, cfg["max_dim"], 3)
+        dims.append((d_a, d_m, d_b))
+        draws += [draw_small_channel(d_a, d_m, rng), draw_small_channel(d_m, d_b, rng)]
+    isometries, chois = small_channels(draws)
+    worst = 0.0
+    for k, (d_a, d_m, d_b) in enumerate(dims):
+        v1, v2 = isometries[2 * k], isometries[2 * k + 1]
+        # the Kraus operators are the isometries' row blocks, composed in a
+        # Channel's order
+        composed = [v2[j:j + d_b] @ v1[i:i + d_m]
+                    for i in range(0, len(v1), d_m) for j in range(0, len(v2), d_b)]
         linked = link_product(
-            choi_operator(ch1, out_label="M", in_label="A"),
-            choi_operator(ch2, out_label="B", in_label="M"),
-        ).reorder(direct.labels)
-        worst = max(worst, float(np.abs(linked.mat - direct.mat).max()))
+            LabeledOperator(chois[2 * k], (("M", d_m), ("A", d_a))),
+            LabeledOperator(chois[2 * k + 1], (("B", d_b), ("M", d_m))),
+        ).reorder(("B", "A"))
+        worst = max(worst, float(np.abs(linked.mat - choi_from_kraus(composed)).max()))
     return _verdict(worst <= tol, tol, worst, pairs=cfg["pairs"])
 
 
-def _random_tester(rng):
-    n = int(rng.integers(1, 3))
-    pair_dims = [(int(rng.integers(2, 4)), int(rng.integers(2, 4))) for _ in range(n)]
-    tester = random_tester(pair_dims, int(rng.integers(2, 4)), rng)
-    return tester, [random_small_channel(a, b, rng) for a, b in pair_dims]
+def _random_testers(rng, count: int) -> list:
+    """``count`` random testers, each with one random channel per slot pair."""
+    draws, channel_draws = [], []
+    for _ in range(count):
+        n = int(rng.integers(1, 3))
+        pair_dims = [(int(rng.integers(2, 4)), int(rng.integers(2, 4))) for _ in range(n)]
+        draws.append(draw_tester(pair_dims, int(rng.integers(2, 4)), rng))
+        channel_draws.append([draw_small_channel(a, b, rng) for a, b in pair_dims])
+    isometries = iter(small_channels([d for ds in channel_draws for d in ds])[0])
+    channels = [[channel_from_isometry(next(isometries), d.rank) for d in ds] for ds in channel_draws]
+    return list(zip(build_testers(draws), channels))
 
 
 def _tester_validity(c: Cell) -> dict:
     ok = True
     worst = 0.0
-    for tester, _ in c.testers:
-        cert = validate_tester(tester)
+    for cert in validate_testers([tester for tester, _ in c.testers]):
         ok = ok and cert.ok
         worst = max(worst, cert.sum_certificate.max_chain_residual)
     return _verdict(ok, c.cfg["comb_tol"], worst, testers=c.cfg["pairs"])

@@ -7,9 +7,14 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 def _load_spans():
@@ -25,6 +30,20 @@ def test_every_span_target_resolves_to_a_function():
     for module_name, fn_name, _ in targets:
         fn = getattr(importlib.import_module(module_name), fn_name, None)
         assert inspect.isfunction(fn), f"{module_name}.{fn_name}"
+
+
+def test_importing_the_cli_loads_every_span_target_module():
+    # spans.py imports combcert.cli and then looks each target module up in
+    # sys.modules, so a module the CLI imports lazily leaves traced runs
+    # without a report; a fresh interpreter shows what the import loads
+    modules = {module_name for module_name, _, _ in _load_spans().TARGETS}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = "import json, sys; import combcert.cli; print(json.dumps(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    missing = modules - set(json.loads(done.stdout))
+    assert not missing, f"span target modules not loaded by importing combcert.cli: {missing}"
 
 
 def test_micro_benchmark_imports_exist_with_their_call_shapes():

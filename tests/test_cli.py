@@ -411,15 +411,15 @@ def test_non_finite_output_becomes_a_fail_record(tmp_path, monkeypatch):
 
 def test_combs_suite_builds_each_tester_once(monkeypatch):
     calls = []
-    real = suites.random_tester
+    real = suites.build_testers
 
-    def counting(*args):
-        calls.append(args[0])
-        return real(*args)
+    def counting(draws):
+        calls.append(len(draws))
+        return real(draws)
 
-    monkeypatch.setattr(suites, "random_tester", counting)
+    monkeypatch.setattr(suites, "build_testers", counting)
     report = suites.run_combs_suite(SMALL_COMBS, seed=11)
-    assert len(calls) == SMALL_COMBS["combs"]["pairs"] == 6
+    assert calls == [SMALL_COMBS["combs"]["pairs"]] == [6]
     statuses = {r.check_id: r.status for r in report.records}
     assert statuses["tester-validity"] == statuses["tester-contraction"] == "pass"
 

@@ -14,6 +14,8 @@ from combcert.linalg import (
     partial_trace,
     pseudo_inverse,
     psd_check,
+    psd_checks,
+    psd_sqrt,
     random_psd,
     support_projector,
     trace_norm,
@@ -95,6 +97,24 @@ def test_trace_norm_stack_equals_per_matrix_calls(shape):
         assert norms[idx] == trace_norm(x[idx])
     with pytest.raises(ValueError):
         trace_norm(np.ones(3))
+
+
+def test_stacked_roots_inverses_and_psd_checks_equal_per_matrix_calls():
+    rng = np.random.default_rng(18)
+    real = rng.normal(size=(5, 5))
+    x = np.stack([random_psd(5, rng), random_psd(5, rng, rank=2), (real @ real.T).astype(complex),
+                  np.zeros((5, 5))])
+    for fn in (psd_sqrt, pseudo_inverse):
+        stacked = fn(x)
+        for member, one in zip(stacked, x):
+            assert np.array_equal(member, fn(one))
+    assert not pseudo_inverse(x[3]).any()
+    # the member whose Hermitian part has no imaginary part is solved as a
+    # real matrix in the stack too, as its own call solves it
+    assert all(np.array_equal(v, herm_eigvals(one)) for v, one in zip(herm_eigvals(x), x))
+    assert psd_checks(x) == [psd_check(one) for one in x]
+    x[1, 0, 0] = -1.0
+    assert psd_checks(x, tol=1e-9) == [psd_check(one, tol=1e-9) for one in x]
 
 
 def test_haar_from_ginibre_stack_equals_per_matrix_calls():

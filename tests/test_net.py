@@ -2,7 +2,7 @@
 constructions, member isometries, the overlap operator, and the three
 sampled audits."""
 
-from dataclasses import asdict
+from dataclasses import replace
 from math import sqrt
 
 import numpy as np
@@ -379,7 +379,7 @@ def test_separation_audit_equals_the_per_pair_loop(monkeypatch, d1, d2, r, batch
     blocks = build_block_isometry(NetParams(d1, d2, r, 0.005), np.random.default_rng(24))
     rng_loop, rng_batch = _twin_rngs(25)
     expected = _loop_separation(blocks, 100, rng_loop)
-    audit = asdict(separation_audit(blocks, 100, rng_batch))
+    audit = separation_audit(blocks, 100, rng_batch)._asdict()
     for key, value in expected.items():
         assert audit[key] == value, key
     assert rng_batch.bit_generator.state == rng_loop.bit_generator.state
@@ -394,6 +394,24 @@ def test_gram_moments_match_the_dense_operator(d1, d2, r):
     m2_dense, m4_dense = _loop_moments(blocks, ux, uy)
     assert np.max(np.abs(m2 - m2_dense) / m2_dense) <= 1e-13
     assert np.max(np.abs(m4 - m4_dense) / m4_dense) <= 1e-13
+
+
+def test_gram_moments_read_the_rotation_rows_from_j_embed():
+    blocks = build_block_isometry(NetParams(4, 3, 3, 0.005), np.random.default_rng(26))
+    rng = np.random.default_rng(27)
+    d = blocks.params.u_dim
+    ux, uy = haar_unitary_batch(d, 50, rng), haar_unitary_batch(d, 50, rng)
+    # listing the rotation-space columns in another order, with the rotations
+    # relabeled to match, is the same family
+    perm = np.eye(d)[:, [2, 0, 1]]
+    relisted = replace(blocks, j_embed=blocks.j_embed @ perm)
+    moved = [perm.T @ u @ perm for u in (ux, uy)]
+    for got, want in zip(_gram_moments(relisted, *moved), _gram_moments(blocks, ux, uy)):
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    # an embedding that mixes global rows has no row map to read
+    mixed = replace(blocks, j_embed=blocks.j_embed @ haar_unitary(d, rng))
+    with pytest.raises(ValueError, match="select"):
+        _gram_moments(mixed, ux, uy)
 
 
 @pytest.mark.parametrize("d1,d2,r", [(4, 3, 3), (6, 3, 4)])
