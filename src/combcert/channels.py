@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import LabeledOperator, haar_isometry, herm_eigvals, trace_norm
+from .linalg import LabeledOperator, haar_isometry, herm_eigvals, rank_mask, trace_norm
 
 __all__ = [
     "Channel",
@@ -85,11 +85,9 @@ def choi_operator(channel: Channel, out_label: str = "B", in_label: str = "A") -
 
 
 def kraus_rank(choi: np.ndarray, rank_tol: float = 1e-10) -> int | np.ndarray:
-    """Number of Choi eigenvalues above rank_tol * lambda_max; for a stack
+    """Number of Choi eigenvalues that :func:`rank_mask` keeps; for a stack
     of Choi operators, the array of each one's."""
-    vals = herm_eigvals(choi)
-    lam_max = vals[..., -1:]
-    ranks = np.count_nonzero((vals > rank_tol * lam_max) & (lam_max > 0.0), axis=-1)
+    ranks = np.count_nonzero(rank_mask(herm_eigvals(choi), rank_tol), axis=-1)
     # one operator's rank goes into JSON records, which take a Python int
     return ranks if np.ndim(ranks) else int(ranks)
 

@@ -19,8 +19,9 @@ order, and do no arithmetic; ``small_channels`` and ``build_testers`` then
 build a whole list of draws, with same-shaped work (the Haar isometries,
 Chois, square roots and pseudo-inverses) as one stack per shape.
 A stack gives each member's per-matrix result bit for bit, so an object does
-not depend on what it was built with. ``random_small_channel``,
-``random_comb`` and ``random_tester`` are the one-object forms.
+not depend on what it was built with. ``random_comb`` and ``random_tester``
+are the one-object forms; ``channels.random_channel`` draws one channel of a
+given Kraus rank the way ``draw_small_channel`` does.
 """
 
 from __future__ import annotations
@@ -32,15 +33,15 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import Channel, channel_from_isometry, choi_from_kraus, choi_operator
+from .channels import Channel, choi_from_kraus, choi_operator
 from .linalg import (
     FactoredPsd,
     LabeledOperator,
     PsdCheck,
+    ginibre,
     haar_from_ginibre,
     identity_factor_residual,
     partial_trace,
-    psd_check,
     psd_checks,
     psd_sqrt,
     pseudo_inverse,
@@ -61,6 +62,7 @@ __all__ = [
     "draw_tester",
     "link_product",
     "random_tester",
+    "slot_labels",
     "small_channels",
     "success_probability",
     "validate_tester",
@@ -192,27 +194,23 @@ def certify_comb(
     first (dense) marginal from the factor; the walk continues on dense
     marginals.
     """
-    sequence = _comb_sequence(op, sequence)
-    if isinstance(op, FactoredPsd):
-        verdict = op.psd_check(tol=psd_tol)
-    else:
-        verdict = psd_check(op.mat, tol=psd_tol, check_tol=max(psd_tol, 1e-10))
-    return _certificate(op, sequence, verdict, psd_tol, chain_tol)
+    return certify_combs([op], [sequence], psd_tol, chain_tol)[0]
 
 
 def certify_combs(
-    ops: Sequence[LabeledOperator],
+    ops: Sequence[LabeledOperator | FactoredPsd],
     sequences: Sequence[Sequence[str]],
     psd_tol: float = 1e-8,
     chain_tol: float = 1e-8,
 ) -> list[CombCertificate]:
-    """:func:`certify_comb` of each dense operator over its sequence; the
-    positivity checks of same-shaped operators are one stacked call."""
+    """:func:`certify_comb` of each operator over its sequence; the
+    positivity checks of same-shaped dense operators are one stacked call."""
     sequences = [_comb_sequence(op, seq) for op, seq in zip(ops, sequences, strict=True)]
-    verdicts = _by_shape(
+    dense = iter(_by_shape(
         lambda x: psd_checks(x, tol=psd_tol, check_tol=max(psd_tol, 1e-10)),
-        [op.mat for op in ops],
-    )
+        [op.mat for op in ops if not isinstance(op, FactoredPsd)],
+    ))
+    verdicts = [op.psd_check(tol=psd_tol) if isinstance(op, FactoredPsd) else next(dense) for op in ops]
     return [_certificate(op, seq, verdict, psd_tol, chain_tol)
             for op, seq, verdict in zip(ops, sequences, verdicts)]
 
@@ -394,8 +392,7 @@ def draw_small_channel(d_in: int, d_out: int, rng: np.random.Generator) -> Chann
     """Draw a Haar-random channel of Kraus rank 1 or 2, raised to
     ceil(d_in / d_out), the least rank a d_in -> d_out channel needs."""
     rank = max(int(rng.integers(1, 3)), -(-d_in // d_out))
-    shape = (d_out * rank, d_in)
-    return ChannelDraw(d_out, rank, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return ChannelDraw(d_out, rank, ginibre((d_out * rank, d_in), rng))
 
 
 def small_channels(draws: Sequence[ChannelDraw]) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -408,10 +405,9 @@ def small_channels(draws: Sequence[ChannelDraw]) -> tuple[list[np.ndarray], list
     return isometries, chois
 
 
-def random_small_channel(d_in: int, d_out: int, rng: np.random.Generator) -> Channel:
-    """The channel of one :func:`draw_small_channel`."""
-    draw = draw_small_channel(d_in, d_out, rng)
-    return channel_from_isometry(haar_from_ginibre(draw.ginibre), draw.rank)
+def slot_labels(n: int) -> tuple[str, ...]:
+    """The default labels (A1, B1, ..., An, Bn) of n slot pairs."""
+    return tuple(f"{side}{j}" for j in range(1, n + 1) for side in ("A", "B"))
 
 
 class _CombDraw(NamedTuple):
@@ -425,9 +421,7 @@ def _draw_comb(pair_dims, rng: np.random.Generator, labels=None) -> _CombDraw:
     n = len(pair_dims)
     if n < 1:
         raise ValueError("need at least one slot pair")
-    if labels is None:
-        labels = [f"{side}{j}" for j in range(1, n + 1) for side in ("A", "B")]
-    labels = tuple(labels)
+    labels = slot_labels(n) if labels is None else tuple(labels)
     if len(labels) != 2 * n:
         raise ValueError(f"need {2 * n} labels, got {len(labels)}")
     mem = (1,) + tuple(int(rng.integers(1, 3)) for _ in range(n))
@@ -492,17 +486,13 @@ def draw_tester(
     n = len(pair_dims)
     if n_outcomes < 1:
         raise ValueError("need at least one outcome")
-    if labels is None:
-        labels = [f"{side}{j}" for j in range(1, n + 1) for side in ("A", "B")]
-    labels = tuple(labels)
+    labels = slot_labels(n) if labels is None else tuple(labels)
     cap_pairs = [(1, pair_dims[0][0])]
     cap_pairs += [(pair_dims[j][1], pair_dims[j + 1][0]) for j in range(n - 1)]
     cap_pairs += [(pair_dims[n - 1][1], 1)]
     comb = _draw_comb(cap_pairs, rng, labels=(HEAD_LABEL,) + labels + (TAIL_LABEL,))
     d = prod(a * b for a, b in pair_dims)
-    parts = tuple(
-        rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(n_outcomes)
-    )
+    parts = tuple(ginibre((d, d), rng) for _ in range(n_outcomes))
     return TesterDraw(labels, comb, parts)
 
 

@@ -28,6 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ..combs import slot_labels
 from ..linalg import FactoredPsd, haar_isometry, nullspace, vectorize
 
 __all__ = [
@@ -206,10 +207,7 @@ def slot_spaces(spec: HardInstanceSpec, n: int) -> tuple[tuple[str, int], ...]:
 
 def comb_sequence(n: int) -> tuple[str, ...]:
     """Comb space order (A1, B1, ..., An, Bn)."""
-    seq: list[str] = []
-    for j in range(1, n + 1):
-        seq += [f"A{j}", f"B{j}"]
-    return tuple(seq)
+    return slot_labels(n)
 
 
 def gamma_outer(spec: HardInstanceSpec, n: int, i: int) -> FactoredPsd:

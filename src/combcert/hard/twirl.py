@@ -49,6 +49,7 @@ __all__ = [
     "PERMUTATION_ORDER_CAP",
     "CommutantProjector",
     "commutant_projector",
+    "exact_routes",
     "gamma_twirl",
     "gamma_twirl_factor",
     "gamma_twirl_exact_commutant",
@@ -58,6 +59,15 @@ __all__ = [
 
 COMMUTANT_DIM_CAP = 48
 PERMUTATION_ORDER_CAP = 4
+
+
+def exact_routes(d1: int, d2: int, n: int, i: int) -> tuple[str, ...]:
+    """The exact routes that take Gamma_i at n slots on the (d1, d2) cell,
+    in the order :func:`gamma_twirl` prefers them: "frame" while
+    i <= PERMUTATION_ORDER_CAP, "commutant" while (d1*d2)^n <= COMMUTANT_DIM_CAP."""
+    frame = ("frame",) if i <= PERMUTATION_ORDER_CAP else ()
+    commutant = ("commutant",) if (d1 * d2) ** n <= COMMUTANT_DIM_CAP else ()
+    return frame + commutant
 
 
 class CommutantProjector(NamedTuple):
@@ -94,7 +104,7 @@ def commutant_projector(spec: HardInstanceSpec, n: int, seed: int = 0) -> Commut
     eigenvector Y maps back to the commutant element W_s Y W_t^dagger.
     """
     dim = (spec.d1 * spec.d2) ** n
-    if dim > COMMUTANT_DIM_CAP:
+    if "commutant" not in exact_routes(spec.d1, spec.d2, n, 0):
         raise ValueError(
             f"exact-commutant twirl dimension {dim} exceeds the cap {COMMUTANT_DIM_CAP}; "
             f"use the permutation-frame or monte-carlo route"
@@ -223,7 +233,7 @@ def _weingarten_factor(spec: HardInstanceSpec, n: int, i: int) -> tuple[np.ndarr
     """
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-    if i > PERMUTATION_ORDER_CAP:
+    if "frame" not in exact_routes(spec.d1, spec.d2, n, i):
         raise ValueError(
             f"permutation-frame route supports at most {PERMUTATION_ORDER_CAP} rotated slots, "
             f"got i={i}; "
@@ -282,17 +292,16 @@ def gamma_twirl_monte_carlo(
 
 
 def gamma_twirl(spec: HardInstanceSpec, n: int, i: int, seed: int = 0) -> np.ndarray:
-    """Gamma_i by an exact route chosen from the input: the permutation frame
-    while i <= PERMUTATION_ORDER_CAP, else the exact commutant (built from
-    ``seed``) while the dimension is at most COMMUTANT_DIM_CAP, else a
-    ValueError; the Monte Carlo route is never taken silently."""
-    if i <= PERMUTATION_ORDER_CAP:
+    """Gamma_i by the first of :func:`exact_routes`: the permutation frame,
+    else the exact commutant (built from ``seed``), else a ValueError; the
+    Monte Carlo route is never taken silently."""
+    routes = exact_routes(spec.d1, spec.d2, n, i)
+    if "frame" in routes:
         return gamma_twirl_weingarten(spec, n, i)
-    dim = (spec.d1 * spec.d2) ** n
-    if dim <= COMMUTANT_DIM_CAP:
+    if routes:
         return gamma_twirl_exact_commutant(spec, n, i, seed=seed)
     raise ValueError(
-        f"no exact route for i={i}, dimension {dim}; "
+        f"no exact route for i={i}, dimension {(spec.d1 * spec.d2) ** n}; "
         f"gamma_twirl_monte_carlo gives a statistical estimate"
     )
 
@@ -302,12 +311,12 @@ def gamma_twirl_factor(spec: HardInstanceSpec, n: int, i: int, seed: int = 0) ->
     :func:`gamma_twirl` takes.
 
     On the permutation frame this is the factor that gamma_twirl_weingarten
-    densifies, (G, nu / C(n, i)); above PERMUTATION_ORDER_CAP it is
-    gamma_twirl's own dense result (dimension at most COMMUTANT_DIM_CAP, else
-    its ValueError) handed over as a full-rank factor.
+    densifies, (G, nu / C(n, i)); off it, it is gamma_twirl's own dense
+    result (from the exact commutant, else its ValueError) handed over as a
+    full-rank factor.
     """
     spaces = slot_spaces(spec, n)
-    if i > PERMUTATION_ORDER_CAP:
+    if "frame" not in exact_routes(spec.d1, spec.d2, n, i):
         vals, vecs = herm_eig(gamma_twirl(spec, n, i, seed=seed))
         return FactoredPsd(vecs, vals, spaces)
     g_cols, nu = _weingarten_factor(spec, n, i)

@@ -30,7 +30,9 @@ __all__ = [
     "pseudo_inverse",
     "psd_sqrt",
     "support_projector",
+    "rank_mask",
     "nullspace",
+    "ginibre",
     "haar_unitary",
     "haar_unitary_batch",
     "haar_isometry",
@@ -196,25 +198,25 @@ def psd_check(x: np.ndarray, tol: float = 1e-10, check_tol: float = 1e-10) -> Ps
     PSD iff lambda_min >= -tol * max(1, lambda_max). Only eigenvalues are
     computed (:func:`herm_eigvals`).
     """
-    return _floor_rule(herm_eigvals(x, check_tol=check_tol), tol)
+    return _floor_rule(herm_eigvals(x, check_tol=check_tol)[None], tol)[0]
 
 
 def psd_checks(x: np.ndarray, tol: float = 1e-10, check_tol: float = 1e-10) -> list[PsdCheck]:
     """:func:`psd_check` of each matrix of a stack (n, d, d), from one
     batched eigenvalue call; equal to the per-matrix calls."""
-    vals = herm_eigvals(x, check_tol=check_tol)
-    if not vals.shape[-1]:
-        return [_floor_rule(v, tol) for v in vals]
-    lo, hi = vals.min(axis=-1), vals.max(axis=-1)
+    return _floor_rule(herm_eigvals(x, check_tol=check_tol), tol)
+
+
+def _floor_rule(vals: np.ndarray, tol: float) -> list[PsdCheck]:
+    """The PSD verdict lambda_min >= -tol * max(1, lambda_max) on each
+    spectrum of a stack (n, d); an empty spectrum reads as lambda = 0. Every
+    PSD check here gives its verdict by this rule."""
+    if vals.shape[-1]:
+        lo, hi = vals.min(axis=-1), vals.max(axis=-1)
+    else:
+        lo = hi = np.zeros(vals.shape[:-1])
     ok = lo >= -tol * np.maximum(1.0, hi)
     return [PsdCheck(*row) for row in zip(ok.tolist(), lo.tolist(), hi.tolist())]
-
-
-def _floor_rule(vals: np.ndarray, tol: float) -> PsdCheck:
-    """The PSD verdict on a spectrum: lambda_min >= -tol * max(1, lambda_max)."""
-    lo = float(vals.min()) if vals.size else 0.0
-    hi = float(vals.max()) if vals.size else 0.0
-    return PsdCheck(ok=lo >= -tol * max(1.0, hi), min_eig=lo, max_eig=hi)
 
 
 def trace_norm(x: np.ndarray) -> float | np.ndarray:
@@ -227,13 +229,12 @@ def pseudo_inverse(x: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
     """Moore-Penrose inverse of a Hermitian PSD matrix on its support, or of
     each matrix of a stack (..., d, d), equal to the per-matrix calls.
 
-    Eigenvalues above ``rank_tol * lambda_max`` are inverted; the rest are
-    treated as exact zeros (support convention), and a matrix with
+    The eigenvalues :func:`rank_mask` keeps are inverted; the rest are
+    treated as exact zeros (support convention), so a matrix with
     lambda_max <= 0 has the zero inverse.
     """
     vals, vecs = herm_eig(x)
-    lam_max = vals[..., -1:]
-    keep = (vals > rank_tol * lam_max) & (lam_max > 0.0)
+    keep = rank_mask(vals, rank_tol)
     inv = np.zeros_like(vals)
     inv[keep] = 1.0 / vals[keep]
     return _spectral(vecs, inv)
@@ -252,13 +253,18 @@ def _spectral(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
 
 
 def support_projector(x: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
-    """Orthogonal projector onto the support of a Hermitian PSD matrix."""
+    """Orthogonal projector onto the support of a Hermitian PSD matrix: the
+    eigenvectors :func:`rank_mask` keeps."""
     vals, vecs = herm_eig(x)
-    lam_max = float(vals[-1]) if vals.size else 0.0
-    if lam_max <= 0.0:
-        return np.zeros_like(np.asarray(x, dtype=complex))
-    cols = vecs[:, vals > rank_tol * lam_max]
+    cols = vecs[:, rank_mask(vals, rank_tol)]
     return cols @ cols.conj().T
+
+
+def rank_mask(vals: np.ndarray, rank_tol: float) -> np.ndarray:
+    """The eigenvalues counted in the rank, over ascending spectra on the
+    last axis: lambda > rank_tol * lambda_max, and none when lambda_max <= 0."""
+    lam_max = vals[..., -1:]
+    return (vals > rank_tol * lam_max) & (lam_max > 0.0)
 
 
 def nullspace(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -284,8 +290,7 @@ def haar_isometry(d_in: int, d_out: int, rng: np.random.Generator) -> np.ndarray
         raise ValueError(f"isometry needs d_out >= d_in, got {d_out} < {d_in}")
     if d_in < 1:
         raise ValueError(f"d_in must be positive, got {d_in}")
-    g = rng.standard_normal((d_out, d_in)) + 1j * rng.standard_normal((d_out, d_in))
-    return haar_from_ginibre(g)
+    return haar_from_ginibre(ginibre((d_out, d_in), rng))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -295,8 +300,13 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def haar_unitary_batch(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """Stack of ``count`` independent Haar-random unitaries, shape (count, dim, dim)."""
-    g = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
-    return haar_from_ginibre(g)
+    return haar_from_ginibre(ginibre((count, dim, dim), rng))
+
+
+def ginibre(shape, rng: np.random.Generator) -> np.ndarray:
+    """A complex Ginibre array of ``shape``: one standard normal draw of the
+    whole shape for the real part, then one for the imaginary part."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def haar_from_ginibre(g: np.ndarray) -> np.ndarray:
@@ -331,7 +341,7 @@ def random_psd(dim: int, rng: np.random.Generator, rank: int | None = None) -> n
     r = dim if rank is None else int(rank)
     if r < 1 or r > dim:
         raise ValueError(f"rank must be in [1, {dim}], got {r}")
-    g = rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r))
+    g = ginibre((dim, r), rng)
     return g @ g.conj().T
 
 
@@ -519,7 +529,7 @@ class FactoredPsd(_Labeled):
         vals = np.linalg.eigvalsh((r * self.weights) @ r.conj().T)
         if r.shape[0] < self.dim:
             vals = np.concatenate([vals, [0.0]])
-        return _floor_rule(vals, tol)
+        return _floor_rule(vals[None], tol)[0]
 
     def partial_trace(self, labels: Sequence[str]) -> LabeledOperator:
         """The dense marginal sum_b G_b diag(w) G_b^dagger over the basis

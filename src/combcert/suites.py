@@ -61,8 +61,8 @@ from .hard import (
     xlog_bound_values,
 )
 from .hard.instance import comb_sequence
-from .hard.twirl import COMMUTANT_DIM_CAP, PERMUTATION_ORDER_CAP
-from .linalg import LabeledOperator, haar_unitary, psd_sqrt, random_psd
+from .hard.twirl import COMMUTANT_DIM_CAP, PERMUTATION_ORDER_CAP, exact_routes
+from .linalg import LabeledOperator, ginibre, haar_unitary, psd_sqrt, random_psd
 from .net import (
     F_ROUTE_TOL,
     IDENTITY_TOL,
@@ -133,7 +133,6 @@ DEFAULT_CONFIG: dict = {
             "eps": [0.01, 0.05],
             "max_n": 3,
             "u_samples": 20,
-            "lambda_scale": 1.0,
             "eig_tol": 1e-8,
         },
         "facts": {
@@ -176,7 +175,8 @@ def effective_config(user: dict | None, samples: int | None = None) -> dict:
     by the constructors that would reject them mid-run, as are
     ``hard.family_eps``, ``hard.facts.eps`` and ``hard.domination.eps``
     (below 1) and ``net.eps`` (below 1, and at most ``SEPARATION_MAX_EPS``
-    when separation cells are configured).
+    when separation cells are configured). Every hard twirl the checks ask
+    for must have an exact route (``hard.twirl.exact_routes``).
     Raises ConfigError."""
     if user is None:
         user = {}
@@ -241,7 +241,8 @@ def _cell(path: str, value, size: int) -> list:
 
 def _check_cells(cfg: dict) -> None:
     """Reject the cells and the eps values that the hard and net constructors
-    would reject mid-run."""
+    would reject mid-run, and the hard cells that ask for a twirl no exact
+    route takes."""
     hard, net = cfg["hard"], cfg["net"]
     # HardInstanceSpec.member and the weight-schedule window need eps < 1
     below_one = [("hard.family_eps", hard["family_eps"])] + [
@@ -266,6 +267,31 @@ def _check_cells(cfg: dict) -> None:
     for cell in hard["mc_cells"]:
         if cell[3] > cell[2]:
             raise ConfigError(f"hard.mc_cells cell {cell}: need 0 <= i <= n")
+    # every Gamma_i a check asks for needs an exact twirl route; the routes
+    # only narrow as n and i grow, so a cell is checked at its largest (n, i)
+    max_n, dom = hard["max_n"], hard["domination"]
+    twirls = [("hard.gamma_cells", cell, max_n, max_n) for cell in hard["gamma_cells"]]
+    twirls += [("hard.mc_cells", cell, cell[2], cell[3]) for cell in hard["mc_cells"]]
+    for cell in dom["cells"]:
+        for eps in dom["eps"]:
+            # the domination records skip the n outside the weight-schedule window
+            top = int(min(dom["max_n"], admissible_window(cell[0], cell[1], eps)))
+            if top >= 1:
+                twirls.append(("hard.domination.cells", cell, top, top))
+    for path, cell, n, i in twirls:
+        if not exact_routes(cell[0], cell[1], n, i):
+            raise ConfigError(
+                f"{path} cell {cell}: no exact twirl route for i={i} at n={n}: i is above "
+                f"{PERMUTATION_ORDER_CAP} and dimension {(cell[0] * cell[1]) ** n} above "
+                f"{COMMUTANT_DIM_CAP}"
+            )
+    n = hard["rotor_trace_max_n"]
+    for cell in hard["rotor_trace_cells"]:
+        if "commutant" not in exact_routes(cell[0], cell[1], n, 0):
+            raise ConfigError(
+                f"hard.rotor_trace_cells cell {cell}: dimension {(cell[0] * cell[1]) ** n} at "
+                f"rotor_trace_max_n {n} is above the exact-commutant cap {COMMUTANT_DIM_CAP}"
+            )
     try:
         check_eps(net["eps"], separation=bool(net["separation_cells"]))
     except ValueError as exc:
@@ -628,7 +654,7 @@ def _trace_bound_unitary(c: Cell) -> dict:
             twirled = np.trace(x).real / d * np.eye(d)
             val = twirl_trace_bound(x, twirled)
             max_excess = max(max_excess, val - d * (1 + tol))
-        phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        phi = ginibre(d, rng)
         phi /= np.linalg.norm(phi)
         pure = np.outer(phi, phi.conj())
         val = twirl_trace_bound(pure, np.eye(d) / d)
@@ -682,12 +708,9 @@ def _in_schedule_window(c: Cell) -> str | None:
 def _domination(c: Cell) -> dict:
     d1, d2, eps, n = c.key
     dom = c.cfg["domination"]
-    lam_scale = dom["lambda_scale"]
     res = domination_check(
         c.spec, n, eps, n_samples=dom["u_samples"], seed=c.seed, eig_tol=dom["eig_tol"]
     )
-    q_eff = res.max_quadratic_form / lam_scale
-    ok = res.ok and q_eff <= 1 + 1e-9
     values = {
         "d1": d1, "d2": d2, "n": n, "eps": eps,
         "max_quadratic_form": res.max_quadratic_form,
@@ -697,10 +720,7 @@ def _domination(c: Cell) -> dict:
         "lambda_total": res.lambda_total,
         "lambda_sum_bound": res.lambda_sum_bound,
     }
-    if lam_scale != 1.0:
-        values["lambda_scale"] = lam_scale
-        values["scaled_quadratic_form"] = q_eff
-    return _verdict(ok, 1.0 + 1e-9, q_eff - 1.0, **values)
+    return _verdict(res.ok, 1.0 + 1e-9, res.max_quadratic_form - 1.0, **values)
 
 
 def _lambda_sum(c: Cell) -> dict:
@@ -761,8 +781,7 @@ def _psd_inversion(c: Cell) -> dict:
         m = random_psd(dim, rng) + 0.1 * np.eye(dim)
         root = psd_sqrt(m)
         for target in (0.5, 0.999, 1.001, 2.0):
-            raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            raw = root @ raw
+            raw = root @ ginibre(dim, rng)
             raw *= sqrt(target) / sqrt(float((raw.conj() @ (np.linalg.pinv(m) @ raw)).real))
             wit = psd_domination_equiv(m, raw)
             ok = ok and (wit.dominates == (target <= 1.0))
@@ -1030,8 +1049,8 @@ def check_table(suite: str, run: Run) -> list[tuple[Cell, list[Check]]]:
     return _SUITES[suite][0](run)
 
 
-def _run_suite(suite, config, seed, samples, embed_matrices):
-    cfg = effective_config(config, samples)[suite]
+def _run_suite(suite, config, seed, embed_matrices):
+    cfg = effective_config(config)[suite]
     started = time.perf_counter()
     run = Run(cfg, seed, embed_matrices)
     records = [_run_check(cell, check)
@@ -1050,26 +1069,22 @@ def _run_suite(suite, config, seed, samples, embed_matrices):
 def run_combs_suite(
     config: dict | None = None,
     seed: int = 0,
-    samples: int | None = None,
     embed_matrices: bool = False,
 ) -> VerificationReport:
-    return _run_suite("combs", config, seed, samples, embed_matrices)
+    return _run_suite("combs", config, seed, embed_matrices)
 
 
 def run_hard_suite(
     config: dict | None = None,
     seed: int = 0,
-    samples: int | None = None,
     embed_matrices: bool = False,
 ) -> VerificationReport:
-    return _run_suite("hard", config, seed, samples, embed_matrices)
+    return _run_suite("hard", config, seed, embed_matrices)
 
 
 def run_net_suite(
     config: dict | None = None,
     seed: int = 0,
-    samples: int | None = None,
     embed_matrices: bool = False,
 ) -> VerificationReport:
-    return _run_suite("net", config, seed, samples, embed_matrices)
-
+    return _run_suite("net", config, seed, embed_matrices)

@@ -12,11 +12,10 @@ from math import exp, log, sqrt
 
 import numpy as np
 
-from combcert.channels import Channel, choi_from_kraus, choi_operator, kraus_rank
+from combcert.channels import Channel, choi_from_kraus, choi_operator, kraus_rank, random_channel
 from combcert.combs import (
     certify_comb,
     link_product,
-    random_small_channel,
     random_tester,
     success_probability,
     validate_tester,
@@ -61,6 +60,12 @@ def _rng(tag):
     return np.random.default_rng([SEED, sum(map(ord, tag))])
 
 
+def _small_channel(d_in, d_out, rng):
+    """A Haar-random channel of Kraus rank 1 or 2, raised to the least rank a
+    d_in -> d_out channel needs."""
+    return random_channel(d_in, d_out, max(int(rng.integers(1, 3)), -(-d_in // d_out)), rng)
+
+
 def _finish(num, name, elapsed, budget, **measured):
     detail = " ".join(f"{k}={v:.3e}" if isinstance(v, float) else f"{k}={v}"
                       for k, v in measured.items())
@@ -77,7 +82,7 @@ def test_criterion_01_comb_calculus():
         d_in = int(rng.integers(2, 5))
         d_out = int(rng.integers(2, 5))
         cert = certify_comb(
-            choi_operator(random_small_channel(d_in, d_out, rng)),
+            choi_operator(_small_channel(d_in, d_out, rng)),
             ("A", "B"), psd_tol=1e-8, chain_tol=1e-8,
         )
         assert cert.ok
@@ -87,8 +92,8 @@ def test_criterion_01_comb_calculus():
     link_res = 0.0
     for _ in range(50):
         d_a, d_m, d_b = (int(rng.integers(2, 5)) for _ in range(3))
-        ch1 = random_small_channel(d_a, d_m, rng)
-        ch2 = random_small_channel(d_m, d_b, rng)
+        ch1 = _small_channel(d_a, d_m, rng)
+        ch2 = _small_channel(d_m, d_b, rng)
         composed = Channel(tuple(f @ e for e in ch1.kraus for f in ch2.kraus))
         direct = choi_operator(composed, out_label="B", in_label="A")
         linked = link_product(
@@ -104,7 +109,7 @@ def test_criterion_01_comb_calculus():
         pair_dims = [(int(rng.integers(2, 4)), int(rng.integers(2, 4))) for _ in range(n)]
         tester = random_tester(pair_dims, int(rng.integers(2, 4)), rng)
         assert validate_tester(tester).ok
-        chans = [random_small_channel(a, b, rng) for a, b in pair_dims]
+        chans = [_small_channel(a, b, rng) for a, b in pair_dims]
         probs = success_probability(tester, chans)
         contraction_res = max(contraction_res, abs(float(probs.sum()) - 1.0))
     assert contraction_res <= 1e-8

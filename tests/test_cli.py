@@ -7,13 +7,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from dataclasses import replace
+from math import log
 from pathlib import Path
 
 import pytest
 
 import combcert.cli as cli
+import combcert.hard.domination as domination
 import combcert.hard.twirl as twirl
 import combcert.suites as suites
 from combcert.cli import main
@@ -107,10 +110,15 @@ def test_invalid_net_mode_exits_2(tmp_path, capsys):
     assert "odd mode" in capsys.readouterr().err
 
 
-def test_tampered_weight_schedule_fails(tmp_path):
-    payload = json.loads(json.dumps(SMALL_HARD))
-    payload["hard"]["domination"]["lambda_scale"] = 1e-6
-    code, out = _verify(tmp_path, "hard", payload)
+def test_tampered_weight_schedule_fails(tmp_path, monkeypatch):
+    real = domination.lambda_schedule
+
+    def tampered(d1, d2, n, eps):  # every weight scaled by 1e-6
+        sched = real(d1, d2, n, eps)
+        return replace(sched, log_weights=sched.log_weights + log(1e-6))
+
+    monkeypatch.setattr(domination, "lambda_schedule", tampered)
+    code, out = _verify(tmp_path, "hard", SMALL_HARD)
     assert code == 1
     doc = _load(out, "hard")
     failed = [r for r in doc["records"] if r["status"] == "fail"]
@@ -369,12 +377,24 @@ BAD_CONFIGS = {
     "facts-eps-not-below-1": {"hard": {"facts": {"eps": [0.01, 1.5]}}},
     "domination-eps-not-below-1": {"hard": {"domination": {"eps": [1.5]}}},
     "net-eps-above-separation-limit": {"net": {"eps": 0.05}},
+    "removed-lambda-scale": {"hard": {"domination": {"lambda_scale": 1.0}}},
+    # twirls that no exact route takes: i = n = 5 on (1, 3) is above the
+    # frame's order cap, and dimension 3^5 above the commutant's cap
+    "gamma-twirl-without-a-route": {"hard": {"max_n": 5}},
+    "gamma-cell-without-a-route": {
+        "hard": {"max_n": 5, "gamma_cells": [[1, 3]], "mc_cells": [], "domination": {"cells": []}}
+    },
+    "mc-cell-without-a-route": {"hard": {"mc_cells": [[1, 3, 5, 5]]}},
+    "domination-cell-without-a-route": {"hard": {"domination": {"cells": [[1, 3]], "max_n": 5}}},
+    "rotor-trace-above-the-commutant-cap": {"hard": {"rotor_trace_cells": [[2, 4]]}},
 }
 
 
 @pytest.mark.parametrize("payload", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
 def test_bad_config_exits_2_before_any_report(tmp_path, capsys, payload):
+    started = time.perf_counter()
     code, out = _verify(tmp_path, "all", payload)
+    assert time.perf_counter() - started < 1.0
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error:") and err.count("\n") == 1

@@ -4,6 +4,7 @@ import pytest
 from combcert.channels import Channel, choi_from_kraus, choi_operator, random_channel
 from combcert.combs import (
     certify_comb,
+    certify_combs,
     channels_network,
     link_product,
     random_comb,
@@ -265,3 +266,25 @@ def test_full_rank_factor_reports_min_eig_from_the_core():
     assert cert.max_eig == pytest.approx(3.0, abs=1e-12)
     dense = psd_check((u * w) @ u.conj().T)
     assert cert.min_eig == pytest.approx(dense.min_eig, abs=1e-12)
+
+
+def test_certify_combs_on_dense_and_factored_members_equals_one_call_each():
+    rng = np.random.default_rng(42)
+    spec = HardInstanceSpec.concrete(1, 3)
+    f = gamma_outer(spec, 2, 1)
+    ops = [
+        random_comb([(2, 2), (2, 3)], rng),
+        gamma_outer(spec, 2, 0),
+        random_comb([(3, 2)], rng),
+        FactoredPsd(2 * f.factor, f.weights, f.spaces),  # fails the chain
+        random_comb([(2, 2), (2, 3)], rng),
+        f,
+        LabeledOperator(-np.eye(4), (("A1", 2), ("B1", 2))),  # fails positivity
+    ]
+    seqs = [comb_sequence(len(op.spaces) // 2) for op in ops]
+    certs = certify_combs(ops, seqs, psd_tol=1e-7, chain_tol=1e-7)
+    assert [c.ok for c in certs] == [True, True, True, False, True, True, False]
+    for op, seq, cert in zip(ops, seqs, certs):
+        assert cert == certify_comb(op, seq, psd_tol=1e-7, chain_tol=1e-7)
+        if isinstance(op, LabeledOperator):  # the stacked verdict is the per-matrix one
+            assert (cert.min_eig, cert.max_eig) == psd_check(op.mat, tol=1e-7)[1:]

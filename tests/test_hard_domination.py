@@ -212,3 +212,23 @@ def test_domination_quadratic_form_strictly_inside_budget():
     for eps in (0.01, 0.05):
         q = domination_check(spec, 2, eps, n_samples=3, seed=1).max_quadratic_form
         assert 0.0 < q < 0.9
+
+
+@pytest.mark.parametrize("d1, d2, max_n", [(1, 2, 3), (1, 3, 3), (2, 4, 2), (2, 5, 2)])
+def test_every_sampled_quadratic_form_equals_its_closed_form(d1, d2, max_n):
+    # q(U) = sum_i C(n,i) (1-eps^2)^(n-i) eps^(2i) t_i / lambda_i, with
+    # t_i = gamma_i^dagger Gamma_i^+ gamma_i = C(k*d1 + i - 1, i), k = d2 - d1
+    spec = HardInstanceSpec.concrete(d1, d2)
+    k = spec.rotor_dim
+    for eps in (0.01, 0.05):
+        for n in range(1, max_n + 1):
+            weights = lambda_schedule(d1, d2, n, eps).weights
+            closed = sum(
+                comb(n, i) * (1 - eps**2) ** (n - i) * eps ** (2 * i) * comb(k * d1 + i - 1, i)
+                / weights[i]
+                for i in range(n + 1)
+            )
+            res = domination_check(spec, n, eps, seed=n)
+            assert len(res.quadratic_forms) == 20
+            for q in res.quadratic_forms:
+                assert abs(q - closed) <= 1e-12 * closed, (eps, n, q, closed)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from combcert.channels import kraus_rank
 from combcert.linalg import (
     FactoredPsd,
     LabeledOperator,
+    ginibre,
     haar_from_ginibre,
     haar_isometry,
     haar_unitary,
@@ -17,6 +19,7 @@ from combcert.linalg import (
     psd_checks,
     psd_sqrt,
     random_psd,
+    rank_mask,
     support_projector,
     trace_norm,
     vectorize,
@@ -156,6 +159,45 @@ def test_psd_check_matches_eigh_reference(kind):
             assert abs(hi - ref[-1]) <= tol
             assert ok == (ref[0] >= -1e-10 * max(1.0, ref[-1]))
             assert np.abs(herm_eigvals(x) - ref).max() <= tol
+
+
+def test_the_three_psd_checks_share_one_floor_rule():
+    # exact spectra (-0.5, 0, 2): at tol 0.25 the floor is -0.25 * max(1, 2)
+    spaces = (("A", 3),)
+    for low, ok in ((-0.5, True), (-0.5000001, False)):
+        dense = np.diag([low, 0.0, 2.0])
+        factored = FactoredPsd(np.eye(3)[:, [0, 2]], [low, 2.0], spaces)
+        want = (ok, low, 2.0)
+        assert psd_check(dense, tol=0.25) == want
+        assert psd_checks(np.stack([dense, dense]), tol=0.25) == [want, want]
+        assert factored.psd_check(tol=0.25) == want
+    # an empty spectrum, and a factor of rank 0 (its spectrum is all zeros)
+    empty = (True, 0.0, 0.0)
+    assert psd_check(np.zeros((0, 0))) == empty
+    assert psd_checks(np.zeros((2, 0, 0))) == [empty, empty]
+    assert FactoredPsd(np.zeros((3, 0)), np.zeros(0), spaces).psd_check() == empty
+
+
+def test_rank_cut_keeps_nothing_without_a_positive_eigenvalue():
+    # with rank_tol 2, -1 would pass the cut 2 * lambda_max were it not for lambda_max > 0
+    assert not rank_mask(np.array([-3.0, -1.0]), 2.0).any()
+    assert not rank_mask(np.zeros((2, 4)), 1e-10).any()
+    rng = np.random.default_rng(19)
+    one = -np.eye(3)
+    stack = np.stack([one, np.zeros((3, 3)), random_psd(3, rng, rank=2)])
+    assert not pseudo_inverse(one).any() and not support_projector(one).any()
+    assert kraus_rank(one) == 0
+    inverses = pseudo_inverse(stack)
+    assert not inverses[:2].any() and inverses[2].any()
+    assert kraus_rank(stack).tolist() == [0, 0, 2]
+
+
+def test_ginibre_draws_the_real_part_then_the_imaginary_part():
+    a, b = np.random.default_rng(5), np.random.default_rng(5)
+    for shape in (3, (2, 3), (4, 2, 2)):
+        re, im = b.standard_normal(shape), b.standard_normal(shape)
+        assert np.array_equal(ginibre(shape, a), re + 1j * im)
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 def test_trace_norm_oracles():
