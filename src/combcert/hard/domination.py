@@ -12,16 +12,18 @@ builtin ``sum``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, exp, log, sqrt
+from math import comb, exp, inf, log, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from ..linalg import haar_from_ginibre, herm_eigvals, pseudo_inverse, support_projector
+from ..linalg import haar_from_ginibre, herm_eigvals, pseudo_inverse, rank_mask, support_projector
 from .instance import HardInstanceSpec, gamma_state
 from .twirl import gamma_twirl
 
 __all__ = [
+    "EIG_TOL",
+    "Q_BOUND",
     "WEIGHT_BUDGET_CONSTANT",
     "DominationResult",
     "admissible_window",
@@ -30,17 +32,28 @@ __all__ = [
     "LambdaSchedule",
     "domination_check",
     "lambda_schedule",
+    "largest_round",
     "symmetric_span_dim",
     "twirl_trace_bound",
 ]
 
 WEIGHT_BUDGET_CONSTANT = 2 * exp(4.0)
+# domination_check's bounds: the largest sampled q(U), and the least
+# lambda_min(sum_i lambda_i Gamma_i - |v><v|) / lambda_total
+Q_BOUND = 1.0 + 1e-9
+EIG_TOL = 1e-8
 
 
 def admissible_window(d1: int, d2: int, eps: float) -> float:
     """Largest admissible round count d1*d2 / (B*eps^2), B = 2e^4; the weight
     schedule is valid for 1 <= n <= this bound."""
     return d1 * d2 / (WEIGHT_BUDGET_CONSTANT * eps**2)
+
+
+def largest_round(d1: int, d2: int, eps: float, max_n: float = inf) -> int:
+    """The largest round count n <= max_n inside the weight-schedule window
+    [1, admissible_window(d1, d2, eps)]; below 1 when no n is."""
+    return int(min(max_n, admissible_window(d1, d2, eps)))
 
 
 def budget_exponent(d1: int, d2: int, n: int, eps: float) -> float:
@@ -138,8 +151,7 @@ def symmetric_span_dim(d: int, m: int, rng: np.random.Generator) -> int:
     vecs = _kron_power_rows(phi, m)
     gram = vecs @ vecs.conj().T
     vals = herm_eigvals(gram)
-    lam_max = float(vals[-1]) if vals.size else 0.0
-    return int(np.count_nonzero(vals > 1e-8 * max(lam_max, 1e-300)))
+    return int(np.count_nonzero(rank_mask(vals, 1e-8)))
 
 
 def _kron_power_rows(rows: np.ndarray, n: int) -> np.ndarray:
@@ -157,7 +169,7 @@ def domination_check(
     eps: float,
     n_samples: int = 20,
     seed: int = 0,
-    eig_tol: float = 1e-8,
+    eig_tol: float = EIG_TOL,
 ) -> DominationResult:
     """Certify sum_i lambda_i Gamma_i >= |v(U)><v(U)|^{(x)n} on Haar samples U.
 
@@ -205,7 +217,7 @@ def domination_check(
     max_support_residual = float(residuals.max())
     min_eig_ratio = float((min_eigs / lam_total).min())
     ok = (
-        max_q <= 1.0 + 1e-9
+        max_q <= Q_BOUND
         and max_support_residual <= 1e-9
         and min_eig_ratio >= -eig_tol
         and trace_margin <= 1e-6

@@ -19,6 +19,7 @@ from ..linalg import psd_check, pseudo_inverse, support_projector
 from .domination import budget_exponent, check_admissible
 
 __all__ = [
+    "CHAIN_SLACK",
     "PsdDominationWitness",
     "SummandChains",
     "binary_entropy",
@@ -30,6 +31,9 @@ __all__ = [
     "xlog_bound_values",
 ]
 
+
+# the relative pad each bound of a summand chain may exceed its successor by
+CHAIN_SLACK = 1e-12
 
 # binary_entropy, kl_binary and log_binom take a scalar or an array and
 # return an array of the same shape (0-d for a scalar). Every log and
@@ -134,7 +138,7 @@ class SummandChains:
     t_simplified: np.ndarray
     t_budget: np.ndarray
 
-    def chain_ok(self, slack: float = 1e-12) -> np.ndarray:
+    def chain_ok(self, slack: float = CHAIN_SLACK) -> np.ndarray:
         """Whether each summand's chain holds up to the pad
         slack * max(1, |t_exact|, |t_budget|), as a boolean array."""
         pad = slack * np.maximum(np.maximum(1.0, np.abs(self.t_exact)), np.abs(self.t_budget))

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..linalg import FactoredPsd, haar_unitary, haar_unitary_batch, herm_eig, vectorize
+from ..linalg import FactoredPsd, haar_unitary, haar_unitary_batch, herm_eig, rank_mask, vectorize
 from .instance import (
     HardInstanceSpec,
     gamma_state,
@@ -216,7 +216,7 @@ def _twirled_core(k: int, d1: int, i: int) -> tuple[np.ndarray, np.ndarray]:
         axes = [2 * s[j // 2] if j % 2 == 0 else j for j in range(2 * i)] + [2 * i]
         core += weight * (basis.T @ slots.transpose(axes).reshape(basis.shape))
     vals, vecs = herm_eig(factorial(i) * core)
-    keep = vals > 1e-12 * vals[-1]  # tr N = d1^i, so vals[-1] > 0
+    keep = rank_mask(vals, 1e-12)
     vals, cols = vals[keep], basis @ vecs[:, keep]
     vals.flags.writeable = cols.flags.writeable = False
     return vals, cols

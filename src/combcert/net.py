@@ -596,7 +596,8 @@ class SeparationAudit(NamedTuple):
     cross_route_residual: float
     choi_floor_violation: float
     tight_eps_regime: bool
-    ok: bool
+    separated: bool  # the Choi distance, overlap norm and Kraus rank bounds hold
+    identities_hold: bool  # every trace-norm identity holds to its tolerance
 
 
 def _separation_chunk(blocks: BlockIsometry, n: int, rng: np.random.Generator) -> dict:
@@ -685,25 +686,15 @@ def separation_audit(
     worst = {key: max(0.0, float(np.max(per_pair[key])))
              for key in ("branch", "nilp", "symm", "route", "floor")}
 
-    choi_threshold = 0.07 * p.eps
+    choi_threshold, overlap_threshold = 0.07 * p.eps, 0.05
     derived_floor = amp * min_f - 2 * p.eps**2
-    ok = (
-        min_dist >= choi_threshold
-        and min_f >= 0.05
-        and max_rank <= p.r
-        and worst["branch"] <= IDENTITY_TOL
-        and worst["symm"] <= IDENTITY_TOL
-        and worst["nilp"] <= NILPOTENCY_TOL
-        and worst["route"] <= IDENTITY_TOL
-        and worst["floor"] <= IDENTITY_TOL
-    )
     return SeparationAudit(
         pairs=pairs,
         eps=p.eps,
         min_choi_distance=min_dist,
         choi_threshold=choi_threshold,
         min_overlap_norm=min_f,
-        overlap_threshold=0.05,
+        overlap_threshold=overlap_threshold,
         max_kraus_rank=max_rank,
         rank_bound=p.r,
         derived_choi_floor=derived_floor,
@@ -713,5 +704,9 @@ def separation_audit(
         cross_route_residual=worst["route"],
         choi_floor_violation=worst["floor"],
         tight_eps_regime=p.eps < 1e-4,
-        ok=ok,
+        separated=min_dist >= choi_threshold and min_f >= overlap_threshold and max_rank <= p.r,
+        identities_hold=(
+            max(worst["branch"], worst["symm"], worst["route"], worst["floor"]) <= IDENTITY_TOL
+            and worst["nilp"] <= NILPOTENCY_TOL
+        ),
     )

@@ -60,6 +60,8 @@ from .hard import (
     twirl_trace_bound,
     xlog_bound_values,
 )
+from .hard.domination import EIG_TOL, Q_BOUND, largest_round
+from .hard.facts import CHAIN_SLACK
 from .hard.instance import comb_sequence
 from .hard.twirl import COMMUTANT_DIM_CAP, PERMUTATION_ORDER_CAP, exact_routes
 from .linalg import LabeledOperator, ginibre, haar_unitary, psd_sqrt, random_psd
@@ -70,7 +72,6 @@ from .net import (
     MIN_LIPSCHITZ_TRIALS,
     MIN_MOMENT_SAMPLES,
     MIN_SEPARATION_PAIRS,
-    NILPOTENCY_TOL,
     NetParams,
     build_block_isometry,
     build_net_isometry,
@@ -106,24 +107,15 @@ DEFAULT_CONFIG: dict = {
         "channels": 50,
         "max_dim": 4,
         "pairs": 50,
-        "comb_tol": 1e-8,
-        "link_tol": 1e-9,
-        "contraction_tol": 1e-8,
     },
     "hard": {
         "gamma_cells": [[1, 2], [1, 3], [2, 4], [2, 5]],
         "max_n": 3,
-        "comb_tol": 1e-7,
-        "recursion_tol": 1e-9,
-        "expansion_tol": 1e-10,
         "family_eps": 0.3,
-        "cross_tol": 1e-8,
         "mc_cells": [[1, 3, 2, 1]],
         "mc_samples": 100_000,
-        "mc_sigma_factor": 5.0,
         "trace_dims": [2, 3, 4, 5, 6],
         "trace_samples": 30,
-        "trace_tol": 1e-6,
         "rotor_trace_cells": [[1, 2], [1, 3]],
         "rotor_trace_max_n": 2,
         "span_max_d": 4,
@@ -133,12 +125,10 @@ DEFAULT_CONFIG: dict = {
             "eps": [0.01, 0.05],
             "max_n": 3,
             "u_samples": 20,
-            "eig_tol": 1e-8,
         },
         "facts": {
             "dim_pairs": [[1, 2], [1, 3], [2, 4], [2, 5], [3, 6]],
             "eps": [0.005, 0.01, 0.05, 0.2],
-            "chain_slack": 1e-12,
         },
     },
     "net": {
@@ -275,7 +265,7 @@ def _check_cells(cfg: dict) -> None:
     for cell in dom["cells"]:
         for eps in dom["eps"]:
             # the domination records skip the n outside the weight-schedule window
-            top = int(min(dom["max_n"], admissible_window(cell[0], cell[1], eps)))
+            top = largest_round(cell[0], cell[1], eps, dom["max_n"])
             if top >= 1:
                 twirls.append(("hard.domination.cells", cell, top, top))
     for path, cell, n, i in twirls:
@@ -452,6 +442,11 @@ def _fields(obj, *names) -> dict:
 # Each body draws all of its random objects first, in the order a one-object
 # loop draws them, and then builds them as stacks (see combcert.combs).
 
+# the combs suite's tolerances, all listed in its reports
+COMB_TOL = 1e-8  # PSD floor and chain residual of each certified comb
+LINK_TOL = 1e-9  # link product against the composed Kraus family, entrywise
+CONTRACTION_TOL = 1e-8  # |sum of a tester's outcome probabilities - 1|
+
 
 def _dims(rng, max_dim: int, count: int) -> list[int]:
     return [int(rng.integers(2, max_dim + 1)) for _ in range(count)]
@@ -460,7 +455,6 @@ def _dims(rng, max_dim: int, count: int) -> list[int]:
 def _choi_comb(c: Cell) -> dict:
     cfg = c.cfg
     rng = np.random.default_rng(c.seed)
-    tol = cfg["comb_tol"]
     ok = True
     draws = []
     for _ in range(cfg["channels"]):
@@ -471,16 +465,16 @@ def _choi_comb(c: Cell) -> dict:
         for (d_in, draw), choi in zip(draws, small_channels([d for _, d in draws])[1])
     ]
     worst = 0.0
-    for cert in certify_combs(chois, [("A", "B")] * len(chois), psd_tol=tol, chain_tol=tol):
+    certs = certify_combs(chois, [("A", "B")] * len(chois), psd_tol=COMB_TOL, chain_tol=COMB_TOL)
+    for cert in certs:
         worst = max(worst, cert.max_chain_residual, -cert.min_eig)
         ok = ok and cert.ok
-    return _verdict(ok, tol, worst, channels=cfg["channels"], sample_choi=c.stash(chois[0].mat))
+    return _verdict(ok, COMB_TOL, worst, channels=cfg["channels"], sample_choi=c.stash(chois[0].mat))
 
 
 def _link_vs_kraus(c: Cell) -> dict:
     cfg = c.cfg
     rng = np.random.default_rng(c.seed)
-    tol = cfg["link_tol"]
     dims, draws = [], []
     for _ in range(cfg["pairs"]):
         d_a, d_m, d_b = _dims(rng, cfg["max_dim"], 3)
@@ -489,17 +483,15 @@ def _link_vs_kraus(c: Cell) -> dict:
     isometries, chois = small_channels(draws)
     worst = 0.0
     for k, (d_a, d_m, d_b) in enumerate(dims):
-        v1, v2 = isometries[2 * k], isometries[2 * k + 1]
-        # the Kraus operators are the isometries' row blocks, composed in a
-        # Channel's order
-        composed = [v2[j:j + d_b] @ v1[i:i + d_m]
-                    for i in range(0, len(v1), d_m) for j in range(0, len(v2), d_b)]
+        first, second = (channel_from_isometry(isometries[j], draws[j].rank).kraus
+                         for j in (2 * k, 2 * k + 1))
+        composed = [f @ e for e in first for f in second]
         linked = link_product(
             LabeledOperator(chois[2 * k], (("M", d_m), ("A", d_a))),
             LabeledOperator(chois[2 * k + 1], (("B", d_b), ("M", d_m))),
         ).reorder(("B", "A"))
         worst = max(worst, float(np.abs(linked.mat - choi_from_kraus(composed)).max()))
-    return _verdict(worst <= tol, tol, worst, pairs=cfg["pairs"])
+    return _verdict(worst <= LINK_TOL, LINK_TOL, worst, pairs=cfg["pairs"])
 
 
 def _random_testers(rng, count: int) -> list:
@@ -521,16 +513,15 @@ def _tester_validity(c: Cell) -> dict:
     for cert in validate_testers([tester for tester, _ in c.testers]):
         ok = ok and cert.ok
         worst = max(worst, cert.sum_certificate.max_chain_residual)
-    return _verdict(ok, c.cfg["comb_tol"], worst, testers=c.cfg["pairs"])
+    return _verdict(ok, COMB_TOL, worst, testers=c.cfg["pairs"])
 
 
 def _tester_contraction(c: Cell) -> dict:
-    tol = c.cfg["contraction_tol"]
     worst = 0.0
     for tester, chans in c.testers:
         probs = success_probability(tester, chans)
         worst = max(worst, abs(float(probs.sum()) - 1.0))
-    return _verdict(worst <= tol, tol, worst, pairs=c.cfg["pairs"])
+    return _verdict(worst <= CONTRACTION_TOL, CONTRACTION_TOL, worst, pairs=c.cfg["pairs"])
 
 
 def _combs_table(run: Run) -> list:
@@ -548,6 +539,15 @@ def _combs_table(run: Run) -> list:
 # ---------------------------------------------------------------------------
 # hard suite
 
+# the hard suite's tolerances, all listed in its reports with domination_check's
+# EIG_TOL and the summand chains' CHAIN_SLACK
+GAMMA_COMB_TOL = 1e-7  # PSD floor and chain residual of each Gamma_i comb
+RECURSION_TOL = 1e-9  # the two-term trace recursion of the gamma combs
+EXPANSION_TOL = 1e-10  # the gamma Gram matrix and the hard-vector expansion
+CROSS_TOL = 1e-8  # ||exact commutant - permutation frame||_F of each Gamma_i
+MC_SIGMA_FACTOR = 5.0  # Monte Carlo twirl: fail above this many standard errors, warn at 1 fewer
+TRACE_TOL = 1e-6  # relative slack on tr(twirl^+ x) <= rank(twirl)
+
 
 def _hard_family(c: Cell) -> dict:
     d1, d2 = c.key
@@ -562,9 +562,8 @@ def _hard_family(c: Cell) -> dict:
         u = haar_unitary(c.spec.rotor_dim, rng)
         chk = hard_vector_expansion(c.spec, c.cfg["max_n"], c.cfg["family_eps"], u)
         exp_res = max(exp_res, chk.residual)
-    tol = c.cfg["expansion_tol"]
     worst = max(gram_res, exp_res)
-    return _verdict(worst <= tol, tol, worst, d1=d1, d2=d2,
+    return _verdict(worst <= EXPANSION_TOL, EXPANSION_TOL, worst, d1=d1, d2=d2,
                     gram_residual=gram_res, expansion_residual=exp_res)
 
 
@@ -572,7 +571,7 @@ def _certify_gamma_family(c: Cell, factor, **values) -> dict:
     """certify_comb on factor(spec, n, i) for every n <= max_n and i <= n."""
     d1, d2 = c.key
     max_n = c.cfg["max_n"]
-    tol = c.cfg["comb_tol"]
+    tol = GAMMA_COMB_TOL
     worst = 0.0
     ok = True
     for n in range(1, max_n + 1):
@@ -599,32 +598,31 @@ def _gamma_twirl_comb(c: Cell) -> dict:
 def _gamma_recursion(c: Cell) -> dict:
     d1, d2 = c.key
     max_n = c.cfg["max_n"]
-    tol = c.cfg["recursion_tol"]
     worst = 0.0
     # the two-term trace recursion relates slot counts n and n-1
     for n in range(2, max_n + 1):
         for i in range(n + 1):
             worst = max(worst, gamma_recursion_residual(c.spec, n, i))
-    return _verdict(worst <= tol, tol, worst, d1=d1, d2=d2, max_n=max_n)
+    return _verdict(worst <= RECURSION_TOL, RECURSION_TOL, worst, d1=d1, d2=d2, max_n=max_n)
 
 
 def _twirl_routes(c: Cell) -> dict:
     d1, d2 = c.key
-    tol = c.cfg["cross_tol"]
     worst = 0.0
     compared = 0
     for n in range(1, c.cfg["max_n"] + 1):
-        if (d1 * d2) ** n > COMMUTANT_DIM_CAP:
+        both = [i for i in range(n + 1) if exact_routes(d1, d2, n, i) == ("frame", "commutant")]
+        if not both:
             continue
         proj = commutant_projector(c.spec, n, seed=c.seed)
-        for i in range(min(n, PERMUTATION_ORDER_CAP) + 1):
+        for i in both:
             a = gamma_twirl_exact_commutant(c.spec, n, i, projector=proj)
             b = gamma_twirl_weingarten(c.spec, n, i)
             worst = max(worst, float(np.linalg.norm(a - b)))
             compared += 1
     if compared == 0:
         return {"status": "skip", "reason": "no cell fits both exact twirl routes within caps"}
-    return _verdict(worst <= tol, tol, worst, d1=d1, d2=d2, compared=compared)
+    return _verdict(worst <= CROSS_TOL, CROSS_TOL, worst, d1=d1, d2=d2, compared=compared)
 
 
 def _twirl_mc(c: Cell) -> dict:
@@ -633,9 +631,8 @@ def _twirl_mc(c: Cell) -> dict:
     exact = gamma_twirl(c.spec, n, i, seed=c.seed)
     est, stderr = gamma_twirl_monte_carlo(c.spec, n, i, samples=n_samp, seed=c.seed)
     diff = float(np.linalg.norm(est - exact))
-    factor = c.cfg["mc_sigma_factor"]
-    bound = factor * stderr
-    warn = diff > (factor - 1.0) * stderr
+    bound = MC_SIGMA_FACTOR * stderr
+    warn = diff > (MC_SIGMA_FACTOR - 1.0) * stderr
     return _verdict(diff <= bound, bound, diff, warn=warn,
                     d1=d1, d2=d2, n=n, i=i, samples=n_samp, stderr=stderr)
 
@@ -645,7 +642,6 @@ def _trace_bound_unitary(c: Cell) -> dict:
     if not cfg["trace_dims"]:
         return {"status": "skip", "reason": "trace_dims is empty"}
     rng = np.random.default_rng(c.seed)
-    tol = cfg["trace_tol"]
     max_excess = -np.inf
     max_pure_gap = 0.0
     for d in cfg["trace_dims"]:
@@ -653,14 +649,14 @@ def _trace_bound_unitary(c: Cell) -> dict:
             x = random_psd(d, rng)
             twirled = np.trace(x).real / d * np.eye(d)
             val = twirl_trace_bound(x, twirled)
-            max_excess = max(max_excess, val - d * (1 + tol))
+            max_excess = max(max_excess, val - d * (1 + TRACE_TOL))
         phi = ginibre(d, rng)
         phi /= np.linalg.norm(phi)
         pure = np.outer(phi, phi.conj())
         val = twirl_trace_bound(pure, np.eye(d) / d)
         max_pure_gap = max(max_pure_gap, abs(val - d))
-    ok = max_excess <= 0 and max_pure_gap <= tol
-    return _verdict(ok, tol, max(max_excess, max_pure_gap - tol),
+    ok = max_excess <= 0 and max_pure_gap <= TRACE_TOL
+    return _verdict(ok, TRACE_TOL, max(max_excess, max_pure_gap - TRACE_TOL),
                     dims=list(cfg["trace_dims"]), samples=cfg["trace_samples"],
                     max_excess=max_excess, max_pure_gap=max_pure_gap)
 
@@ -670,7 +666,6 @@ def _trace_bound_rotor(c: Cell) -> dict:
     if not cfg["rotor_trace_cells"]:
         return {"status": "skip", "reason": "rotor_trace_cells is empty"}
     rng = np.random.default_rng(c.seed)
-    tol = cfg["trace_tol"]
     worst = -np.inf
     for d1, d2 in cfg["rotor_trace_cells"]:
         spec = HardInstanceSpec.concrete(d1, d2)
@@ -680,8 +675,8 @@ def _trace_bound_rotor(c: Cell) -> dict:
             for _ in range(5):
                 x = random_psd(dim, rng)
                 val = twirl_trace_bound(x, proj.twirl(x))
-                worst = max(worst, val - dim * (1 + tol))
-    return _verdict(worst <= 0, tol, worst, cells=list(cfg["rotor_trace_cells"]))
+                worst = max(worst, val - dim * (1 + TRACE_TOL))
+    return _verdict(worst <= 0, TRACE_TOL, worst, cells=list(cfg["rotor_trace_cells"]))
 
 
 def _span_dim(c: Cell) -> dict:
@@ -699,8 +694,8 @@ def _span_dim(c: Cell) -> dict:
 
 def _in_schedule_window(c: Cell) -> str | None:
     d1, d2, eps, n = c.key
-    window = admissible_window(d1, d2, eps)
-    if not 1 <= n <= window:
+    if largest_round(d1, d2, eps, n) < n:
+        window = admissible_window(d1, d2, eps)
         return f"weight-schedule window violated: n={n} outside [1, {window:.2f}]"
     return None
 
@@ -708,9 +703,7 @@ def _in_schedule_window(c: Cell) -> str | None:
 def _domination(c: Cell) -> dict:
     d1, d2, eps, n = c.key
     dom = c.cfg["domination"]
-    res = domination_check(
-        c.spec, n, eps, n_samples=dom["u_samples"], seed=c.seed, eig_tol=dom["eig_tol"]
-    )
+    res = domination_check(c.spec, n, eps, n_samples=dom["u_samples"], seed=c.seed)
     values = {
         "d1": d1, "d2": d2, "n": n, "eps": eps,
         "max_quadratic_form": res.max_quadratic_form,
@@ -720,7 +713,7 @@ def _domination(c: Cell) -> dict:
         "lambda_total": res.lambda_total,
         "lambda_sum_bound": res.lambda_sum_bound,
     }
-    return _verdict(res.ok, 1.0 + 1e-9, res.max_quadratic_form - 1.0, **values)
+    return _verdict(res.ok, Q_BOUND, res.max_quadratic_form - 1.0, **values)
 
 
 def _lambda_sum(c: Cell) -> dict:
@@ -729,8 +722,7 @@ def _lambda_sum(c: Cell) -> dict:
     cells_checked = 0
     for d1, d2 in dom["cells"]:
         for eps in dom["eps"]:
-            window = admissible_window(d1, d2, eps)
-            for n in range(1, int(min(dom["max_n"], window)) + 1):
+            for n in range(1, largest_round(d1, d2, eps, dom["max_n"]) + 1):
                 sched = lambda_schedule(d1, d2, n, eps)
                 worst = max(worst, sched.total - sched.sum_bound)
                 cells_checked += 1
@@ -759,7 +751,6 @@ def _oversized_request(c: Cell) -> dict:
 
 
 def _binomial_entropy(c: Cell) -> dict:
-    slack = c.cfg["facts"]["chain_slack"]
     violations = 0
     worst_eq = 0.0
     for n in (1, 3, 10, 40):
@@ -767,10 +758,10 @@ def _binomial_entropy(c: Cell) -> dict:
         for p in (0.01, 0.2, 0.5, 0.9):
             lhs = log_binom(n, k) + k * log(p) + (n - k) * log(1 - p)
             rhs = -n * kl_binary(k / n, p)
-            violations += int(np.count_nonzero(lhs > rhs + slack))
+            violations += int(np.count_nonzero(lhs > rhs + CHAIN_SLACK))
             worst_eq = max(worst_eq, float(np.max(np.abs(lhs - rhs)[[0, n]])))
-    ok = violations == 0 and worst_eq <= slack
-    return _verdict(ok, slack, worst_eq, violations=violations, endpoint_gap=worst_eq)
+    ok = violations == 0 and worst_eq <= CHAIN_SLACK
+    return _verdict(ok, CHAIN_SLACK, worst_eq, violations=violations, endpoint_gap=worst_eq)
 
 
 def _psd_inversion(c: Cell) -> dict:
@@ -786,7 +777,8 @@ def _psd_inversion(c: Cell) -> dict:
             wit = psd_domination_equiv(m, raw)
             ok = ok and (wit.dominates == (target <= 1.0))
             worst = max(worst, abs(wit.quadratic_form - target), wit.support_residual)
-    return _verdict(ok and worst <= 1e-8, 1e-8, worst)
+    tol = 1e-8
+    return _verdict(ok and worst <= tol, tol, worst)
 
 
 def _xlog(c: Cell) -> dict:
@@ -797,21 +789,21 @@ def _xlog(c: Cell) -> dict:
         worst = max(worst, float(np.max(vals - envelope)))
         peak_val, peak_env = xlog_bound_values(budget, np.array([budget / exp(1)]))
         worst = max(worst, abs(float(peak_val[0]) - peak_env))
-    return _verdict(worst <= 1e-12, 1e-12, worst)
+    tol = 1e-12
+    return _verdict(worst <= tol, tol, worst)
 
 
 def _summand_chain(c: Cell) -> dict:
     facts = c.cfg["facts"]
-    slack = facts["chain_slack"]
     violations = 0
     summands = 0
     worst_assembled = -np.inf
     for d1, d2 in facts["dim_pairs"]:
         for eps in facts["eps"]:
-            n_max = int(admissible_window(d1, d2, eps))
+            n_max = largest_round(d1, d2, eps)
             for n in sorted({x for x in (1, 2, 3, 17, n_max) if 1 <= x <= n_max}):
                 chains = summand_chains(d1, d2, n, eps)
-                violations += int(np.count_nonzero(~chains.chain_ok(slack=slack)))
+                violations += int(np.count_nonzero(~chains.chain_ok()))
                 summands += chains.i.size
                 log_terms = chains.t_exact - lambda_schedule(d1, d2, n, eps).log_weights
                 # a left-to-right sum, as a += loop over the terms adds them
@@ -820,8 +812,8 @@ def _summand_chain(c: Cell) -> dict:
     if summands == 0:
         return {"status": "skip",
                 "reason": "no facts cell lies inside the weight-schedule window"}
-    ok = violations == 0 and worst_assembled <= slack
-    return _verdict(ok, slack, max(0.0, worst_assembled), summands=summands,
+    ok = violations == 0 and worst_assembled <= CHAIN_SLACK
+    return _verdict(ok, CHAIN_SLACK, max(0.0, worst_assembled), summands=summands,
                     violations=violations, max_assembled_minus_1=worst_assembled)
 
 
@@ -903,8 +895,9 @@ def _block_isometry(c: Cell) -> dict:
     }
     if p.mode == "odd":
         values["subspace_dims"] = dict(blocks.subspace_dims)
-    ok = diag_max <= blocks.gram_bound + 1e-9 and off <= 1e-9
-    return _verdict(ok, blocks.gram_bound + 1e-9, max(diag_max - blocks.gram_bound, off), **values)
+    bound = blocks.gram_bound + 1e-9
+    ok = diag_max <= bound and off <= 1e-9
+    return _verdict(ok, bound, max(diag_max - blocks.gram_bound, off), **values)
 
 
 def _net_isometry(c: Cell) -> dict:
@@ -969,15 +962,9 @@ def _f_lipschitz(c: Cell) -> dict:
 
 def _separation(c: Cell) -> dict:
     audit = c.audit
-    margin_ok = audit.min_choi_distance >= audit.choi_threshold
     thin = audit.min_choi_distance < 1.05 * audit.choi_threshold
-    ok = (
-        margin_ok
-        and audit.min_overlap_norm >= audit.overlap_threshold
-        and audit.max_kraus_rank <= audit.rank_bound
-    )
     return _verdict(
-        ok, audit.choi_threshold, audit.choi_threshold - audit.min_choi_distance, warn=thin,
+        audit.separated, audit.choi_threshold, audit.choi_threshold - audit.min_choi_distance, warn=thin,
         mode=c.params.mode,
         **_fields(audit, "eps", "pairs", "min_choi_distance", "choi_threshold",
                   "min_overlap_norm", "overlap_threshold", "max_kraus_rank", "rank_bound",
@@ -993,9 +980,8 @@ def _trace_norm_identities(c: Cell) -> dict:
         audit.cross_route_residual,
         audit.choi_floor_violation,
     )
-    ok = worst <= IDENTITY_TOL and audit.nilpotency_residual <= NILPOTENCY_TOL
     return _verdict(
-        ok, IDENTITY_TOL, worst, mode=c.params.mode,
+        audit.identities_hold, IDENTITY_TOL, worst, mode=c.params.mode,
         **_fields(audit, "branch_trace_residual", "nilpotency_residual",
                   "symmetrized_norm_residual", "cross_route_residual", "choi_floor_violation"),
     )
@@ -1033,14 +1019,13 @@ def _net_table(run: Run) -> list:
 
 # suite -> (check table, the tolerances its report lists)
 _SUITES = {
-    "combs": (_combs_table, lambda cfg: {
-        k: cfg[k] for k in ("comb_tol", "link_tol", "contraction_tol")}),
-    "hard": (_hard_table, lambda cfg: {
-        **{k: cfg[k] for k in ("comb_tol", "recursion_tol", "cross_tol", "trace_tol")},
-        "chain_slack": cfg["facts"]["chain_slack"],
-    }),
-    "net": (_net_table, lambda cfg: {
-        "iso_tol": ISO_TOL, "f_route_tol": F_ROUTE_TOL, "identity_tol": IDENTITY_TOL}),
+    "combs": (_combs_table, {
+        "comb_tol": COMB_TOL, "link_tol": LINK_TOL, "contraction_tol": CONTRACTION_TOL}),
+    "hard": (_hard_table, {
+        "comb_tol": GAMMA_COMB_TOL, "recursion_tol": RECURSION_TOL, "expansion_tol": EXPANSION_TOL,
+        "cross_tol": CROSS_TOL, "mc_sigma_factor": MC_SIGMA_FACTOR, "trace_tol": TRACE_TOL,
+        "eig_tol": EIG_TOL, "chain_slack": CHAIN_SLACK}),
+    "net": (_net_table, {"iso_tol": ISO_TOL, "f_route_tol": F_ROUTE_TOL, "identity_tol": IDENTITY_TOL}),
 }
 
 
@@ -1061,7 +1046,7 @@ def _run_suite(suite, config, seed, embed_matrices):
         records=records,
         seed=seed,
         started=started,
-        tolerances=_SUITES[suite][1](cfg),
+        tolerances=_SUITES[suite][1],
         matrices=run.matrices,
     )
 

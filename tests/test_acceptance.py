@@ -376,7 +376,7 @@ def test_criterion_09_channel_family_separation():
         assert audit.min_choi_distance >= 0.07 * eps
         assert audit.min_overlap_norm >= 0.05
         assert audit.max_kraus_rank <= r
-        assert audit.ok
+        assert audit.separated and audit.identities_hold
         # declared-space sanity: the builder emits exactly the announced shapes
         u = haar_unitary(p.u_dim, rng)
         v, ch = build_net_isometry(p, u, blocks)

@@ -81,9 +81,9 @@ def test_verify_combs_passes_and_writes_report(tmp_path, capsys):
     assert "[combs] pass" in capsys.readouterr().out
 
 
-def test_impossible_tolerance_fails_with_exit_1(tmp_path):
-    payload = {"combs": {**SMALL_COMBS["combs"], "comb_tol": 1e-30}}
-    code, out = _verify(tmp_path, "combs", payload)
+def test_impossible_tolerance_fails_with_exit_1(tmp_path, monkeypatch):
+    monkeypatch.setattr(suites, "COMB_TOL", 1e-30)
+    code, out = _verify(tmp_path, "combs", SMALL_COMBS)
     assert code == 1
     doc = _load(out, "combs")
     assert doc["overall"] == "fail"
@@ -274,10 +274,11 @@ def test_verify_all_writes_three_reports(tmp_path):
     assert names == ["combs_report.json", "hard_report.json", "net_report.json"]
 
 
-def test_merge_command(tmp_path, capsys):
+def test_merge_command(tmp_path, capsys, monkeypatch):
     _, out = _verify(tmp_path, "combs", SMALL_COMBS, subdir="a")
-    payload = {"combs": {**SMALL_COMBS["combs"], "comb_tol": 1e-30}}
-    _, out_bad = _verify(tmp_path, "combs", payload, subdir="b")
+    monkeypatch.setattr(suites, "COMB_TOL", 1e-30)
+    code, out_bad = _verify(tmp_path, "combs", SMALL_COMBS, subdir="b")
+    assert code == 1 and any(r["status"] == "fail" for r in _load(out_bad, "combs")["records"])
     capsys.readouterr()
 
     merged_path = tmp_path / "merged.json"
@@ -362,7 +363,8 @@ BAD_CONFIGS = {
     "too-few-lipschitz-trials": {"net": {"lipschitz_trials": 50}},
     "short-net-cell": {"net": {"cells": [[3, 3]]}},
     "string-count": {"combs": {"channels": "x"}},
-    "negative-tolerance": {"combs": {"comb_tol": -1}},
+    # the float rule (finite and > 0), on eps values, the only float settings
+    "negative-tolerance": {"hard": {"family_eps": -1}},
     "zero-moment-samples": {"net": {"moment_samples": 0}},
     "moment-samples-below-the-audit-floor": {"net": {"moment_samples": 999}},
     "zero-channels": {"combs": {"channels": 0, "pairs": 0}},
@@ -371,13 +373,26 @@ BAD_CONFIGS = {
     "explicit-mode-outside-window": {"net": {"cells": [[2, 4, 2, "odd"]]}},
     "bool-count": {"hard": {"max_n": True}},
     "mc-index-above-n": {"hard": {"mc_cells": [[1, 3, 2, 3]]}},
-    "non-finite-tolerance": {"hard": {"trace_tol": float("inf")}},
+    "non-finite-tolerance": {"hard": {"domination": {"eps": [0.01, float("inf")]}}},
     "net-eps-not-below-1": {"net": {"eps": 1.5}},
     "family-eps-not-below-1": {"hard": {"family_eps": 1.0}},
     "facts-eps-not-below-1": {"hard": {"facts": {"eps": [0.01, 1.5]}}},
     "domination-eps-not-below-1": {"hard": {"domination": {"eps": [1.5]}}},
     "net-eps-above-separation-limit": {"net": {"eps": 0.05}},
     "removed-lambda-scale": {"hard": {"domination": {"lambda_scale": 1.0}}},
+    # the tolerances are constants beside their checks; setting one, even to
+    # its value, is an unknown key
+    "removed-combs-comb-tol": {"combs": {"comb_tol": 1e-8}},
+    "removed-link-tol": {"combs": {"link_tol": 1e-9}},
+    "removed-contraction-tol": {"combs": {"contraction_tol": 1e-8}},
+    "removed-hard-comb-tol": {"hard": {"comb_tol": 1e-7}},
+    "removed-recursion-tol": {"hard": {"recursion_tol": 1e-9}},
+    "removed-expansion-tol": {"hard": {"expansion_tol": 1e-10}},
+    "removed-cross-tol": {"hard": {"cross_tol": 1e-8}},
+    "removed-mc-sigma-factor": {"hard": {"mc_sigma_factor": 5.0}},
+    "removed-trace-tol": {"hard": {"trace_tol": 1e-6}},
+    "removed-eig-tol": {"hard": {"domination": {"eig_tol": 1e-8}}},
+    "removed-chain-slack": {"hard": {"facts": {"chain_slack": 1e-12}}},
     # twirls that no exact route takes: i = n = 5 on (1, 3) is above the
     # frame's order cap, and dimension 3^5 above the commutant's cap
     "gamma-twirl-without-a-route": {"hard": {"max_n": 5}},

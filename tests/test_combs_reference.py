@@ -150,7 +150,7 @@ def _choi_comb(cfg, rng):
         d_in = int(rng.integers(2, cfg["max_dim"] + 1))
         d_out = int(rng.integers(2, cfg["max_dim"] + 1))
         choi = choi_operator(_random_small_channel(d_in, d_out, rng))
-        _, lo, residuals = _certify_comb(choi, ("A", "B"), cfg["comb_tol"])
+        _, lo, residuals = _certify_comb(choi, ("A", "B"), suites.COMB_TOL)
         worst = max(worst, max(residuals), -lo)
         first = choi.mat if first is None else first
     return worst, first

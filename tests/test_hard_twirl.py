@@ -33,9 +33,9 @@ from combcert.linalg import (
     random_psd,
 )
 from combcert.suites import DEFAULT_CONFIG
+from combcert.suites import GAMMA_COMB_TOL as COMB_TOL
 
 GAMMA_CELLS = DEFAULT_CONFIG["hard"]["gamma_cells"]
-COMB_TOL = DEFAULT_CONFIG["hard"]["comb_tol"]
 
 
 def _dense_rho(spec, n, u):

@@ -201,7 +201,7 @@ def test_separation_audit_thresholds(d1, d2, r):
     p = NetParams(d1, d2, r, 0.005)
     b = build_block_isometry(p, rng)
     s = separation_audit(b, 50, rng)
-    assert s.ok
+    assert s.separated and s.identities_hold
     assert s.min_choi_distance >= 0.07 * p.eps
     assert s.min_overlap_norm >= 0.05
     assert s.max_kraus_rank <= r

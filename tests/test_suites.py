@@ -37,12 +37,17 @@ def test_default_tables_list_the_expected_ids_without_running_a_body():
 
 
 def test_effective_config_types_and_samples():
-    cfg = suites.effective_config({"combs": {"comb_tol": 1}})
-    assert cfg["combs"]["comb_tol"] == 1.0 and isinstance(cfg["combs"]["comb_tol"], float)
-    # no integer is a valid eps, which lies in (0, 1); the message shows the
-    # list entry already stored as a float
+    # a tolerance is a constant beside its check, not a setting
+    with pytest.raises(suites.ConfigError, match=r"unknown config keys in combs: \['comb_tol'\]$"):
+        suites.effective_config({"combs": {"comb_tol": suites.COMB_TOL}})
+    # an int is stored as a float where the default is a float; no integer is
+    # a valid eps, which lies in (0, 1), so the messages show the value (a
+    # setting, then a list entry) already stored as a float
+    with pytest.raises(suites.ConfigError, match=r"family_eps must be below 1, got 1\.0$"):
+        suites.effective_config({"hard": {"family_eps": 1}})
     with pytest.raises(suites.ConfigError, match=r"domination\.eps\[0\] must be below 1, got 1\.0$"):
         suites.effective_config({"hard": {"domination": {"eps": [1]}}})
+    cfg = suites.effective_config(None)
     assert cfg["hard"]["gamma_cells"] == suites.DEFAULT_CONFIG["hard"]["gamma_cells"]
     cfg = suites.effective_config({"hard": {"mc_samples": 7}}, samples=1009)
     assert cfg["hard"]["mc_samples"] == cfg["net"]["moment_samples"] == 1009
@@ -50,6 +55,39 @@ def test_effective_config_types_and_samples():
         suites.effective_config(None, samples=0)
     with pytest.raises(suites.ConfigError, match="must be an object"):
         suites.effective_config({"hard": 3}, samples=5)
+
+
+class _Recorded(dict):
+    """A config section that records the path of every key read from it."""
+
+    def __init__(self, data=(), path="", reads=None):
+        super().__init__(data)
+        self.path, self.reads = path, set() if reads is None else reads
+
+    def __getitem__(self, key):
+        path = self.path + key
+        self.reads.add(path)
+        value = super().__getitem__(key)
+        return _Recorded(value, path + ".", self.reads) if isinstance(value, dict) else value
+
+
+def _leaves(cfg, path=""):
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{path}{key}.")
+        else:
+            yield path + key
+
+
+def test_every_config_value_is_read_by_a_check(monkeypatch):
+    reads = set()
+    real = suites.effective_config
+    monkeypatch.setattr(suites, "effective_config", lambda *args: _Recorded(real(*args), "", reads))
+    for run_suite in (suites.run_combs_suite, suites.run_hard_suite, suites.run_net_suite):
+        run_suite(seed=7)
+    leaves = list(_leaves(suites.DEFAULT_CONFIG))
+    assert [path for path in leaves if path not in reads] == []
+    assert len(leaves) == 29
 
 
 def _net_statuses(payload):
