@@ -9,13 +9,15 @@ blocks with the ancilla index major: ``V = sum_i |i>_anc (x) E_i``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import LabeledOperator, haar_isometry, herm_eigvals, rank_mask, trace_norm
 
 __all__ = [
+    "COMPLETENESS_TOL",
+    "KRAUS_RANK_TOL",
     "Channel",
     "choi_from_kraus",
     "choi_operator",
@@ -25,13 +27,19 @@ __all__ = [
     "choi_distance_lb",
 ]
 
+# ||sum_k E_k^dagger E_k - I||_max a Kraus family may have; for the Kraus
+# blocks of an isometry V this is ||V^dagger V - I||_max
+COMPLETENESS_TOL = 1e-10
+# the Choi eigenvalues counted in a Kraus rank: above KRAUS_RANK_TOL times the largest
+KRAUS_RANK_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Channel:
-    """CPTP map given by a Kraus family of d_out x d_in matrices."""
+    """CPTP map given by a Kraus family of d_out x d_in matrices, trace
+    preserving to COMPLETENESS_TOL."""
 
     kraus: tuple[np.ndarray, ...]
-    completeness_tol: float = field(default=1e-10, compare=False)
 
     def __post_init__(self) -> None:
         ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
@@ -41,11 +49,13 @@ class Channel:
         if len(shape) != 2 or any(k.shape != shape for k in ops):
             raise ValueError(f"Kraus operators must share one 2d shape, got {[k.shape for k in ops]}")
         object.__setattr__(self, "kraus", ops)
-        defect = self.completeness_defect()
-        if defect > self.completeness_tol:
+        # the Kraus operators stacked as rows: sum_k E_k^dagger E_k in one product
+        stacked = np.concatenate(ops)
+        defect = float(np.abs(stacked.conj().T @ stacked - np.eye(shape[1])).max())
+        if defect > COMPLETENESS_TOL:
             raise ValueError(
                 f"Kraus family is not trace preserving: "
-                f"||sum E^dagger E - I||_max = {defect:.3e} > {self.completeness_tol:.1e}"
+                f"||sum E^dagger E - I||_max = {defect:.3e} > {COMPLETENESS_TOL:.1e}"
             )
 
     @property
@@ -55,10 +65,6 @@ class Channel:
     @property
     def d_in(self) -> int:
         return self.kraus[0].shape[1]
-
-    def completeness_defect(self) -> float:
-        acc = sum(k.conj().T @ k for k in self.kraus)
-        return float(np.abs(acc - np.eye(self.d_in)).max())
 
 
 def choi_from_kraus(kraus) -> np.ndarray:
@@ -84,25 +90,23 @@ def choi_operator(channel: Channel, out_label: str = "B", in_label: str = "A") -
     )
 
 
-def kraus_rank(choi: np.ndarray, rank_tol: float = 1e-10) -> int | np.ndarray:
-    """Number of Choi eigenvalues that :func:`rank_mask` keeps; for a stack
-    of Choi operators, the array of each one's."""
-    ranks = np.count_nonzero(rank_mask(herm_eigvals(choi), rank_tol), axis=-1)
+def kraus_rank(choi: np.ndarray) -> int | np.ndarray:
+    """Number of Choi eigenvalues that :func:`rank_mask` keeps at
+    KRAUS_RANK_TOL; for a stack of Choi operators, the array of each one's."""
+    ranks = np.count_nonzero(rank_mask(herm_eigvals(choi), KRAUS_RANK_TOL), axis=-1)
     # one operator's rank goes into JSON records, which take a Python int
     return ranks if np.ndim(ranks) else int(ranks)
 
 
-def channel_from_isometry(v: np.ndarray, anc_dim: int, tol: float = 1e-10) -> Channel:
-    """Channel rho -> tr_anc(V rho V^dagger) for an isometry with ancilla-major rows."""
+def channel_from_isometry(v: np.ndarray, anc_dim: int) -> Channel:
+    """Channel rho -> tr_anc(V rho V^dagger) for an isometry with ancilla-major
+    rows; its Kraus blocks are complete exactly when V is an isometry."""
     v = np.asarray(v, dtype=complex)
-    rows, d_in = v.shape
+    rows = v.shape[0]
     if rows % anc_dim != 0:
         raise ValueError(f"row count {rows} is not divisible by ancilla dimension {anc_dim}")
-    defect = float(np.abs(v.conj().T @ v - np.eye(d_in)).max())
-    if defect > tol:
-        raise ValueError(f"not an isometry: ||V^dagger V - I||_max = {defect:.3e}")
     d_out = rows // anc_dim
-    return Channel(tuple(v[i * d_out : (i + 1) * d_out] for i in range(anc_dim)), completeness_tol=max(tol, 1e-10) * 10)
+    return Channel(tuple(v[i * d_out : (i + 1) * d_out] for i in range(anc_dim)))
 
 
 def random_channel(d_in: int, d_out: int, rank: int, rng: np.random.Generator) -> Channel:

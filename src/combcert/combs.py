@@ -19,9 +19,9 @@ order, and do no arithmetic; ``small_channels`` and ``build_testers`` then
 build a whole list of draws, with same-shaped work (the Haar isometries,
 Chois, square roots and pseudo-inverses) as one stack per shape.
 A stack gives each member's per-matrix result bit for bit, so an object does
-not depend on what it was built with. ``random_comb`` and ``random_tester``
-are the one-object forms; ``channels.random_channel`` draws one channel of a
-given Kraus rank the way ``draw_small_channel`` does.
+not depend on what it was built with. ``random_tester`` is the one-object
+form; ``channels.random_channel`` draws one channel of a given Kraus rank the
+way ``draw_small_channel`` does.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import numpy as np
 
 from .channels import Channel, choi_from_kraus, choi_operator
 from .linalg import (
+    HERM_CHECK_TOL,
     FactoredPsd,
     LabeledOperator,
     PsdCheck,
@@ -57,7 +58,6 @@ __all__ = [
     "certify_comb",
     "certify_combs",
     "channels_network",
-    "comb_expected_trace",
     "draw_small_channel",
     "draw_tester",
     "link_product",
@@ -151,23 +151,17 @@ def link_product(x: LabeledOperator, y: LabeledOperator) -> LabeledOperator:
 
 
 class CombCertificate(NamedTuple):
+    """The positivity verdict's least eigenvalue and the chain walk's
+    residuals, the last of them |X^(0) - 1|, which holds tr X to the product
+    of the input dimensions."""
+
     ok: bool
     min_eig: float
-    max_eig: float
     chain_residuals: tuple[float, ...]
-    trace_value: float
-    expected_trace: float
-    psd_tol: float
-    chain_tol: float
 
     @property
     def max_chain_residual(self) -> float:
-        return max(self.chain_residuals) if self.chain_residuals else 0.0
-
-
-def comb_expected_trace(op: LabeledOperator | FactoredPsd, sequence: Sequence[str]) -> float:
-    """Product of the even-position (input slot) dimensions."""
-    return float(prod(op.dim_of(lbl) for lbl in sequence[0::2]))
+        return max(self.chain_residuals)
 
 
 def _comb_sequence(op: LabeledOperator | FactoredPsd, sequence: Sequence[str]) -> tuple[str, ...]:
@@ -207,11 +201,11 @@ def certify_combs(
     positivity checks of same-shaped dense operators are one stacked call."""
     sequences = [_comb_sequence(op, seq) for op, seq in zip(ops, sequences, strict=True)]
     dense = iter(_by_shape(
-        lambda x: psd_checks(x, tol=psd_tol, check_tol=max(psd_tol, 1e-10)),
+        lambda x: psd_checks(x, tol=psd_tol, check_tol=max(psd_tol, HERM_CHECK_TOL)),
         [op.mat for op in ops if not isinstance(op, FactoredPsd)],
     ))
     verdicts = [op.psd_check(tol=psd_tol) if isinstance(op, FactoredPsd) else next(dense) for op in ops]
-    return [_certificate(op, seq, verdict, psd_tol, chain_tol)
+    return [_certificate(op, seq, verdict, chain_tol)
             for op, seq, verdict in zip(ops, sequences, verdicts)]
 
 
@@ -237,12 +231,11 @@ def _certificate(
     op: LabeledOperator | FactoredPsd,
     sequence: tuple[str, ...],
     verdict: PsdCheck,
-    psd_tol: float,
     chain_tol: float,
 ) -> CombCertificate:
     """The certificate of ``op`` given its positivity verdict: the marginal
-    chain walk and the trace. The first marginal comes from ``op`` (from the
-    factor of a :class:`FactoredPsd`); the walk goes on on plain arrays."""
+    chain walk. The first marginal comes from ``op`` (from the factor of a
+    :class:`FactoredPsd`); the walk goes on on plain arrays."""
     y = op.partial_trace([sequence[-1]])
     y_mat = y.mat
     residuals = []
@@ -256,12 +249,7 @@ def _certificate(
     return CombCertificate(
         ok=bool(verdict.ok and max(residuals) <= chain_tol),
         min_eig=verdict.min_eig,
-        max_eig=verdict.max_eig,
         chain_residuals=tuple(residuals),
-        trace_value=float(op.trace().real),
-        expected_trace=comb_expected_trace(op, sequence),
-        psd_tol=psd_tol,
-        chain_tol=chain_tol,
     )
 
 
@@ -300,10 +288,7 @@ class Tester:
 
 class TesterCertificate(NamedTuple):
     ok: bool
-    element_min_eigs: tuple[float, ...]
     sum_certificate: CombCertificate
-    trace_value: float
-    expected_trace: float
 
 
 def validate_tester(tester: Tester, psd_tol: float = 1e-8, chain_tol: float = 1e-8) -> TesterCertificate:
@@ -319,27 +304,19 @@ def validate_testers(
     call each."""
     elements = [el.mat for t in testers for el in t.elements]
     checks = iter(_by_shape(
-        lambda x: psd_checks(x, tol=psd_tol, check_tol=max(psd_tol, 1e-10)), elements))
-    totals = [t.element_sum() for t in testers]
+        lambda x: psd_checks(x, tol=psd_tol, check_tol=max(psd_tol, HERM_CHECK_TOL)), elements))
     # I_head (x) total (x) I_tail: np.kron with a dimension-1 identity is one
     # product with its entry 1 + 0j, so two products give the krons bit for bit
     padded = [
         LabeledOperator(total.mat * _ONE * _ONE, ((HEAD_LABEL, 1),) + total.spaces + ((TAIL_LABEL, 1),))
-        for total in totals
+        for total in (t.element_sum() for t in testers)
     ]
     certs = certify_combs(
         padded, [(HEAD_LABEL,) + t.sequence + (TAIL_LABEL,) for t in testers], psd_tol, chain_tol)
-    out = []
-    for tester, total, cert in zip(testers, totals, certs):
-        element_checks = [next(checks) for _ in tester.elements]
-        out.append(TesterCertificate(
-            ok=bool(all(c.ok for c in element_checks) and cert.ok),
-            element_min_eigs=tuple(c.min_eig for c in element_checks),
-            sum_certificate=cert,
-            trace_value=float(total.trace().real),
-            expected_trace=float(prod(total.dim_of(lbl) for lbl in tester.sequence[1::2])),
-        ))
-    return out
+    # a list, not a generator: each tester takes all of its elements' checks
+    element_ok = [all([next(checks).ok for _ in t.elements]) for t in testers]
+    return [TesterCertificate(ok=bool(good and cert.ok), sum_certificate=cert)
+            for good, cert in zip(element_ok, certs)]
 
 
 def channels_network(channels: Sequence[Channel], sequence: Sequence[str]) -> LabeledOperator:
@@ -417,14 +394,12 @@ class _CombDraw(NamedTuple):
     steps: tuple[ChannelDraw, ...]
 
 
-def _draw_comb(pair_dims, rng: np.random.Generator, labels=None) -> _CombDraw:
-    n = len(pair_dims)
-    if n < 1:
-        raise ValueError("need at least one slot pair")
-    labels = slot_labels(n) if labels is None else tuple(labels)
-    if len(labels) != 2 * n:
-        raise ValueError(f"need {2 * n} labels, got {len(labels)}")
-    mem = (1,) + tuple(int(rng.integers(1, 3)) for _ in range(n))
+def _draw_comb(pair_dims, rng: np.random.Generator, labels: tuple[str, ...]) -> _CombDraw:
+    """The draws of a random comb over ``labels``: step j is a Haar-random
+    channel M_{j-1} (x) A_j -> B_j (x) M_j with a small random memory
+    dimension M_j, so the linked steps meet the comb conditions by
+    construction and are generically not a product."""
+    mem = (1,) + tuple(int(rng.integers(1, 3)) for _ in pair_dims)
     steps = tuple(
         draw_small_channel(mem[j - 1] * d_a, d_b * mem[j], rng)
         for j, (d_a, d_b) in enumerate(pair_dims, start=1)
@@ -451,21 +426,6 @@ def _link_comb(draw: _CombDraw, chois: Sequence[np.ndarray]) -> LabeledOperator:
     return net.partial_trace(["_m0", f"_m{len(mem) - 1}"]).reorder(labels)
 
 
-def random_comb(
-    pair_dims: Sequence[tuple[int, int]],
-    rng: np.random.Generator,
-    labels: Sequence[str] | None = None,
-) -> LabeledOperator:
-    """Random n-comb over ``labels``, built as the link of random channel Chois.
-
-    Step j is a Haar-random channel M_{j-1} (x) A_j -> B_j (x) M_j with small
-    random memory dimensions (final memory traced out), so the comb
-    conditions hold by construction and the comb is generically not a product.
-    """
-    draw = _draw_comb(pair_dims, rng, labels)
-    return _link_comb(draw, small_channels(draw.steps)[1])
-
-
 class TesterDraw(NamedTuple):
     """The draws of one random tester: its comb's and the Ginibre matrices
     of its outcome weights."""
@@ -479,14 +439,15 @@ def draw_tester(
     pair_dims: Sequence[tuple[int, int]],
     n_outcomes: int,
     rng: np.random.Generator,
-    labels: Sequence[str] | None = None,
 ) -> TesterDraw:
-    """Draw a random tester over the slot pairs ``pair_dims``; see
-    :func:`random_tester`."""
+    """Draw a random tester over the slot pairs ``pair_dims``, on the slot
+    labels (A1, B1, ..., An, Bn); see :func:`random_tester`."""
     n = len(pair_dims)
+    if n < 1:
+        raise ValueError("need at least one slot pair")
     if n_outcomes < 1:
         raise ValueError("need at least one outcome")
-    labels = slot_labels(n) if labels is None else tuple(labels)
+    labels = slot_labels(n)
     cap_pairs = [(1, pair_dims[0][0])]
     cap_pairs += [(pair_dims[j][1], pair_dims[j + 1][0]) for j in range(n - 1)]
     cap_pairs += [(pair_dims[n - 1][1], 1)]
@@ -536,7 +497,6 @@ def random_tester(
     pair_dims: Sequence[tuple[int, int]],
     n_outcomes: int,
     rng: np.random.Generator,
-    labels: Sequence[str] | None = None,
 ) -> Tester:
     """Random tester: a random (n+1)-comb split by a random identity resolution.
 
@@ -544,4 +504,4 @@ def random_tester(
     dimension-1 caps, then sets T_i = T^{1/2} R_i T^{1/2} where {R_i} is a
     random resolution of the identity, so sum_i T_i = T exactly.
     """
-    return build_testers([draw_tester(pair_dims, n_outcomes, rng, labels)])[0]
+    return build_testers([draw_tester(pair_dims, n_outcomes, rng)])[0]

@@ -24,6 +24,8 @@ from .twirl import gamma_twirl
 __all__ = [
     "EIG_TOL",
     "Q_BOUND",
+    "SUPPORT_TOL",
+    "TRACE_MARGIN_TOL",
     "WEIGHT_BUDGET_CONSTANT",
     "DominationResult",
     "admissible_window",
@@ -38,10 +40,14 @@ __all__ = [
 ]
 
 WEIGHT_BUDGET_CONSTANT = 2 * exp(4.0)
-# domination_check's bounds: the largest sampled q(U), and the least
-# lambda_min(sum_i lambda_i Gamma_i - |v><v|) / lambda_total
+# domination_check's bounds: the largest sampled q(U); the least
+# lambda_min(sum_i lambda_i Gamma_i - |v><v|) / lambda_total, negated; the
+# largest relative norm of v outside the support of the weighted sum; and the
+# largest gamma_i^dagger Gamma_i^+ gamma_i - C(d1 d2 + i - 2, i)
 Q_BOUND = 1.0 + 1e-9
 EIG_TOL = 1e-8
+SUPPORT_TOL = 1e-9
+TRACE_MARGIN_TOL = 1e-6
 
 
 def admissible_window(d1: int, d2: int, eps: float) -> float:
@@ -169,7 +175,6 @@ def domination_check(
     eps: float,
     n_samples: int = 20,
     seed: int = 0,
-    eig_tol: float = EIG_TOL,
 ) -> DominationResult:
     """Certify sum_i lambda_i Gamma_i >= |v(U)><v(U)|^{(x)n} on Haar samples U.
 
@@ -218,9 +223,9 @@ def domination_check(
     min_eig_ratio = float((min_eigs / lam_total).min())
     ok = (
         max_q <= Q_BOUND
-        and max_support_residual <= 1e-9
-        and min_eig_ratio >= -eig_tol
-        and trace_margin <= 1e-6
+        and max_support_residual <= SUPPORT_TOL
+        and min_eig_ratio >= -EIG_TOL
+        and trace_margin <= TRACE_MARGIN_TOL
     )
     return DominationResult(
         max_quadratic_form=max_q,

@@ -20,6 +20,7 @@ from .domination import budget_exponent, check_admissible
 
 __all__ = [
     "CHAIN_SLACK",
+    "EQUIV_PSD_TOL",
     "PsdDominationWitness",
     "SummandChains",
     "binary_entropy",
@@ -34,6 +35,8 @@ __all__ = [
 
 # the relative pad each bound of a summand chain may exceed its successor by
 CHAIN_SLACK = 1e-12
+# the eigenvalue floor of psd_domination_equiv's direct verdict on M - psi psi^dagger
+EQUIV_PSD_TOL = 1e-9
 
 # binary_entropy, kl_binary and log_binom take a scalar or an array and
 # return an array of the same shape (0-d for a scalar). Every log and
@@ -98,7 +101,7 @@ class PsdDominationWitness(NamedTuple):
     dominates: bool
 
 
-def psd_domination_equiv(m: np.ndarray, psi: np.ndarray, tol: float = 1e-9) -> PsdDominationWitness:
+def psd_domination_equiv(m: np.ndarray, psi: np.ndarray) -> PsdDominationWitness:
     """Witness data for: M >= psi psi^dagger iff psi in range(M) and
     psi^dagger M^+ psi <= 1.
 
@@ -113,7 +116,7 @@ def psd_domination_equiv(m: np.ndarray, psi: np.ndarray, tol: float = 1e-9) -> P
     residual = 0.0
     if norm > 0:
         residual = float(np.linalg.norm(psi - support_projector(m) @ psi)) / float(norm)
-    verdict = psd_check(m - np.outer(psi, psi.conj()), tol=tol)
+    verdict = psd_check(m - np.outer(psi, psi.conj()), tol=EQUIV_PSD_TOL)
     return PsdDominationWitness(
         quadratic_form=q, support_residual=residual, dominates=bool(verdict.ok)
     )
@@ -138,10 +141,10 @@ class SummandChains:
     t_simplified: np.ndarray
     t_budget: np.ndarray
 
-    def chain_ok(self, slack: float = CHAIN_SLACK) -> np.ndarray:
+    def chain_ok(self) -> np.ndarray:
         """Whether each summand's chain holds up to the pad
-        slack * max(1, |t_exact|, |t_budget|), as a boolean array."""
-        pad = slack * np.maximum(np.maximum(1.0, np.abs(self.t_exact)), np.abs(self.t_budget))
+        CHAIN_SLACK * max(1, |t_exact|, |t_budget|), as a boolean array."""
+        pad = CHAIN_SLACK * np.maximum(np.maximum(1.0, np.abs(self.t_exact)), np.abs(self.t_budget))
         return (
             (self.t_exact <= self.t_entropy + pad)
             & (self.t_entropy <= self.t_simplified + pad)

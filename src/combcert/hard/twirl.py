@@ -134,7 +134,7 @@ def commutant_projector(spec: HardInstanceSpec, n: int, seed: int = 0) -> Commut
         m = _kron_stack(gens[a], gens[b].conj()).sum(axis=0)
         h = 2.0 * len(rotors) * np.eye(m.shape[0]) - (m + m.conj().T)
         blocks.append((a, b, herm_eig(h)))
-    cut = 1e-10 * max(1.0, max(float(eig.values[-1]) for _, _, eig in blocks))
+    cut = 1e-10 * max(1.0, max(float(vals[-1]) for _, _, (vals, _) in blocks))
 
     rows = []
     for a, b, (vals, vecs) in blocks:

@@ -15,7 +15,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 __all__ = [
-    "EigDecomposition",
+    "HERM_CHECK_TOL",
+    "RANK_TOL",
     "PsdCheck",
     "LabeledOperator",
     "FactoredPsd",
@@ -41,17 +42,16 @@ __all__ = [
 ]
 
 
-class EigDecomposition(NamedTuple):
-    """Hermitian eigendecomposition: ascending real values, column eigenvectors."""
-
-    values: np.ndarray
-    vectors: np.ndarray
+# ||X - X^dagger||_F / max(1, ||X||_F) that a Hermitian input may have
+HERM_CHECK_TOL = 1e-10
+# the eigenvalues or singular values counted in a rank: above RANK_TOL times
+# the largest
+RANK_TOL = 1e-10
 
 
 class PsdCheck(NamedTuple):
     ok: bool
     min_eig: float
-    max_eig: float
 
 
 def vectorize(x: np.ndarray) -> np.ndarray:
@@ -156,20 +156,19 @@ def _hermitian_part(x: np.ndarray, check_tol: float) -> np.ndarray:
     return (x + xh) / 2.0
 
 
-def herm_eig(x: np.ndarray, check_tol: float = 1e-10) -> EigDecomposition:
-    """Eigendecomposition of a Hermitian matrix, or of each matrix of a
-    stack (..., d, d).
+def herm_eig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition (values, vectors) of a Hermitian matrix, or of
+    each matrix of a stack (..., d, d).
 
-    Validates Hermiticity to ``check_tol * max(1, ||x||_F)`` and then
+    Validates Hermiticity to ``HERM_CHECK_TOL * max(1, ||x||_F)`` and then
     diagonalizes the Hermitian part. Eigenvalues come back ascending with
     orthonormal column eigenvectors. A stack is solved by one batched call
     whose results equal the per-matrix calls bit for bit.
     """
-    vals, vecs = np.linalg.eigh(_hermitian_part(x, check_tol))
-    return EigDecomposition(values=vals, vectors=vecs)
+    return np.linalg.eigh(_hermitian_part(x, HERM_CHECK_TOL))
 
 
-def herm_eigvals(x: np.ndarray, check_tol: float = 1e-10) -> np.ndarray:
+def herm_eigvals(x: np.ndarray, check_tol: float = HERM_CHECK_TOL) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
 
     Validates Hermiticity as :func:`herm_eig` does, a stack member by
@@ -192,7 +191,7 @@ def herm_eigvals(x: np.ndarray, check_tol: float = 1e-10) -> np.ndarray:
     return vals
 
 
-def psd_check(x: np.ndarray, tol: float = 1e-10, check_tol: float = 1e-10) -> PsdCheck:
+def psd_check(x: np.ndarray, tol: float = 1e-10, check_tol: float = HERM_CHECK_TOL) -> PsdCheck:
     """Positive-semidefiniteness test with an eigenvalue floor.
 
     PSD iff lambda_min >= -tol * max(1, lambda_max). Only eigenvalues are
@@ -201,7 +200,7 @@ def psd_check(x: np.ndarray, tol: float = 1e-10, check_tol: float = 1e-10) -> Ps
     return _floor_rule(herm_eigvals(x, check_tol=check_tol)[None], tol)[0]
 
 
-def psd_checks(x: np.ndarray, tol: float = 1e-10, check_tol: float = 1e-10) -> list[PsdCheck]:
+def psd_checks(x: np.ndarray, tol: float = 1e-10, check_tol: float = HERM_CHECK_TOL) -> list[PsdCheck]:
     """:func:`psd_check` of each matrix of a stack (n, d, d), from one
     batched eigenvalue call; equal to the per-matrix calls."""
     return _floor_rule(herm_eigvals(x, check_tol=check_tol), tol)
@@ -216,7 +215,7 @@ def _floor_rule(vals: np.ndarray, tol: float) -> list[PsdCheck]:
     else:
         lo = hi = np.zeros(vals.shape[:-1])
     ok = lo >= -tol * np.maximum(1.0, hi)
-    return [PsdCheck(*row) for row in zip(ok.tolist(), lo.tolist(), hi.tolist())]
+    return [PsdCheck(*row) for row in zip(ok.tolist(), lo.tolist())]
 
 
 def trace_norm(x: np.ndarray) -> float | np.ndarray:
@@ -225,7 +224,7 @@ def trace_norm(x: np.ndarray) -> float | np.ndarray:
     return np.linalg.svd(x, compute_uv=False).sum(axis=-1)
 
 
-def pseudo_inverse(x: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
+def pseudo_inverse(x: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse of a Hermitian PSD matrix on its support, or of
     each matrix of a stack (..., d, d), equal to the per-matrix calls.
 
@@ -234,16 +233,16 @@ def pseudo_inverse(x: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
     lambda_max <= 0 has the zero inverse.
     """
     vals, vecs = herm_eig(x)
-    keep = rank_mask(vals, rank_tol)
+    keep = rank_mask(vals, RANK_TOL)
     inv = np.zeros_like(vals)
     inv[keep] = 1.0 / vals[keep]
     return _spectral(vecs, inv)
 
 
-def psd_sqrt(x: np.ndarray, check_tol: float = 1e-10) -> np.ndarray:
+def psd_sqrt(x: np.ndarray) -> np.ndarray:
     """Hermitian square root of a PSD matrix (negative eigenvalues clipped
     to 0), or of each matrix of a stack, equal to the per-matrix calls."""
-    vals, vecs = herm_eig(x, check_tol=check_tol)
+    vals, vecs = herm_eig(x)
     return _spectral(vecs, np.sqrt(np.clip(vals, 0.0, None)))
 
 
@@ -252,11 +251,11 @@ def _spectral(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return (vecs * vals[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
-def support_projector(x: np.ndarray, rank_tol: float = 1e-10) -> np.ndarray:
+def support_projector(x: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto the support of a Hermitian PSD matrix: the
     eigenvectors :func:`rank_mask` keeps."""
     vals, vecs = herm_eig(x)
-    cols = vecs[:, rank_mask(vals, rank_tol)]
+    cols = vecs[:, rank_mask(vals, RANK_TOL)]
     return cols @ cols.conj().T
 
 
@@ -267,17 +266,17 @@ def rank_mask(vals: np.ndarray, rank_tol: float) -> np.ndarray:
     return (vals > rank_tol * lam_max) & (lam_max > 0.0)
 
 
-def nullspace(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def nullspace(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the right nullspace of ``m``.
 
-    Singular values <= tol * sigma_max count as zero.
+    Singular values <= RANK_TOL * sigma_max count as zero.
     """
     m = np.asarray(m)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
     _, s, vh = np.linalg.svd(m, full_matrices=True)
     sigma_max = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > tol * sigma_max)) if sigma_max > 0 else 0
+    rank = int(np.sum(s > RANK_TOL * sigma_max)) if sigma_max > 0 else 0
     return vh[rank:].conj().T
 
 
@@ -398,9 +397,6 @@ class _Labeled:
     def dims(self) -> tuple[int, ...]:
         return self._layout.dims
 
-    def dim_of(self, label: str) -> int:
-        return self._layout.dims[self._positions([label])[0]]
-
     def _positions(self, labels: Sequence[str]) -> list[int]:
         index = self._layout.index
         for lbl in labels:
@@ -434,14 +430,6 @@ class LabeledOperator(_Labeled):
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.mat))
-
-    @staticmethod
-    def identity(spaces: Sequence[tuple[str, int]]) -> "LabeledOperator":
-        d = prod(dim for _, dim in spaces)
-        return LabeledOperator(np.eye(d, dtype=complex), tuple(spaces))
 
     def tensor(self, other: "LabeledOperator") -> "LabeledOperator":
         overlap = set(self.labels) & set(other.labels)
@@ -513,9 +501,6 @@ class FactoredPsd(_Labeled):
     @property
     def dim(self) -> int:
         return self.factor.shape[0]
-
-    def trace(self) -> complex:
-        return complex(np.sum(self.weights * np.sum(np.abs(self.factor) ** 2, axis=0)))
 
     def psd_check(self, tol: float = 1e-10) -> PsdCheck:
         """:func:`psd_check`'s floor rule on the spectrum of X.

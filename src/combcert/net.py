@@ -36,6 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import (
+    COMPLETENESS_TOL,
     Channel,
     channel_from_isometry,
     choi_distance_lb,
@@ -53,8 +54,11 @@ from .linalg import (
 
 __all__ = [
     "AUDIT_BATCH",
+    "EPS_ZERO_TOL",
     "F_ROUTE_TOL",
     "GRAM_REJECTION_BUDGET",
+    "GRAM_TOL",
+    "IDENTICAL_PAIR_TOL",
     "IDENTITY_TOL",
     "ISO_TOL",
     "MIN_LIPSCHITZ_TRIALS",
@@ -83,12 +87,17 @@ MIN_MOMENT_SAMPLES = 1000
 MIN_SEPARATION_PAIRS = 50
 SEPARATION_MAX_EPS = 1e-2
 
-# the net suite's tolerances on exact identities, the first three listed in
-# its reports
+# the net suite's tolerances on exact identities, all but NILPOTENCY_TOL
+# listed in its reports
 ISO_TOL = 1e-10  # ||V^dagger V - I||_F of a family member
 F_ROUTE_TOL = 1e-10  # ||F - F'|| between the two construction routes of F
 IDENTITY_TOL = 1e-8  # the separation proof's trace-norm identities
 NILPOTENCY_TOL = 1e-10  # ||X^2||_F / max(1, tr|X|)^2 of the cross operator X
+# the block Gram's largest off-diagonal entry, and its diagonal's pad over
+# the ceiling NetParams.gram_bound
+GRAM_TOL = 1e-9
+EPS_ZERO_TOL = 1e-12  # ||C(U) - C(U')||_F of two eps = 0 members' Choi operators
+IDENTICAL_PAIR_TOL = 1e-14  # ||F(U, U)||_F
 
 
 def check_eps(eps: float, separation: bool = False) -> None:
@@ -168,6 +177,11 @@ class NetParams:
         """Odd mode: input dimensions routed through the middle level."""
         return self.d1 - self.r * (self.d2 - 1) // 2
 
+    @property
+    def gram_bound(self) -> float:
+        """Per-mode ceiling on |tr(K_i^dag K_j)| for the reference blocks."""
+        return (2.0 if self.mode == "even" else 3.0) * self.d1 / self.r
+
 
 @dataclass(frozen=True)
 class BlockIsometry:
@@ -219,19 +233,10 @@ class BlockIsometry:
         jtj = self.j_embed.conj().T @ self.j_embed
         if np.linalg.norm(jtj - np.eye(p.u_dim)) > 1e-10:
             raise ValueError("rotation-space embedding is not an isometry")
-        bound = self.gram_bound
         g = self.gram
         off = g - np.diag(np.diag(g))
-        if np.max(np.abs(off)) > 1e-9 or np.max(np.abs(np.diag(g))) > bound + 1e-9:
-            raise ValueError(f"block Gram condition violated (bound {bound})")
-
-    @property
-    def gram_bound(self) -> float:
-        """Per-mode ceiling on |tr(K_i^dag K_j)| for the reference blocks."""
-        p = self.params
-        if p.mode == "even":
-            return 2.0 * p.d1 / p.r
-        return 3.0 * p.d1 / p.r
+        if np.max(np.abs(off)) > GRAM_TOL or np.max(np.abs(np.diag(g))) > p.gram_bound + GRAM_TOL:
+            raise ValueError(f"block Gram condition violated (bound {p.gram_bound})")
 
 
 def _block_gram(v: np.ndarray, r: int) -> np.ndarray:
@@ -258,7 +263,6 @@ def build_block_isometry(p: NetParams, rng: np.random.Generator) -> BlockIsometr
 
 def _build_even(p: NetParams, rng: np.random.Generator) -> BlockIsometry:
     rows = p.r * p.d2
-    bound = 2.0 * p.d1 / p.r
     for attempt in range(GRAM_REJECTION_BUDGET):
         w = haar_isometry(p.d1, rows, rng)
         gram = _block_gram(w, p.r)
@@ -266,7 +270,7 @@ def _build_even(p: NetParams, rng: np.random.Generator) -> BlockIsometry:
         # blocks mix as K_i -> sum_j Q_ij K_j; Q = vecs.T turns the block
         # Gram into exactly diag(vals)
         w = np.kron(vecs.T, np.eye(p.d2)) @ w
-        if float(vals[-1]) <= bound + 1e-9:
+        if float(vals[-1]) <= p.gram_bound + GRAM_TOL:
             delta = np.eye(rows, p.d1, dtype=complex)
             return BlockIsometry(
                 params=p,
@@ -278,7 +282,7 @@ def _build_even(p: NetParams, rng: np.random.Generator) -> BlockIsometry:
                 rejections=attempt,
             )
     raise RuntimeError(
-        f"no block draw met the Gram ceiling {bound:.6g} in {GRAM_REJECTION_BUDGET} attempts"
+        f"no block draw met the Gram ceiling {p.gram_bound:.6g} in {GRAM_REJECTION_BUDGET} attempts"
     )
 
 
@@ -619,7 +623,7 @@ def _separation_chunk(blocks: BlockIsometry, n: int, rng: np.random.Generator) -
     v2 = _member_isometry(blocks, rotated_branch(blocks, u2))
     v = np.stack([v1, v2])
     defect = float(np.abs(v.conj().swapaxes(-2, -1) @ v - np.eye(d1)).max())
-    if defect > 1e-10:
+    if defect > COMPLETENESS_TOL:
         raise ValueError(f"not an isometry: ||V^dagger V - I||_max = {defect:.3e}")
     out = v1.shape[-2] // r
     choi1 = choi_from_kraus(v1.reshape(n, r, out, d1).swapaxes(0, 1))
@@ -649,7 +653,7 @@ def _separation_chunk(blocks: BlockIsometry, n: int, rng: np.random.Generator) -
         "dist": dist,
         "x_norm": x_norm,
         "f": f_val,
-        "rank": kraus_rank(choi1, rank_tol=1e-8),
+        "rank": kraus_rank(choi1),
         "branch": branch_res,
         "nilp": np.array(nilp),
         "symm": np.abs(trace_norm(x + x.conj().swapaxes(-2, -1)) - 2 * x_norm) / scale,

@@ -60,13 +60,16 @@ from .hard import (
     twirl_trace_bound,
     xlog_bound_values,
 )
-from .hard.domination import EIG_TOL, Q_BOUND, largest_round
+from .hard.domination import EIG_TOL, Q_BOUND, SUPPORT_TOL, TRACE_MARGIN_TOL, largest_round
 from .hard.facts import CHAIN_SLACK
 from .hard.instance import comb_sequence
 from .hard.twirl import COMMUTANT_DIM_CAP, PERMUTATION_ORDER_CAP, exact_routes
 from .linalg import LabeledOperator, ginibre, haar_unitary, psd_sqrt, random_psd
 from .net import (
+    EPS_ZERO_TOL,
     F_ROUTE_TOL,
+    GRAM_TOL,
+    IDENTICAL_PAIR_TOL,
     IDENTITY_TOL,
     ISO_TOL,
     MIN_LIPSCHITZ_TRIALS,
@@ -510,7 +513,7 @@ def _random_testers(rng, count: int) -> list:
 def _tester_validity(c: Cell) -> dict:
     ok = True
     worst = 0.0
-    for cert in validate_testers([tester for tester, _ in c.testers]):
+    for cert in validate_testers([t for t, _ in c.testers], psd_tol=COMB_TOL, chain_tol=COMB_TOL):
         ok = ok and cert.ok
         worst = max(worst, cert.sum_certificate.max_chain_residual)
     return _verdict(ok, COMB_TOL, worst, testers=c.cfg["pairs"])
@@ -540,7 +543,7 @@ def _combs_table(run: Run) -> list:
 # hard suite
 
 # the hard suite's tolerances, all listed in its reports with domination_check's
-# EIG_TOL and the summand chains' CHAIN_SLACK
+# four bounds and the summand chains' CHAIN_SLACK
 GAMMA_COMB_TOL = 1e-7  # PSD floor and chain residual of each Gamma_i comb
 RECURSION_TOL = 1e-9  # the two-term trace recursion of the gamma combs
 EXPANSION_TOL = 1e-10  # the gamma Gram matrix and the hard-vector expansion
@@ -560,8 +563,7 @@ def _hard_family(c: Cell) -> dict:
     exp_res = 0.0
     for _ in range(3):
         u = haar_unitary(c.spec.rotor_dim, rng)
-        chk = hard_vector_expansion(c.spec, c.cfg["max_n"], c.cfg["family_eps"], u)
-        exp_res = max(exp_res, chk.residual)
+        exp_res = max(exp_res, hard_vector_expansion(c.spec, c.cfg["max_n"], c.cfg["family_eps"], u))
     worst = max(gram_res, exp_res)
     return _verdict(worst <= EXPANSION_TOL, EXPANSION_TOL, worst, d1=d1, d2=d2,
                     gram_residual=gram_res, expansion_residual=exp_res)
@@ -708,6 +710,7 @@ def _domination(c: Cell) -> dict:
         "d1": d1, "d2": d2, "n": n, "eps": eps,
         "max_quadratic_form": res.max_quadratic_form,
         "q_spread": float(max(res.quadratic_forms) - min(res.quadratic_forms)),
+        "max_support_residual": res.max_support_residual,
         "min_eig_ratio": res.min_eig_ratio,
         "trace_bound_margin": res.trace_bound_margin,
         "lambda_total": res.lambda_total,
@@ -891,13 +894,13 @@ def _block_isometry(c: Cell) -> dict:
     values = {
         "mode": p.mode, "d1": p.d1, "d2": p.d2, "r": p.r,
         "gram_diag_max": diag_max, "gram_off_max": off,
-        "gram_bound": blocks.gram_bound, "rejections": blocks.rejections,
+        "gram_bound": p.gram_bound, "rejections": blocks.rejections,
     }
     if p.mode == "odd":
         values["subspace_dims"] = dict(blocks.subspace_dims)
-    bound = blocks.gram_bound + 1e-9
-    ok = diag_max <= bound and off <= 1e-9
-    return _verdict(ok, bound, max(diag_max - blocks.gram_bound, off), **values)
+    bound = p.gram_bound + GRAM_TOL
+    ok = diag_max <= bound and off <= GRAM_TOL
+    return _verdict(ok, bound, max(diag_max - p.gram_bound, off), **values)
 
 
 def _net_isometry(c: Cell) -> dict:
@@ -909,13 +912,13 @@ def _net_isometry(c: Cell) -> dict:
         u = haar_unitary(p.u_dim, rng2)
         v, ch = build_net_isometry(p, u, blocks)
         iso_res = max(iso_res, float(np.linalg.norm(v.conj().T @ v - np.eye(p.d1))))
-        rank_max = max(rank_max, kraus_rank(choi_from_kraus(ch), rank_tol=1e-8))
+        rank_max = max(rank_max, kraus_rank(choi_from_kraus(ch)))
     p0 = NetParams(p.d1, p.d2, p.r, 0.0, mode=p.mode)
     b0 = build_block_isometry(p0, np.random.default_rng(c.seed))
     c1 = choi_from_kraus(build_net_isometry(p0, haar_unitary(p0.u_dim, rng2), b0)[1])
     c2 = choi_from_kraus(build_net_isometry(p0, haar_unitary(p0.u_dim, rng2), b0)[1])
     eps0_res = float(np.linalg.norm(c1 - c2))
-    ok = iso_res <= ISO_TOL and rank_max <= p.r and eps0_res <= 1e-12
+    ok = iso_res <= ISO_TOL and rank_max <= p.r and eps0_res <= EPS_ZERO_TOL
     return _verdict(ok, ISO_TOL, iso_res, mode=p.mode, kraus_rank_max=rank_max, rank_bound=p.r,
                     out_dim=p.out_dim, eps_zero_choi_residual=eps0_res)
 
@@ -935,7 +938,7 @@ def _f_operator(c: Cell) -> dict:
     ) / p.d1
     route_res = float(np.linalg.norm(f - f2))
     zero_res = float(np.linalg.norm(f_operator(blocks, ux, ux)))
-    ok = route_res <= F_ROUTE_TOL and zero_res <= 1e-14
+    ok = route_res <= F_ROUTE_TOL and zero_res <= IDENTICAL_PAIR_TOL
     return _verdict(ok, F_ROUTE_TOL, route_res, mode=p.mode, sample_f=c.stash(f),
                     identical_pair_norm=zero_res)
 
@@ -1024,8 +1027,11 @@ _SUITES = {
     "hard": (_hard_table, {
         "comb_tol": GAMMA_COMB_TOL, "recursion_tol": RECURSION_TOL, "expansion_tol": EXPANSION_TOL,
         "cross_tol": CROSS_TOL, "mc_sigma_factor": MC_SIGMA_FACTOR, "trace_tol": TRACE_TOL,
-        "eig_tol": EIG_TOL, "chain_slack": CHAIN_SLACK}),
-    "net": (_net_table, {"iso_tol": ISO_TOL, "f_route_tol": F_ROUTE_TOL, "identity_tol": IDENTITY_TOL}),
+        "eig_tol": EIG_TOL, "support_tol": SUPPORT_TOL, "trace_margin_tol": TRACE_MARGIN_TOL,
+        "chain_slack": CHAIN_SLACK}),
+    "net": (_net_table, {
+        "iso_tol": ISO_TOL, "f_route_tol": F_ROUTE_TOL, "identity_tol": IDENTITY_TOL,
+        "gram_tol": GRAM_TOL, "eps_zero_tol": EPS_ZERO_TOL, "identical_pair_tol": IDENTICAL_PAIR_TOL}),
 }
 
 

@@ -245,8 +245,7 @@ def test_criterion_06_weighted_twirl_domination():
         for eps in (0.01, 0.05):
             window = d1 * d2 / (2 * exp(4.0) * eps**2)
             for n in range(1, int(min(3, window)) + 1):
-                res = domination_check(spec, n, eps, n_samples=20,
-                                       seed=SEED + cells, eig_tol=1e-8)
+                res = domination_check(spec, n, eps, n_samples=20, seed=SEED + cells)
                 assert res.ok, f"domination failed at d2={d2} eps={eps} n={n}"
                 worst_q = max(worst_q, res.max_quadratic_form)
                 worst_eig_ratio = min(worst_eig_ratio, res.min_eig_ratio)
@@ -316,7 +315,7 @@ def test_criterion_07_scalar_fact_grids():
                 total = 0.0
                 for i in range(n + 1):
                     chain = summand_chain(d1, d2, n, eps, i)
-                    if not chain.chain_ok(slack=slack):
+                    if not chain.chain_ok():
                         chain_violations += 1
                     total += exp(chain.t_exact - sched.log_weights[i])
                 assembled_gap = max(assembled_gap, total - 1.0)
@@ -382,7 +381,7 @@ def test_criterion_09_channel_family_separation():
         v, ch = build_net_isometry(p, u, blocks)
         assert v.shape == (p.out_dim * p.r, p.d1)
         assert all(k.shape == (p.out_dim, p.d1) for k in ch.kraus)
-        assert kraus_rank(choi_from_kraus(ch), rank_tol=1e-8) <= r
+        assert kraus_rank(choi_from_kraus(ch)) <= r
         summary.append(
             f"{mode} min_dist={audit.min_choi_distance:.4f} min_f={audit.min_overlap_norm:.3f}"
         )

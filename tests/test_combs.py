@@ -3,12 +3,15 @@ import pytest
 
 from combcert.channels import Channel, choi_from_kraus, choi_operator, random_channel
 from combcert.combs import (
+    _draw_comb,
+    _link_comb,
     certify_comb,
     certify_combs,
     channels_network,
     link_product,
-    random_comb,
     random_tester,
+    slot_labels,
+    small_channels,
     success_probability,
     validate_tester,
 )
@@ -27,6 +30,12 @@ from combcert.linalg import (
 
 def _choi_op(ch, out_label, in_label):
     return choi_operator(ch, out_label=out_label, in_label=in_label)
+
+
+def _random_comb(pair_dims, rng):
+    # a random comb on the slot labels, drawn and linked as a tester's comb is
+    draw = _draw_comb(pair_dims, rng, slot_labels(len(pair_dims)))
+    return _link_comb(draw, small_channels(draw.steps)[1])
 
 
 def test_link_product_scalar_full_overlap():
@@ -125,7 +134,7 @@ def test_certify_choi_as_one_comb():
         c = _choi_op(random_channel(d_in, d_out, r, rng), "B", "A")
         cert = certify_comb(c, ("A", "B"), psd_tol=1e-9, chain_tol=1e-9)
         assert cert.ok
-        assert abs(cert.trace_value - d_in) < 1e-9
+        assert abs(np.trace(c.mat).real - d_in) < 1e-9
 
 
 def test_certify_rejects_wrong_direction():
@@ -153,11 +162,13 @@ def test_certify_rejects_non_psd():
 def test_random_comb_certifies():
     rng = np.random.default_rng(58)
     for pairs in ([(2, 2)], [(2, 3), (3, 2)], [(2, 2), (2, 2), (2, 2)]):
-        comb = random_comb(pairs, rng)
+        comb = _random_comb(pairs, rng)
         cert = certify_comb(comb, comb.labels, psd_tol=1e-9, chain_tol=1e-9)
         assert cert.ok
         expected = np.prod([a for a, _ in pairs])
-        assert abs(cert.trace_value - expected) < 1e-8
+        assert abs(np.trace(comb.mat).real - expected) < 1e-8
+        # the chain walk's last residual |X^(0) - 1| is tr X / expected - 1
+        assert cert.chain_residuals[-1] < 1e-9
 
 
 def test_signaling_comb_fails_reversed_order():
@@ -186,8 +197,7 @@ def test_random_tester_validates_and_normalizes():
     cert = validate_tester(tester, psd_tol=1e-9, chain_tol=1e-8)
     assert cert.ok
     # tr(sum T_i) equals the product of output dimensions
-    assert abs(cert.trace_value - cert.expected_trace) < 1e-8
-    assert abs(cert.expected_trace - 4.0) < 1e-12
+    assert abs(np.trace(tester.element_sum().mat).real - 4.0) < 1e-8
 
 
 def test_tester_contraction_identity():
@@ -195,7 +205,7 @@ def test_tester_contraction_identity():
     rng = np.random.default_rng(61)
     for _ in range(5):
         tester = random_tester([(2, 2), (2, 2)], int(rng.integers(1, 4)), rng)
-        comb = random_comb([(2, 2), (2, 2)], rng)
+        comb = _random_comb([(2, 2), (2, 2)], rng)
         probs = success_probability(tester, comb)
         assert probs.min() > -1e-10
         assert abs(probs.sum() - 1.0) < 1e-9
@@ -263,7 +273,6 @@ def test_full_rank_factor_reports_min_eig_from_the_core():
     f = FactoredPsd(u, w, (("A", 2), ("B", 3)))
     cert = certify_comb(f, ("A", "B"), psd_tol=1e-8, chain_tol=1e-8)
     assert cert.min_eig == pytest.approx(0.5, abs=1e-12)
-    assert cert.max_eig == pytest.approx(3.0, abs=1e-12)
     dense = psd_check((u * w) @ u.conj().T)
     assert cert.min_eig == pytest.approx(dense.min_eig, abs=1e-12)
 
@@ -273,11 +282,11 @@ def test_certify_combs_on_dense_and_factored_members_equals_one_call_each():
     spec = HardInstanceSpec.concrete(1, 3)
     f = gamma_outer(spec, 2, 1)
     ops = [
-        random_comb([(2, 2), (2, 3)], rng),
+        _random_comb([(2, 2), (2, 3)], rng),
         gamma_outer(spec, 2, 0),
-        random_comb([(3, 2)], rng),
+        _random_comb([(3, 2)], rng),
         FactoredPsd(2 * f.factor, f.weights, f.spaces),  # fails the chain
-        random_comb([(2, 2), (2, 3)], rng),
+        _random_comb([(2, 2), (2, 3)], rng),
         f,
         LabeledOperator(-np.eye(4), (("A1", 2), ("B1", 2))),  # fails positivity
     ]
@@ -287,4 +296,4 @@ def test_certify_combs_on_dense_and_factored_members_equals_one_call_each():
     for op, seq, cert in zip(ops, seqs, certs):
         assert cert == certify_comb(op, seq, psd_tol=1e-7, chain_tol=1e-7)
         if isinstance(op, LabeledOperator):  # the stacked verdict is the per-matrix one
-            assert (cert.min_eig, cert.max_eig) == psd_check(op.mat, tol=1e-7)[1:]
+            assert cert.min_eig == psd_check(op.mat, tol=1e-7).min_eig

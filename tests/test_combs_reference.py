@@ -23,9 +23,8 @@ SEEDS = (7, 23)
 def _link_product(x, y):
     shared = sorted(set(x.labels) & set(y.labels))
     out_labels = sorted(set(x.labels) ^ set(y.labels))
-    out_spaces = tuple(
-        (lbl, x.dim_of(lbl) if lbl in x.labels else y.dim_of(lbl)) for lbl in out_labels
-    )
+    dims = {**dict(y.spaces), **dict(x.spaces)}
+    out_spaces = tuple((lbl, dims[lbl]) for lbl in out_labels)
     ids = {}
 
     def _id(owner, label, side):
@@ -44,14 +43,14 @@ def _link_product(x, y):
 
 def _certify_comb(op, sequence, tol=1e-8):
     """(ok, min_eig, chain residuals) of the comb conditions."""
-    is_psd, lo, _ = psd_check(op.mat, tol=tol, check_tol=max(tol, 1e-10))
+    is_psd, lo = psd_check(op.mat, tol=tol, check_tol=max(tol, 1e-10))
     residuals = []
     cur = op
     for j in range(len(sequence) // 2, 0, -1):
         out_lbl, in_lbl = sequence[2 * j - 1], sequence[2 * j - 2]
         y = cur.partial_trace([out_lbl])
         z = y.partial_trace([in_lbl])
-        z = LabeledOperator(z.mat / op.dim_of(in_lbl), z.spaces)
+        z = LabeledOperator(z.mat / dict(op.spaces)[in_lbl], z.spaces)
         at = y.labels.index(in_lbl)
         d = y.dims[at]
         lo_dim = int(np.prod(y.dims[:at]))
@@ -135,9 +134,9 @@ def _tester_validity(testers):
         total = elements[0].mat.copy()
         for el in elements[1:]:
             total += el.mat
-        padded = (LabeledOperator.identity(((HEAD, 1),))
+        padded = (LabeledOperator(np.eye(1), ((HEAD, 1),))
                   .tensor(LabeledOperator(total, elements[0].spaces))
-                  .tensor(LabeledOperator.identity(((TAIL, 1),))))
+                  .tensor(LabeledOperator(np.eye(1), ((TAIL, 1),))))
         cert_ok, _, residuals = _certify_comb(padded, [HEAD] + labels + [TAIL])
         ok = ok and cert_ok
         worst = max(worst, max(residuals))

@@ -109,10 +109,7 @@ def test_expansion_reconstructs_member_power():
             spec = random_spec(d1, d2, rng)
             k = spec.rotor_dim
             u = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
-            check = hard_vector_expansion(spec, n, 0.35, u)
-            assert check.residual <= 1e-10
-            coeffs = np.asarray(check.coefficients)
-            np.testing.assert_allclose(np.sum(coeffs**2), 1.0, atol=1e-12)
+            assert hard_vector_expansion(spec, n, 0.35, u) <= 1e-10
 
 
 def test_gamma_recursion_two_term_mixture():
@@ -134,7 +131,8 @@ def test_gamma_outer_is_comb():
                     gamma_outer(spec, n, i), comb_sequence(n), psd_tol=1e-8, chain_tol=1e-8
                 )
                 assert cert.ok, (d1, d2, n, i, cert)
-                np.testing.assert_allclose(cert.trace_value, d1**n, atol=1e-9)
+                g = gamma_state(spec, n, i)
+                np.testing.assert_allclose(np.vdot(g, g).real, d1**n, atol=1e-9)
 
 
 def test_kron_power_zero_is_the_unit():

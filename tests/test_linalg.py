@@ -36,7 +36,7 @@ def test_herm_eig_2x2_closed_form():
         x = np.array([[a, b], [np.conj(b), c]])
         mid = (a + c) / 2
         rad = np.sqrt(((a - c) / 2) ** 2 + abs(b) ** 2)
-        vals = herm_eig(x).values
+        vals, _ = herm_eig(x)
         assert abs(vals[0] - (mid - rad)) < 1e-12
         assert abs(vals[1] - (mid + rad)) < 1e-12
 
@@ -70,9 +70,9 @@ def test_herm_eig_stack_equals_per_matrix_calls(shape):
     vals, vecs = herm_eig(x)
     stacked_vals = herm_eigvals(x)
     for idx in np.ndindex(shape):
-        one = herm_eig(x[idx])
-        assert np.array_equal(vals[idx], one.values)
-        assert np.array_equal(vecs[idx], one.vectors)
+        one_vals, one_vecs = herm_eig(x[idx])
+        assert np.array_equal(vals[idx], one_vals)
+        assert np.array_equal(vecs[idx], one_vecs)
         assert np.array_equal(stacked_vals[idx], herm_eigvals(x[idx]))
 
 
@@ -132,11 +132,11 @@ def test_haar_from_ginibre_stack_equals_per_matrix_calls():
 def test_psd_check():
     rng = np.random.default_rng(13)
     w = random_psd(6, rng)
-    ok, lo, hi = psd_check(w)
-    assert ok and lo > -1e-12 and hi > 0
+    ok, lo = psd_check(w)
+    assert ok and lo > -1e-12
     assert not psd_check(-np.eye(3)).ok
     # rank-deficient but PSD
-    ok, lo, _ = psd_check(random_psd(6, rng, rank=2))
+    ok, lo = psd_check(random_psd(6, rng, rank=2))
     assert ok and abs(lo) < 1e-10
 
 
@@ -154,9 +154,8 @@ def test_psd_check_matches_eigh_reference(kind):
         for x in (g @ g.conj().T, g + g.conj().T, g[:, : d // 2] @ g[:, : d // 2].conj().T):
             ref = np.linalg.eigh(x.astype(complex))[0]
             tol = 1e-12 * max(1.0, abs(ref[-1]))
-            ok, lo, hi = psd_check(x)
+            ok, lo = psd_check(x)
             assert abs(lo - ref[0]) <= tol
-            assert abs(hi - ref[-1]) <= tol
             assert ok == (ref[0] >= -1e-10 * max(1.0, ref[-1]))
             assert np.abs(herm_eigvals(x) - ref).max() <= tol
 
@@ -167,12 +166,12 @@ def test_the_three_psd_checks_share_one_floor_rule():
     for low, ok in ((-0.5, True), (-0.5000001, False)):
         dense = np.diag([low, 0.0, 2.0])
         factored = FactoredPsd(np.eye(3)[:, [0, 2]], [low, 2.0], spaces)
-        want = (ok, low, 2.0)
+        want = (ok, low)
         assert psd_check(dense, tol=0.25) == want
         assert psd_checks(np.stack([dense, dense]), tol=0.25) == [want, want]
         assert factored.psd_check(tol=0.25) == want
     # an empty spectrum, and a factor of rank 0 (its spectrum is all zeros)
-    empty = (True, 0.0, 0.0)
+    empty = (True, 0.0)
     assert psd_check(np.zeros((0, 0))) == empty
     assert psd_checks(np.zeros((2, 0, 0))) == [empty, empty]
     assert FactoredPsd(np.zeros((3, 0)), np.zeros(0), spaces).psd_check() == empty
@@ -406,11 +405,9 @@ def test_factored_psd_matches_its_dense_operator(rank):
         got, want = f.partial_trace(drop), dense.partial_trace(drop)
         assert got.spaces == want.spaces
         assert np.abs(got.mat - want.mat).max() <= 1e-12 * max(1.0, np.abs(want.mat).max())
-    assert abs(f.trace() - dense.trace()) <= 1e-12 * max(1.0, abs(dense.trace()))
     got, want = f.psd_check(), psd_check(dense.mat)
     assert got.ok and want.ok
-    scale = max(1.0, want.max_eig)
-    assert abs(got.max_eig - want.max_eig) <= 1e-12 * scale
+    scale = max(1.0, np.linalg.eigvalsh(dense.mat)[-1])
     # below full rank the missing directions are exact zeros
     assert got.min_eig == (0.0 if rank < 30 else pytest.approx(want.min_eig, abs=1e-12 * scale))
 
@@ -455,7 +452,7 @@ def test_identity_factor_residual_equals_the_broadcast_formula(spaces, label):
     d, d_rest = dims[label], int(np.prod(list(dims.values()))) // dims[label]
     z = rng.normal(size=(d_rest, d_rest)) + 1j * rng.normal(size=(d_rest, d_rest))
     rest = [(lbl, dim) for lbl, dim in spaces if lbl != label]
-    near = LabeledOperator(z, tuple(rest)).tensor(LabeledOperator.identity([(label, d)]))
+    near = LabeledOperator(z, tuple(rest)).tensor(LabeledOperator(np.eye(d), ((label, d),)))
     near = near.reorder([lbl for lbl, _ in spaces])
     dim = near.dim
     noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

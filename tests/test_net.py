@@ -116,7 +116,7 @@ def test_member_isometry_and_kraus_rank(d1, d2, r):
         v, ch = build_net_isometry(p, u, b)
         assert np.linalg.norm(v.conj().T @ v - np.eye(d1)) <= 1e-10
         assert ch.d_out == p.out_dim
-        assert kraus_rank(choi_from_kraus(ch), rank_tol=1e-8) <= r
+        assert kraus_rank(choi_from_kraus(ch)) <= r
 
 
 def test_zero_eps_channel_ignores_rotation():
@@ -300,7 +300,7 @@ def _loop_separation(blocks, pairs, rng):
         choi1 = choi_from_kraus(ch1)
         dist = trace_norm(choi1 - choi_from_kraus(ch2)) / d1
         min_dist = min(min_dist, dist)
-        max_rank = max(max_rank, kraus_rank(choi1, rank_tol=1e-8))
+        max_rank = max(max_rank, kraus_rank(choi1))
         f_mat = f_operator(blocks, u1, u2)
         f_val = trace_norm(f_mat)
         min_f = min(min_f, f_val)

@@ -1,10 +1,18 @@
-"""Every public name of combcert is used by the package or the benchmark.
+"""Every public name and every class member of combcert is used by the
+package or the benchmark.
 
 A name in a module's ``__all__`` counts as used when it appears as a name or
 an attribute anywhere in ``src/combcert`` or ``perfbench/*.py``, or as a
 function the benchmark wraps by name (``perfbench/spans.py`` ``TARGETS``).
 Its own definition, its imports and its ``__all__`` entry do not count, so a
-helper that only tests call fails here and is a candidate for deletion."""
+helper that only tests call fails here and is a candidate for deletion.
+
+A class member (a field, property or method of a class defined in
+``src/combcert``) counts as read when an attribute of its name is loaded, or
+its name appears as a string (as the names ``_fields`` takes do), anywhere
+in ``src/combcert`` or ``perfbench/*.py``. The name argument of a
+``setattr`` call is a write, not a read. A result field that no record,
+verdict or benchmark reads fails here."""
 
 import ast
 import importlib.util
@@ -18,6 +26,8 @@ PERFBENCH = ROOT / "perfbench"
 # needs to, but it is the reader of that wire format and the wire round-trip
 # test checks the format through it
 EXEMPT = {"matrix_from_wire"}
+# report documents: ``asdict`` serializes every field of these
+EXEMPT_CLASSES = {"CheckRecord", "VerificationReport"}
 
 
 def _exported(tree):
@@ -56,3 +66,48 @@ def test_every_public_name_is_used_outside_the_tests():
         if name not in used and name not in EXEMPT
     ]
     assert not unused, f"public names no record or benchmark uses: {unused}"
+
+
+def _setattr_names(tree):
+    """ids of the string nodes that name the attribute a setattr call writes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and len(node.args) >= 2:
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("setattr", "__setattr__"):
+                yield id(node.args[1])
+
+
+def _reads(tree):
+    writes = set(_setattr_names(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in writes:
+            yield node.value
+
+
+def _members(cls):
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.FunctionDef) and not node.name.startswith("__"):
+            yield node.name
+
+
+def test_every_class_member_is_read_outside_the_tests():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    read = set()
+    for path in [*modules, *PERFBENCH.glob("*.py")]:
+        read.update(_reads(ast.parse(path.read_text())))
+    unread = [
+        f"{path.relative_to(PACKAGE)}:{cls.name}.{name}"
+        for path in modules
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef) and cls.name not in EXEMPT_CLASSES
+        for name in _members(cls)
+        if name not in read
+    ]
+    assert not unread, f"class members no record, verdict or benchmark reads: {unread}"

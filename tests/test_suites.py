@@ -166,3 +166,25 @@ def test_close_domination_eps_values_get_distinct_seeds():
     }
     assert sorted(seeds) == ["domination-1-2-0.0100001-1", "domination-1-2-0.0100009-1"]
     assert len(set(seeds.values())) == 2
+
+
+def test_tester_validity_holds_its_testers_to_the_threshold_it_reports(monkeypatch):
+    monkeypatch.setattr(suites, "COMB_TOL", 1e-30)
+    report = suites.run_combs_suite({"combs": {"channels": 2, "pairs": 3}}, seed=7)
+    rec = next(r for r in report.records if r.check_id == "tester-validity")
+    assert rec.threshold == 1e-30
+    assert rec.status == "fail"
+
+
+def test_domination_records_show_every_bound_their_verdict_reads():
+    grid = {"cells": [[1, 2]], "eps": [0.05], "max_n": 2, "u_samples": 5}
+    report = suites.run_hard_suite({"hard": {"domination": grid}}, seed=7)
+    tol = report.tolerances
+    records = [r for r in report.records if r.check_id.startswith("domination-")]
+    assert [r.status for r in records] == ["pass", "pass"]
+    for rec in records:
+        values = rec.values
+        assert rec.threshold >= values["max_quadratic_form"]
+        assert values["max_support_residual"] <= tol["support_tol"]
+        assert values["min_eig_ratio"] >= -tol["eig_tol"]
+        assert values["trace_bound_margin"] <= tol["trace_margin_tol"]
