@@ -22,8 +22,10 @@ from .instance import HardInstanceSpec, gamma_state
 from .twirl import gamma_twirl
 
 __all__ = [
+    "DIFF_CHECK_TOL",
     "EIG_TOL",
     "Q_BOUND",
+    "SPAN_RANK_TOL",
     "SUPPORT_TOL",
     "TRACE_MARGIN_TOL",
     "WEIGHT_BUDGET_CONSTANT",
@@ -48,6 +50,11 @@ Q_BOUND = 1.0 + 1e-9
 EIG_TOL = 1e-8
 SUPPORT_TOL = 1e-9
 TRACE_MARGIN_TOL = 1e-6
+# the Hermiticity check on domination_check's difference operators
+DIFF_CHECK_TOL = 1e-8
+# symmetric_span_dim counts the sampled Gram's eigenvalues above this
+# fraction of the largest
+SPAN_RANK_TOL = 1e-8
 
 
 def admissible_window(d1: int, d2: int, eps: float) -> float:
@@ -157,7 +164,7 @@ def symmetric_span_dim(d: int, m: int, rng: np.random.Generator) -> int:
     vecs = _kron_power_rows(phi, m)
     gram = vecs @ vecs.conj().T
     vals = herm_eigvals(gram)
-    return int(np.count_nonzero(rank_mask(vals, 1e-8)))
+    return int(np.count_nonzero(rank_mask(vals, SPAN_RANK_TOL)))
 
 
 def _kron_power_rows(rows: np.ndarray, n: int) -> np.ndarray:
@@ -215,7 +222,7 @@ def domination_check(
         q += (v.conj()[:, None, :] @ (pinv @ v[:, :, None]))[:, 0, 0].real / w
     residuals = np.linalg.norm(v - v @ joint_support.T, axis=1) / np.linalg.norm(v, axis=1)
     diff = weighted - v[:, :, None] * v.conj()[:, None, :]
-    min_eigs = herm_eigvals(diff, check_tol=1e-8)[:, 0]
+    min_eigs = herm_eigvals(diff, check_tol=DIFF_CHECK_TOL)[:, 0]
 
     q_values = q.tolist()
     max_q = max(q_values)

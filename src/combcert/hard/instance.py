@@ -28,7 +28,7 @@ from math import comb
 import numpy as np
 
 from ..combs import slot_labels
-from ..linalg import FactoredPsd, haar_isometry, nullspace, vectorize
+from ..linalg import FactoredPsd, nullspace, vectorize
 
 __all__ = [
     "ISOMETRY_TOL",
@@ -155,12 +155,6 @@ class HardInstanceSpec:
         delta = np.zeros((d2, d1), dtype=complex)
         delta[d1 : 2 * d1, :] = np.eye(d1)
         return HardInstanceSpec(v0, delta)
-
-    @staticmethod
-    def random(d1: int, d2: int, rng: np.random.Generator) -> "HardInstanceSpec":
-        """Haar-random orthogonal-image pair."""
-        w = haar_isometry(2 * d1, d2, rng)
-        return HardInstanceSpec(w[:, :d1], w[:, d1:])
 
     def rotor(self, u: np.ndarray) -> np.ndarray:
         """R(U) = V0 V0^dagger + iota U iota^dagger on C^{d2}."""

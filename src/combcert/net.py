@@ -13,6 +13,11 @@ reference branch so the family plugs into the hard-instance machinery:
     ancilla, the rotated branch the upper half plus a disjoint part of the
     middle. Rotation side r*(d2-1)/2.
 
+The rotation space is a set of global rows, ``BlockIsometry.rotor_rows``: the
+rotated branch is U eye(u_dim, d1) placed on those rows, plus the fixed
+``delta_prime``. Even mode rotates every row; odd mode the upper half-space
+of each ancilla block. No embedding matrix is formed.
+
 The audits are sampled surrogates for the existential net statements: they
 report empirical minima/means over Haar-sampled unitary pairs together with
 the exact finite identities used in the separation proof, and never claim to
@@ -54,6 +59,8 @@ from .linalg import (
 
 __all__ = [
     "AUDIT_BATCH",
+    "BRANCH_ISO_TOL",
+    "BRANCH_ORTHO_TOL",
     "EPS_ZERO_TOL",
     "F_ROUTE_TOL",
     "GRAM_REJECTION_BUDGET",
@@ -61,6 +68,7 @@ __all__ = [
     "IDENTICAL_PAIR_TOL",
     "IDENTITY_TOL",
     "ISO_TOL",
+    "LIPSCHITZ_PAD",
     "MIN_LIPSCHITZ_TRIALS",
     "MIN_MOMENT_SAMPLES",
     "MIN_SEPARATION_PAIRS",
@@ -77,6 +85,7 @@ __all__ = [
     "f_operator",
     "lipschitz_audit",
     "moment_audit",
+    "rotated_branch",
     "separation_audit",
 ]
 
@@ -87,8 +96,7 @@ MIN_MOMENT_SAMPLES = 1000
 MIN_SEPARATION_PAIRS = 50
 SEPARATION_MAX_EPS = 1e-2
 
-# the net suite's tolerances on exact identities, all but NILPOTENCY_TOL
-# listed in its reports
+# the net suite's tolerances, all but NILPOTENCY_TOL listed in its reports
 ISO_TOL = 1e-10  # ||V^dagger V - I||_F of a family member
 F_ROUTE_TOL = 1e-10  # ||F - F'|| between the two construction routes of F
 IDENTITY_TOL = 1e-8  # the separation proof's trace-norm identities
@@ -98,6 +106,12 @@ NILPOTENCY_TOL = 1e-10  # ||X^2||_F / max(1, tr|X|)^2 of the cross operator X
 GRAM_TOL = 1e-9
 EPS_ZERO_TOL = 1e-12  # ||C(U) - C(U')||_F of two eps = 0 members' Choi operators
 IDENTICAL_PAIR_TOL = 1e-14  # ||F(U, U)||_F
+LIPSCHITZ_PAD = 1e-8  # |f(U') - f(U)| may exceed the Lipschitz bound by this much
+# BlockIsometry's construction bounds: ||B^dagger B - I||_F of the reference
+# and unit-rotation branches, and (odd mode) ||V0^dagger B||_F and the
+# reference's Frobenius weight on the rotor rows
+BRANCH_ISO_TOL = 1e-9
+BRANCH_ORTHO_TOL = 1e-10
 
 
 def check_eps(eps: float, separation: bool = False) -> None:
@@ -164,12 +178,8 @@ class NetParams:
 
     @property
     def half_dim(self) -> int:
-        """Odd mode: size of each output half-space, (d2-1)/2."""
-        return (self.d2 - 1) // 2
-
-    @property
-    def mid(self) -> int:
-        """Odd mode: zero-based index of the middle output level."""
+        """Odd mode: size of each output half-space, (d2-1)/2, which is also
+        the zero-based index of the middle output level."""
         return (self.d2 - 1) // 2
 
     @property
@@ -187,18 +197,18 @@ class NetParams:
 class BlockIsometry:
     """Reference-branch and rotated-branch data for one net family.
 
-    All operators are (r*d2) x d1 in ancilla-major row layout
-    (row = anc*d2 + output level). ``v0_full`` is the reference isometry,
-    ``delta_canon + delta_prime`` the unit-rotation branch, and ``j_embed``
-    the isometric embedding of the rotation space into the global rows.
-    In even mode delta_prime is zero and j_embed the identity.
+    ``v0_full`` and ``delta_prime`` are (r*d2) x d1 in ancilla-major row
+    layout (row = anc*d2 + output level): the reference isometry and the
+    rotated branch's fixed part, zero in even mode. ``rotor_rows`` holds the
+    u_dim global rows the rotation acts on, in (ancilla, level) order, with
+    the same output levels in every ancilla block: the rotated branch at U
+    is U eye(u_dim, d1) placed on those rows, plus ``delta_prime``.
     """
 
     params: NetParams
     v0_full: np.ndarray
-    delta_canon: np.ndarray
     delta_prime: np.ndarray
-    j_embed: np.ndarray
+    rotor_rows: np.ndarray
     gram: np.ndarray
     rejections: int
     subspace_dims: dict = field(default_factory=dict)
@@ -206,33 +216,31 @@ class BlockIsometry:
     def __post_init__(self) -> None:
         p = self.params
         rows = p.r * p.d2
-        for name, op in (
-            ("v0_full", self.v0_full),
-            ("delta_canon", self.delta_canon),
-            ("delta_prime", self.delta_prime),
-        ):
+        for name, op in (("v0_full", self.v0_full), ("delta_prime", self.delta_prime)):
             if op.shape != (rows, p.d1):
                 raise ValueError(f"{name} must be {rows} x {p.d1}, got {op.shape}")
-        if self.j_embed.shape != (rows, p.u_dim):
-            raise ValueError(f"j_embed must be {rows} x {p.u_dim}, got {self.j_embed.shape}")
+        rotor = self.rotor_rows
+        if rotor.shape != (p.u_dim,):
+            raise ValueError(f"rotor_rows must hold {p.u_dim} rows, got shape {rotor.shape}")
+        levels = rotor[: p.u_dim // p.r]
+        if not (np.all(np.diff(levels) > 0) and 0 <= levels[0] and levels[-1] < p.d2):
+            raise ValueError("rotor_rows must list distinct output levels in increasing order")
+        if not np.array_equal(rotor, (p.d2 * np.arange(p.r)[:, None] + levels).ravel()):
+            raise ValueError("rotor_rows must hold the same output levels in every ancilla block")
         eye = np.eye(p.d1)
-        if np.linalg.norm(self.v0_full.conj().T @ self.v0_full - eye) > 1e-9:
+        if np.linalg.norm(self.v0_full.conj().T @ self.v0_full - eye) > BRANCH_ISO_TOL:
             raise ValueError("reference branch is not an isometry")
-        branch = self.delta_canon + self.delta_prime
-        if np.linalg.norm(branch.conj().T @ branch - eye) > 1e-9:
+        branch = rotated_branch(self, np.eye(p.u_dim))
+        if np.linalg.norm(branch.conj().T @ branch - eye) > BRANCH_ISO_TOL:
             raise ValueError("rotated branch at unit rotation is not an isometry")
         if p.mode == "odd":
             # row-sector disjointness makes the branches orthogonal for every
             # rotation; in even mode orthogonality is by the member's flag qubit
-            v0h = self.v0_full.conj().T
             if (
-                np.linalg.norm(v0h @ branch) > 1e-10
-                or np.linalg.norm(v0h @ self.j_embed) > 1e-10
+                np.linalg.norm(self.v0_full.conj().T @ branch) > BRANCH_ORTHO_TOL
+                or np.linalg.norm(self.v0_full[rotor]) > BRANCH_ORTHO_TOL
             ):
                 raise ValueError("branch images are not orthogonal")
-        jtj = self.j_embed.conj().T @ self.j_embed
-        if np.linalg.norm(jtj - np.eye(p.u_dim)) > 1e-10:
-            raise ValueError("rotation-space embedding is not an isometry")
         g = self.gram
         off = g - np.diag(np.diag(g))
         if np.max(np.abs(off)) > GRAM_TOL or np.max(np.abs(np.diag(g))) > p.gram_bound + GRAM_TOL:
@@ -271,13 +279,11 @@ def _build_even(p: NetParams, rng: np.random.Generator) -> BlockIsometry:
         # Gram into exactly diag(vals)
         w = np.kron(vecs.T, np.eye(p.d2)) @ w
         if float(vals[-1]) <= p.gram_bound + GRAM_TOL:
-            delta = np.eye(rows, p.d1, dtype=complex)
             return BlockIsometry(
                 params=p,
                 v0_full=w,
-                delta_canon=delta,
                 delta_prime=np.zeros((rows, p.d1), dtype=complex),
-                j_embed=np.eye(rows, dtype=complex),
+                rotor_rows=np.arange(rows),
                 gram=_block_gram(w, p.r),
                 rejections=attempt,
             )
@@ -288,36 +294,22 @@ def _build_even(p: NetParams, rng: np.random.Generator) -> BlockIsometry:
 
 def _build_odd(p: NetParams, rng: np.random.Generator) -> BlockIsometry:
     r, d1, d2 = p.r, p.d1, p.d2
-    hb, mid, eta = p.half_dim, p.mid, p.eta
+    hb, eta = p.half_dim, p.eta
+    mid = hb  # the middle output level
     h_a = r * hb
-    rows = r * d2
-
-    def global_row(anc: int, level: int) -> int:
-        return anc * d2 + level
+    ancillas = d2 * np.arange(r)[:, None]  # each ancilla block's first global row
+    legs = np.arange(eta)
 
     # reference core: a Haar unitary on the (ancilla x lower-half) sector;
     # its row blocks are disjoint row sets of a unitary, so the core block
     # Gram is hb * I exactly and no rejection sampling is needed
-    core = haar_unitary(h_a, rng).reshape(r, hb, h_a)
-
-    v0_full = np.zeros((rows, d1), dtype=complex)
-    for anc in range(r):
-        for b in range(hb):
-            v0_full[global_row(anc, b), :h_a] = core[anc, b]
+    v0_full = np.zeros((r * d2, d1), dtype=complex)
+    v0_full[(ancillas + np.arange(hb)).ravel(), :h_a] = haar_unitary(h_a, rng)
     # middle-level reference legs for the eta extra inputs
-    for t in range(eta):
-        v0_full[global_row(t, mid), h_a + t] = 1.0
-
-    delta_canon = np.zeros((rows, d1), dtype=complex)
-    for j in range(h_a):
-        delta_canon[global_row(j // hb, mid + 1 + j % hb), j] = 1.0
-    delta_prime = np.zeros((rows, d1), dtype=complex)
-    for t in range(eta):
-        delta_prime[global_row(r // 2 + t, mid), h_a + t] = 1.0
-
-    j_embed = np.zeros((rows, h_a), dtype=complex)
-    for s in range(h_a):
-        j_embed[global_row(s // hb, mid + 1 + s % hb), s] = 1.0
+    v0_full[d2 * legs + mid, h_a + legs] = 1.0
+    # the rotated branch's legs, on the middle level of the later ancillas
+    delta_prime = np.zeros((r * d2, d1), dtype=complex)
+    delta_prime[d2 * (r // 2 + legs) + mid, h_a + legs] = 1.0
 
     dims = {
         "input_rotated": h_a,
@@ -331,13 +323,31 @@ def _build_odd(p: NetParams, rng: np.random.Generator) -> BlockIsometry:
     return BlockIsometry(
         params=p,
         v0_full=v0_full,
-        delta_canon=delta_canon,
         delta_prime=delta_prime,
-        j_embed=j_embed,
+        rotor_rows=(ancillas + mid + 1 + np.arange(hb)).ravel(),
         gram=_block_gram(v0_full, r),
         rejections=0,
         subspace_dims=dims,
     )
+
+
+def _rotor_part(blocks: BlockIsometry, u: np.ndarray) -> np.ndarray:
+    """u eye(u_dim, d1), the rotation-space rows of the branch: the first
+    min(u_dim, d1) columns of u, zero-padded to d1 (stacks broadcast)."""
+    p = blocks.params
+    k = min(p.u_dim, p.d1)
+    w = np.zeros(u.shape[:-1] + (p.d1,), dtype=complex)
+    w[..., :k] = u[..., :k]
+    return w
+
+
+def _placed_on_rotor(blocks: BlockIsometry, w: np.ndarray) -> np.ndarray:
+    """The u_dim x d1 rows w (stacks broadcast) placed on the rotor rows of
+    an otherwise zero (r*d2) x d1 operator."""
+    p = blocks.params
+    out = np.zeros(w.shape[:-2] + (p.r * p.d2, p.d1), dtype=complex)
+    out[..., blocks.rotor_rows, :] = w
+    return out
 
 
 def rotated_branch(blocks: BlockIsometry, u: np.ndarray) -> np.ndarray:
@@ -346,14 +356,21 @@ def rotated_branch(blocks: BlockIsometry, u: np.ndarray) -> np.ndarray:
     p = blocks.params
     if u.shape[-2:] != (p.u_dim, p.u_dim):
         raise ValueError(f"rotation must be {p.u_dim} x {p.u_dim}, got {u.shape}")
-    j = blocks.j_embed
-    return j @ (u @ (j.conj().T @ blocks.delta_canon)) + blocks.delta_prime
+    return _placed_on_rotor(blocks, _rotor_part(blocks, u)) + blocks.delta_prime
 
 
 def _branch_difference(blocks: BlockIsometry, ux: np.ndarray, uy: np.ndarray) -> np.ndarray:
     """Rotated branch at ux minus at uy, (r*d2) x d1 (stacks broadcast)."""
-    j = blocks.j_embed
-    return j @ ((ux - uy) @ (j.conj().T @ blocks.delta_canon))
+    return _placed_on_rotor(blocks, _rotor_part(blocks, ux - uy))
+
+
+def _on_flag(p: NetParams, op: np.ndarray, flag: int) -> np.ndarray:
+    """Even mode: the (r*d2) x d1 operator op (stacks broadcast) on flag
+    ``flag`` of the (anc, flag, d2) member rows, zero on the other flag."""
+    lead = op.shape[:-2]
+    v = np.zeros(lead + (p.r, 2, p.d2, p.d1), dtype=complex)
+    v[..., flag, :, :] = op.reshape(lead + (p.r, p.d2, p.d1))
+    return v.reshape(lead + (p.r * 2 * p.d2, p.d1))
 
 
 def _member_isometry(blocks: BlockIsometry, branch: np.ndarray) -> np.ndarray:
@@ -363,11 +380,7 @@ def _member_isometry(blocks: BlockIsometry, branch: np.ndarray) -> np.ndarray:
     amp0, amp1 = sqrt(1.0 - p.eps**2), p.eps
     if p.mode == "odd":
         return amp0 * blocks.v0_full + amp1 * branch
-    lead = branch.shape[:-2]
-    v = np.zeros(lead + (p.r, 2, p.d2, p.d1), dtype=complex)
-    v[..., 0, :, :] = amp0 * blocks.v0_full.reshape(p.r, p.d2, p.d1)
-    v[..., 1, :, :] = amp1 * branch.reshape(lead + (p.r, p.d2, p.d1))
-    return v.reshape(lead + (p.r * 2 * p.d2, p.d1))
+    return _on_flag(p, amp0 * blocks.v0_full, 0) + _on_flag(p, amp1 * branch, 1)
 
 
 def build_net_isometry(
@@ -428,38 +441,13 @@ def _gram_moments(
     """||F||_F^2 and ||F^dagger F||_F^2 for each pair of rotation stacks,
     as tr M and tr M^2 with M = A B / d1^2 (see :func:`moment_audit`).
 
-    B is taken from the rotation-space difference (ux - uy) J^dagger Delta,
-    whose rows are the only nonzero rows of the embedded branch difference:
-    they are gathered into (ancilla, output level) order and the zero rows,
-    which add nothing to B, are never formed."""
+    B is taken from the rotation-space rows (ux - uy) eye(u_dim, d1), the
+    only nonzero rows of the branch difference: ``rotor_rows`` lists them in
+    (ancilla, output level) order with the same levels in every ancilla
+    block, and the zero rows, which add nothing to B, are never formed."""
     p = blocks.params
-    rows = _rotor_rows(blocks)
-    w = (ux - uy) @ (blocks.j_embed.conj().T @ blocks.delta_canon)
-    # np.take, not w[:, rows]: einsum's summation order follows the memory
-    # layout, and only the C-ordered gather keeps the embedded route's bits
-    m = blocks.gram @ _block_gram(np.take(w, rows, axis=1), p.r) / p.d1**2
+    m = blocks.gram @ _block_gram(_rotor_part(blocks, ux - uy), p.r) / p.d1**2
     return np.einsum("nii->n", m).real, np.einsum("nij,nji->n", m, m).real
-
-
-def _rotor_rows(blocks: BlockIsometry) -> np.ndarray:
-    """The rotation-space columns of ``j_embed`` in (ancilla, output level)
-    order of the global rows they select, so that every ancilla block gets
-    the same number of rows.
-
-    Raises ValueError unless ``j_embed`` selects one global row per column
-    and every ancilla block holds the same set of output levels."""
-    p = blocks.params
-    j = blocks.j_embed
-    row = np.argmax(np.abs(j), axis=0)
-    if not np.array_equal(j, np.eye(j.shape[0])[:, row]):
-        raise ValueError("j_embed does not select one global row per rotation-space column")
-    anc, level = np.divmod(row, p.d2)
-    order = np.lexsort((level, anc))
-    if row.size % p.r == 0:
-        anc, level = anc[order].reshape(p.r, -1), level[order].reshape(p.r, -1)
-        if (anc == np.arange(p.r)[:, None]).all() and (level == level[0]).all():
-            return order
-    raise ValueError("the rotation space does not hold the same output levels in every ancilla block")
 
 
 def moment_audit(blocks: BlockIsometry, samples: int, rng: np.random.Generator) -> MomentAudit:
@@ -574,7 +562,7 @@ def lipschitz_audit(blocks: BlockIsometry, trials: int, rng: np.random.Generator
     dist = np.concatenate([c[1] for c in chunks])
     moved = dist > 0
     max_ratio = float(np.max(delta[moved] / dist[moved], initial=0.0))
-    violations = int(np.count_nonzero(delta > lip * dist + 1e-8))
+    violations = int(np.count_nonzero(delta > lip * dist + LIPSCHITZ_PAD))
     return LipschitzAudit(
         trials=trials,
         lipschitz_constant=lip,
@@ -636,12 +624,8 @@ def _separation_chunk(blocks: BlockIsometry, n: int, rng: np.random.Generator) -
 
     # cross operator with orthogonal image/support (flag-embedded in even mode)
     if p.mode == "even":
-        ref = np.zeros((r, 2, p.d2, d1), dtype=complex)
-        ref[:, 0] = blocks.v0_full.reshape(r, p.d2, d1)
-        diff = np.zeros((n, r, 2, p.d2, d1), dtype=complex)
-        diff[:, :, 1] = _branch_difference(blocks, u1, u2).reshape(n, r, p.d2, d1)
-        rows = r * 2 * p.d2
-        x = _cross_operator(ref.reshape(rows, d1), diff.reshape(n, rows, d1), r, d1)
+        diff = _on_flag(p, _branch_difference(blocks, u1, u2), 1)
+        x = _cross_operator(_on_flag(p, blocks.v0_full, 0), diff, r, d1)
     else:
         x = d1 * f_mat
     x_norm = trace_norm(x)

@@ -60,8 +60,16 @@ from .hard import (
     twirl_trace_bound,
     xlog_bound_values,
 )
-from .hard.domination import EIG_TOL, Q_BOUND, SUPPORT_TOL, TRACE_MARGIN_TOL, largest_round
-from .hard.facts import CHAIN_SLACK
+from .hard.domination import (
+    DIFF_CHECK_TOL,
+    EIG_TOL,
+    Q_BOUND,
+    SPAN_RANK_TOL,
+    SUPPORT_TOL,
+    TRACE_MARGIN_TOL,
+    largest_round,
+)
+from .hard.facts import CHAIN_SLACK, EQUIV_PSD_TOL
 from .hard.instance import comb_sequence
 from .hard.twirl import COMMUTANT_DIM_CAP, PERMUTATION_ORDER_CAP, exact_routes
 from .linalg import LabeledOperator, ginibre, haar_unitary, psd_sqrt, random_psd
@@ -72,6 +80,7 @@ from .net import (
     IDENTICAL_PAIR_TOL,
     IDENTITY_TOL,
     ISO_TOL,
+    LIPSCHITZ_PAD,
     MIN_LIPSCHITZ_TRIALS,
     MIN_MOMENT_SAMPLES,
     MIN_SEPARATION_PAIRS,
@@ -82,6 +91,7 @@ from .net import (
     f_operator,
     lipschitz_audit,
     moment_audit,
+    rotated_branch,
     separation_audit,
 )
 from .report import CheckRecord, VerificationReport, make_report
@@ -543,7 +553,8 @@ def _combs_table(run: Run) -> list:
 # hard suite
 
 # the hard suite's tolerances, all listed in its reports with domination_check's
-# four bounds and the summand chains' CHAIN_SLACK
+# bounds, the summand chains' CHAIN_SLACK, symmetric_span_dim's SPAN_RANK_TOL
+# and psd_domination_equiv's EQUIV_PSD_TOL
 GAMMA_COMB_TOL = 1e-7  # PSD floor and chain residual of each Gamma_i comb
 RECURSION_TOL = 1e-9  # the two-term trace recursion of the gamma combs
 EXPANSION_TOL = 1e-10  # the gamma Gram matrix and the hard-vector expansion
@@ -928,9 +939,8 @@ def _f_operator(c: Cell) -> dict:
     rng2 = np.random.default_rng(_cell_seed(c.run.seed, "fop", *c.key))
     ux, uy = haar_unitary(p.u_dim, rng2), haar_unitary(p.u_dim, rng2)
     f = f_operator(blocks, ux, uy)
-    j = blocks.j_embed
-    kx = (j @ (ux @ (j.conj().T @ blocks.delta_canon))).reshape(p.r, p.d2, p.d1)
-    ky = (j @ (uy @ (j.conj().T @ blocks.delta_canon))).reshape(p.r, p.d2, p.d1)
+    kx = rotated_branch(blocks, ux).reshape(p.r, p.d2, p.d1)
+    ky = rotated_branch(blocks, uy).reshape(p.r, p.d2, p.d1)
     k0 = blocks.v0_full.reshape(p.r, p.d2, p.d1)
     f2 = sum(
         np.outer(k0[i].reshape(-1), (kx[i] - ky[i]).reshape(-1).conj())
@@ -1028,10 +1038,12 @@ _SUITES = {
         "comb_tol": GAMMA_COMB_TOL, "recursion_tol": RECURSION_TOL, "expansion_tol": EXPANSION_TOL,
         "cross_tol": CROSS_TOL, "mc_sigma_factor": MC_SIGMA_FACTOR, "trace_tol": TRACE_TOL,
         "eig_tol": EIG_TOL, "support_tol": SUPPORT_TOL, "trace_margin_tol": TRACE_MARGIN_TOL,
-        "chain_slack": CHAIN_SLACK}),
+        "chain_slack": CHAIN_SLACK, "span_rank_tol": SPAN_RANK_TOL, "diff_check_tol": DIFF_CHECK_TOL,
+        "equiv_psd_tol": EQUIV_PSD_TOL}),
     "net": (_net_table, {
         "iso_tol": ISO_TOL, "f_route_tol": F_ROUTE_TOL, "identity_tol": IDENTITY_TOL,
-        "gram_tol": GRAM_TOL, "eps_zero_tol": EPS_ZERO_TOL, "identical_pair_tol": IDENTICAL_PAIR_TOL}),
+        "gram_tol": GRAM_TOL, "eps_zero_tol": EPS_ZERO_TOL, "identical_pair_tol": IDENTICAL_PAIR_TOL,
+        "lipschitz_pad": LIPSCHITZ_PAD}),
 }
 
 

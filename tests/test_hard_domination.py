@@ -17,6 +17,7 @@ from combcert.hard import domination
 from combcert.hard.instance import gamma_state, kron_power
 from combcert.hard.twirl import gamma_twirl
 from combcert.linalg import (
+    haar_isometry,
     haar_unitary,
     herm_eigvals,
     pseudo_inverse,
@@ -24,6 +25,12 @@ from combcert.linalg import (
     support_projector,
     vectorize,
 )
+
+
+def random_spec(d1, d2, rng):
+    """A Haar-random orthogonal-image pair (V0, Delta)."""
+    w = haar_isometry(2 * d1, d2, rng)
+    return HardInstanceSpec(w[:, :d1], w[:, d1:])
 
 
 def test_lambda_schedule_oracle_values():
@@ -87,7 +94,7 @@ def test_twirl_trace_bound_rotor_twirl_counts_support():
     # operator, hence is bounded by the total dimension
     rng = np.random.default_rng(2)
     for d1, d2, n in [(1, 2, 2), (1, 3, 1), (1, 3, 2)]:
-        spec = HardInstanceSpec.random(d1, d2, rng)
+        spec = random_spec(d1, d2, rng)
         proj = commutant_projector(spec, n, seed=13)
         dim = (d1 * d2) ** n
         for _ in range(5):

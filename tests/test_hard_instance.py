@@ -21,7 +21,9 @@ GRID = [(1, 2), (1, 3), (2, 4), (2, 5)]
 
 
 def random_spec(d1, d2, rng):
-    return HardInstanceSpec.random(d1, d2, rng)
+    """A Haar-random orthogonal-image pair (V0, Delta)."""
+    w = haar_isometry(2 * d1, d2, rng)
+    return HardInstanceSpec(w[:, :d1], w[:, d1:])
 
 
 def test_concrete_spec_validates():

@@ -27,6 +27,7 @@ from combcert.hard.instance import (
 )
 from combcert.linalg import (
     LabeledOperator,
+    haar_isometry,
     haar_unitary,
     haar_unitary_batch,
     psd_check,
@@ -38,6 +39,12 @@ from combcert.suites import GAMMA_COMB_TOL as COMB_TOL
 GAMMA_CELLS = DEFAULT_CONFIG["hard"]["gamma_cells"]
 
 
+def random_spec(d1, d2, rng):
+    """A Haar-random orthogonal-image pair (V0, Delta)."""
+    w = haar_isometry(2 * d1, d2, rng)
+    return HardInstanceSpec(w[:, :d1], w[:, d1:])
+
+
 def _dense_rho(spec, n, u):
     """rho(U) = (R(U) (x) I_{d1})^{(x) n} formed densely on all n slots."""
     return kron_power(np.kron(spec.rotor(u), np.eye(spec.d1)), n)
@@ -46,7 +53,7 @@ def _dense_rho(spec, n, u):
 def test_rho_action_is_a_representation():
     # rho(U) rho(W) = rho(UW), applied slot by slot
     rng = np.random.default_rng(0)
-    spec = HardInstanceSpec.random(2, 5, rng)
+    spec = random_spec(2, 5, rng)
     k = spec.rotor_dim
     u, w = haar_unitary(k, rng), haar_unitary(k, rng)
     y = rng.standard_normal((100, 3)) + 1j * rng.standard_normal((100, 3))
@@ -56,7 +63,7 @@ def test_rho_action_is_a_representation():
 
 def test_commutant_projector_is_projection_onto_commutant():
     rng = np.random.default_rng(1)
-    spec = HardInstanceSpec.random(1, 3, rng)
+    spec = random_spec(1, 3, rng)
     proj = commutant_projector(spec, 2, seed=7)
     dim = (spec.d1 * spec.d2) ** 2
     x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -87,7 +94,7 @@ def test_weingarten_matches_commutant_on_grid():
     rng = np.random.default_rng(2)
     cells = [(1, 2, 3), (1, 3, 3), (2, 4, 1), (2, 5, 1)]
     for d1, d2, n_max in cells:
-        spec = HardInstanceSpec.random(d1, d2, rng)
+        spec = random_spec(d1, d2, rng)
         for n in range(1, n_max + 1):
             proj = commutant_projector(spec, n, seed=11)
             for i in range(n + 1):
@@ -99,7 +106,7 @@ def test_weingarten_matches_commutant_on_grid():
 def test_twirl_output_invariances():
     rng = np.random.default_rng(3)
     for d1, d2, n in [(1, 2, 3), (1, 3, 2), (2, 4, 2)]:
-        spec = HardInstanceSpec.random(d1, d2, rng)
+        spec = random_spec(d1, d2, rng)
         for i in range(n + 1):
             g = gamma_twirl_weingarten(spec, n, i)
             # trace d1^n, PSD, commutes with fresh rho(U)
@@ -113,7 +120,7 @@ def test_twirled_gamma_is_comb():
     rng = np.random.default_rng(4)
     for d1, d2 in [(1, 2), (1, 3), (2, 4), (2, 5)]:
         for n in (1, 2):
-            spec = HardInstanceSpec.random(d1, d2, rng)
+            spec = random_spec(d1, d2, rng)
             for i in range(n + 1):
                 g = gamma_twirl_weingarten(spec, n, i)
                 op = LabeledOperator(mat=g, spaces=slot_spaces(spec, n))
@@ -221,7 +228,7 @@ def _dense_commutant_basis(spec, n, seed):
 )
 def test_block_commutant_matches_the_dense_nullspace(d1, d2, n):
     rng = np.random.default_rng(100 * d1 + 10 * d2 + n)
-    spec = HardInstanceSpec.random(d1, d2, rng)
+    spec = random_spec(d1, d2, rng)
     proj = commutant_projector(spec, n, seed=9)
     dense = _dense_commutant_basis(spec, n, seed=9)
     assert proj.basis.shape == dense.shape
@@ -317,8 +324,8 @@ def test_sym_core_matches_the_dense_frame_formula(d1, d2, i):
     rng = np.random.default_rng(10 * d2 + i)
     vals, cols = twirl._twirled_core(d2 - d1, d1, i)
     core = (cols * vals) @ cols.conj().T
-    for spec in (HardInstanceSpec.concrete(d1, d2), HardInstanceSpec.random(d1, d2, rng),
-                 HardInstanceSpec.random(d1, d2, rng)):
+    for spec in (HardInstanceSpec.concrete(d1, d2), random_spec(d1, d2, rng),
+                 random_spec(d1, d2, rng)):
         dense = _dense_frame_core(spec.iota.conj().T @ spec.delta, i)
         assert np.abs(core - dense).max() <= 1e-14
 

@@ -22,7 +22,7 @@ from combcert.net import (
     moment_audit,
     separation_audit,
 )
-from combcert.net import _cross_operator, _gram_moments, rotated_branch
+from combcert.net import _block_gram, _branch_difference, _cross_operator, _gram_moments, rotated_branch
 
 
 def test_mode_resolution():
@@ -54,7 +54,7 @@ def test_parameter_window_errors():
 
 def test_dimension_properties():
     p = NetParams(4, 3, 3, 0.005)
-    assert (p.out_dim, p.u_dim, p.half_dim, p.mid, p.eta) == (3, 3, 1, 1, 1)
+    assert (p.out_dim, p.u_dim, p.half_dim, p.eta) == (3, 3, 1, 1)
     q = NetParams(6, 3, 4, 0.005)
     assert (q.u_dim, q.eta) == (4, 2)
     e = NetParams(2, 4, 2, 0.005)
@@ -82,6 +82,13 @@ def test_single_block_case_is_trivial():
     assert b.gram[0, 0].real == pytest.approx(p.d1, abs=1e-12)
 
 
+def _embedding_from_rows(blocks):
+    """J with one unit column per rotor row, and Delta_canon = J eye(u_dim, d1)."""
+    p = blocks.params
+    j = np.eye(p.r * p.d2, dtype=complex)[:, blocks.rotor_rows]
+    return j, j @ np.eye(p.u_dim, p.d1)
+
+
 def test_odd_blocks_structure():
     rng = np.random.default_rng(2)
     p = NetParams(4, 3, 3, 0.005)
@@ -102,8 +109,9 @@ def test_odd_blocks_structure():
     assert np.max(np.abs(b.gram - np.diag(np.diag(b.gram)))) <= 1e-12
     assert np.max(diag) <= 3 * p.d1 / p.r + 1e-9
     # branch rows are disjoint from the reference rows, for every rotation
-    assert np.linalg.norm(b.v0_full.conj().T @ b.j_embed) <= 1e-12
-    assert np.linalg.norm(b.v0_full.conj().T @ (b.delta_canon + b.delta_prime)) <= 1e-12
+    j, delta_canon = _embedding_from_rows(b)
+    assert np.linalg.norm(b.v0_full.conj().T @ j) <= 1e-12
+    assert np.linalg.norm(b.v0_full.conj().T @ (delta_canon + b.delta_prime)) <= 1e-12
 
 
 @pytest.mark.parametrize("d1,d2,r", [(2, 4, 2), (4, 3, 3), (6, 3, 4), (1, 2, 1)])
@@ -149,9 +157,9 @@ def test_f_operator_matches_blockwise_route(d1, d2, r):
     f = f_operator(b, ux, uy)
     assert f.shape == (d2 * d1, d2 * d1)
     # independent route: per-ancilla outer products of vectorized blocks
-    j = b.j_embed
-    kx = (j @ (ux @ (j.conj().T @ b.delta_canon))).reshape(r, d2, d1)
-    ky = (j @ (uy @ (j.conj().T @ b.delta_canon))).reshape(r, d2, d1)
+    j, delta_canon = _embedding_from_rows(b)
+    kx = (j @ (ux @ (j.conj().T @ delta_canon))).reshape(r, d2, d1)
+    ky = (j @ (uy @ (j.conj().T @ delta_canon))).reshape(r, d2, d1)
     k0 = b.v0_full.reshape(r, d2, d1)
     f2 = sum(
         np.outer(k0[i].reshape(-1), (kx[i] - ky[i]).reshape(-1).conj()) for i in range(r)
@@ -311,10 +319,8 @@ def _loop_separation(blocks, pairs, rng):
             ref = np.zeros((r, 2, p.d2, d1), dtype=complex)
             ref[:, 0] = blocks.v0_full.reshape(r, p.d2, d1)
             diff = np.zeros((r, 2, p.d2, d1), dtype=complex)
-            j = blocks.j_embed
-            diff[:, 1] = (j @ ((u1 - u2) @ (j.conj().T @ blocks.delta_canon))).reshape(
-                r, p.d2, d1
-            )
+            j, delta_canon = _embedding_from_rows(blocks)
+            diff[:, 1] = (j @ ((u1 - u2) @ (j.conj().T @ delta_canon))).reshape(r, p.d2, d1)
             x = _cross_operator(ref.reshape(r * 2 * p.d2, d1), diff.reshape(r * 2 * p.d2, d1), r, d1)
         else:
             x = d1 * f_mat
@@ -396,22 +402,62 @@ def test_gram_moments_match_the_dense_operator(d1, d2, r):
     assert np.max(np.abs(m4 - m4_dense) / m4_dense) <= 1e-13
 
 
-def test_gram_moments_read_the_rotation_rows_from_j_embed():
-    blocks = build_block_isometry(NetParams(4, 3, 3, 0.005), np.random.default_rng(26))
-    rng = np.random.default_rng(27)
+def _dense_embedding(blocks):
+    """The rotation-space embedding J and canonical branch Delta_canon as
+    dense (r*d2) x u_dim and (r*d2) x d1 matrices, from the builders'
+    per-entry formulas rather than from ``rotor_rows``."""
+    p = blocks.params
+    rows = p.r * p.d2
+    if p.mode == "even":
+        return np.eye(rows, dtype=complex), np.eye(rows, p.d1, dtype=complex)
+    hb = p.half_dim
+    j = np.zeros((rows, p.u_dim), dtype=complex)
+    delta_canon = np.zeros((rows, p.d1), dtype=complex)
+    for s in range(p.u_dim):
+        row = (s // hb) * p.d2 + hb + 1 + s % hb
+        j[row, s] = delta_canon[row, s] = 1.0
+    return j, delta_canon
+
+
+@pytest.mark.parametrize("d1,d2,r", [(4, 3, 3), (2, 4, 2)])
+def test_rotor_rows_equal_the_dense_embedding(d1, d2, r):
+    blocks = build_block_isometry(NetParams(d1, d2, r, 0.005), np.random.default_rng(30))
+    rng = np.random.default_rng(31)
     d = blocks.params.u_dim
     ux, uy = haar_unitary_batch(d, 50, rng), haar_unitary_batch(d, 50, rng)
-    # listing the rotation-space columns in another order, with the rotations
-    # relabeled to match, is the same family
-    perm = np.eye(d)[:, [2, 0, 1]]
-    relisted = replace(blocks, j_embed=blocks.j_embed @ perm)
-    moved = [perm.T @ u @ perm for u in (ux, uy)]
-    for got, want in zip(_gram_moments(relisted, *moved), _gram_moments(blocks, ux, uy)):
-        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
-    # an embedding that mixes global rows has no row map to read
-    mixed = replace(blocks, j_embed=blocks.j_embed @ haar_unitary(d, rng))
-    with pytest.raises(ValueError, match="select"):
-        _gram_moments(mixed, ux, uy)
+    j, delta_canon = _dense_embedding(blocks)
+    canon = j.conj().T @ delta_canon
+    diff = j @ ((ux - uy) @ canon)
+    assert np.array_equal(rotated_branch(blocks, ux), j @ (ux @ canon) + blocks.delta_prime)
+    assert np.array_equal(_branch_difference(blocks, ux, uy), diff)
+    assert np.array_equal(f_operator(blocks, ux, uy), _cross_operator(blocks.v0_full, diff, r, d1) / d1)
+    # the Gram route as it read the rows back out of J: in (ancilla, level)
+    # order of the global rows each column selects
+    anc, level = np.divmod(np.argmax(np.abs(j), axis=0), d2)
+    w = np.take((ux - uy) @ canon, np.lexsort((level, anc)), axis=1)
+    m = blocks.gram @ _block_gram(w, r) / d1**2
+    want = np.einsum("nii->n", m).real, np.einsum("nij,nji->n", m, m).real
+    for got, expected in zip(_gram_moments(blocks, ux, uy), want):
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "rows,match",
+    [
+        ([3, 4, 8], "must hold 4 rows"),
+        ([3, 3, 8, 8], "distinct output levels"),
+        ([4, 3, 9, 8], "increasing order"),
+        ([4, 5, 9, 10], "distinct output levels"),  # row 5 is level 0 of ancilla 1
+        ([3, 4, 7, 9], "same output levels"),
+        ([0, 1, 5, 6], "not orthogonal"),  # the reference's lower half-space
+    ],
+)
+def test_block_isometry_rejects_bad_rotor_rows(rows, match):
+    # odd mode, two ancillas, half-spaces of two levels: rotor rows 3, 4, 8, 9
+    blocks = build_block_isometry(NetParams(5, 5, 2, 0.005), np.random.default_rng(32))
+    assert blocks.rotor_rows.tolist() == [3, 4, 8, 9]
+    with pytest.raises(ValueError, match=match):
+        replace(blocks, rotor_rows=np.array(rows))
 
 
 @pytest.mark.parametrize("d1,d2,r", [(4, 3, 3), (6, 3, 4)])

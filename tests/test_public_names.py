@@ -11,8 +11,10 @@ A class member (a field, property or method of a class defined in
 ``src/combcert``) counts as read when an attribute of its name is loaded, or
 its name appears as a string (as the names ``_fields`` takes do), anywhere
 in ``src/combcert`` or ``perfbench/*.py``. The name argument of a
-``setattr`` call is a write, not a read. A result field that no record,
-verdict or benchmark reads fails here."""
+``setattr`` call is a write, not a read, and neither is an attribute loaded
+off an imported module (``np.random``, ``np.linalg.norm``), which names no
+class member. A result field that no record, verdict or benchmark reads
+fails here."""
 
 import ast
 import importlib.util
@@ -78,11 +80,30 @@ def _setattr_names(tree):
                 yield id(node.args[1])
 
 
+def _module_names(tree):
+    """The names ``import`` statements bind to modules."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def _off_module(node, modules):
+    """Whether an attribute is loaded off a dotted chain rooted at an
+    imported module."""
+    value = node.value
+    while isinstance(value, ast.Attribute):
+        value = value.value
+    return isinstance(value, ast.Name) and value.id in modules
+
+
 def _reads(tree):
     writes = set(_setattr_names(tree))
+    modules = set(_module_names(tree))
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
+            if not _off_module(node, modules):
+                yield node.attr
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in writes:
             yield node.value
 
