@@ -16,8 +16,9 @@ such Chois.
 Random channels, combs and testers are drawn and built in two steps. The
 ``draw_*`` functions make every generator call of one object, in a fixed
 order, and do no arithmetic; ``small_channels`` and ``build_testers`` then
-build a whole list of draws, with same-shaped work (the Haar isometries,
-Chois, square roots and pseudo-inverses) as one stack per shape.
+build a list of draws, with same-shaped work (the Haar isometries, Chois,
+square roots and pseudo-inverses) stacked by shape, in runs under
+``linalg.STACK_BYTES``.
 A stack gives each member's per-matrix result bit for bit, so an object does
 not depend on what it was built with. ``random_tester`` is the one-object
 form; ``channels.random_channel`` draws one channel of a given Kraus rank the
@@ -46,6 +47,7 @@ from .linalg import (
     psd_checks,
     psd_sqrt,
     pseudo_inverse,
+    stack_runs,
 )
 
 __all__ = [
@@ -78,16 +80,18 @@ _ONE = complex(1.0)
 
 
 def _by_shape(fn: Callable, items: Sequence[np.ndarray]) -> list:
-    """``fn`` applied to each item, one call per distinct item shape: the
-    items of one shape are stacked, ``fn`` returns one result per stack
-    member, and the results come back in item order."""
+    """``fn`` applied to each item, one call per run of same-shaped items:
+    the items of one shape are stacked in runs under ``STACK_BYTES``
+    (:func:`stack_runs`), ``fn`` returns one result per stack member, and
+    the results come back in item order."""
     groups: dict[tuple, list[int]] = {}
     for i, item in enumerate(items):
         groups.setdefault(item.shape, []).append(i)
     out = [None] * len(items)
     for idx in groups.values():
-        for i, res in zip(idx, fn(np.stack([items[i] for i in idx]))):
-            out[i] = res
+        for run in stack_runs(len(idx), items[idx[0]].nbytes):
+            for i, res in zip(idx[run], fn(np.stack([items[i] for i in idx[run]]))):
+                out[i] = res
     return out
 
 
@@ -198,7 +202,8 @@ def certify_combs(
     chain_tol: float = 1e-8,
 ) -> list[CombCertificate]:
     """:func:`certify_comb` of each operator over its sequence; the
-    positivity checks of same-shaped dense operators are one stacked call."""
+    positivity checks of same-shaped dense operators are stacked
+    (``_by_shape``)."""
     sequences = [_comb_sequence(op, seq) for op, seq in zip(ops, sequences, strict=True)]
     dense = iter(_by_shape(
         lambda x: psd_checks(x, tol=psd_tol, check_tol=max(psd_tol, HERM_CHECK_TOL)),
@@ -300,8 +305,8 @@ def validate_testers(
     testers: Sequence[Tester], psd_tol: float = 1e-8, chain_tol: float = 1e-8
 ) -> list[TesterCertificate]:
     """:func:`validate_tester` of each tester; the positivity checks of
-    same-shaped elements, and of same-shaped element sums, are one stacked
-    call each."""
+    same-shaped elements, and of same-shaped element sums, are stacked
+    (``_by_shape``)."""
     elements = [el.mat for t in testers for el in t.elements]
     checks = iter(_by_shape(
         lambda x: psd_checks(x, tol=psd_tol, check_tol=max(psd_tol, HERM_CHECK_TOL)), elements))

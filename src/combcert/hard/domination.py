@@ -17,7 +17,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..linalg import haar_from_ginibre, herm_eigvals, pseudo_inverse, rank_mask, support_projector
+from ..linalg import (
+    haar_from_ginibre,
+    herm_eigvals,
+    pseudo_inverse,
+    rank_mask,
+    stack_runs,
+    support_projector,
+)
 from .instance import HardInstanceSpec, gamma_state
 from .twirl import gamma_twirl
 
@@ -221,8 +228,11 @@ def domination_check(
     for pinv, w in zip(pinvs, weights):
         q += (v.conj()[:, None, :] @ (pinv @ v[:, :, None]))[:, 0, 0].real / w
     residuals = np.linalg.norm(v - v @ joint_support.T, axis=1) / np.linalg.norm(v, axis=1)
-    diff = weighted - v[:, :, None] * v.conj()[:, None, :]
-    min_eigs = herm_eigvals(diff, check_tol=DIFF_CHECK_TOL)[:, 0]
+    # the difference operators, one run of samples under STACK_BYTES at a time
+    min_eigs = np.concatenate([
+        herm_eigvals(weighted - v[run, :, None] * v[run].conj()[:, None, :], check_tol=DIFF_CHECK_TOL)[:, 0]
+        for run in stack_runs(n_samples, weighted.nbytes)
+    ])
 
     q_values = q.tolist()
     max_q = max(q_values)

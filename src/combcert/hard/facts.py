@@ -10,6 +10,7 @@ summand chains have one array code path; a scalar argument is a 0-d array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import exp, lgamma, log
 from typing import NamedTuple
 
@@ -72,11 +73,24 @@ def kl_binary(p, q: float):
     )
 
 
+@cache
+def _log_factorials(size: int) -> np.ndarray:
+    """ln m! = lgamma(m + 1) for m < size, kept read-only for the life of
+    the process."""
+    table = _math(lgamma, np.arange(1, size + 1))
+    table.flags.writeable = False
+    return table
+
+
 def log_binom(n, k):
-    """ln C(n, k) via log-gamma; exact enough for chained comparisons."""
+    """ln C(n, k) = ln n! - ln k! - ln (n-k)! for integers, each ln m! read
+    from one table of lgamma(m + 1), whose size is the power of two above
+    max(n); exact enough for chained comparisons."""
+    n, k = np.asarray(n), np.asarray(k)
     if not np.all((0 <= k) & (k <= n)):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return _math(lgamma, n + 1) - _math(lgamma, k + 1) - _math(lgamma, n - k + 1)
+    log_fact = _log_factorials(1 << int(n.max()).bit_length())
+    return log_fact[n] - log_fact[k] - log_fact[n - k]
 
 
 def xlog_bound_values(budget: float, xs) -> tuple[np.ndarray, float]:

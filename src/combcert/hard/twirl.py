@@ -285,7 +285,9 @@ def gamma_twirl_monte_carlo(
         u = haar_unitary_batch(k, nb, rng)
         rot = (p0 + lift @ u.reshape(nb, k * k).T).reshape(d2, d2, nb)
         y = on_each_slot(rot, np.repeat(g[:, None], nb, axis=1), n, spec.d1)
-        acc += y @ y.conj().T
+        # einsum's own loop, not BLAS: the sum over the batch adds in one
+        # order whatever the BLAS kernel and thread count
+        acc += np.einsum("ik,jk->ij", y, y.conj())
         done += nb
     est = acc / samples
     return (est + est.conj().T) / 2, float(spec.d1**n / np.sqrt(samples))

@@ -10,13 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import prod
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "HERM_CHECK_TOL",
     "RANK_TOL",
+    "STACK_BYTES",
     "PsdCheck",
     "LabeledOperator",
     "FactoredPsd",
@@ -39,6 +40,7 @@ __all__ = [
     "haar_isometry",
     "haar_from_ginibre",
     "random_psd",
+    "stack_runs",
 ]
 
 
@@ -47,6 +49,21 @@ HERM_CHECK_TOL = 1e-10
 # the eigenvalues or singular values counted in a rank: above RANK_TOL times
 # the largest
 RANK_TOL = 1e-10
+
+
+# the bytes one run of a batched path may stack: every path that stacks
+# per-item work (testers, Chois, audit trials, domination samples) splits
+# its items into consecutive runs under this (see stack_runs)
+STACK_BYTES = 2 << 20
+
+
+def stack_runs(count: int, item_bytes: int) -> Iterator[slice]:
+    """Consecutive slices of ``range(count)``, in order, whose items of
+    ``item_bytes`` bytes each stay within STACK_BYTES together; a run holds
+    at least one item, however large."""
+    per_run = max(1, STACK_BYTES // max(1, item_bytes))
+    for start in range(0, count, per_run):
+        yield slice(start, min(start + per_run, count))
 
 
 class PsdCheck(NamedTuple):

@@ -23,13 +23,17 @@ report empirical minima/means over Haar-sampled unitary pairs together with
 the exact finite identities used in the separation proof, and never claim to
 certify the existential cardinality results.
 
-Each audit runs its trials as stacks of at most AUDIT_BATCH: the linear
-algebra (QR, eigensolves, SVDs, products) is one batched call per stack.
-The Lipschitz and separation audits draw their Gaussian matrices in the
-per-trial order of a one-trial loop, and batched LAPACK and matmul calls
-equal the per-matrix calls bit for bit, so their values do not depend on
-the batching. The moment audit never forms the (d2*d1)-square operator F:
-F has rank at most r, and its moments are traces of r x r Gram products.
+Each audit runs its trials as stacks: the linear algebra (QR,
+eigensolves, SVDs, products) is one batched call per stack. The Lipschitz
+and separation audits split their trials into runs under
+``linalg.STACK_BYTES`` (:func:`linalg.stack_runs`), from an estimate of the
+bytes one trial stacks, so their memory does not grow with the trial count.
+They draw their Gaussian matrices in the per-trial order of a one-trial
+loop, and batched LAPACK and matmul calls equal the per-matrix calls bit
+for bit, so their values do not depend on the runs. The moment audit draws
+its Haar pairs in blocks of MOMENT_BLOCK, which fix its samples, and never
+forms the (d2*d1)-square operator F: F has rank at most r, and its moments
+are traces of r x r Gram products.
 """
 
 from __future__ import annotations
@@ -54,11 +58,11 @@ from .linalg import (
     haar_unitary,
     haar_unitary_batch,
     herm_eig,
+    stack_runs,
     trace_norm,
 )
 
 __all__ = [
-    "AUDIT_BATCH",
     "BRANCH_ISO_TOL",
     "BRANCH_ORTHO_TOL",
     "EPS_ZERO_TOL",
@@ -72,6 +76,7 @@ __all__ = [
     "MIN_LIPSCHITZ_TRIALS",
     "MIN_MOMENT_SAMPLES",
     "MIN_SEPARATION_PAIRS",
+    "MOMENT_BLOCK",
     "NILPOTENCY_TOL",
     "SEPARATION_MAX_EPS",
     "BlockIsometry",
@@ -89,7 +94,7 @@ __all__ = [
     "separation_audit",
 ]
 
-AUDIT_BATCH = 2000  # trials, pairs or samples per stack in the sampled audits
+MOMENT_BLOCK = 2000  # Haar pairs per draw block of the moment audit
 GRAM_REJECTION_BUDGET = 200
 MIN_LIPSCHITZ_TRIALS = 100
 MIN_MOMENT_SAMPLES = 1000
@@ -418,12 +423,6 @@ def f_operator(blocks: BlockIsometry, ux: np.ndarray, uy: np.ndarray) -> np.ndar
     return _cross_operator(blocks.v0_full, _branch_difference(blocks, ux, uy), p.r, p.d1) / p.d1
 
 
-def _chunks(total: int):
-    """Stack sizes that cover ``total`` draws, AUDIT_BATCH at a time."""
-    for start in range(0, total, AUDIT_BATCH):
-        yield min(AUDIT_BATCH, total - start)
-
-
 class MomentAudit(NamedTuple):
     samples: int
     m2_mean: float
@@ -454,7 +453,7 @@ def moment_audit(blocks: BlockIsometry, samples: int, rng: np.random.Generator) 
     """Monte Carlo second/fourth moments of the separation operator (odd mode).
 
     The second moment is an exact identity (d2-1)/d1 for any fixed blocks;
-    the fourth is bounded by 288/r^3. Batched over Haar pairs, AUDIT_BATCH
+    the fourth is bounded by 288/r^3. Batched over Haar pairs, MOMENT_BLOCK
     at a time.
 
     F = R^T conj(D) / d1, with the vectorized reference blocks as the rows
@@ -471,12 +470,11 @@ def moment_audit(blocks: BlockIsometry, samples: int, rng: np.random.Generator) 
     r, d1, d2 = p.r, p.d1, p.d2
     m2_vals = np.empty(samples)
     m4_vals = np.empty(samples)
-    done = 0
-    for nb in _chunks(samples):
+    for done in range(0, samples, MOMENT_BLOCK):
+        nb = min(MOMENT_BLOCK, samples - done)
         ux = haar_unitary_batch(p.u_dim, nb, rng)
         uy = haar_unitary_batch(p.u_dim, nb, rng)
         m2_vals[done : done + nb], m4_vals[done : done + nb] = _gram_moments(blocks, ux, uy)
-        done += nb
 
     m2_mean = float(np.mean(m2_vals))
     m2_stderr = float(np.std(m2_vals, ddof=1) / np.sqrt(samples))
@@ -519,6 +517,13 @@ def _unitary_steps(g: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return (vecs * phases[..., None, :]) @ vecs.conj().swapaxes(-2, -1)
 
 
+def _lipschitz_trial_bytes(p: NetParams) -> int:
+    """The bytes one Lipschitz trial adds to its run: about eight complex
+    u_dim-square rotation pairs (the draws, the Haar and step factors, their
+    products) and its two F operators, as measured with tracemalloc."""
+    return 16 * (8 * 2 * p.u_dim**2 + 2 * (p.d2 * p.d1) ** 2)
+
+
 def _lipschitz_chunk(
     blocks: BlockIsometry, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -552,12 +557,13 @@ def lipschitz_audit(blocks: BlockIsometry, trials: int, rng: np.random.Generator
     Each trial perturbs both rotations by exp(i theta H) with unit-Frobenius
     Hermitian H and theta spanning three decades, and compares the change of
     f = tr|F| to the constant times the joint Frobenius displacement. The
-    trials run as stacks of at most AUDIT_BATCH."""
+    trials run in stacks under STACK_BYTES."""
     p = blocks.params
     if trials < MIN_LIPSCHITZ_TRIALS:
         raise ValueError(f"need at least {MIN_LIPSCHITZ_TRIALS} trials, got {trials}")
     lip = sqrt(2.0 / p.d1)
-    chunks = [_lipschitz_chunk(blocks, n, rng) for n in _chunks(trials)]
+    chunks = [_lipschitz_chunk(blocks, run.stop - run.start, rng)
+              for run in stack_runs(trials, _lipschitz_trial_bytes(p))]
     delta = np.concatenate([c[0] for c in chunks])
     dist = np.concatenate([c[1] for c in chunks])
     moved = dist > 0
@@ -590,6 +596,13 @@ class SeparationAudit(NamedTuple):
     tight_eps_regime: bool
     separated: bool  # the Choi distance, overlap norm and Kraus rank bounds hold
     identities_hold: bool  # every trace-norm identity holds to its tolerance
+
+
+def _separation_pair_bytes(p: NetParams) -> int:
+    """The bytes one separation pair adds to its run: about eight complex
+    Choi operators of side out_dim * d1 (the two members', their difference
+    and the SVD and eigensolve work), as measured with tracemalloc."""
+    return 8 * 16 * (p.out_dim * p.d1) ** 2
 
 
 def _separation_chunk(blocks: BlockIsometry, n: int, rng: np.random.Generator) -> dict:
@@ -656,13 +669,14 @@ def separation_audit(
     d1, (ii) the cross operator X squares to zero, (iii) the symmetrized
     trace norm equals 2 tr|X|, (iv) the two construction routes for X agree,
     and (v) the Choi distance dominates 2 eps sqrt(1-eps^2) tr|X| - 2 eps^2 d1.
-    The pairs run as stacks of at most AUDIT_BATCH.
+    The pairs run in stacks under STACK_BYTES.
     """
     p = blocks.params
     check_eps(p.eps, separation=True)
     if pairs < MIN_SEPARATION_PAIRS:
         raise ValueError(f"need at least {MIN_SEPARATION_PAIRS} pairs, got {pairs}")
-    chunks = [_separation_chunk(blocks, n, rng) for n in _chunks(pairs)]
+    chunks = [_separation_chunk(blocks, run.stop - run.start, rng)
+              for run in stack_runs(pairs, _separation_pair_bytes(p))]
     per_pair = {key: np.concatenate([c[key] for c in chunks]) for key in chunks[0]}
     d1 = p.d1
     amp = 2 * p.eps * sqrt(1 - p.eps**2)

@@ -72,7 +72,7 @@ from .hard.domination import (
 from .hard.facts import CHAIN_SLACK, EQUIV_PSD_TOL
 from .hard.instance import comb_sequence
 from .hard.twirl import COMMUTANT_DIM_CAP, PERMUTATION_ORDER_CAP, exact_routes
-from .linalg import LabeledOperator, ginibre, haar_unitary, psd_sqrt, random_psd
+from .linalg import LabeledOperator, ginibre, haar_unitary, psd_sqrt, random_psd, stack_runs
 from .net import (
     EPS_ZERO_TOL,
     F_ROUTE_TOL,
@@ -507,25 +507,37 @@ def _link_vs_kraus(c: Cell) -> dict:
     return _verdict(worst <= LINK_TOL, LINK_TOL, worst, pairs=cfg["pairs"])
 
 
+# _random_testers draws at most 2 slot pairs of dimensions at most 3 and at
+# most 3 outcomes, so a tester's elements are at most 3 complex matrices of
+# side (3 * 3)^2: the bytes of one tester in a run
+_TESTER_BYTES = 3 * 81**2 * 16
+
+
 def _random_testers(rng, count: int) -> list:
-    """``count`` random testers, each with one random channel per slot pair."""
-    draws, channel_draws = [], []
-    for _ in range(count):
-        n = int(rng.integers(1, 3))
-        pair_dims = [(int(rng.integers(2, 4)), int(rng.integers(2, 4))) for _ in range(n)]
-        draws.append(draw_tester(pair_dims, int(rng.integers(2, 4)), rng))
-        channel_draws.append([draw_small_channel(a, b, rng) for a, b in pair_dims])
-    isometries = iter(small_channels([d for ds in channel_draws for d in ds])[0])
-    channels = [[channel_from_isometry(next(isometries), d.rank) for d in ds] for ds in channel_draws]
-    return list(zip(build_testers(draws), channels))
+    """``count`` random testers, each with one random channel per slot pair,
+    drawn and built one run (:func:`stack_runs`) at a time, in draw order."""
+    testers = []
+    for run in stack_runs(count, _TESTER_BYTES):
+        draws, channel_draws = [], []
+        for _ in range(run.start, run.stop):
+            n = int(rng.integers(1, 3))
+            pair_dims = [(int(rng.integers(2, 4)), int(rng.integers(2, 4))) for _ in range(n)]
+            draws.append(draw_tester(pair_dims, int(rng.integers(2, 4)), rng))
+            channel_draws.append([draw_small_channel(a, b, rng) for a, b in pair_dims])
+        isometries = iter(small_channels([d for ds in channel_draws for d in ds])[0])
+        channels = [[channel_from_isometry(next(isometries), d.rank) for d in ds] for ds in channel_draws]
+        testers += zip(build_testers(draws), channels)
+    return testers
 
 
 def _tester_validity(c: Cell) -> dict:
     ok = True
     worst = 0.0
-    for cert in validate_testers([t for t, _ in c.testers], psd_tol=COMB_TOL, chain_tol=COMB_TOL):
-        ok = ok and cert.ok
-        worst = max(worst, cert.sum_certificate.max_chain_residual)
+    testers = [t for t, _ in c.testers]
+    for run in stack_runs(len(testers), _TESTER_BYTES):
+        for cert in validate_testers(testers[run], psd_tol=COMB_TOL, chain_tol=COMB_TOL):
+            ok = ok and cert.ok
+            worst = max(worst, cert.sum_certificate.max_chain_residual)
     return _verdict(ok, COMB_TOL, worst, testers=c.cfg["pairs"])
 
 

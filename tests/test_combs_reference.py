@@ -6,18 +6,20 @@ stacks. These references draw and build one object at a time, with the link
 product, comb certificate, square root and pseudo-inverse as they were
 written for one matrix. The two must agree bit for bit: equal tester
 elements and channels, equal worst residuals, and generators left in the
-same state."""
+same state, at a one-byte stack budget (every object its own run) and at
+the default one."""
 
 import numpy as np
 import pytest
 
-from combcert import suites
+from combcert import linalg, suites
 from combcert.channels import Channel, choi_operator, random_channel
 from combcert.linalg import LabeledOperator, herm_eig, psd_check, random_psd
 from combcert.serialize import content_hash, matrix_to_wire
 
 HEAD, TAIL = "_head", "_tail"
 SEEDS = (7, 23)
+BUDGETS = (1, linalg.STACK_BYTES)
 
 
 def _link_product(x, y):
@@ -177,34 +179,37 @@ def _twin_rngs(seed, tag):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_testers_equal_the_one_object_loop(seed):
-    rng_loop, rng_stack = _twin_rngs(seed, "tester")
+def test_testers_equal_the_one_object_loop(monkeypatch, seed):
     count = suites.DEFAULT_CONFIG["combs"]["pairs"]
+    rng_loop = _twin_rngs(seed, "tester")[0]
     expected = _testers(rng_loop, count)
-    built = suites._random_testers(rng_stack, count)
-    assert len(built) == count
-    for (elements, labels, channels), (tester, chans) in zip(expected, built):
-        assert list(tester.sequence) == labels
-        assert [el.spaces for el in tester.elements] == [el.spaces for el in elements]
-        for got, want in zip(tester.elements, elements):
-            assert np.array_equal(got.mat, want.mat)
-        for got, want in zip(chans, channels, strict=True):
-            assert len(got.kraus) == len(want.kraus)
-            assert all(np.array_equal(a, b) for a, b in zip(got.kraus, want.kraus))
-    assert rng_stack.bit_generator.state == rng_loop.bit_generator.state
+    for budget in BUDGETS:
+        monkeypatch.setattr(linalg, "STACK_BYTES", budget)
+        rng_stack = _twin_rngs(seed, "tester")[0]
+        built = suites._random_testers(rng_stack, count)
+        assert len(built) == count
+        for (elements, labels, channels), (tester, chans) in zip(expected, built):
+            assert list(tester.sequence) == labels
+            assert [el.spaces for el in tester.elements] == [el.spaces for el in elements]
+            for got, want in zip(tester.elements, elements):
+                assert np.array_equal(got.mat, want.mat), budget
+            for got, want in zip(chans, channels, strict=True):
+                assert len(got.kraus) == len(want.kraus)
+                assert all(np.array_equal(a, b) for a, b in zip(got.kraus, want.kraus)), budget
+        assert rng_stack.bit_generator.state == rng_loop.bit_generator.state, budget
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_combs_records_equal_the_one_object_loops(seed):
+def test_combs_records_equal_the_one_object_loops(monkeypatch, seed):
     cfg = suites.DEFAULT_CONFIG["combs"]
-    records = {r.check_id: r for r in suites.run_combs_suite(seed=seed).records}
-
     choi_worst, first_choi = _choi_comb(cfg, _twin_rngs(seed, "choi-comb")[0])
-    assert records["choi-one-comb"].residual == choi_worst
-    assert records["choi-one-comb"].values["sample_choi"] == content_hash(matrix_to_wire(first_choi))
-
-    assert records["link-vs-kraus"].residual == _link_vs_kraus(cfg, _twin_rngs(seed, "link-vs-kraus")[0])
-
+    link_worst = _link_vs_kraus(cfg, _twin_rngs(seed, "link-vs-kraus")[0])
     ok, worst = _tester_validity(_testers(_twin_rngs(seed, "tester")[0], cfg["pairs"]))
-    assert ok and records["tester-validity"].status == "pass"
-    assert records["tester-validity"].residual == worst
+    for budget in BUDGETS:
+        monkeypatch.setattr(linalg, "STACK_BYTES", budget)
+        records = {r.check_id: r for r in suites.run_combs_suite(seed=seed).records}
+        assert records["choi-one-comb"].residual == choi_worst, budget
+        assert records["choi-one-comb"].values["sample_choi"] == content_hash(matrix_to_wire(first_choi))
+        assert records["link-vs-kraus"].residual == link_worst, budget
+        assert ok and records["tester-validity"].status == "pass"
+        assert records["tester-validity"].residual == worst, budget

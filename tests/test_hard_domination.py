@@ -5,6 +5,7 @@ from math import comb, exp, log, sqrt
 import numpy as np
 import pytest
 
+from combcert import linalg
 from combcert.hard import (
     HardInstanceSpec,
     commutant_projector,
@@ -180,16 +181,19 @@ def _per_sample_domination(spec, n, eps, n_samples, seed):
     return q_values, max_residual, min_ratio
 
 
-def test_domination_batch_equals_the_per_sample_loop():
+def test_domination_batch_equals_the_per_sample_loop(monkeypatch):
+    # at a one-byte stack budget every difference operator is its own run
     for d1, d2 in [(1, 2), (1, 3)]:
         spec = HardInstanceSpec.concrete(d1, d2)
         for eps in (0.01, 0.05):
             for n in (1, 2, 3):
-                res = domination_check(spec, n, eps, n_samples=20, seed=11)
                 q_values, max_residual, min_ratio = _per_sample_domination(spec, n, eps, 20, 11)
-                assert res.quadratic_forms == tuple(q_values), (d1, d2, eps, n)
-                assert res.min_eig_ratio == min_ratio, (d1, d2, eps, n)
-                assert abs(res.max_support_residual - max_residual) <= 1e-15
+                for budget in (1, linalg.STACK_BYTES):
+                    monkeypatch.setattr(linalg, "STACK_BYTES", budget)
+                    res = domination_check(spec, n, eps, n_samples=20, seed=11)
+                    assert res.quadratic_forms == tuple(q_values), (d1, d2, eps, n, budget)
+                    assert res.min_eig_ratio == min_ratio, (d1, d2, eps, n, budget)
+                    assert abs(res.max_support_residual - max_residual) <= 1e-15
 
 
 def test_domination_check_draws_the_per_sample_stream(monkeypatch):

@@ -272,7 +272,8 @@ def _monte_carlo_reference(spec, n, i, samples, seed):
             moved = np.einsum("nxy,ny...->nx...", rot, moved, optimize=True)
             y = np.moveaxis(moved, 1, axis)
         yf = y.reshape(nb, dim)
-        acc += yf.T @ yf.conj()
+        # the same sample sum as the library's: einsum's loop, not BLAS
+        acc += np.einsum("ki,kj->ij", yf, yf.conj())
         done += nb
     est = acc / samples
     return (est + est.conj().T) / 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from combcert import linalg
 from combcert.channels import kraus_rank
 from combcert.linalg import (
     FactoredPsd,
@@ -20,6 +21,7 @@ from combcert.linalg import (
     psd_sqrt,
     random_psd,
     rank_mask,
+    stack_runs,
     support_projector,
     trace_norm,
     vectorize,
@@ -471,3 +473,18 @@ def test_identity_factor_residual_equals_the_broadcast_formula(spaces, label):
     mat = near.mat.copy()
     mat[0, -1] = np.nan
     assert np.isnan(LabeledOperator(mat, spaces).identity_factor_residual(label, z))
+
+
+@pytest.mark.parametrize("budget", [1, 100, 250, 10**9])
+@pytest.mark.parametrize("count,item_bytes", [(0, 8), (1, 8), (7, 8), (30, 8), (5, 300)])
+def test_stack_runs_cover_the_items_in_order_under_the_budget(monkeypatch, budget, count, item_bytes):
+    monkeypatch.setattr(linalg, "STACK_BYTES", budget)
+    runs = list(stack_runs(count, item_bytes))
+    assert [i for run in runs for i in range(count)[run]] == list(range(count))
+    for run in runs:
+        size = run.stop - run.start
+        # at least one item a run, and more only while they fit the budget
+        assert size >= 1 and (size == 1 or size * item_bytes <= budget)
+    # every run but the last is full: no run could take another item
+    for run in runs[:-1]:
+        assert (run.stop - run.start + 1) * item_bytes > budget

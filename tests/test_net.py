@@ -8,7 +8,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from combcert import net
+from combcert import linalg, net
 from combcert.channels import choi_from_kraus, kraus_rank
 from combcert.linalg import haar_unitary, haar_unitary_batch, herm_eig, trace_norm
 from combcert.net import (
@@ -22,7 +22,15 @@ from combcert.net import (
     moment_audit,
     separation_audit,
 )
-from combcert.net import _block_gram, _branch_difference, _cross_operator, _gram_moments, rotated_branch
+from combcert.net import (
+    _block_gram,
+    _branch_difference,
+    _cross_operator,
+    _gram_moments,
+    _lipschitz_trial_bytes,
+    _separation_pair_bytes,
+    rotated_branch,
+)
 
 
 def test_mode_resolution():
@@ -368,9 +376,9 @@ def test_lipschitz_audit_equals_the_per_trial_loop(d1, d2, r):
 
 @pytest.mark.parametrize("d1,d2,r", [(4, 3, 3), (2, 4, 2)])
 def test_lipschitz_audit_chunks_like_the_loop(monkeypatch, d1, d2, r):
-    # two full stacks and a remainder, at a batch size small enough to be quick
-    monkeypatch.setattr(net, "AUDIT_BATCH", 150)
+    # two full runs of 150 trials and a remainder
     blocks = build_block_isometry(NetParams(d1, d2, r, 0.005), np.random.default_rng(22))
+    monkeypatch.setattr(linalg, "STACK_BYTES", 150 * _lipschitz_trial_bytes(blocks.params))
     rng_loop, rng_batch = _twin_rngs(23)
     max_ratio, violations = _loop_lipschitz(blocks, 2 * 150 + 37, rng_loop)
     a = lipschitz_audit(blocks, 2 * 150 + 37, rng_batch)
@@ -378,17 +386,34 @@ def test_lipschitz_audit_chunks_like_the_loop(monkeypatch, d1, d2, r):
     assert rng_batch.bit_generator.state == rng_loop.bit_generator.state
 
 
-@pytest.mark.parametrize("batch", [net.AUDIT_BATCH, 40])
+@pytest.mark.parametrize("batch", [2000, 40])  # pairs per run: one run, or runs of 40, 40 and 20
 @pytest.mark.parametrize("d1,d2,r", [(4, 3, 3), (2, 4, 2)])
 def test_separation_audit_equals_the_per_pair_loop(monkeypatch, d1, d2, r, batch):
-    monkeypatch.setattr(net, "AUDIT_BATCH", batch)
     blocks = build_block_isometry(NetParams(d1, d2, r, 0.005), np.random.default_rng(24))
+    monkeypatch.setattr(linalg, "STACK_BYTES", batch * _separation_pair_bytes(blocks.params))
     rng_loop, rng_batch = _twin_rngs(25)
     expected = _loop_separation(blocks, 100, rng_loop)
     audit = separation_audit(blocks, 100, rng_batch)._asdict()
     for key, value in expected.items():
         assert audit[key] == value, key
     assert rng_batch.bit_generator.state == rng_loop.bit_generator.state
+
+
+@pytest.mark.parametrize("d1,d2,r", [(4, 3, 3), (2, 4, 2)])
+def test_audits_equal_the_loops_at_a_one_byte_and_the_default_budget(monkeypatch, d1, d2, r):
+    # a one-byte budget runs every trial and pair alone; the default, in runs
+    blocks = build_block_isometry(NetParams(d1, d2, r, 0.005), np.random.default_rng(33))
+    rng_loop = np.random.default_rng(34)
+    lipschitz = _loop_lipschitz(blocks, 300, rng_loop)
+    separation = _loop_separation(blocks, 100, rng_loop)
+    for budget in (1, linalg.STACK_BYTES):
+        monkeypatch.setattr(linalg, "STACK_BYTES", budget)
+        rng = np.random.default_rng(34)
+        a = lipschitz_audit(blocks, 300, rng)
+        assert (a.max_ratio, a.violations) == lipschitz, budget
+        audit = separation_audit(blocks, 100, rng)._asdict()
+        assert {key: audit[key] for key in separation} == separation, budget
+        assert rng.bit_generator.state == rng_loop.bit_generator.state, budget
 
 
 @pytest.mark.parametrize("d1,d2,r", [(4, 3, 3), (6, 3, 4)])

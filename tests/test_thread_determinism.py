@@ -1,6 +1,6 @@
 """The hard and net suites' canonical bodies must not depend on the BLAS
-thread count: one (config, seed) gives one digest on any machine. The net
-suite's audits run stacked LAPACK and matmul calls. ``--jobs`` changes
+thread count: one (config, seed) gives one digest at any thread count. The
+net suite's audits run stacked LAPACK and matmul calls. ``--jobs`` changes
 nothing, since every check runs in one process; ``test_cli`` checks that a
 ``--jobs`` value leaves the digest as it is.
 
@@ -8,12 +8,22 @@ Each combination runs ``combcert verify --suite <suite>`` in a fresh process,
 since OpenBLAS reads its thread count once, when numpy loads. The thread
 count is set in the child's environment only. With it unset the CLI pins
 BLAS to one thread, so "unset" means the CLI's default of 1; "2" still
-covers a multithreaded BLAS."""
+covers a multithreaded BLAS.
+
+OpenBLAS built with DYNAMIC_ARCH picks its kernel from the CPU, and a
+kernel's products may split their sums differently at each thread count.
+So the children run under this process's kernel (the CPU's own, unless
+``OPENBLAS_CORETYPE`` is set) and again under the Haswell kernel (the one
+AMD Zen CPUs get) and the Prescott one, each forced with
+``OPENBLAS_CORETYPE`` in the child's environment only. A forced-kernel test
+skips when the BLAS ignores that variable. Different kernels may write
+different bodies; only the thread count must not matter."""
 
 import json
 import os
 import subprocess
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -25,25 +35,52 @@ from combcert.suites import run_hard_suite
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 THREADS = (None, "1", "2")  # None: OPENBLAS_NUM_THREADS unset, the CLI's default of 1
+KERNELS = ("Haswell", "Prescott")  # forced with OPENBLAS_CORETYPE
 
 
-def _digest(tmp_path: Path, suite: str, seed: int, threads: str | None) -> str:
+def _env(threads: str | None, kernel: str | None) -> dict:
+    """This process's environment with the BLAS thread count set, or unset
+    where None, the kernel forced where given (else this process's), and
+    ``src`` on the path."""
     env = dict(os.environ)
     env.pop("OPENBLAS_NUM_THREADS", None)
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
+    if kernel is not None:
+        env["OPENBLAS_CORETYPE"] = kernel
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    out = tmp_path / f"{suite}-seed{seed}-threads{threads}"
+    return env
+
+
+@cache
+def _ignored_kernel_reason(kernel: str) -> str | None:
+    """Why a child cannot run under ``kernel``, or None when it can. With
+    OPENBLAS_VERBOSE=2, OpenBLAS names the core it loads on stderr
+    ("Core: ..."), and says "Core not found" for a name it does not know;
+    another BLAS, or an OpenBLAS without DYNAMIC_ARCH, says nothing."""
+    env = {**_env(None, kernel), "OPENBLAS_VERBOSE": "2"}
+    err = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                         capture_output=True, text=True, check=True).stderr
+    cores = [line for line in err.splitlines() if line.startswith("Core")]
+    if not cores:
+        return f"the BLAS ignores OPENBLAS_CORETYPE (no core reported for {kernel})"
+    if any("not found" in line for line in cores):
+        return f"OpenBLAS has no {kernel} kernel: {cores[0]}"
+    return None
+
+
+def _digest(tmp_path: Path, suite: str, seed: int, threads: str | None, kernel: str | None = None) -> str:
+    out = tmp_path / f"{suite}-seed{seed}-threads{threads}-kernel{kernel}"
     subprocess.run(
         [sys.executable, "-m", "combcert.cli", "verify", "--suite", suite,
          "--seed", str(seed), "--out", str(out)],
-        env=env, check=True, stdout=subprocess.DEVNULL,
+        env=_env(threads, kernel), check=True, stdout=subprocess.DEVNULL,
     )
     return json.loads((out / f"{suite}_report.json").read_text())["body_digest"]
 
 
-def _digests(tmp_path: Path, suite: str, seed: int) -> dict:
-    return {threads: _digest(tmp_path, suite, seed, threads) for threads in THREADS}
+def _digests(tmp_path: Path, suite: str, seed: int, kernel: str | None = None) -> dict:
+    return {threads: _digest(tmp_path, suite, seed, threads, kernel) for threads in THREADS}
 
 
 @pytest.mark.parametrize("seed", [7, 23])
@@ -55,6 +92,17 @@ def test_hard_digest_is_independent_of_blas_threads_and_jobs(tmp_path, seed):
 @pytest.mark.parametrize("seed", [7, 23])
 def test_net_digest_is_independent_of_blas_threads_and_jobs(tmp_path, seed):
     digests = _digests(tmp_path, "net", seed)
+    assert len(set(digests.values())) == 1, digests
+
+
+@pytest.mark.parametrize("seed", [7, 23])
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("suite", ["hard", "net"])
+def test_digest_is_independent_of_blas_threads_under_a_forced_kernel(tmp_path, suite, kernel, seed):
+    reason = _ignored_kernel_reason(kernel)
+    if reason:
+        pytest.skip(reason)
+    digests = _digests(tmp_path, suite, seed, kernel)
     assert len(set(digests.values())) == 1, digests
 
 
