@@ -42,8 +42,6 @@ from .linalg import (
     PsdCheck,
     ginibre,
     haar_from_ginibre,
-    identity_factor_residual,
-    partial_trace,
     psd_checks,
     psd_sqrt,
     pseudo_inverse,
@@ -188,9 +186,8 @@ def certify_comb(
     Verifies positivity (eigenvalue floor ``-psd_tol * max(1, lambda_max)``)
     and walks the marginal chain from the last space down, recording the
     max-entry residual of each identity-factor condition plus the final
-    |X^(0) - 1| deviation. A :class:`FactoredPsd` gives its verdict and its
-    first (dense) marginal from the factor; the walk continues on dense
-    marginals.
+    |X^(0) - 1| deviation. A :class:`FactoredPsd` gives its verdict from
+    the factor, and its marginals stay factored while their rank allows.
     """
     return certify_combs([op], [sequence], psd_tol, chain_tol)[0]
 
@@ -214,24 +211,6 @@ def certify_combs(
             for op, seq, verdict in zip(ops, sequences, verdicts)]
 
 
-@cache
-def _chain_plan(y_spaces: tuple, sequence: tuple[str, ...]) -> tuple[tuple, ...]:
-    """The layouts of the marginal chain walk over ``sequence`` that starts
-    from y = tr_{H_{2n-1}} X on ``y_spaces``: for j = n..1, the dims of y,
-    the position of H_{2j-2} in y, the dims of z = tr_{H_{2j-2}} y and the
-    position of H_{2j-3} in z (None at j = 1)."""
-    dim = dict(y_spaces)
-    y = [lbl for lbl, _ in y_spaces]
-    steps = []
-    for j in range(len(sequence) // 2, 0, -1):
-        z = [lbl for lbl in y if lbl != sequence[2 * j - 2]]
-        out_at = z.index(sequence[2 * j - 3]) if j > 1 else None
-        steps.append((tuple(dim[l] for l in y), y.index(sequence[2 * j - 2]),
-                      tuple(dim[l] for l in z), out_at))
-        y = z[:out_at] + z[out_at + 1:] if j > 1 else z
-    return tuple(steps)
-
-
 def _certificate(
     op: LabeledOperator | FactoredPsd,
     sequence: tuple[str, ...],
@@ -239,23 +218,33 @@ def _certificate(
     chain_tol: float,
 ) -> CombCertificate:
     """The certificate of ``op`` given its positivity verdict: the marginal
-    chain walk. The first marginal comes from ``op`` (from the factor of a
-    :class:`FactoredPsd`); the walk goes on on plain arrays."""
+    chain walk. Each marginal comes back as a :class:`FactoredPsd` while its
+    rank allows and densely after that (:meth:`FactoredPsd.partial_trace`),
+    and each step reads its residual from whichever it is."""
     y = op.partial_trace([sequence[-1]])
-    y_mat = y.mat
     residuals = []
-    for y_dims, in_at, z_dims, out_at in _chain_plan(y.spaces, sequence):
-        z = partial_trace(y_mat, y_dims, (in_at,)) / y_dims[in_at]
-        residuals.append(identity_factor_residual(y_mat, y_dims, in_at, z))
-        if out_at is not None:
-            y_mat = partial_trace(z, z_dims, (out_at,))
-    residuals.append(float(abs(z[0, 0] - 1.0)))
+    for j in range(len(sequence) // 2, 0, -1):
+        label = sequence[2 * j - 2]
+        z = _divided(y.partial_trace([label]), dict(y.spaces)[label])
+        residuals.append(y.identity_factor_residual(label, z))
+        if j > 1:
+            y = z.partial_trace([sequence[2 * j - 3]])
+    # X^(0), the last z, is an operator on no spaces: one entry
+    x0 = z.mat[0, 0] if isinstance(z, LabeledOperator) else z.weights @ np.abs(z.factor[0]) ** 2
+    residuals.append(float(abs(x0 - 1.0)))
 
     return CombCertificate(
         ok=bool(verdict.ok and max(residuals) <= chain_tol),
         min_eig=verdict.min_eig,
         chain_residuals=tuple(residuals),
     )
+
+
+def _divided(op: LabeledOperator | FactoredPsd, d: int) -> LabeledOperator | FactoredPsd:
+    """op / d; a factor keeps its columns and divides its weights."""
+    if isinstance(op, FactoredPsd):
+        return FactoredPsd(op.factor, op.weights / d, op.spaces)
+    return LabeledOperator(op.mat / d, op.spaces)
 
 
 @dataclass(frozen=True)

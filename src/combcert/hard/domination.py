@@ -4,9 +4,10 @@ For the admissible parameter window, the weighted sum sum_i lambda_i Gamma_i
 dominates |V(U)><V(U)|^{(x) n} for every group element U. The certificate is
 numeric and two-route: the scalar form q(U) = sum_i <v|Gamma_i^+|v> / lambda_i
 <= 1 together with a support check, and the direct minimum eigenvalue of the
-difference operator. Every float sum here (q(U) and the weight total) adds
-its terms left to right, so the values do not depend on the Python version's
-builtin ``sum``.
+difference operator. The largest sampled q(U) must also equal its closed
+form, which a wrongly normalized Gamma_i moves off. Every float sum here
+(q(U), its closed form and the weight total) adds its terms left to right,
+so the values do not depend on the Python version's builtin ``sum``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "DIFF_CHECK_TOL",
     "EIG_TOL",
     "Q_BOUND",
+    "Q_CLOSED_FORM_TOL",
     "SPAN_RANK_TOL",
     "SUPPORT_TOL",
     "TRACE_MARGIN_TOL",
@@ -57,6 +59,8 @@ Q_BOUND = 1.0 + 1e-9
 EIG_TOL = 1e-8
 SUPPORT_TOL = 1e-9
 TRACE_MARGIN_TOL = 1e-6
+# the largest relative gap between a sampled q(U) and its closed form
+Q_CLOSED_FORM_TOL = 1e-12
 # the Hermiticity check on domination_check's difference operators
 DIFF_CHECK_TOL = 1e-8
 # symmetric_span_dim counts the sampled Gram's eigenvalues above this
@@ -145,6 +149,7 @@ class DominationResult(NamedTuple):
 
     max_quadratic_form: float
     quadratic_forms: tuple[float, ...]
+    q_closed_form: float
     max_support_residual: float
     min_eig_ratio: float
     trace_bound_margin: float
@@ -193,9 +198,10 @@ def domination_check(
     """Certify sum_i lambda_i Gamma_i >= |v(U)><v(U)|^{(x)n} on Haar samples U.
 
     The quadratic form q(U) = sum_i c_i(U)-weighted Gamma_i^+ energies is a
-    group invariant, so the sampled values double as an invariance probe; the
-    direct eigenvalue route on the difference operator is kept as an
-    independent second reading.
+    group invariant, so the sampled values double as an invariance probe, and
+    the largest must equal the closed form within Q_CLOSED_FORM_TOL,
+    relative; the direct eigenvalue route on the difference operator is kept
+    as an independent second reading.
     """
     d1, d2 = spec.d1, spec.d2
     sched = lambda_schedule(d1, d2, n, eps)
@@ -236,10 +242,16 @@ def domination_check(
 
     q_values = q.tolist()
     max_q = max(q_values)
+    # the value every q(U) takes: C(n, i) (1 - eps^2)^(n-i) eps^(2i) t_i / lambda_i
+    # summed, t_i = gamma_i^dagger Gamma_i^+ gamma_i = C(k d1 + i - 1, i)
+    closed = 0.0
+    for i, w in enumerate(weights):
+        closed += comb(n, i) * (1 - eps**2) ** (n - i) * eps ** (2 * i) * comb(k * d1 + i - 1, i) / w
     max_support_residual = float(residuals.max())
     min_eig_ratio = float((min_eigs / lam_total).min())
     ok = (
         max_q <= Q_BOUND
+        and abs(max_q - closed) <= Q_CLOSED_FORM_TOL * closed
         and max_support_residual <= SUPPORT_TOL
         and min_eig_ratio >= -EIG_TOL
         and trace_margin <= TRACE_MARGIN_TOL
@@ -247,6 +259,7 @@ def domination_check(
     return DominationResult(
         max_quadratic_form=max_q,
         quadratic_forms=tuple(q_values),
+        q_closed_form=closed,
         max_support_residual=max_support_residual,
         min_eig_ratio=min_eig_ratio,
         trace_bound_margin=trace_margin,

@@ -84,8 +84,12 @@ def subset_sum(block: np.ndarray, rest: np.ndarray, n: int, i: int, slot: int) -
     on the other slots, each in slot order.
 
     ``block`` is slot^i x m (m columns done at once) and ``rest`` a vector of
-    length slot^(n-i); the result is slot^n x m.
+    length slot^(n-i); the result is slot^n x m. At i = n the one subset is
+    every slot and ``rest`` has one entry, so the block is returned scaled
+    by it, and as it is when that entry is 1.
     """
+    if i == n:
+        return block if rest[0] == 1 else block * rest[0]
     m = block.shape[1]
     t = (block[:, None, :] * rest[None, :, None]).reshape((slot,) * n + (m,))
     out = np.zeros_like(t)
@@ -217,18 +221,18 @@ def gamma_recursion_residual(spec: HardInstanceSpec, n: int, i: int) -> float:
     Tracing the final output slot leaves a two-term binomial-ratio mixture of
     the (n-1)-slot gamma outer products, tensored with I on the final input
     slot: coefficients binom(n-1, i)/binom(n, i) and binom(n-1, i-1)/binom(n, i).
+    Both sides stay factored: the traced rank-one factor, and the mixture as
+    the factor of its one or two gamma vectors.
     """
     if n < 2:
         raise ValueError("recursion needs n >= 2")
     lhs = gamma_outer(spec, n, i).partial_trace([f"B{n}"])
-    dim_rest = (spec.d1 * spec.d2) ** (n - 1)
-    mix = np.zeros((dim_rest, dim_rest), dtype=complex)
-    if i <= n - 1:
-        gi = gamma_state(spec, n - 1, i)
-        mix += (comb(n - 1, i) / comb(n, i)) * np.outer(gi, gi.conj())
-    if i >= 1:
-        gm = gamma_state(spec, n - 1, i - 1)
-        mix += (comb(n - 1, i - 1) / comb(n, i)) * np.outer(gm, gm.conj())
+    terms = [(j, comb(n - 1, j) / comb(n, i)) for j in (i, i - 1) if 0 <= j <= n - 1]
+    mix = FactoredPsd(
+        np.stack([gamma_state(spec, n - 1, j) for j, _ in terms], axis=1),
+        [weight for _, weight in terms],
+        slot_spaces(spec, n - 1),
+    )
     return lhs.identity_factor_residual(f"A{n}", mix)
 
 

@@ -473,11 +473,38 @@ class LabeledOperator(_Labeled):
         plan = _trace_plan(self.dims, tuple(self._positions(labels)))
         return LabeledOperator(_traced(self.mat, plan), tuple(self.spaces[a] for a in plan.keep))
 
-    def identity_factor_residual(self, label: str, z: np.ndarray) -> float:
+    def identity_factor_residual(self, label: str, z: "LabeledOperator | FactoredPsd") -> float:
         """max |X - z (x) I_label| entrywise, the identity sitting at
-        ``label``'s position and ``z`` a matrix on the other spaces in their
-        order here (see :func:`identity_factor_residual`)."""
-        return identity_factor_residual(self.mat, self.dims, self._positions([label])[0], z)
+        ``label``'s position and ``z`` an operator on the other spaces in
+        their order here (see :func:`identity_factor_residual`); a factored
+        z is formed densely, at 1/d_label of X's dimension."""
+        at = self._positions([label])[0]
+        _check_rest(self, at, z)
+        if isinstance(z, FactoredPsd):
+            rows = _factor_rows(z.dims, ())
+            z = LabeledOperator(z._left(rows) @ z._right(rows), z.spaces)
+        return identity_factor_residual(self.mat, self.dims, at, z.mat)
+
+
+@cache
+def _factor_rows(dims: tuple[int, ...], drop: tuple[int, ...]) -> np.ndarray:
+    """rows[a, b]: the row, in the Kronecker order of factors of dimensions
+    ``dims``, of the basis state whose factors at positions ``drop`` are in
+    state b and whose other factors are in state a, in their order; derived
+    once per (dims, drop) and read-only."""
+    keep = [x for x in range(len(dims)) if x not in drop]
+    rows = np.arange(prod(dims)).reshape(dims).transpose(keep + list(drop))
+    rows = rows.reshape(prod(dims[x] for x in keep), -1)
+    rows.flags.writeable = False
+    return rows
+
+
+def _check_rest(op: _Labeled, at: int, z: _Labeled) -> None:
+    """Raise ValueError unless ``z`` lives on the spaces of ``op`` other than
+    the one at position ``at``, in their order there."""
+    rest = op.spaces[:at] + op.spaces[at + 1:]
+    if z.spaces != rest:
+        raise ValueError(f"z on {z.spaces} does not match the other spaces {rest}")
 
 
 @dataclass(frozen=True)
@@ -533,15 +560,79 @@ class FactoredPsd(_Labeled):
             vals = np.concatenate([vals, [0.0]])
         return _floor_rule(vals[None], tol)[0]
 
-    def partial_trace(self, labels: Sequence[str]) -> LabeledOperator:
-        """The dense marginal sum_b G_b diag(w) G_b^dagger over the basis
-        states b of the named spaces."""
-        drop = sorted(set(self._positions(labels)))
-        keep = [a for a in range(len(self.spaces)) if a not in drop]
-        rank = self.weights.size
-        t = self.factor.reshape(self.dims + (rank,)).transpose(keep + drop + [len(self.dims)])
-        kept = tuple(self.spaces[a] for a in keep)
-        d_keep = prod(d for _, d in kept)
-        h = t.reshape(d_keep, self.dim // d_keep * rank)
-        w = np.tile(self.weights, self.dim // d_keep)
-        return LabeledOperator((h * w) @ h.conj().T, kept)
+    def partial_trace(self, labels: Sequence[str]) -> "FactoredPsd | LabeledOperator":
+        """The marginal sum_b G_b diag(w) G_b^dagger over the basis states b of
+        the named spaces.
+
+        While r * d_traced stays below the kept dimension, the marginal is
+        returned as the factor [G_b ...] with w repeated per b. Above that it
+        is formed densely in row and column blocks, each block one product
+        over the full inner sum (b, factor column) (:meth:`_left`), with
+        operands under STACK_BYTES / d_traced, so no temporary holds a whole
+        factor.
+        """
+        drop = tuple(sorted(set(self._positions(labels))))
+        kept = tuple(space for a, space in enumerate(self.spaces) if a not in drop)
+        rows = _factor_rows(self.dims, drop)
+        d_keep, traced = rows.shape
+        width = traced * self.weights.size
+        if width < d_keep:
+            weights = np.tile(self.weights, traced)
+            return FactoredPsd(self.factor[rows].reshape(d_keep, width), weights, kept)
+        out = np.empty((d_keep, d_keep), dtype=complex)
+        # an operand row holds one slice per traced state, and a run takes
+        # STACK_BYTES / traced: a factor is not copied whole
+        runs = list(stack_runs(d_keep, 16 * traced * max(width, d_keep)))
+        for a in runs:
+            left = self._left(rows[a])
+            for b in runs:
+                out[a, b] = left @ self._right(rows[b])
+        return LabeledOperator(out, kept)
+
+    def identity_factor_residual(self, label: str, z: "FactoredPsd | LabeledOperator") -> float:
+        """max |X - z (x) I_label| entrywise, as
+        :meth:`LabeledOperator.identity_factor_residual`, with X and a
+        factored z read from their factors.
+
+        The rows of X are taken by the identity's index p, in the order of
+        z's rows, and formed in row and column blocks under STACK_BYTES
+        (:meth:`_left`); z's block is subtracted where the row and column
+        indices p agree. X and z are Hermitian, so only the blocks on and
+        above the block diagonal are formed: those below hold the conjugates
+        of these entries.
+        """
+        at = self._positions([label])[0]
+        _check_rest(self, at, z)
+        # rows[p, a]: the row of X with identity index p and z row a
+        rows = _factor_rows(self.dims, (at,)).T
+        factored = isinstance(z, FactoredPsd)
+        z_rows = _factor_rows(z.dims, ())
+        rank = max(self.weights.size, z.weights.size if factored else 0)
+        runs = list(stack_runs(rows.shape[1], 16 * max(rank, rows.shape[1])))
+        blocks = [(p, a) for p in range(rows.shape[0]) for a in runs]
+        worst = []
+        for k, (p, a) in enumerate(blocks):
+            left = self._left(rows[p, a, None])
+            z_left = z._left(z_rows[a]) if factored else None
+            for q, b in blocks[k:]:
+                x = left @ self._right(rows[q, b, None])
+                if p == q:
+                    x -= z_left @ z._right(z_rows[b]) if factored else z.mat[a, b]
+                worst.append(np.abs(x).max())
+        # np.max, not max(): a NaN block maximum must reach the result
+        return float(np.max(worst))
+
+    def _left(self, rows: np.ndarray) -> np.ndarray:
+        """G_rows diag(w), the left operand of X's block at the rows of an
+        integer index array (m, t): a row is its t factor rows side by side,
+        so with :meth:`_right` the product sums over t traced basis states
+        and the factor columns at once."""
+        left = self.factor[rows].reshape(len(rows), -1)
+        left *= np.tile(self.weights, rows.shape[1])
+        return left
+
+    def _right(self, cols: np.ndarray) -> np.ndarray:
+        """G_cols^dagger, the right operand of X's block at the columns of an
+        integer index array (m, t) (see :meth:`_left`)."""
+        right = self.factor[cols].reshape(len(cols), -1)
+        return np.conjugate(right, out=right).T

@@ -31,7 +31,8 @@ bytes one trial stacks, so their memory does not grow with the trial count.
 They draw their Gaussian matrices in the per-trial order of a one-trial
 loop, and batched LAPACK and matmul calls equal the per-matrix calls bit
 for bit, so their values do not depend on the runs. The moment audit draws
-its Haar pairs in blocks of MOMENT_BLOCK, which fix its samples, and never
+the Ginibre matrices of its Haar pairs in blocks of MOMENT_BLOCK, which fix
+its samples, reduces each block in runs the same way, and never
 forms the (d2*d1)-square operator F: F has rank at most r, and its moments
 are traces of r x r Gram products.
 """
@@ -53,10 +54,10 @@ from .channels import (
     kraus_rank,
 )
 from .linalg import (
+    ginibre,
     haar_from_ginibre,
     haar_isometry,
     haar_unitary,
-    haar_unitary_batch,
     herm_eig,
     stack_runs,
     trace_norm,
@@ -449,12 +450,22 @@ def _gram_moments(
     return np.einsum("nii->n", m).real, np.einsum("nij,nji->n", m, m).real
 
 
+def _moment_pair_bytes(p: NetParams) -> int:
+    """The bytes of one Haar pair in the moment audit: its two unitaries
+    and about four complex u_dim-square matrices of work (the
+    orthonormalization's, the difference and its Gram blocks), as measured
+    with tracemalloc."""
+    return 16 * 6 * p.u_dim**2
+
+
 def moment_audit(blocks: BlockIsometry, samples: int, rng: np.random.Generator) -> MomentAudit:
     """Monte Carlo second/fourth moments of the separation operator (odd mode).
 
     The second moment is an exact identity (d2-1)/d1 for any fixed blocks;
-    the fourth is bounded by 288/r^3. Batched over Haar pairs, MOMENT_BLOCK
-    at a time.
+    the fourth is bounded by 288/r^3. The Ginibre matrices of the Haar pairs
+    are drawn MOMENT_BLOCK pairs at a time, and each block is orthonormalized
+    in place and reduced in runs under STACK_BYTES (:func:`linalg.stack_runs`),
+    which give each pair's values bit for bit.
 
     F = R^T conj(D) / d1, with the vectorized reference blocks as the rows
     of R and the branch-difference blocks as those of D, has rank at most r.
@@ -470,11 +481,20 @@ def moment_audit(blocks: BlockIsometry, samples: int, rng: np.random.Generator) 
     r, d1, d2 = p.r, p.d1, p.d2
     m2_vals = np.empty(samples)
     m4_vals = np.empty(samples)
+    shape = (p.u_dim, p.u_dim)
     for done in range(0, samples, MOMENT_BLOCK):
         nb = min(MOMENT_BLOCK, samples - done)
-        ux = haar_unitary_batch(p.u_dim, nb, rng)
-        uy = haar_unitary_batch(p.u_dim, nb, rng)
-        m2_vals[done : done + nb], m4_vals[done : done + nb] = _gram_moments(blocks, ux, uy)
+        runs = list(stack_runs(nb, _moment_pair_bytes(p)))
+        # each Ginibre block is orthonormalized in place, run by run, ux
+        # before uy is drawn
+        ux = ginibre((nb,) + shape, rng)
+        for run in runs:
+            ux[run] = haar_from_ginibre(ux[run])
+        uy = ginibre((nb,) + shape, rng)
+        for run in runs:
+            uy[run] = haar_from_ginibre(uy[run])
+            at = slice(done + run.start, done + run.stop)
+            m2_vals[at], m4_vals[at] = _gram_moments(blocks, ux[run], uy[run])
 
     m2_mean = float(np.mean(m2_vals))
     m2_stderr = float(np.std(m2_vals, ddof=1) / np.sqrt(samples))

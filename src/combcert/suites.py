@@ -64,6 +64,7 @@ from .hard.domination import (
     DIFF_CHECK_TOL,
     EIG_TOL,
     Q_BOUND,
+    Q_CLOSED_FORM_TOL,
     SPAN_RANK_TOL,
     SUPPORT_TOL,
     TRACE_MARGIN_TOL,
@@ -732,6 +733,7 @@ def _domination(c: Cell) -> dict:
     values = {
         "d1": d1, "d2": d2, "n": n, "eps": eps,
         "max_quadratic_form": res.max_quadratic_form,
+        "q_closed_form": res.q_closed_form,
         "q_spread": float(max(res.quadratic_forms) - min(res.quadratic_forms)),
         "max_support_residual": res.max_support_residual,
         "min_eig_ratio": res.min_eig_ratio,
@@ -1050,6 +1052,7 @@ _SUITES = {
         "comb_tol": GAMMA_COMB_TOL, "recursion_tol": RECURSION_TOL, "expansion_tol": EXPANSION_TOL,
         "cross_tol": CROSS_TOL, "mc_sigma_factor": MC_SIGMA_FACTOR, "trace_tol": TRACE_TOL,
         "eig_tol": EIG_TOL, "support_tol": SUPPORT_TOL, "trace_margin_tol": TRACE_MARGIN_TOL,
+        "q_closed_form_tol": Q_CLOSED_FORM_TOL,
         "chain_slack": CHAIN_SLACK, "span_rank_tol": SPAN_RANK_TOL, "diff_check_tol": DIFF_CHECK_TOL,
         "equiv_psd_tol": EQUIV_PSD_TOL}),
     "net": (_net_table, {

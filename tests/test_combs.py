@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from combcert.combs import (
     validate_tester,
 )
 from combcert.combs import Tester as _Tester  # underscore keeps pytest from collecting it
-from combcert.hard import HardInstanceSpec, gamma_outer
+from combcert.hard import HardInstanceSpec, gamma_outer, gamma_twirl_factor
 from combcert.hard.instance import comb_sequence
 from combcert.linalg import (
     FactoredPsd,
@@ -297,3 +299,49 @@ def test_certify_combs_on_dense_and_factored_members_equals_one_call_each():
         assert cert == certify_comb(op, seq, psd_tol=1e-7, chain_tol=1e-7)
         if isinstance(op, LabeledOperator):  # the stacked verdict is the per-matrix one
             assert cert.min_eig == psd_check(op.mat, tol=1e-7).min_eig
+
+
+@pytest.mark.parametrize(
+    "d1, d2, max_n",
+    [(1, 2, 3), (1, 3, 4), (2, 4, 3), (2, 5, 3)],
+)
+def test_factored_walk_equals_the_dense_walk_on_the_densified_operator(d1, d2, max_n):
+    # every default gamma cell at n <= 3, (1,3) at n = 4 and (2,4) at n = 3
+    spec = HardInstanceSpec.concrete(d1, d2)
+    for n in range(1, max_n + 1):
+        seq = comb_sequence(n)
+        for build in (gamma_outer, gamma_twirl_factor):
+            for i in range(n + 1):
+                f = build(spec, n, i)
+                dense = LabeledOperator((f.factor * f.weights) @ f.factor.conj().T, f.spaces)
+                got = certify_comb(f, seq, psd_tol=1e-7, chain_tol=1e-7)
+                want = certify_comb(dense, seq, psd_tol=1e-7, chain_tol=1e-7)
+                assert got.ok == want.ok
+                assert got.min_eig == pytest.approx(want.min_eig, abs=1e-13)
+                assert len(got.chain_residuals) == len(want.chain_residuals)
+                for a, b in zip(got.chain_residuals, want.chain_residuals):
+                    assert a == pytest.approx(b, abs=1e-13), (build.__name__, n, i)
+
+
+def test_factored_walk_of_a_large_twirl_stays_within_a_few_factors():
+    # Gamma_4 at (2,4), n = 4: a 4096 x 35 factor of 2.2 MB; the dense first
+    # marginal alone would be 1024-square, 16 MB, and certifying it that way
+    # peaked at 30 MB
+    f = gamma_twirl_factor(HardInstanceSpec.concrete(2, 4), 4, 4)
+    tracemalloc.start()
+    try:
+        cert = certify_comb(f, comb_sequence(4), psd_tol=1e-7, chain_tol=1e-7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert.ok
+    assert peak < 12 * 2**20, peak
+
+
+def test_zero_rank_factor_walks_to_a_zero_trace():
+    # every marginal of a zero-column factor stays factored, X^(0) included
+    spaces = (("A1", 2), ("B1", 3), ("A2", 2), ("B2", 2))
+    zero = FactoredPsd(np.zeros((24, 0)), np.zeros(0), spaces)
+    cert = certify_comb(zero, comb_sequence(2), psd_tol=1e-8, chain_tol=1e-8)
+    assert cert.min_eig == 0.0 and not cert.ok
+    assert cert.chain_residuals == (0.0, 0.0, 1.0)

@@ -1,5 +1,6 @@
 """Tests for the hard isometry family, its gamma vectors and the slot-wise kernels."""
 
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -123,6 +124,23 @@ def test_gamma_recursion_two_term_mixture():
                 assert gamma_recursion_residual(spec, n, i) <= 1e-9
 
 
+def test_gamma_recursion_at_n4_forms_no_square_marginal():
+    # both sides stay factored: at (2,5) with n = 4 the traced side is
+    # 2000-square and the mixture 1000-square (16 MB complex) when dense
+    spec = HardInstanceSpec.concrete(2, 5)
+    for i in range(5):
+        gamma_state(spec, 4, i)
+        gamma_state(spec, 3, min(i, 3))
+    tracemalloc.start()
+    try:
+        worst = max(gamma_recursion_residual(spec, 4, i) for i in range(5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert worst <= 1e-9
+    assert peak < 4 * 2**20, peak
+
+
 def test_gamma_outer_is_comb():
     rng = np.random.default_rng(6)
     for d1, d2 in [(1, 2), (1, 3), (2, 4)]:
@@ -216,3 +234,10 @@ def test_subset_sum_places_each_column_on_every_subset(n, i):
             t = np.kron(block[:, m], rest).reshape((slot,) * n)
             expected[:, m] += t.transpose(axes).reshape(-1)
     np.testing.assert_array_equal(subset_sum(block, rest, n, i, slot), expected)
+
+
+def test_subset_sum_at_i_equal_n_returns_the_block():
+    # one subset, no other slots: the largest twirl factor is not copied
+    block = np.arange(27 * 2, dtype=complex).reshape(27, 2)
+    assert subset_sum(block, np.ones(1, dtype=complex), 3, 3, 3) is block
+    np.testing.assert_array_equal(subset_sum(block, np.array([2j]), 3, 3, 3), 2j * block)

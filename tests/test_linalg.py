@@ -406,12 +406,60 @@ def test_factored_psd_matches_its_dense_operator(rank):
     for drop in (["X"], ["Y"], ["Z"], ["X", "Z"], ["Z", "X"], ["X", "Y", "Z"]):
         got, want = f.partial_trace(drop), dense.partial_trace(drop)
         assert got.spaces == want.spaces
-        assert np.abs(got.mat - want.mat).max() <= 1e-12 * max(1.0, np.abs(want.mat).max())
+        assert np.abs(_dense(got) - want.mat).max() <= 1e-12 * max(1.0, np.abs(want.mat).max())
     got, want = f.psd_check(), psd_check(dense.mat)
     assert got.ok and want.ok
     scale = max(1.0, np.linalg.eigvalsh(dense.mat)[-1])
     # below full rank the missing directions are exact zeros
     assert got.min_eig == (0.0 if rank < 30 else pytest.approx(want.min_eig, abs=1e-12 * scale))
+
+
+def _dense(op):
+    """The matrix of a LabeledOperator, or G diag(w) G^dagger of a FactoredPsd."""
+    if isinstance(op, FactoredPsd):
+        return (op.factor * op.weights) @ op.factor.conj().T
+    return op.mat
+
+
+@pytest.mark.parametrize("rank", [1, 3, 4, 5])
+def test_factored_marginal_stays_factored_exactly_below_the_rank_rule(rank):
+    # tracing Y (dimension 3) keeps dimension 12: factored while 3 r < 12
+    rng = np.random.default_rng(29)
+    spaces = (("X", 2), ("Y", 3), ("Z", 6))
+    g = rng.normal(size=(36, rank)) + 1j * rng.normal(size=(36, rank))
+    f = FactoredPsd(g, rng.uniform(0.1, 2.0, size=rank), spaces)
+    got = f.partial_trace(["Y"])
+    assert isinstance(got, FactoredPsd) == (3 * rank < 12)
+    assert got.spaces == (("X", 2), ("Z", 6))
+    want = LabeledOperator(_dense(f), spaces).partial_trace(["Y"]).mat
+    assert np.abs(_dense(got) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("budget", [1, 3000, None])
+@pytest.mark.parametrize("label", ["X", "Y", "Z"])
+def test_factored_blocks_give_the_dense_marginal_and_residual(monkeypatch, budget, label):
+    # one row per block, uneven blocks, and the default budget
+    if budget is not None:
+        monkeypatch.setattr(linalg, "STACK_BYTES", budget)
+    rng = np.random.default_rng(30)
+    spaces = (("X", 2), ("Y", 3), ("Z", 4))
+    g = rng.normal(size=(24, 20)) + 1j * rng.normal(size=(24, 20))
+    f = FactoredPsd(g, rng.uniform(0.1, 2.0, size=20), spaces)
+    dense = LabeledOperator(_dense(f), spaces)
+    for drop in (["X"], ["Z"], ["X", "Z"]):
+        got, want = f.partial_trace(drop), dense.partial_trace(drop)
+        assert isinstance(got, LabeledOperator)
+        assert np.abs(got.mat - want.mat).max() <= 1e-12 * np.abs(want.mat).max()
+    rest = tuple(s for s in spaces if s[0] != label)
+    d_rest = dense.dim // dict(spaces)[label]
+    h = rng.normal(size=(d_rest, 3)) + 1j * rng.normal(size=(d_rest, 3))
+    z_factored = FactoredPsd(h, [0.5, 1.0, 2.0], rest)
+    for z in (z_factored, LabeledOperator(_dense(z_factored), rest)):
+        want = _broadcast_residual(dense, label, _dense(z))
+        assert f.identity_factor_residual(label, z) == pytest.approx(want, rel=1e-12)
+        assert dense.identity_factor_residual(label, z) == pytest.approx(want, rel=1e-12)
+    with pytest.raises(ValueError):
+        f.identity_factor_residual(label, LabeledOperator(np.eye(dense.dim), spaces))
 
 
 def test_factored_psd_validates_its_parts():
@@ -459,7 +507,8 @@ def test_identity_factor_residual_equals_the_broadcast_formula(spaces, label):
     dim = near.dim
     noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     op = LabeledOperator(noise, spaces)
-    assert op.identity_factor_residual(label, z) == _broadcast_residual(op, label, z)
+    z_op = LabeledOperator(z, tuple(rest))
+    assert op.identity_factor_residual(label, z_op) == _broadcast_residual(op, label, z)
     # close to z (x) I, with the largest deviation planted in each
     # (p, q) block of the identity's indices in turn
     lo = int(np.prod([size for _, size in spaces[: op.labels.index(label)]]))
@@ -469,10 +518,10 @@ def test_identity_factor_residual_equals_the_broadcast_formula(spaces, label):
             mat = near.mat + 1e-9 * noise
             mat.reshape(lo, d, hi, lo, d, hi)[-1, p, 0, 0, q, -1] += 5.0
             op = LabeledOperator(mat, spaces)
-            assert op.identity_factor_residual(label, z) == _broadcast_residual(op, label, z)
+            assert op.identity_factor_residual(label, z_op) == _broadcast_residual(op, label, z)
     mat = near.mat.copy()
     mat[0, -1] = np.nan
-    assert np.isnan(LabeledOperator(mat, spaces).identity_factor_residual(label, z))
+    assert np.isnan(LabeledOperator(mat, spaces).identity_factor_residual(label, z_op))
 
 
 @pytest.mark.parametrize("budget", [1, 100, 250, 10**9])

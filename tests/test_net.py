@@ -28,6 +28,7 @@ from combcert.net import (
     _cross_operator,
     _gram_moments,
     _lipschitz_trial_bytes,
+    _moment_pair_bytes,
     _separation_pair_bytes,
     rotated_branch,
 )
@@ -505,3 +506,29 @@ def test_moment_audit_matches_the_dense_route(d1, d2, r):
         (audit.m4_stderr, np.std(m4, ddof=1) / np.sqrt(10_000)),
     ):
         assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("d1,d2,r", [(4, 3, 3), (6, 3, 4)])
+def test_moment_audit_runs_give_the_whole_block_values(monkeypatch, d1, d2, r):
+    # the reference: each block of MOMENT_BLOCK Haar pairs drawn, orthonormalized
+    # and reduced whole, the last block partial
+    blocks = build_block_isometry(NetParams(d1, d2, r, 0.005), np.random.default_rng(30))
+    samples = 2 * net.MOMENT_BLOCK + 500
+    rng_whole = np.random.default_rng(31)
+    m2, m4 = np.empty(samples), np.empty(samples)
+    for done in range(0, samples, net.MOMENT_BLOCK):
+        nb = min(net.MOMENT_BLOCK, samples - done)
+        ux = haar_unitary_batch(blocks.params.u_dim, nb, rng_whole)
+        uy = haar_unitary_batch(blocks.params.u_dim, nb, rng_whole)
+        m2[done : done + nb], m4[done : done + nb] = _gram_moments(blocks, ux, uy)
+    pair = _moment_pair_bytes(blocks.params)
+    # one pair per run, uneven runs of 700 pairs, and the default budget
+    for budget in (1, 700 * pair, linalg.STACK_BYTES):
+        monkeypatch.setattr(linalg, "STACK_BYTES", budget)
+        rng = np.random.default_rng(31)
+        audit = moment_audit(blocks, samples, rng)
+        assert rng.bit_generator.state == rng_whole.bit_generator.state, budget
+        assert audit.m2_mean == float(np.mean(m2)), budget
+        assert audit.m4_mean == float(np.mean(m4)), budget
+        assert audit.m2_stderr == float(np.std(m2, ddof=1) / np.sqrt(samples)), budget
+        assert audit.m4_stderr == float(np.std(m4, ddof=1) / np.sqrt(samples)), budget

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import combcert.suites as suites
+from combcert.hard import domination
 
 EXPECTED_IDS = Path(__file__).resolve().parents[1] / "perfbench" / "expected_ids.json"
 
@@ -188,3 +189,28 @@ def test_domination_records_show_every_bound_their_verdict_reads():
         assert values["max_support_residual"] <= tol["support_tol"]
         assert values["min_eig_ratio"] >= -tol["eig_tol"]
         assert values["trace_bound_margin"] <= tol["trace_margin_tol"]
+        gap = abs(values["max_quadratic_form"] - values["q_closed_form"])
+        assert gap <= tol["q_closed_form_tol"] * values["q_closed_form"]
+
+
+def test_a_wrongly_normalized_twirl_fails_its_domination_record(monkeypatch):
+    # Gamma_1 scaled by 1.5 keeps its support: q stays below its bound and the
+    # support and eigenvalue readings pass, so only the closed form catches it
+    payload = {"hard": {"gamma_cells": [], "mc_cells": [], "trace_dims": [2],
+                        "rotor_trace_cells": [], "span_max_d": 1, "span_max_m": 1,
+                        "domination": {"cells": [[2, 4]], "eps": [0.05], "max_n": 2},
+                        "facts": {"dim_pairs": []}}}
+
+    def record():
+        records = suites.run_hard_suite(payload, seed=7).records
+        return next(r for r in records if r.check_id == "domination-2-4-0.05-2")
+
+    good = record()
+    assert good.status == "pass"
+    scaled = domination.gamma_twirl
+    monkeypatch.setattr(domination, "gamma_twirl",
+                        lambda spec, n, i, seed=0: (1.5 if i == 1 else 1.0) * scaled(spec, n, i, seed=seed))
+    bad = record()
+    assert bad.status == "fail"
+    assert bad.values["max_quadratic_form"] <= bad.threshold
+    assert bad.values["q_closed_form"] == good.values["q_closed_form"]
