@@ -2,12 +2,13 @@
 
 For the admissible parameter window, the weighted sum sum_i lambda_i Gamma_i
 dominates |V(U)><V(U)|^{(x) n} for every group element U. The certificate is
-numeric and two-route: the scalar form q(U) = sum_i <v|Gamma_i^+|v> / lambda_i
-<= 1 together with a support check, and the direct minimum eigenvalue of the
-difference operator. The largest sampled q(U) must also equal its closed
-form, which a wrongly normalized Gamma_i moves off. Every float sum here
-(q(U), its closed form and the weight total) adds its terms left to right,
-so the values do not depend on the Python version's builtin ``sum``.
+numeric and two-route, both read from the Gamma_i factors: the scalar form
+q(U) = sum_i <v|Gamma_i^+|v> / lambda_i <= 1 together with a support check,
+and the direct minimum eigenvalue of the difference operator. The largest
+sampled q(U) must also equal its closed form, which a wrongly normalized
+Gamma_i moves off. Every float sum here (q(U), its closed form and the
+weight total) adds its terms left to right, so the values do not depend on
+the Python version's builtin ``sum``.
 """
 
 from __future__ import annotations
@@ -18,19 +19,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..linalg import (
-    haar_from_ginibre,
-    herm_eigvals,
-    pseudo_inverse,
-    rank_mask,
-    stack_runs,
-    support_projector,
-)
+from ..linalg import haar_from_ginibre, herm_eigvals, pseudo_inverse, rank_mask
 from .instance import HardInstanceSpec, gamma_state
-from .twirl import gamma_twirl
+from .twirl import gamma_twirl_factor
 
 __all__ = [
-    "DIFF_CHECK_TOL",
     "EIG_TOL",
     "Q_BOUND",
     "Q_CLOSED_FORM_TOL",
@@ -61,8 +54,6 @@ SUPPORT_TOL = 1e-9
 TRACE_MARGIN_TOL = 1e-6
 # the largest relative gap between a sampled q(U) and its closed form
 Q_CLOSED_FORM_TOL = 1e-12
-# the Hermiticity check on domination_check's difference operators
-DIFF_CHECK_TOL = 1e-8
 # symmetric_span_dim counts the sampled Gram's eigenvalues above this
 # fraction of the largest
 SPAN_RANK_TOL = 1e-8
@@ -195,60 +186,53 @@ def domination_check(
     n_samples: int = 20,
     seed: int = 0,
 ) -> DominationResult:
-    """Certify sum_i lambda_i Gamma_i >= |v(U)><v(U)|^{(x)n} on Haar samples U.
-
-    The quadratic form q(U) = sum_i c_i(U)-weighted Gamma_i^+ energies is a
-    group invariant, so the sampled values double as an invariance probe, and
-    the largest must equal the closed form within Q_CLOSED_FORM_TOL,
-    relative; the direct eigenvalue route on the difference operator is kept
-    as an independent second reading.
+    """Certify sum_i lambda_i Gamma_i >= |v(U)><v(U)|^{(x)n} on Haar samples U,
+    reading Gamma_i = B_i diag(s_i) B_i^dagger from its factor
+    (:meth:`FactoredPsd.range_spectrum`); no D^n-square matrix is formed.
+    The Gamma_i sit on orthogonal sectors, so F = [B_0 ... B_n] is
+    orthonormal. With c = F^dagger v and o = v - F c: q(U) is
+    sum_i ||s_i^{-1/2} c_i||^2 / lambda_i, a group invariant whose largest
+    sample must equal the closed form; the support residual is ||o|| / ||v||;
+    and the second reading, W - vv^dagger, is diag(lambda_i s_i, 0) - a a^dagger
+    with a = (c, ||o||) in the orthonormal frame (F, o / ||o||), and 0 off it.
     """
     d1, d2 = spec.d1, spec.d2
     sched = lambda_schedule(d1, d2, n, eps)
-    rng = np.random.default_rng(seed)
-
-    gammas = [gamma_twirl(spec, n, i, seed=seed) for i in range(n + 1)]
-    pinvs = [pseudo_inverse(g) for g in gammas]
-
-    trace_margin = -np.inf
-    for i in range(n + 1):
-        g_vec = gamma_state(spec, n, i)
-        bound = comb(d1 * d2 + i - 2, i)
-        val = float((g_vec.conj() @ (pinvs[i] @ g_vec)).real)
-        trace_margin = max(trace_margin, val - bound)
-
-    weights = sched.weights.tolist()
-    weighted = sum(w * g for w, g in zip(weights, gammas))
-    lam_total = sched.total
-    joint_support = support_projector(weighted)
 
     # the per-sample stream: real then imaginary part of each Ginibre matrix
     k = spec.rotor_dim
-    parts = rng.standard_normal((n_samples, 2, k, k))
+    parts = np.random.default_rng(seed).standard_normal((n_samples, 2, k, k))
     u = haar_from_ginibre(parts[:, 0] + 1j * parts[:, 1])
     v = _kron_power_rows(spec.member(eps, u).reshape(n_samples, -1), n)
 
-    # pseudo-inverses vanish off their support, so each term reads the
-    # energy of the v-component inside the matching twirl support
-    q = np.zeros(n_samples)
-    for pinv, w in zip(pinvs, weights):
-        q += (v.conj()[:, None, :] @ (pinv @ v[:, :, None]))[:, 0, 0].real / w
-    residuals = np.linalg.norm(v - v @ joint_support.T, axis=1) / np.linalg.norm(v, axis=1)
-    # the difference operators, one run of samples under STACK_BYTES at a time
-    min_eigs = np.concatenate([
-        herm_eigvals(weighted - v[run, :, None] * v[run].conj()[:, None, :], check_tol=DIFF_CHECK_TOL)[:, 0]
-        for run in stack_runs(n_samples, weighted.nbytes)
-    ])
+    q, inside = np.zeros(n_samples), np.zeros_like(v)  # inside: the rows F c
+    coords, spectrum, trace_margin, closed = [], [], -np.inf, 0.0
+    for i, w in enumerate(sched.weights.tolist()):
+        basis, s_i = gamma_twirl_factor(spec, n, i, seed=seed).range_spectrum()
+        g_energy = float(_energy(gamma_state(spec, n, i) @ basis.conj(), s_i))
+        trace_margin = max(trace_margin, g_energy - comb(d1 * d2 + i - 2, i))
+        c_i = v @ basis.conj()  # the rows c_i = B_i^dagger v
+        q += _energy(c_i, s_i) / w
+        inside += c_i @ basis.T
+        coords.append(c_i)
+        spectrum.append(w * s_i)
+        # the value every q(U) takes: t_i = gamma_i^dagger Gamma_i^+ gamma_i = C(k d1 + i - 1, i)
+        closed += comb(n, i) * (1 - eps**2) ** (n - i) * eps ** (2 * i) * comb(k * d1 + i - 1, i) / w
+    outside = np.linalg.norm(v - inside, axis=1)
+
+    # the frame (F, o / ||o||) is cut at D^n rows: at rank W = D^n, o is
+    # rounding; with fewer rows, W - vv^dagger has the eigenvalue 0 off it.
+    # Each core is Hermitian by construction, so eigvalsh takes it unchecked
+    dim = v.shape[1]
+    a = np.hstack(coords + [outside[:, None]])[:, :dim]
+    core = np.diag(np.append(np.concatenate(spectrum), 0.0)[:dim])
+    floor = 0.0 if len(core) < dim else np.inf
+    min_eigs = np.array([min(np.linalg.eigvalsh(core - np.outer(row, row.conj()))[0], floor) for row in a])
 
     q_values = q.tolist()
     max_q = max(q_values)
-    # the value every q(U) takes: C(n, i) (1 - eps^2)^(n-i) eps^(2i) t_i / lambda_i
-    # summed, t_i = gamma_i^dagger Gamma_i^+ gamma_i = C(k d1 + i - 1, i)
-    closed = 0.0
-    for i, w in enumerate(weights):
-        closed += comb(n, i) * (1 - eps**2) ** (n - i) * eps ** (2 * i) * comb(k * d1 + i - 1, i) / w
-    max_support_residual = float(residuals.max())
-    min_eig_ratio = float((min_eigs / lam_total).min())
+    max_support_residual = float((outside / np.linalg.norm(v, axis=1)).max())
+    min_eig_ratio = float((min_eigs / sched.total).min())
     ok = (
         max_q <= Q_BOUND
         and abs(max_q - closed) <= Q_CLOSED_FORM_TOL * closed
@@ -263,7 +247,13 @@ def domination_check(
         max_support_residual=max_support_residual,
         min_eig_ratio=min_eig_ratio,
         trace_bound_margin=trace_margin,
-        lambda_total=lam_total,
+        lambda_total=sched.total,
         lambda_sum_bound=sched.sum_bound,
         ok=ok,
     )
+
+
+def _energy(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """||s^{-1/2} c||^2 over the last axis: x^dagger B diag(s)^+ B^dagger x
+    for the coordinates c = B^dagger x."""
+    return (np.abs(c) ** 2 / s).sum(axis=-1)

@@ -52,8 +52,8 @@ RANK_TOL = 1e-10
 
 
 # the bytes one run of a batched path may stack: every path that stacks
-# per-item work (testers, Chois, audit trials, domination samples) splits
-# its items into consecutive runs under this (see stack_runs)
+# per-item work (testers, Chois, audit trials) splits its items into
+# consecutive runs under this (see stack_runs)
 STACK_BYTES = 2 << 20
 
 
@@ -286,14 +286,14 @@ def rank_mask(vals: np.ndarray, rank_tol: float) -> np.ndarray:
 def nullspace(m: np.ndarray) -> np.ndarray:
     """Orthonormal basis (columns) of the right nullspace of ``m``.
 
-    Singular values <= RANK_TOL * sigma_max count as zero.
+    The singular values :func:`rank_mask` drops count as zero.
     """
     m = np.asarray(m)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
     _, s, vh = np.linalg.svd(m, full_matrices=True)
-    sigma_max = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > RANK_TOL * sigma_max)) if sigma_max > 0 else 0
+    # rank_mask reads an ascending spectrum; svd returns a descending one
+    rank = int(np.count_nonzero(rank_mask(s[::-1], RANK_TOL)))
     return vh[rank:].conj().T
 
 
@@ -547,18 +547,28 @@ class FactoredPsd(_Labeled):
         return self.factor.shape[0]
 
     def psd_check(self, tol: float = 1e-10) -> PsdCheck:
-        """:func:`psd_check`'s floor rule on the spectrum of X.
-
-        With the thin QR G = QR, X = Q (R diag(w) R^dagger) Q^dagger, so the
-        spectrum of X is that of the min(dim, r)-square core R diag(w) R^dagger
-        plus dim - min(dim, r) exact zeros from the directions outside the
-        range of Q.
-        """
-        r = np.linalg.qr(self.factor, mode="r")
-        vals = np.linalg.eigvalsh((r * self.weights) @ r.conj().T)
-        if r.shape[0] < self.dim:
+        """:func:`psd_check`'s floor rule on the spectrum of X: the core's
+        (:meth:`_qr_core`) plus dim - min(dim, r) exact zeros from the
+        directions outside the range of Q."""
+        _, core = self._qr_core(with_q=False)
+        vals = np.linalg.eigvalsh(core)
+        if core.shape[0] < self.dim:
             vals = np.concatenate([vals, [0.0]])
         return _floor_rule(vals[None], tol)[0]
+
+    def range_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """(B, s) with X = B diag(s) B^dagger, B an orthonormal range basis: the
+        core's eigenpairs (:meth:`_qr_core`) that :func:`rank_mask` keeps."""
+        q, core = self._qr_core(with_q=True)
+        vals, vecs = herm_eig(core)
+        keep = rank_mask(vals, RANK_TOL)
+        return q @ vecs[:, keep], vals[keep]
+
+    def _qr_core(self, with_q: bool) -> tuple[np.ndarray | None, np.ndarray]:
+        """Q of the thin QR G = QR (None unless ``with_q``, which doubles the
+        cost) and the core R diag(w) R^dagger, so that X = Q core Q^dagger."""
+        q, r = np.linalg.qr(self.factor) if with_q else (None, np.linalg.qr(self.factor, mode="r"))
+        return q, (r * self.weights) @ r.conj().T
 
     def partial_trace(self, labels: Sequence[str]) -> "FactoredPsd | LabeledOperator":
         """The marginal sum_b G_b diag(w) G_b^dagger over the basis states b of

@@ -61,7 +61,6 @@ from .hard import (
     xlog_bound_values,
 )
 from .hard.domination import (
-    DIFF_CHECK_TOL,
     EIG_TOL,
     Q_BOUND,
     Q_CLOSED_FORM_TOL,
@@ -574,6 +573,8 @@ EXPANSION_TOL = 1e-10  # the gamma Gram matrix and the hard-vector expansion
 CROSS_TOL = 1e-8  # ||exact commutant - permutation frame||_F of each Gamma_i
 MC_SIGMA_FACTOR = 5.0  # Monte Carlo twirl: fail above this many standard errors, warn at 1 fewer
 TRACE_TOL = 1e-6  # relative slack on tr(twirl^+ x) <= rank(twirl)
+PSD_INVERSION_TOL = 1e-8  # |q - target| and the support residual of psd_domination_equiv
+XLOG_TOL = 1e-12  # how far x log(B / x) may exceed its envelope, and its gap at the peak
 
 
 def _hard_family(c: Cell) -> dict:
@@ -805,8 +806,7 @@ def _psd_inversion(c: Cell) -> dict:
             wit = psd_domination_equiv(m, raw)
             ok = ok and (wit.dominates == (target <= 1.0))
             worst = max(worst, abs(wit.quadratic_form - target), wit.support_residual)
-    tol = 1e-8
-    return _verdict(ok and worst <= tol, tol, worst)
+    return _verdict(ok and worst <= PSD_INVERSION_TOL, PSD_INVERSION_TOL, worst)
 
 
 def _xlog(c: Cell) -> dict:
@@ -817,8 +817,7 @@ def _xlog(c: Cell) -> dict:
         worst = max(worst, float(np.max(vals - envelope)))
         peak_val, peak_env = xlog_bound_values(budget, np.array([budget / exp(1)]))
         worst = max(worst, abs(float(peak_val[0]) - peak_env))
-    tol = 1e-12
-    return _verdict(worst <= tol, tol, worst)
+    return _verdict(worst <= XLOG_TOL, XLOG_TOL, worst)
 
 
 def _summand_chain(c: Cell) -> dict:
@@ -1053,8 +1052,8 @@ _SUITES = {
         "cross_tol": CROSS_TOL, "mc_sigma_factor": MC_SIGMA_FACTOR, "trace_tol": TRACE_TOL,
         "eig_tol": EIG_TOL, "support_tol": SUPPORT_TOL, "trace_margin_tol": TRACE_MARGIN_TOL,
         "q_closed_form_tol": Q_CLOSED_FORM_TOL,
-        "chain_slack": CHAIN_SLACK, "span_rank_tol": SPAN_RANK_TOL, "diff_check_tol": DIFF_CHECK_TOL,
-        "equiv_psd_tol": EQUIV_PSD_TOL}),
+        "chain_slack": CHAIN_SLACK, "span_rank_tol": SPAN_RANK_TOL, "equiv_psd_tol": EQUIV_PSD_TOL,
+        "psd_inversion_tol": PSD_INVERSION_TOL, "xlog_tol": XLOG_TOL}),
     "net": (_net_table, {
         "iso_tol": ISO_TOL, "f_route_tol": F_ROUTE_TOL, "identity_tol": IDENTITY_TOL,
         "gram_tol": GRAM_TOL, "eps_zero_tol": EPS_ZERO_TOL, "identical_pair_tol": IDENTICAL_PAIR_TOL,

@@ -5,11 +5,11 @@ from math import comb, exp, log, sqrt
 import numpy as np
 import pytest
 
-from combcert import linalg
 from combcert.hard import (
     HardInstanceSpec,
     commutant_projector,
     domination_check,
+    gamma_twirl_factor,
     lambda_schedule,
     symmetric_span_dim,
     twirl_trace_bound,
@@ -157,8 +157,11 @@ def test_domination_certificate_small_cells():
 
 
 def _per_sample_domination(spec, n, eps, n_samples, seed):
-    """domination_check's sample loop, one Haar matrix at a time: the
-    quadratic forms, the largest support residual and min_eig_ratio."""
+    """domination_check on the dense route, one Haar matrix at a time: dense
+    Gamma_i, their pseudo-inverses, the support projector of the weighted sum
+    and the least eigenvalue of each D^n-square difference operator. Returns
+    the quadratic forms, the largest support residual, min_eig_ratio, the
+    trace-bound margin and the verdict."""
     sched = lambda_schedule(spec.d1, spec.d2, n, eps)
     rng = np.random.default_rng(seed)
     gammas = [gamma_twirl(spec, n, i, seed=seed) for i in range(n + 1)]
@@ -166,6 +169,11 @@ def _per_sample_domination(spec, n, eps, n_samples, seed):
     weights = sched.weights.tolist()
     weighted = sum(w * g for w, g in zip(weights, gammas))
     joint_support = support_projector(weighted)
+    trace_margin = -np.inf
+    for i, pinv in enumerate(pinvs):
+        g = gamma_state(spec, n, i)
+        val = float((g.conj() @ (pinv @ g)).real)
+        trace_margin = max(trace_margin, val - comb(spec.d1 * spec.d2 + i - 2, i))
     q_values, max_residual, min_ratio = [], 0.0, np.inf
     for _ in range(n_samples):
         u = haar_unitary(spec.rotor_dim, rng)
@@ -178,22 +186,50 @@ def _per_sample_domination(spec, n, eps, n_samples, seed):
         max_residual = max(max_residual, residual)
         min_eig = float(herm_eigvals(weighted - np.outer(v, v.conj()), check_tol=1e-8)[0])
         min_ratio = min(min_ratio, min_eig / sched.total)
-    return q_values, max_residual, min_ratio
+    closed = _closed_form(spec, n, eps)
+    ok = (
+        max(q_values) <= domination.Q_BOUND
+        and abs(max(q_values) - closed) <= domination.Q_CLOSED_FORM_TOL * closed
+        and max_residual <= domination.SUPPORT_TOL
+        and min_ratio >= -domination.EIG_TOL
+        and trace_margin <= domination.TRACE_MARGIN_TOL
+    )
+    return q_values, max_residual, min_ratio, trace_margin, ok
 
 
-def test_domination_batch_equals_the_per_sample_loop(monkeypatch):
-    # at a one-byte stack budget every difference operator is its own run
-    for d1, d2 in [(1, 2), (1, 3)]:
+def _closed_form(spec, n, eps):
+    """q(U) = sum_i C(n,i) (1-eps^2)^(n-i) eps^(2i) t_i / lambda_i, with
+    t_i = gamma_i^dagger Gamma_i^+ gamma_i = C(k*d1 + i - 1, i), k = d2 - d1."""
+    weights = lambda_schedule(spec.d1, spec.d2, n, eps).weights
+    t = [comb(spec.rotor_dim * spec.d1 + i - 1, i) for i in range(n + 1)]
+    return sum(
+        comb(n, i) * (1 - eps**2) ** (n - i) * eps ** (2 * i) * t[i] / weights[i]
+        for i in range(n + 1)
+    )
+
+
+def test_domination_batch_equals_the_per_sample_loop():
+    # the factored route against the dense one: the default cells, (2,4) at
+    # D^n = 512, and (1,2) at n = 5, where Gamma_5 comes from the commutant
+    cases = [((1, 2), (1, 2, 3)), ((1, 3), (1, 2, 3)), ((2, 4), (1, 2, 3)), ((1, 2), (5,))]
+    for (d1, d2), rounds in cases:
         spec = HardInstanceSpec.concrete(d1, d2)
-        for eps in (0.01, 0.05):
-            for n in (1, 2, 3):
-                q_values, max_residual, min_ratio = _per_sample_domination(spec, n, eps, 20, 11)
-                for budget in (1, linalg.STACK_BYTES):
-                    monkeypatch.setattr(linalg, "STACK_BYTES", budget)
-                    res = domination_check(spec, n, eps, n_samples=20, seed=11)
-                    assert res.quadratic_forms == tuple(q_values), (d1, d2, eps, n, budget)
-                    assert res.min_eig_ratio == min_ratio, (d1, d2, eps, n, budget)
-                    assert abs(res.max_support_residual - max_residual) <= 1e-15
+        for n in rounds:
+            # F = [B_0 ... B_n] is orthonormal: the Gamma_i sit on orthogonal sectors
+            frame = np.hstack([gamma_twirl_factor(spec, n, i, seed=11).range_spectrum()[0]
+                               for i in range(n + 1)])
+            assert np.abs(frame.conj().T @ frame - np.eye(frame.shape[1])).max() <= 1e-12
+            for eps in (0.01, 0.05):
+                q_values, max_residual, min_ratio, trace_margin, ok = _per_sample_domination(
+                    spec, n, eps, 20, 11)
+                res = domination_check(spec, n, eps, n_samples=20, seed=11)
+                case = (d1, d2, eps, n)
+                assert res.ok == ok, case
+                for q, ref in zip(res.quadratic_forms, q_values, strict=True):
+                    assert abs(q - ref) <= 1e-12 * ref, case
+                assert abs(res.max_support_residual - max_residual) <= 1e-12, case
+                assert abs(res.min_eig_ratio - min_ratio) <= 1e-12, case
+                assert abs(res.trace_bound_margin - trace_margin) <= 1e-12, case
 
 
 def test_domination_check_draws_the_per_sample_stream(monkeypatch):
@@ -225,20 +261,12 @@ def test_domination_quadratic_form_strictly_inside_budget():
         assert 0.0 < q < 0.9
 
 
-@pytest.mark.parametrize("d1, d2, max_n", [(1, 2, 3), (1, 3, 3), (2, 4, 2), (2, 5, 2)])
+@pytest.mark.parametrize("d1, d2, max_n", [(1, 2, 3), (1, 3, 3), (2, 4, 4), (2, 5, 4)])
 def test_every_sampled_quadratic_form_equals_its_closed_form(d1, d2, max_n):
-    # q(U) = sum_i C(n,i) (1-eps^2)^(n-i) eps^(2i) t_i / lambda_i, with
-    # t_i = gamma_i^dagger Gamma_i^+ gamma_i = C(k*d1 + i - 1, i), k = d2 - d1
     spec = HardInstanceSpec.concrete(d1, d2)
-    k = spec.rotor_dim
     for eps in (0.01, 0.05):
         for n in range(1, max_n + 1):
-            weights = lambda_schedule(d1, d2, n, eps).weights
-            closed = sum(
-                comb(n, i) * (1 - eps**2) ** (n - i) * eps ** (2 * i) * comb(k * d1 + i - 1, i)
-                / weights[i]
-                for i in range(n + 1)
-            )
+            closed = _closed_form(spec, n, eps)
             res = domination_check(spec, n, eps, seed=n)
             assert len(res.quadratic_forms) == 20
             for q in res.quadratic_forms:

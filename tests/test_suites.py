@@ -4,6 +4,7 @@ crashing or slow shared computation shows up in the records."""
 
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -207,9 +208,13 @@ def test_a_wrongly_normalized_twirl_fails_its_domination_record(monkeypatch):
 
     good = record()
     assert good.status == "pass"
-    scaled = domination.gamma_twirl
-    monkeypatch.setattr(domination, "gamma_twirl",
-                        lambda spec, n, i, seed=0: (1.5 if i == 1 else 1.0) * scaled(spec, n, i, seed=seed))
+    exact = domination.gamma_twirl_factor
+
+    def scaled(spec, n, i, seed=0):
+        f = exact(spec, n, i, seed=seed)
+        return replace(f, weights=(1.5 if i == 1 else 1.0) * f.weights)
+
+    monkeypatch.setattr(domination, "gamma_twirl_factor", scaled)
     bad = record()
     assert bad.status == "fail"
     assert bad.values["max_quadratic_form"] <= bad.threshold

@@ -69,11 +69,17 @@ def _ignored_kernel_reason(kernel: str) -> str | None:
     return None
 
 
-def _digest(tmp_path: Path, suite: str, seed: int, threads: str | None, kernel: str | None = None) -> str:
+def _digest(tmp_path: Path, suite: str, seed: int, threads: str | None, kernel: str | None = None,
+            config: dict | None = None) -> str:
     out = tmp_path / f"{suite}-seed{seed}-threads{threads}-kernel{kernel}"
+    args = []
+    if config:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        args = ["--config", str(path)]
     subprocess.run(
         [sys.executable, "-m", "combcert.cli", "verify", "--suite", suite,
-         "--seed", str(seed), "--out", str(out)],
+         "--seed", str(seed), "--out", str(out), *args],
         env=_env(threads, kernel), check=True, stdout=subprocess.DEVNULL,
     )
     return json.loads((out / f"{suite}_report.json").read_text())["body_digest"]
@@ -86,6 +92,16 @@ def _digests(tmp_path: Path, suite: str, seed: int, kernel: str | None = None) -
 @pytest.mark.parametrize("seed", [7, 23])
 def test_hard_digest_is_independent_of_blas_threads_and_jobs(tmp_path, seed):
     digests = _digests(tmp_path, "hard", seed)
+    assert len(set(digests.values())) == 1, digests
+
+
+@pytest.mark.parametrize("seed", [7, 23])
+def test_domination_digest_at_2_4_is_independent_of_blas_threads(tmp_path, seed):
+    # the (2,4) cell at n = 3 works in dimension D^n = 512, where a dense
+    # eigensolve's sums split with the thread count; the default cells stay
+    # at D^n <= 27
+    config = {"hard": {"domination": {"cells": [[2, 4]], "max_n": 3}}}
+    digests = {threads: _digest(tmp_path, "hard", seed, threads, config=config) for threads in THREADS}
     assert len(set(digests.values())) == 1, digests
 
 
