@@ -30,7 +30,6 @@ from .twirl import (
     commutant_projector,
     gamma_twirl,
     gamma_twirl_exact_commutant,
-    gamma_twirl_factor,
     gamma_twirl_monte_carlo,
     gamma_twirl_weingarten,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "CommutantProjector",
     "commutant_projector",
     "gamma_twirl",
-    "gamma_twirl_factor",
     "gamma_twirl_exact_commutant",
     "gamma_twirl_weingarten",
     "gamma_twirl_monte_carlo",

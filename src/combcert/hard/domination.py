@@ -21,7 +21,7 @@ import numpy as np
 
 from ..linalg import haar_from_ginibre, herm_eigvals, pseudo_inverse, rank_mask
 from .instance import HardInstanceSpec, gamma_state
-from .twirl import gamma_twirl_factor
+from .twirl import gamma_twirl
 
 __all__ = [
     "EIG_TOL",
@@ -208,7 +208,7 @@ def domination_check(
     q, inside = np.zeros(n_samples), np.zeros_like(v)  # inside: the rows F c
     coords, spectrum, trace_margin, closed = [], [], -np.inf, 0.0
     for i, w in enumerate(sched.weights.tolist()):
-        basis, s_i = gamma_twirl_factor(spec, n, i, seed=seed).range_spectrum()
+        basis, s_i = gamma_twirl(spec, n, i, seed=seed).range_spectrum()
         g_energy = float(_energy(gamma_state(spec, n, i) @ basis.conj(), s_i))
         trace_margin = max(trace_margin, g_energy - comb(d1 * d2 + i - 2, i))
         c_i = v @ basis.conj()  # the rows c_i = B_i^dagger v

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..linalg import psd_check, pseudo_inverse, support_projector
+from ..linalg import RANK_TOL, herm_eig, psd_check, rank_mask
 from .domination import budget_exponent, check_admissible
 
 __all__ = [
@@ -125,11 +125,16 @@ def psd_domination_equiv(m: np.ndarray, psi: np.ndarray) -> PsdDominationWitness
     """
     m = np.asarray(m, dtype=complex)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
-    q = float((psi.conj() @ (pseudo_inverse(m) @ psi)).real)
+    # M^+ and the projector onto M's support, both from the eigenpairs
+    # rank_mask keeps of one eigensolve
+    vals, vecs = herm_eig(m)
+    keep = rank_mask(vals, RANK_TOL)
+    cols = vecs[:, keep]
+    q = float((psi.conj() @ ((cols * (1.0 / vals[keep])) @ cols.conj().T @ psi)).real)
     norm = np.linalg.norm(psi)
     residual = 0.0
     if norm > 0:
-        residual = float(np.linalg.norm(psi - support_projector(m) @ psi)) / float(norm)
+        residual = float(np.linalg.norm(psi - cols @ cols.conj().T @ psi)) / float(norm)
     verdict = psd_check(m - np.outer(psi, psi.conj()), tol=EQUIV_PSD_TOL)
     return PsdDominationWitness(
         quadratic_form=q, support_residual=residual, dominates=bool(verdict.ok)

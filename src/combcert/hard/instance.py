@@ -32,6 +32,7 @@ from ..linalg import FactoredPsd, nullspace, vectorize
 
 __all__ = [
     "ISOMETRY_TOL",
+    "UNITARY_TOL",
     "HardInstanceSpec",
     "gamma_state",
     "gamma_outer",
@@ -44,6 +45,8 @@ __all__ = [
 
 # ||M^dagger M - I||_max of V0 and Delta, and ||V0^dagger Delta||_max
 ISOMETRY_TOL = 1e-10
+# ||U^dagger U - I||_max of a rotation parameter that HardInstanceSpec.rotor accepts
+UNITARY_TOL = 1e-9
 
 
 def kron_power(v: np.ndarray, n: int) -> np.ndarray:
@@ -166,7 +169,7 @@ class HardInstanceSpec:
         k = self.rotor_dim
         if u.shape != (k, k):
             raise ValueError(f"rotation must act on dimension {k}, got shape {u.shape}")
-        if float(np.abs(u.conj().T @ u - np.eye(k)).max()) > 1e-9:
+        if float(np.abs(u.conj().T @ u - np.eye(k)).max()) > UNITARY_TOL:
             raise ValueError("rotation parameter is not unitary")
         return self.v0 @ self.v0.conj().T + self.iota @ u @ self.iota.conj().T
 

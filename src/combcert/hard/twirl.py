@@ -37,6 +37,7 @@ import numpy as np
 from ..linalg import FactoredPsd, haar_unitary, haar_unitary_batch, herm_eig, rank_mask, vectorize
 from .instance import (
     HardInstanceSpec,
+    gamma_outer,
     gamma_state,
     kron_power,
     on_each_slot,
@@ -46,12 +47,14 @@ from .instance import (
 
 __all__ = [
     "COMMUTANT_DIM_CAP",
+    "COMMUTANT_NULL_CUT",
+    "CORE_RANK_TOL",
     "PERMUTATION_ORDER_CAP",
+    "ROTOR_LEAK_TOL",
     "CommutantProjector",
     "commutant_projector",
     "exact_routes",
     "gamma_twirl",
-    "gamma_twirl_factor",
     "gamma_twirl_exact_commutant",
     "gamma_twirl_weingarten",
     "gamma_twirl_monte_carlo",
@@ -59,6 +62,15 @@ __all__ = [
 
 COMMUTANT_DIM_CAP = 48
 PERMUTATION_ORDER_CAP = 4
+
+# commutant_projector: the largest entry a generator may have off the
+# (im V0, im iota) blocks, and the relative eigenvalue cut of the commutator
+# blocks' nullspace
+ROTOR_LEAK_TOL = 1e-12
+COMMUTANT_NULL_CUT = 1e-10
+# _twirled_core: the relative cut of its Gram pseudo-inverse and of its
+# eigenvalues
+CORE_RANK_TOL = 1e-12
 
 
 def exact_routes(d1: int, d2: int, n: int, i: int) -> tuple[str, ...]:
@@ -100,8 +112,9 @@ def commutant_projector(spec: HardInstanceSpec, n: int, seed: int = 0) -> Commut
     block-diagonal over the 2^n patterns s of which slots lie in im(iota),
     and conjugation maps each (row pattern, column pattern) block of
     W^dagger X W to itself. Every block's eigenvalues up to
-    1e-10 * max(1, largest eigenvalue of any block) are kept; a kept block
-    eigenvector Y maps back to the commutant element W_s Y W_t^dagger.
+    COMMUTANT_NULL_CUT * max(1, largest eigenvalue of any block) are kept; a
+    kept block eigenvector Y maps back to the commutant element
+    W_s Y W_t^dagger.
     """
     dim = (spec.d1 * spec.d2) ** n
     if "commutant" not in exact_routes(spec.d1, spec.d2, n, 0):
@@ -118,7 +131,7 @@ def commutant_projector(spec: HardInstanceSpec, n: int, seed: int = 0) -> Commut
     for _ in range(4):
         r = slot_basis.conj().T @ spec.rotor(haar_unitary(spec.rotor_dim, rng)) @ slot_basis
         leak = max(float(np.abs(r[:d1, d1:]).max()), float(np.abs(r[d1:, :d1]).max()))
-        if leak > 1e-12:
+        if leak > ROTOR_LEAK_TOL:
             raise ValueError(f"rotor does not fix im(V0): off-block entry {leak:.3e}")
         rotors.append(r)
     rotors = np.array(rotors)
@@ -134,7 +147,7 @@ def commutant_projector(spec: HardInstanceSpec, n: int, seed: int = 0) -> Commut
         m = _kron_stack(gens[a], gens[b].conj()).sum(axis=0)
         h = 2.0 * len(rotors) * np.eye(m.shape[0]) - (m + m.conj().T)
         blocks.append((a, b, herm_eig(h)))
-    cut = 1e-10 * max(1.0, max(float(vals[-1]) for _, _, (vals, _) in blocks))
+    cut = COMMUTANT_NULL_CUT * max(1.0, max(float(vals[-1]) for _, _, (vals, _) in blocks))
 
     rows = []
     for a, b, (vals, vecs) in blocks:
@@ -200,14 +213,14 @@ def _twirled_core(k: int, d1: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     operators are linearly dependent (k < i). G^+ is a class function h of
     s^{-1} t, so N = i! sum_s h(s) (p_k(s) (x) I) on Sym^i(C^k (x) C^{d1}),
     which holds N's range. That C(k*d1 + i - 1, i)-square matrix is solved
-    on the basis of :func:`_sym_basis`; eigenvalues up to 1e-12 of the
-    largest are dropped. Solved once per (k, d1, i) in a process; both
+    on the basis of :func:`_sym_basis`; eigenvalues up to CORE_RANK_TOL of
+    the largest are dropped. Solved once per (k, d1, i) in a process; both
     arrays returned are read-only.
     """
     perms = list(permutations(range(i)))
     gram = np.array([[float(k) ** _cycle_count(tuple(s.index(x) for x in t)) for t in perms]
                      for s in perms])
-    h = np.linalg.pinv(gram, rcond=1e-12, hermitian=True)[0]  # perms[0] is the identity
+    h = np.linalg.pinv(gram, rcond=CORE_RANK_TOL, hermitian=True)[0]  # perms[0] is the identity
     basis = _sym_basis(k, d1, i)
     slots = basis.reshape((k, d1) * i + (-1,))
     core = np.zeros((basis.shape[1],) * 2)
@@ -216,20 +229,20 @@ def _twirled_core(k: int, d1: int, i: int) -> tuple[np.ndarray, np.ndarray]:
         axes = [2 * s[j // 2] if j % 2 == 0 else j for j in range(2 * i)] + [2 * i]
         core += weight * (basis.T @ slots.transpose(axes).reshape(basis.shape))
     vals, vecs = herm_eig(factorial(i) * core)
-    keep = rank_mask(vals, 1e-12)
+    keep = rank_mask(vals, CORE_RANK_TOL)
     vals, cols = vals[keep], basis @ vecs[:, keep]
     vals.flags.writeable = cols.flags.writeable = False
     return vals, cols
 
 
-def _weingarten_factor(spec: HardInstanceSpec, n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Columns G and weights nu with Gamma_i = G diag(nu) G^dagger / C(n, i).
+def _weingarten_factor(spec: HardInstanceSpec, n: int, i: int) -> FactoredPsd:
+    """Gamma_i as the factor (G, nu / C(n, i)) on the slot spaces.
 
     The twirl only touches the rotated branch factors, so the core operator
     on (W (x) A)^{(x) i} (:func:`_twirled_core`) is eigendecomposed once, and
     each eigenvector is mapped into C^{d2} by iota on each slot and embedded
     into every size-i slot subset, tensored with |V0>> elsewhere; i = 0 is the
-    untwirled rank-one (gamma_0, [1]).
+    untwirled rank-one :func:`gamma_outer`.
     """
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
@@ -240,22 +253,18 @@ def _weingarten_factor(spec: HardInstanceSpec, n: int, i: int) -> tuple[np.ndarr
             f"use the exact-commutant or monte-carlo route"
         )
     if i == 0:
-        return gamma_state(spec, n, 0)[:, None], np.ones(1)
+        return gamma_outer(spec, n, 0)
     d1, d2 = spec.d1, spec.d2
     nu, cols = _twirled_core(spec.rotor_dim, d1, i)
     embedded = on_each_slot(spec.iota, cols, i, d1)
-    return subset_sum(embedded, kron_power(vectorize(spec.v0), n - i), n, i, d1 * d2), nu
+    g_cols = subset_sum(embedded, kron_power(vectorize(spec.v0), n - i), n, i, d1 * d2)
+    return FactoredPsd(g_cols, nu / comb(n, i), slot_spaces(spec, n))
 
 
 def gamma_twirl_weingarten(spec: HardInstanceSpec, n: int, i: int) -> np.ndarray:
     """Gamma_i via the permutation-frame projection on the i twirled slots,
     densified from :func:`_weingarten_factor`."""
-    g_cols, nu = _weingarten_factor(spec, n, i)
-    if i == 0:
-        g = g_cols[:, 0]
-        return np.outer(g, g.conj())
-    gamma_i = (g_cols * nu) @ g_cols.conj().T / comb(n, i)
-    return (gamma_i + gamma_i.conj().T) / 2
+    return _weingarten_factor(spec, n, i).dense()
 
 
 def gamma_twirl_monte_carlo(
@@ -293,33 +302,18 @@ def gamma_twirl_monte_carlo(
     return (est + est.conj().T) / 2, float(spec.d1**n / np.sqrt(samples))
 
 
-def gamma_twirl(spec: HardInstanceSpec, n: int, i: int, seed: int = 0) -> np.ndarray:
-    """Gamma_i by the first of :func:`exact_routes`: the permutation frame,
-    else the exact commutant (built from ``seed``), else a ValueError; the
-    Monte Carlo route is never taken silently."""
+def gamma_twirl(spec: HardInstanceSpec, n: int, i: int, seed: int = 0) -> FactoredPsd:
+    """Gamma_i as G diag(w) G^dagger on the slot spaces, by the first of
+    :func:`exact_routes`: the permutation-frame factor, else the eigenpairs
+    of the exact commutant projection (built from ``seed``), else a
+    ValueError; the Monte Carlo route is never taken silently."""
     routes = exact_routes(spec.d1, spec.d2, n, i)
     if "frame" in routes:
-        return gamma_twirl_weingarten(spec, n, i)
+        return _weingarten_factor(spec, n, i)
     if routes:
-        return gamma_twirl_exact_commutant(spec, n, i, seed=seed)
+        vals, vecs = herm_eig(gamma_twirl_exact_commutant(spec, n, i, seed=seed))
+        return FactoredPsd(vecs, vals, slot_spaces(spec, n))
     raise ValueError(
         f"no exact route for i={i}, dimension {(spec.d1 * spec.d2) ** n}; "
         f"gamma_twirl_monte_carlo gives a statistical estimate"
     )
-
-
-def gamma_twirl_factor(spec: HardInstanceSpec, n: int, i: int, seed: int = 0) -> FactoredPsd:
-    """Gamma_i as G diag(w) G^dagger on the slot spaces, by the route
-    :func:`gamma_twirl` takes.
-
-    On the permutation frame this is the factor that gamma_twirl_weingarten
-    densifies, (G, nu / C(n, i)); off it, it is gamma_twirl's own dense
-    result (from the exact commutant, else its ValueError) handed over as a
-    full-rank factor.
-    """
-    spaces = slot_spaces(spec, n)
-    if "frame" not in exact_routes(spec.d1, spec.d2, n, i):
-        vals, vecs = herm_eig(gamma_twirl(spec, n, i, seed=seed))
-        return FactoredPsd(vecs, vals, spaces)
-    g_cols, nu = _weingarten_factor(spec, n, i)
-    return FactoredPsd(g_cols, nu / comb(n, i), spaces)

@@ -31,7 +31,6 @@ __all__ = [
     "trace_norm",
     "pseudo_inverse",
     "psd_sqrt",
-    "support_projector",
     "rank_mask",
     "nullspace",
     "ginibre",
@@ -268,14 +267,6 @@ def _spectral(vecs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return (vecs * vals[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
-def support_projector(x: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the support of a Hermitian PSD matrix: the
-    eigenvectors :func:`rank_mask` keeps."""
-    vals, vecs = herm_eig(x)
-    cols = vecs[:, rank_mask(vals, RANK_TOL)]
-    return cols @ cols.conj().T
-
-
 def rank_mask(vals: np.ndarray, rank_tol: float) -> np.ndarray:
     """The eigenvalues counted in the rank, over ascending spectra on the
     last axis: lambda > rank_tol * lambda_max, and none when lambda_max <= 0."""
@@ -477,13 +468,12 @@ class LabeledOperator(_Labeled):
         """max |X - z (x) I_label| entrywise, the identity sitting at
         ``label``'s position and ``z`` an operator on the other spaces in
         their order here (see :func:`identity_factor_residual`); a factored
-        z is formed densely, at 1/d_label of X's dimension."""
+        z is formed densely (:meth:`FactoredPsd.dense`), at 1/d_label of X's
+        dimension."""
         at = self._positions([label])[0]
         _check_rest(self, at, z)
-        if isinstance(z, FactoredPsd):
-            rows = _factor_rows(z.dims, ())
-            z = LabeledOperator(z._left(rows) @ z._right(rows), z.spaces)
-        return identity_factor_residual(self.mat, self.dims, at, z.mat)
+        z_mat = z.dense() if isinstance(z, FactoredPsd) else z.mat
+        return identity_factor_residual(self.mat, self.dims, at, z_mat)
 
 
 @cache
@@ -545,6 +535,12 @@ class FactoredPsd(_Labeled):
     @property
     def dim(self) -> int:
         return self.factor.shape[0]
+
+    def dense(self) -> np.ndarray:
+        """X as a dim-square matrix: the Hermitian part of G diag(w) G^dagger.
+        The one place a factor's whole operator is formed."""
+        x = _spectral(self.factor, self.weights)
+        return (x + x.conj().T) / 2
 
     def psd_check(self, tol: float = 1e-10) -> PsdCheck:
         """:func:`psd_check`'s floor rule on the spectrum of X: the core's

@@ -47,7 +47,6 @@ from .hard import (
     gamma_state,
     gamma_twirl,
     gamma_twirl_exact_commutant,
-    gamma_twirl_factor,
     gamma_twirl_monte_carlo,
     gamma_twirl_weingarten,
     hard_vector_expansion,
@@ -615,11 +614,9 @@ def _gamma_comb(c: Cell) -> dict:
 
 
 def _gamma_twirl_comb(c: Cell) -> dict:
-    # the sample is the dense Gamma_1 at n = 1, as gamma_twirl returns it
-    gamma_hash = c.stash(gamma_twirl(c.spec, 1, 1, seed=c.seed))
-    return _certify_gamma_family(
-        c, partial(gamma_twirl_factor, seed=c.seed), sample_twirl=gamma_hash
-    )
+    # the sample is the dense Gamma_1 at n = 1
+    gamma_hash = c.stash(gamma_twirl(c.spec, 1, 1, seed=c.seed).dense())
+    return _certify_gamma_family(c, partial(gamma_twirl, seed=c.seed), sample_twirl=gamma_hash)
 
 
 def _gamma_recursion(c: Cell) -> dict:
@@ -655,7 +652,7 @@ def _twirl_routes(c: Cell) -> dict:
 def _twirl_mc(c: Cell) -> dict:
     d1, d2, n, i = c.key
     n_samp = c.cfg["mc_samples"]
-    exact = gamma_twirl(c.spec, n, i, seed=c.seed)
+    exact = gamma_twirl(c.spec, n, i, seed=c.seed).dense()
     est, stderr = gamma_twirl_monte_carlo(c.spec, n, i, samples=n_samp, seed=c.seed)
     diff = float(np.linalg.norm(est - exact))
     bound = MC_SIGMA_FACTOR * stderr
@@ -731,18 +728,14 @@ def _domination(c: Cell) -> dict:
     d1, d2, eps, n = c.key
     dom = c.cfg["domination"]
     res = domination_check(c.spec, n, eps, n_samples=dom["u_samples"], seed=c.seed)
-    values = {
-        "d1": d1, "d2": d2, "n": n, "eps": eps,
-        "max_quadratic_form": res.max_quadratic_form,
-        "q_closed_form": res.q_closed_form,
-        "q_spread": float(max(res.quadratic_forms) - min(res.quadratic_forms)),
-        "max_support_residual": res.max_support_residual,
-        "min_eig_ratio": res.min_eig_ratio,
-        "trace_bound_margin": res.trace_bound_margin,
-        "lambda_total": res.lambda_total,
-        "lambda_sum_bound": res.lambda_sum_bound,
-    }
-    return _verdict(res.ok, Q_BOUND, res.max_quadratic_form - 1.0, **values)
+    return _verdict(
+        res.ok, Q_BOUND, res.max_quadratic_form - 1.0,
+        d1=d1, d2=d2, n=n, eps=eps,
+        **_fields(res, "max_quadratic_form", "q_closed_form"),
+        q_spread=float(max(res.quadratic_forms) - min(res.quadratic_forms)),
+        **_fields(res, "max_support_residual", "min_eig_ratio", "trace_bound_margin",
+                  "lambda_total", "lambda_sum_bound"),
+    )
 
 
 def _lambda_sum(c: Cell) -> dict:

@@ -18,7 +18,7 @@ from combcert.combs import (
     validate_tester,
 )
 from combcert.combs import Tester as _Tester  # underscore keeps pytest from collecting it
-from combcert.hard import HardInstanceSpec, gamma_outer, gamma_twirl_factor
+from combcert.hard import HardInstanceSpec, gamma_outer, gamma_twirl
 from combcert.hard.instance import comb_sequence
 from combcert.linalg import (
     FactoredPsd,
@@ -310,7 +310,7 @@ def test_factored_walk_equals_the_dense_walk_on_the_densified_operator(d1, d2, m
     spec = HardInstanceSpec.concrete(d1, d2)
     for n in range(1, max_n + 1):
         seq = comb_sequence(n)
-        for build in (gamma_outer, gamma_twirl_factor):
+        for build in (gamma_outer, gamma_twirl):
             for i in range(n + 1):
                 f = build(spec, n, i)
                 dense = LabeledOperator((f.factor * f.weights) @ f.factor.conj().T, f.spaces)
@@ -327,7 +327,7 @@ def test_factored_walk_of_a_large_twirl_stays_within_a_few_factors():
     # Gamma_4 at (2,4), n = 4: a 4096 x 35 factor of 2.2 MB; the dense first
     # marginal alone would be 1024-square, 16 MB, and certifying it that way
     # peaked at 30 MB
-    f = gamma_twirl_factor(HardInstanceSpec.concrete(2, 4), 4, 4)
+    f = gamma_twirl(HardInstanceSpec.concrete(2, 4), 4, 4)
     tracemalloc.start()
     try:
         cert = certify_comb(f, comb_sequence(4), psd_tol=1e-7, chain_tol=1e-7)

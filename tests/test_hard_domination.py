@@ -9,7 +9,6 @@ from combcert.hard import (
     HardInstanceSpec,
     commutant_projector,
     domination_check,
-    gamma_twirl_factor,
     lambda_schedule,
     symmetric_span_dim,
     twirl_trace_bound,
@@ -18,12 +17,12 @@ from combcert.hard import domination
 from combcert.hard.instance import gamma_state, kron_power
 from combcert.hard.twirl import gamma_twirl
 from combcert.linalg import (
+    RANK_TOL,
     haar_isometry,
     haar_unitary,
     herm_eigvals,
     pseudo_inverse,
     random_psd,
-    support_projector,
     vectorize,
 )
 
@@ -164,11 +163,14 @@ def _per_sample_domination(spec, n, eps, n_samples, seed):
     trace-bound margin and the verdict."""
     sched = lambda_schedule(spec.d1, spec.d2, n, eps)
     rng = np.random.default_rng(seed)
-    gammas = [gamma_twirl(spec, n, i, seed=seed) for i in range(n + 1)]
+    gammas = [gamma_twirl(spec, n, i, seed=seed).dense() for i in range(n + 1)]
     pinvs = [pseudo_inverse(g) for g in gammas]
     weights = sched.weights.tolist()
     weighted = sum(w * g for w, g in zip(weights, gammas))
-    joint_support = support_projector(weighted)
+    # the projector onto the eigenvectors above RANK_TOL of the largest eigenvalue
+    vals, vecs = np.linalg.eigh(weighted)
+    support = vecs[:, vals > RANK_TOL * vals[-1]]
+    joint_support = support @ support.conj().T
     trace_margin = -np.inf
     for i, pinv in enumerate(pinvs):
         g = gamma_state(spec, n, i)
@@ -216,7 +218,7 @@ def test_domination_batch_equals_the_per_sample_loop():
         spec = HardInstanceSpec.concrete(d1, d2)
         for n in rounds:
             # F = [B_0 ... B_n] is orthonormal: the Gamma_i sit on orthogonal sectors
-            frame = np.hstack([gamma_twirl_factor(spec, n, i, seed=11).range_spectrum()[0]
+            frame = np.hstack([gamma_twirl(spec, n, i, seed=11).range_spectrum()[0]
                                for i in range(n + 1)])
             assert np.abs(frame.conj().T @ frame - np.eye(frame.shape[1])).max() <= 1e-12
             for eps in (0.01, 0.05):

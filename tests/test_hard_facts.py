@@ -98,6 +98,9 @@ def test_psd_domination_fails_off_support():
     wit = psd_domination_equiv(m, psi)
     assert wit.support_residual > 0.9
     assert not wit.dominates
+    # a support and a kernel part: the residual is the kernel part's share of the norm
+    mixed = 3.0 * vecs[:, -1] + 4.0 * vecs[:, 1]
+    assert psd_domination_equiv(m, mixed).support_residual == pytest.approx(0.8, abs=1e-12)
 
 
 def test_summand_chain_holds_across_admissible_grid():

@@ -13,7 +13,6 @@ from combcert.hard import (
     commutant_projector,
     gamma_twirl,
     gamma_twirl_exact_commutant,
-    gamma_twirl_factor,
     gamma_twirl_monte_carlo,
     gamma_twirl_weingarten,
 )
@@ -26,6 +25,7 @@ from combcert.hard.instance import (
     slot_spaces,
 )
 from combcert.linalg import (
+    FactoredPsd,
     LabeledOperator,
     haar_isometry,
     haar_unitary,
@@ -140,7 +140,7 @@ def test_monte_carlo_agrees_with_exact():
 
 def test_gamma_twirl_dispatcher():
     spec = HardInstanceSpec.concrete(1, 2)
-    g_auto = gamma_twirl(spec, 2, 1)
+    g_auto = gamma_twirl(spec, 2, 1).dense()
     np.testing.assert_allclose(g_auto, gamma_twirl_weingarten(spec, 2, 1), atol=1e-12)
     # i above the permutation cap with dimension above the commutant cap must
     # refuse rather than silently sample
@@ -151,15 +151,14 @@ def test_gamma_twirl_dispatcher():
 
 def test_gamma_twirl_takes_the_exact_commutant_above_the_permutation_cap():
     spec = HardInstanceSpec.concrete(1, 2)  # dimension 2**5 = 32 fits the commutant cap
-    dense = gamma_twirl(spec, 5, 5, seed=3)
-    np.testing.assert_array_equal(dense, gamma_twirl_exact_commutant(spec, 5, 5, seed=3))
-    # the factored form hands the same result over as a full-rank factor
-    f = gamma_twirl_factor(spec, 5, 5, seed=3)
+    # the commutant projection comes back as its full-rank eigenfactor
+    f = gamma_twirl(spec, 5, 5, seed=3)
+    assert isinstance(f, FactoredPsd)
     assert f.factor.shape == (32, 32)
-    np.testing.assert_allclose(f.factor @ (f.weights[:, None] * f.factor.conj().T), dense,
-                               atol=1e-12)
+    np.testing.assert_allclose(f.dense(), gamma_twirl_exact_commutant(spec, 5, 5, seed=3),
+                               rtol=0, atol=1e-12)
     with pytest.raises(ValueError):
-        gamma_twirl_factor(HardInstanceSpec.concrete(2, 4), 5, 5)
+        gamma_twirl(HardInstanceSpec.concrete(2, 4), 5, 5)
 
 
 def test_weingarten_rejects_large_order():
@@ -178,7 +177,7 @@ def test_factored_certificates_match_the_dense_ones(d1, d2):
             g = gamma_state(spec, n, i)
             pairs = [
                 (gamma_outer(spec, n, i), LabeledOperator(np.outer(g, g.conj()), spaces)),
-                (gamma_twirl_factor(spec, n, i), LabeledOperator(gamma_twirl(spec, n, i), spaces)),
+                (gamma_twirl(spec, n, i), LabeledOperator(gamma_twirl(spec, n, i).dense(), spaces)),
             ]
             for factored, dense in pairs:
                 a = certify_comb(factored, seq, psd_tol=COMB_TOL, chain_tol=COMB_TOL)
@@ -197,7 +196,7 @@ def test_twirl_factor_agrees_with_the_dense_twirl_on_random_probes(d1, d2):
     spec = HardInstanceSpec.concrete(d1, d2)
     for n in (1, 2, 3):
         for i in range(n + 1):
-            f = gamma_twirl_factor(spec, n, i)
+            f = gamma_twirl(spec, n, i)
             dense = gamma_twirl_weingarten(spec, n, i)
             x = rng.standard_normal((f.dim, 3)) + 1j * rng.standard_normal((f.dim, 3))
             lhs = f.factor @ (f.weights[:, None] * (f.factor.conj().T @ x))
@@ -393,5 +392,5 @@ def test_permutation_frame_solves_only_on_the_symmetric_subspace(monkeypatch):
     spec = HardInstanceSpec.concrete(2, 5)
     for i in range(1, 5):
         seen.clear()
-        twirl.gamma_twirl_factor(spec, 4, i)
+        twirl.gamma_twirl(spec, 4, i)
         assert seen and max(seen) <= comb(spec.rotor_dim * spec.d1 + i - 1, i), (i, seen)

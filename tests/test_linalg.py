@@ -22,7 +22,6 @@ from combcert.linalg import (
     random_psd,
     rank_mask,
     stack_runs,
-    support_projector,
     trace_norm,
     vectorize,
 )
@@ -186,7 +185,7 @@ def test_rank_cut_keeps_nothing_without_a_positive_eigenvalue():
     rng = np.random.default_rng(19)
     one = -np.eye(3)
     stack = np.stack([one, np.zeros((3, 3)), random_psd(3, rng, rank=2)])
-    assert not pseudo_inverse(one).any() and not support_projector(one).any()
+    assert not pseudo_inverse(one).any()
     assert kraus_rank(one) == 0
     inverses = pseudo_inverse(stack)
     assert not inverses[:2].any() and inverses[2].any()
@@ -226,16 +225,6 @@ def test_pseudo_inverse_against_numpy():
         assert np.abs(x @ p @ x - x).max() < 1e-9
         assert np.abs(p @ x @ p - p).max() < 1e-9
     assert np.abs(pseudo_inverse(np.zeros((3, 3)))).max() == 0.0
-
-
-def test_support_projector():
-    rng = np.random.default_rng(16)
-    x = random_psd(6, rng, rank=3)
-    p = support_projector(x)
-    assert np.abs(p @ p - p).max() < 1e-10
-    assert np.abs(p - p.conj().T).max() < 1e-12
-    assert np.abs(p @ x - x).max() < 1e-9
-    assert abs(np.trace(p).real - 3.0) < 1e-9
 
 
 def test_nullspace():
@@ -403,6 +392,9 @@ def test_factored_psd_matches_its_dense_operator(rank):
     w = rng.uniform(0.1, 2.0, size=rank)
     f = FactoredPsd(g, w, spaces)
     dense = LabeledOperator((g * w) @ g.conj().T, spaces)
+    x = f.dense()
+    assert np.array_equal(x, x.conj().T)
+    assert np.abs(x - _dense(f)).max() <= 1e-12
     for drop in (["X"], ["Y"], ["Z"], ["X", "Z"], ["Z", "X"], ["X", "Y", "Z"]):
         got, want = f.partial_trace(drop), dense.partial_trace(drop)
         assert got.spaces == want.spaces

@@ -208,13 +208,13 @@ def test_a_wrongly_normalized_twirl_fails_its_domination_record(monkeypatch):
 
     good = record()
     assert good.status == "pass"
-    exact = domination.gamma_twirl_factor
+    exact = domination.gamma_twirl
 
     def scaled(spec, n, i, seed=0):
         f = exact(spec, n, i, seed=seed)
         return replace(f, weights=(1.5 if i == 1 else 1.0) * f.weights)
 
-    monkeypatch.setattr(domination, "gamma_twirl_factor", scaled)
+    monkeypatch.setattr(domination, "gamma_twirl", scaled)
     bad = record()
     assert bad.status == "fail"
     assert bad.values["max_quadratic_form"] <= bad.threshold
