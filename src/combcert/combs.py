@@ -37,9 +37,7 @@ import numpy as np
 from .channels import Channel, choi_from_kraus, choi_operator
 from .linalg import (
     HERM_CHECK_TOL,
-    FactoredPsd,
     LabeledOperator,
-    PsdCheck,
     ginibre,
     haar_from_ginibre,
     psd_checks,
@@ -166,7 +164,7 @@ class CombCertificate(NamedTuple):
         return max(self.chain_residuals)
 
 
-def _comb_sequence(op: LabeledOperator | FactoredPsd, sequence: Sequence[str]) -> tuple[str, ...]:
+def _comb_sequence(op: LabeledOperator, sequence: Sequence[str]) -> tuple[str, ...]:
     sequence = tuple(sequence)
     if len(sequence) % 2 != 0 or not sequence:
         raise ValueError(f"comb sequence must have even positive length, got {sequence}")
@@ -176,7 +174,7 @@ def _comb_sequence(op: LabeledOperator | FactoredPsd, sequence: Sequence[str]) -
 
 
 def certify_comb(
-    op: LabeledOperator | FactoredPsd,
+    op: LabeledOperator,
     sequence: Sequence[str],
     psd_tol: float = 1e-8,
     chain_tol: float = 1e-8,
@@ -186,65 +184,41 @@ def certify_comb(
     Verifies positivity (eigenvalue floor ``-psd_tol * max(1, lambda_max)``)
     and walks the marginal chain from the last space down, recording the
     max-entry residual of each identity-factor condition plus the final
-    |X^(0) - 1| deviation. A :class:`FactoredPsd` gives its verdict from
-    the factor, and its marginals stay factored while their rank allows.
+    |X^(0) - 1| deviation.
     """
     return certify_combs([op], [sequence], psd_tol, chain_tol)[0]
 
 
 def certify_combs(
-    ops: Sequence[LabeledOperator | FactoredPsd],
+    ops: Sequence[LabeledOperator],
     sequences: Sequence[Sequence[str]],
     psd_tol: float = 1e-8,
     chain_tol: float = 1e-8,
 ) -> list[CombCertificate]:
     """:func:`certify_comb` of each operator over its sequence; the
-    positivity checks of same-shaped dense operators are stacked
-    (``_by_shape``)."""
+    positivity checks of same-shaped operators are stacked (``_by_shape``)."""
     sequences = [_comb_sequence(op, seq) for op, seq in zip(ops, sequences, strict=True)]
-    dense = iter(_by_shape(
+    verdicts = _by_shape(
         lambda x: psd_checks(x, tol=psd_tol, check_tol=max(psd_tol, HERM_CHECK_TOL)),
-        [op.mat for op in ops if not isinstance(op, FactoredPsd)],
-    ))
-    verdicts = [op.psd_check(tol=psd_tol) if isinstance(op, FactoredPsd) else next(dense) for op in ops]
-    return [_certificate(op, seq, verdict, chain_tol)
-            for op, seq, verdict in zip(ops, sequences, verdicts)]
-
-
-def _certificate(
-    op: LabeledOperator | FactoredPsd,
-    sequence: tuple[str, ...],
-    verdict: PsdCheck,
-    chain_tol: float,
-) -> CombCertificate:
-    """The certificate of ``op`` given its positivity verdict: the marginal
-    chain walk. Each marginal comes back as a :class:`FactoredPsd` while its
-    rank allows and densely after that (:meth:`FactoredPsd.partial_trace`),
-    and each step reads its residual from whichever it is."""
-    y = op.partial_trace([sequence[-1]])
-    residuals = []
-    for j in range(len(sequence) // 2, 0, -1):
-        label = sequence[2 * j - 2]
-        z = _divided(y.partial_trace([label]), dict(y.spaces)[label])
-        residuals.append(y.identity_factor_residual(label, z))
-        if j > 1:
-            y = z.partial_trace([sequence[2 * j - 3]])
-    # X^(0), the last z, is an operator on no spaces: one entry
-    x0 = z.mat[0, 0] if isinstance(z, LabeledOperator) else z.weights @ np.abs(z.factor[0]) ** 2
-    residuals.append(float(abs(x0 - 1.0)))
-
-    return CombCertificate(
-        ok=bool(verdict.ok and max(residuals) <= chain_tol),
-        min_eig=verdict.min_eig,
-        chain_residuals=tuple(residuals),
+        [op.mat for op in ops],
     )
-
-
-def _divided(op: LabeledOperator | FactoredPsd, d: int) -> LabeledOperator | FactoredPsd:
-    """op / d; a factor keeps its columns and divides its weights."""
-    if isinstance(op, FactoredPsd):
-        return FactoredPsd(op.factor, op.weights / d, op.spaces)
-    return LabeledOperator(op.mat / d, op.spaces)
+    certs = []
+    for op, sequence, verdict in zip(ops, sequences, verdicts):
+        # the marginal chain walk
+        y = op.partial_trace([sequence[-1]])
+        residuals = []
+        for j in range(len(sequence) // 2, 0, -1):
+            label = sequence[2 * j - 2]
+            z = y.partial_trace([label])
+            z = LabeledOperator(z.mat / dict(y.spaces)[label], z.spaces)
+            residuals.append(y.identity_factor_residual(label, z))
+            if j > 1:
+                y = z.partial_trace([sequence[2 * j - 3]])
+        # X^(0), the last z, is an operator on no spaces: one entry
+        residuals.append(float(abs(z.mat[0, 0] - 1.0)))
+        certs.append(CombCertificate(bool(verdict.ok and max(residuals) <= chain_tol),
+                                     verdict.min_eig, tuple(residuals)))
+    return certs
 
 
 @dataclass(frozen=True)

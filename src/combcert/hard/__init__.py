@@ -30,6 +30,7 @@ from .twirl import (
     commutant_projector,
     gamma_twirl,
     gamma_twirl_exact_commutant,
+    gamma_twirl_modes,
     gamma_twirl_monte_carlo,
     gamma_twirl_weingarten,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "commutant_projector",
     "gamma_twirl",
     "gamma_twirl_exact_commutant",
+    "gamma_twirl_modes",
     "gamma_twirl_weingarten",
     "gamma_twirl_monte_carlo",
     "LambdaSchedule",

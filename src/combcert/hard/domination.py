@@ -2,9 +2,10 @@
 
 For the admissible parameter window, the weighted sum sum_i lambda_i Gamma_i
 dominates |V(U)><V(U)|^{(x) n} for every group element U. The certificate is
-numeric and two-route, both read from the Gamma_i factors: the scalar form
+numeric and two-route, both read from the Gamma_i on their sectors of
+Sym^n(M) (:mod:`.modes`): the scalar form
 q(U) = sum_i <v|Gamma_i^+|v> / lambda_i <= 1 together with a support check,
-and the direct minimum eigenvalue of the difference operator. The largest
+and the minimum eigenvalue of the difference operator. The largest
 sampled q(U) must also equal its closed form, which a wrongly normalized
 Gamma_i moves off. Every float sum here (q(U), its closed form and the
 weight total) adds its terms left to right, so the values do not depend on
@@ -20,8 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from ..linalg import haar_from_ginibre, herm_eigvals, pseudo_inverse, rank_mask
-from .instance import HardInstanceSpec, gamma_state
-from .twirl import gamma_twirl
+from .instance import HardInstanceSpec
+from .modes import gamma_modes, mode_isometry, power_coords
+from .twirl import gamma_twirl_modes
 
 __all__ = [
     "EIG_TOL",
@@ -54,6 +56,9 @@ SUPPORT_TOL = 1e-9
 TRACE_MARGIN_TOL = 1e-6
 # the largest relative gap between a sampled q(U) and its closed form
 Q_CLOSED_FORM_TOL = 1e-12
+# _least_eigenvalue's halvings of its bracket, of width |a|^2 <= ||v||^{2n}:
+# 100 take it below 1e-28 of that width
+BISECTION_STEPS = 100
 # symmetric_span_dim counts the sampled Gram's eigenvalues above this
 # fraction of the largest
 SPAN_RANK_TOL = 1e-8
@@ -143,6 +148,7 @@ class DominationResult(NamedTuple):
     q_closed_form: float
     max_support_residual: float
     min_eig_ratio: float
+    support_margin: float
     trace_bound_margin: float
     lambda_total: float
     lambda_sum_bound: float
@@ -187,14 +193,22 @@ def domination_check(
     seed: int = 0,
 ) -> DominationResult:
     """Certify sum_i lambda_i Gamma_i >= |v(U)><v(U)|^{(x)n} on Haar samples U,
-    reading Gamma_i = B_i diag(s_i) B_i^dagger from its factor
-    (:meth:`FactoredPsd.range_spectrum`); no D^n-square matrix is formed.
-    The Gamma_i sit on orthogonal sectors, so F = [B_0 ... B_n] is
-    orthonormal. With c = F^dagger v and o = v - F c: q(U) is
-    sum_i ||s_i^{-1/2} c_i||^2 / lambda_i, a group invariant whose largest
-    sample must equal the closed form; the support residual is ||o|| / ||v||;
-    and the second reading, W - vv^dagger, is diag(lambda_i s_i, 0) - a a^dagger
-    with a = (c, ||o||) in the orthonormal frame (F, o / ||o||), and 0 off it.
+    in the occupation coordinates of Sym^n(M) (:mod:`.modes`), where
+    Gamma_i = B_i diag(s_i) B_i^dagger sits on sector i
+    (:func:`gamma_twirl_modes`); no slot-space operator or vector is formed.
+
+    Each member's mode coordinates (a, b) = J^dagger vec V(U) give v's
+    sector-i coordinates sqrt(C(n, i)) a^{n-i} b^{(x) i}, and c_i = B_i^dagger
+    of those. q(U) is sum_i ||s_i^{-1/2} c_i||^2 / lambda_i, a group invariant
+    whose largest sample must equal the closed form. The part o of v outside
+    Sym^n(M) has ||o||^2 = ||v||^{2n} - ||J J^dagger v||^{2n} for the member's
+    own residual v - J J^dagger v, and the support residual is ||o|| over
+    ||v||^n; each B_i must span its sector, so Sym^n(M) is the support of
+    the weighted sum W. In the orthonormal frame (F, o / ||o||),
+    F = [B_0 ... B_n], W - vv^dagger is diag(lambda_i s_i, 0) - a a^dagger
+    with a = (c, ||o||), and 0 off it: its least eigenvalue over lambda_total
+    is min_eig_ratio, and that of the F block alone, on the support, is
+    support_margin (:func:`_least_eigenvalue`).
     """
     d1, d2 = spec.d1, spec.d2
     sched = lambda_schedule(d1, d2, n, eps)
@@ -202,37 +216,44 @@ def domination_check(
     # the per-sample stream: real then imaginary part of each Ginibre matrix
     k = spec.rotor_dim
     parts = np.random.default_rng(seed).standard_normal((n_samples, 2, k, k))
-    u = haar_from_ginibre(parts[:, 0] + 1j * parts[:, 1])
-    v = _kron_power_rows(spec.member(eps, u).reshape(n_samples, -1), n)
+    members = spec.member(eps, haar_from_ginibre(parts[:, 0] + 1j * parts[:, 1])).reshape(n_samples, -1)
+    jm = mode_isometry(spec).reshape(d1 * d2, -1)
+    coords = members @ jm.conj()
+    norm2 = (np.abs(members) ** 2).sum(axis=1)
+    off = (np.abs(members - coords @ jm.T) ** 2).sum(axis=1) / norm2
+    # ||o||^2 / ||v||^{2n} = 1 - (1 - off)^n, without cancellation
+    outside = np.sqrt(-np.expm1(n * np.log1p(-off)))
 
-    q, inside = np.zeros(n_samples), np.zeros_like(v)  # inside: the rows F c
-    coords, spectrum, trace_margin, closed = [], [], -np.inf, 0.0
+    q = np.zeros(n_samples)
+    weights2, spectrum, trace_margin, closed = [], [], -np.inf, 0.0
     for i, w in enumerate(sched.weights.tolist()):
-        basis, s_i = gamma_twirl(spec, n, i, seed=seed).range_spectrum()
-        g_energy = float(_energy(gamma_state(spec, n, i) @ basis.conj(), s_i))
+        gamma = gamma_twirl_modes(spec, n, i, seed=seed)
+        if gamma.vecs.shape[1] < gamma.vecs.shape[0]:
+            raise ValueError(f"Gamma_{i} has rank {gamma.vecs.shape[1]} on a sector of "
+                             f"dimension {gamma.vecs.shape[0]}")
+        # einsum's own loop, not BLAS: B_i^dagger x sums in one order at any thread count
+        g_energy = float(_energy(np.einsum("k,kr->r", gamma_modes(spec, n, i), gamma.vecs.conj()), gamma.vals))
         trace_margin = max(trace_margin, g_energy - comb(d1 * d2 + i - 2, i))
-        c_i = v @ basis.conj()  # the rows c_i = B_i^dagger v
-        q += _energy(c_i, s_i) / w
-        inside += c_i @ basis.T
-        coords.append(c_i)
-        spectrum.append(w * s_i)
+        v_i = np.sqrt(comb(n, i)) * coords[:, :1] ** (n - i) * power_coords(coords[:, 1:], i)
+        c_i = np.einsum("sk,kr->sr", v_i, gamma.vecs.conj())  # the rows c_i = B_i^dagger v
+        q += _energy(c_i, gamma.vals) / w
+        weights2.append(np.abs(c_i) ** 2)
+        spectrum.append(w * gamma.vals)
         # the value every q(U) takes: t_i = gamma_i^dagger Gamma_i^+ gamma_i = C(k d1 + i - 1, i)
         closed += comb(n, i) * (1 - eps**2) ** (n - i) * eps ** (2 * i) * comb(k * d1 + i - 1, i) / w
-    outside = np.linalg.norm(v - inside, axis=1)
 
-    # the frame (F, o / ||o||) is cut at D^n rows: at rank W = D^n, o is
-    # rounding; with fewer rows, W - vv^dagger has the eigenvalue 0 off it.
-    # Each core is Hermitian by construction, so eigvalsh takes it unchecked
-    dim = v.shape[1]
-    a = np.hstack(coords + [outside[:, None]])[:, :dim]
-    core = np.diag(np.append(np.concatenate(spectrum), 0.0)[:dim])
-    floor = 0.0 if len(core) < dim else np.inf
-    min_eigs = np.array([min(np.linalg.eigvalsh(core - np.outer(row, row.conj()))[0], floor) for row in a])
+    spectrum, weights2 = np.concatenate(spectrum), np.hstack(weights2)
+    support = _least_eigenvalue(spectrum, weights2)
+    # with rank W below D^n, the frame gains o / ||o|| (at 0 in W), and
+    # W - vv^dagger is 0 off the frame
+    o2 = outside**2 * norm2**n
+    whole = support if len(spectrum) == (d1 * d2) ** n else _least_eigenvalue(
+        np.append(spectrum, 0.0), np.hstack([weights2, o2[:, None]]))
 
     q_values = q.tolist()
     max_q = max(q_values)
-    max_support_residual = float((outside / np.linalg.norm(v, axis=1)).max())
-    min_eig_ratio = float((min_eigs / sched.total).min())
+    max_support_residual = float(outside.max())
+    min_eig_ratio = float(whole.min() / sched.total)
     ok = (
         max_q <= Q_BOUND
         and abs(max_q - closed) <= Q_CLOSED_FORM_TOL * closed
@@ -246,11 +267,33 @@ def domination_check(
         q_closed_form=closed,
         max_support_residual=max_support_residual,
         min_eig_ratio=min_eig_ratio,
+        support_margin=float(support.min() / sched.total),
         trace_bound_margin=trace_margin,
         lambda_total=sched.total,
         lambda_sum_bound=sched.sum_bound,
         ok=ok,
     )
+
+
+def _least_eigenvalue(d: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """lambda_min(diag(d) - a a^dagger) for each row of a2 = |a|^2, with d >= 0,
+    by bisection on its secular equation, in elementwise arithmetic whose
+    sums do not depend on the BLAS thread count.
+
+    lambda_min lies in [d_min - |a|^2, d_min], and below an x < d_min exactly
+    when sum_j |a_j|^2 / (d_j - x) > 1 (the matrix determinant lemma, with at
+    most one eigenvalue below d_min). The upper end is returned, so an
+    eigenvalue d_min that a leaves in place comes back exactly.
+    """
+    hi = np.full(len(a2), d.min())
+    lo = hi - a2.sum(axis=1)
+    # a midpoint that rounds onto d_min divides by 0 and leaves the bracket as it is
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(BISECTION_STEPS):
+            mid = (lo + hi) / 2
+            below = (a2 / (d - mid[:, None])).sum(axis=1) > 1
+            hi, lo = np.where(below, mid, hi), np.where(below, lo, mid)
+    return hi
 
 
 def _energy(c: np.ndarray, s: np.ndarray) -> np.ndarray:

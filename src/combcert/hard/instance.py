@@ -29,6 +29,7 @@ import numpy as np
 
 from ..combs import slot_labels
 from ..linalg import FactoredPsd, nullspace, vectorize
+from .modes import SectorPsd, frobenius, gamma_modes, sector_slice, trace_last_b
 
 __all__ = [
     "ISOMETRY_TOL",
@@ -40,6 +41,7 @@ __all__ = [
     "hard_vector_expansion",
     "kron_power",
     "on_each_slot",
+    "outer_modes",
     "subset_sum",
 ]
 
@@ -218,25 +220,36 @@ def gamma_outer(spec: HardInstanceSpec, n: int, i: int) -> FactoredPsd:
     return FactoredPsd(gamma_state(spec, n, i)[:, None], np.ones(1), slot_spaces(spec, n))
 
 
+def outer_modes(spec: HardInstanceSpec, n: int, i: int) -> SectorPsd:
+    """|gamma_i><gamma_i| on sector i of Sym^n(M): gamma_i normalized, with
+    the eigenvalue |gamma_i|^2."""
+    g = gamma_modes(spec, n, i)
+    norm2 = float(np.vdot(g, g).real)
+    return SectorPsd(n, i, g[:, None] / np.sqrt(norm2), np.array([norm2]))
+
+
 def gamma_recursion_residual(spec: HardInstanceSpec, n: int, i: int) -> float:
     """Residual of the last-slot trace recursion for |gamma_i><gamma_i|.
 
     Tracing the final output slot leaves a two-term binomial-ratio mixture of
     the (n-1)-slot gamma outer products, tensored with I on the final input
     slot: coefficients binom(n-1, i)/binom(n, i) and binom(n-1, i-1)/binom(n, i).
-    Both sides stay factored: the traced rank-one factor, and the mixture as
-    the factor of its one or two gamma vectors.
+    Both sides are read on Sym^{n-1}(M) (x) A_n (:func:`modes.trace_last_b`),
+    and the residual is their Frobenius distance, which bounds the slot-basis
+    max-entry residual from above.
     """
     if n < 2:
         raise ValueError("recursion needs n >= 2")
-    lhs = gamma_outer(spec, n, i).partial_trace([f"B{n}"])
-    terms = [(j, comb(n - 1, j) / comb(n, i)) for j in (i, i - 1) if 0 <= j <= n - 1]
-    mix = FactoredPsd(
-        np.stack([gamma_state(spec, n - 1, j) for j, _ in terms], axis=1),
-        [weight for _, weight in terms],
-        slot_spaces(spec, n - 1),
-    )
-    return lhs.identity_factor_residual(f"A{n}", mix)
+    modes = spec.rotor_dim * spec.d1 + 1
+    g = gamma_modes(spec, n, i)
+    lhs = trace_last_b(spec, np.outer(g, g.conj()), n, sector_slice(modes, n, i))
+    mix = np.zeros((comb(modes + n - 2, n - 1),) * 2, dtype=complex)
+    for j in (i, i - 1):
+        if 0 <= j <= n - 1:
+            h = np.zeros(len(mix), dtype=complex)
+            h[sector_slice(modes, n - 1, j)] = gamma_modes(spec, n - 1, j)
+            mix += comb(n - 1, j) / comb(n, i) * np.outer(h, h.conj())
+    return frobenius(lhs - np.kron(mix, np.eye(spec.d1)))
 
 
 def hard_vector_expansion(spec: HardInstanceSpec, n: int, eps: float, u: np.ndarray) -> float:

@@ -20,7 +20,9 @@ Routes:
     Gram matrices. In the complement frame iota the twirled core depends on
     (d2 - d1, d1, i) alone and lives on the symmetric subspace
     Sym^i(C^{d2-d1} (x) C^{d1}), where it is solved at dimension
-    C((d2-d1)*d1 + i - 1, i) and then embedded slot by slot.
+    C((d2-d1)*d1 + i - 1, i). That is sector i of Sym^n(M) (:mod:`.modes`),
+    where :func:`gamma_twirl_modes` returns it for the comb and domination
+    records; :func:`gamma_twirl` embeds it slot by slot for the cross-checks.
   * monte-carlo — a batched Haar-sample average, for spot checks at scale;
     the samples of a batch sit on the last axis.
 """
@@ -34,16 +36,24 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..linalg import FactoredPsd, haar_unitary, haar_unitary_batch, herm_eig, rank_mask, vectorize
+from ..linalg import (
+    RANK_TOL,
+    FactoredPsd,
+    haar_unitary,
+    haar_unitary_batch,
+    herm_eig,
+    rank_mask,
+    vectorize,
+)
 from .instance import (
     HardInstanceSpec,
-    gamma_outer,
     gamma_state,
     kron_power,
     on_each_slot,
     slot_spaces,
     subset_sum,
 )
+from .modes import SectorPsd, sym_basis
 
 __all__ = [
     "COMMUTANT_DIM_CAP",
@@ -53,11 +63,13 @@ __all__ = [
     "ROTOR_LEAK_TOL",
     "CommutantProjector",
     "commutant_projector",
+    "embedding",
     "exact_routes",
     "gamma_twirl",
     "gamma_twirl_exact_commutant",
     "gamma_twirl_weingarten",
     "gamma_twirl_monte_carlo",
+    "gamma_twirl_modes",
 ]
 
 COMMUTANT_DIM_CAP = 48
@@ -188,40 +200,29 @@ def _cycle_count(p: tuple[int, ...]) -> int:
     return count
 
 
-def _sym_basis(k: int, d1: int, i: int) -> np.ndarray:
-    """Orthonormal occupation-number basis of Sym^i(C^k (x) C^{d1}), in the
-    slot order (w_1, a_1, ..., w_i, a_i): one real column per multiset of
-    slot states, spread evenly over that multiset's orderings."""
-    slot = k * d1
-    states = np.sort(np.indices((slot,) * i).reshape(i, -1), axis=0)
-    _, col, size = np.unique(states, axis=1, return_inverse=True, return_counts=True)
-    col = col.reshape(-1)
-    basis = np.zeros((slot**i, size.size))
-    basis[np.arange(slot**i), col] = 1 / np.sqrt(size[col])
-    return basis
-
-
 @cache
 def _twirled_core(k: int, d1: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of N = E_U[(U^{(x)i} (x) I) |D^{(x)i}>><<D^{(x)i}| (...)^dg]
-    for any k x d1 isometry D, in the slot order (w_1, a_1, ..., w_i, a_i).
+    for any k x d1 isometry D, in the occupation basis of
+    Sym^i(C^k (x) C^{d1}) (:func:`modes.sym_basis`, slot order
+    (w_1, a_1, ..., w_i, a_i)), which holds N's range.
 
     UD is a Haar isometry whatever D is, so N depends on (k, d1, i) alone.
     The frame projection with the pseudo-inverted Hilbert-Schmidt Gram
     matrix G_{st} = k^{cycles(s^{-1} t)} of the permutation operators gives
     N = sum_{s,t} (G^+)_{st} p_k(s) (x) p_{d1}(t), valid even when the
     operators are linearly dependent (k < i). G^+ is a class function h of
-    s^{-1} t, so N = i! sum_s h(s) (p_k(s) (x) I) on Sym^i(C^k (x) C^{d1}),
-    which holds N's range. That C(k*d1 + i - 1, i)-square matrix is solved
-    on the basis of :func:`_sym_basis`; eigenvalues up to CORE_RANK_TOL of
-    the largest are dropped. Solved once per (k, d1, i) in a process; both
-    arrays returned are read-only.
+    s^{-1} t, so N = i! sum_s h(s) (p_k(s) (x) I) on Sym^i(C^k (x) C^{d1}).
+    That C(k*d1 + i - 1, i)-square matrix is solved there; eigenvalues up to
+    CORE_RANK_TOL of the largest are dropped. Returns the eigenvalues and
+    their eigenvectors in the occupation basis, solved once per (k, d1, i)
+    in a process; both arrays are read-only.
     """
     perms = list(permutations(range(i)))
     gram = np.array([[float(k) ** _cycle_count(tuple(s.index(x) for x in t)) for t in perms]
                      for s in perms])
     h = np.linalg.pinv(gram, rcond=CORE_RANK_TOL, hermitian=True)[0]  # perms[0] is the identity
-    basis = _sym_basis(k, d1, i)
+    basis = sym_basis(k * d1, i)
     slots = basis.reshape((k, d1) * i + (-1,))
     core = np.zeros((basis.shape[1],) * 2)
     for weight, s in zip(h, perms):
@@ -230,9 +231,9 @@ def _twirled_core(k: int, d1: int, i: int) -> tuple[np.ndarray, np.ndarray]:
         core += weight * (basis.T @ slots.transpose(axes).reshape(basis.shape))
     vals, vecs = herm_eig(factorial(i) * core)
     keep = rank_mask(vals, CORE_RANK_TOL)
-    vals, cols = vals[keep], basis @ vecs[:, keep]
-    vals.flags.writeable = cols.flags.writeable = False
-    return vals, cols
+    vals, vecs = vals[keep], vecs[:, keep]
+    vals.flags.writeable = vecs.flags.writeable = False
+    return vals, vecs
 
 
 def _weingarten_factor(spec: HardInstanceSpec, n: int, i: int) -> FactoredPsd:
@@ -240,9 +241,8 @@ def _weingarten_factor(spec: HardInstanceSpec, n: int, i: int) -> FactoredPsd:
 
     The twirl only touches the rotated branch factors, so the core operator
     on (W (x) A)^{(x) i} (:func:`_twirled_core`) is eigendecomposed once, and
-    each eigenvector is mapped into C^{d2} by iota on each slot and embedded
-    into every size-i slot subset, tensored with |V0>> elsewhere; i = 0 is the
-    untwirled rank-one :func:`gamma_outer`.
+    each eigenvector is placed on the slots by :func:`_on_subsets`; at i = 0
+    that is the untwirled rank-one :func:`gamma_outer`.
     """
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
@@ -252,13 +252,42 @@ def _weingarten_factor(spec: HardInstanceSpec, n: int, i: int) -> FactoredPsd:
             f"got i={i}; "
             f"use the exact-commutant or monte-carlo route"
         )
-    if i == 0:
-        return gamma_outer(spec, n, 0)
-    d1, d2 = spec.d1, spec.d2
-    nu, cols = _twirled_core(spec.rotor_dim, d1, i)
-    embedded = on_each_slot(spec.iota, cols, i, d1)
-    g_cols = subset_sum(embedded, kron_power(vectorize(spec.v0), n - i), n, i, d1 * d2)
+    nu, vecs = _twirled_core(spec.rotor_dim, spec.d1, i)
+    g_cols = _on_subsets(spec, n, i, sym_basis(spec.rotor_dim * spec.d1, i) @ vecs)
     return FactoredPsd(g_cols, nu / comb(n, i), slot_spaces(spec, n))
+
+
+def _on_subsets(spec: HardInstanceSpec, n: int, i: int, cols: np.ndarray) -> np.ndarray:
+    """The columns of ``cols``, vectors on (C^k (x) C^{d1})^{(x) i}, mapped
+    into C^{d2} by iota on each slot and placed on every size-i subset of the
+    n slots, tensored with |V0>> elsewhere."""
+    d1 = spec.d1
+    rest = kron_power(vectorize(spec.v0), n - i)
+    return subset_sum(on_each_slot(spec.iota, cols, i, d1), rest, n, i, d1 * spec.d2)
+
+
+def embedding(spec: HardInstanceSpec, n: int, i: int) -> np.ndarray:
+    """E_n on sector i of Sym^n(M) (see :mod:`.modes`): the isometry from
+    the occupation basis of Sym^i(C^k (x) C^{d1}) onto the slot spaces,
+    (d1*d2)^n rows; the slot-space reference of the mode coordinates."""
+    scale = np.sqrt(comb(n, i) * spec.d1 ** (n - i))
+    return _on_subsets(spec, n, i, sym_basis(spec.rotor_dim * spec.d1, i)) / scale
+
+
+def gamma_twirl_modes(spec: HardInstanceSpec, n: int, i: int, seed: int = 0) -> SectorPsd:
+    """Gamma_i on sector i of Sym^n(M), by the first of :func:`exact_routes`:
+    the permutation-frame core with eigenvalues scaled by d1^{n-i}, else the
+    exact commutant projection (built from ``seed``) pulled back by
+    :func:`embedding` and cut at RANK_TOL; past both caps the commutant
+    projector's ValueError, raised before any allocation."""
+    if "frame" in exact_routes(spec.d1, spec.d2, n, i):
+        nu, vecs = _twirled_core(spec.rotor_dim, spec.d1, i)
+        return SectorPsd(n, i, vecs, spec.d1 ** (n - i) * nu)
+    twirled = gamma_twirl_exact_commutant(spec, n, i, seed=seed)
+    e = embedding(spec, n, i)
+    vals, vecs = herm_eig(e.conj().T @ twirled @ e)
+    keep = rank_mask(vals, RANK_TOL)
+    return SectorPsd(n, i, vecs[:, keep], vals[keep])
 
 
 def gamma_twirl_weingarten(spec: HardInstanceSpec, n: int, i: int) -> np.ndarray:

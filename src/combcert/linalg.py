@@ -23,11 +23,11 @@ __all__ = [
     "FactoredPsd",
     "vectorize",
     "partial_trace",
-    "identity_factor_residual",
     "herm_eig",
     "herm_eigvals",
     "psd_check",
     "psd_checks",
+    "floor_rule",
     "trace_norm",
     "pseudo_inverse",
     "psd_sqrt",
@@ -127,30 +127,6 @@ def _traced(x: np.ndarray, plan: _TracePlan) -> np.ndarray:
     return np.einsum(x.reshape(plan.shape), plan.subscripts, plan.out).reshape(plan.d_keep, plan.d_keep)
 
 
-def identity_factor_residual(x: np.ndarray, dims: Sequence[int], at: int, z: np.ndarray) -> float:
-    """max |X - z (x) I| entrywise, for X on factors of dimensions ``dims``,
-    the identity on factor ``at`` and ``z`` a matrix on the other factors in
-    their order.
-
-    X is read as (lo, d, hi, lo, d, hi) and taken one row (p, .) of blocks
-    of the identity's indices at a time: z is subtracted from the diagonal
-    block (p, p), the other blocks are read as they are, and z (x) I is
-    never formed. The largest temporary is one real row of blocks.
-    """
-    d = dims[at]
-    lo = prod(dims[:at])
-    hi = x.shape[0] // (lo * d)
-    x = x.reshape(lo, d, hi, lo, d, hi)
-    z = np.asarray(z).reshape(lo, hi, lo, hi)
-    rows = []
-    for p in range(d):
-        row = np.abs(x[:, p])
-        row[:, :, :, p] = np.abs(x[:, p, :, :, p] - z)
-        rows.append(row.max())
-    # np.max, not max(): a NaN row maximum must reach the result
-    return float(np.max(rows))
-
-
 def _hermitian_part(x: np.ndarray, check_tol: float) -> np.ndarray:
     """(x + x^dagger) / 2 of a square matrix or of each matrix of a stack
     (..., d, d), after validating Hermiticity member by member to
@@ -213,16 +189,16 @@ def psd_check(x: np.ndarray, tol: float = 1e-10, check_tol: float = HERM_CHECK_T
     PSD iff lambda_min >= -tol * max(1, lambda_max). Only eigenvalues are
     computed (:func:`herm_eigvals`).
     """
-    return _floor_rule(herm_eigvals(x, check_tol=check_tol)[None], tol)[0]
+    return floor_rule(herm_eigvals(x, check_tol=check_tol)[None], tol)[0]
 
 
 def psd_checks(x: np.ndarray, tol: float = 1e-10, check_tol: float = HERM_CHECK_TOL) -> list[PsdCheck]:
     """:func:`psd_check` of each matrix of a stack (n, d, d), from one
     batched eigenvalue call; equal to the per-matrix calls."""
-    return _floor_rule(herm_eigvals(x, check_tol=check_tol), tol)
+    return floor_rule(herm_eigvals(x, check_tol=check_tol), tol)
 
 
-def _floor_rule(vals: np.ndarray, tol: float) -> list[PsdCheck]:
+def floor_rule(vals: np.ndarray, tol: float) -> list[PsdCheck]:
     """The PSD verdict lambda_min >= -tol * max(1, lambda_max) on each
     spectrum of a stack (n, d); an empty spectrum reads as lambda = 0. Every
     PSD check here gives its verdict by this rule."""
@@ -382,20 +358,34 @@ def _layout_of(spaces) -> _Layout:
     return _Layout(spaces, labels, dims, prod(dims), {lbl: i for i, lbl in enumerate(labels)})
 
 
-class _Labeled:
-    """Label bookkeeping for an operator on a tensor product of named spaces,
-    ``spaces`` fixing the Kronecker order. The layout of a ``spaces`` value
-    is validated and derived once per process and shared."""
+@dataclass(frozen=True)
+class LabeledOperator:
+    """Square operator on a tensor product of named spaces.
 
+    ``spaces`` fixes the Kronecker order of ``mat``; operations address
+    factors by label so callers never juggle raw axis indices. An empty
+    ``spaces`` tuple means a scalar stored as a 1x1 matrix. The layout of a
+    ``spaces`` value is validated and derived once per process and shared.
+    """
+
+    mat: np.ndarray
     spaces: tuple[tuple[str, int], ...]
-    _layout: _Layout
 
-    def _set_layout(self) -> int:
-        """Normalize ``spaces``; return the total dimension."""
+    def __post_init__(self) -> None:
+        mat = np.asarray(self.mat, dtype=complex)
         layout = _layout(self.spaces)
-        object.__setattr__(self, "spaces", layout.spaces)
-        object.__setattr__(self, "_layout", layout)
-        return layout.dim
+        for name, value in (("mat", mat), ("spaces", layout.spaces), ("_layout", layout)):
+            object.__setattr__(self, name, value)
+        d_total = layout.dim
+        if mat.ndim != 2 or mat.shape != (d_total, d_total):
+            raise ValueError(
+                f"matrix shape {mat.shape} does not match spaces {self.spaces} "
+                f"(expected {(d_total, d_total)})"
+            )
+
+    @property
+    def dim(self) -> int:
+        return self.mat.shape[0]
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -411,33 +401,6 @@ class _Labeled:
             if lbl not in index:
                 raise KeyError(f"no space labeled {lbl!r} in {self.labels}")
         return [index[lbl] for lbl in labels]
-
-
-@dataclass(frozen=True)
-class LabeledOperator(_Labeled):
-    """Square operator on a tensor product of named spaces.
-
-    ``spaces`` fixes the Kronecker order of ``mat``; operations address
-    factors by label so callers never juggle raw axis indices. An empty
-    ``spaces`` tuple means a scalar stored as a 1x1 matrix.
-    """
-
-    mat: np.ndarray
-    spaces: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        mat = np.asarray(self.mat, dtype=complex)
-        object.__setattr__(self, "mat", mat)
-        d_total = self._set_layout()
-        if mat.ndim != 2 or mat.shape != (d_total, d_total):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match spaces {self.spaces} "
-                f"(expected {(d_total, d_total)})"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
 
     def tensor(self, other: "LabeledOperator") -> "LabeledOperator":
         overlap = set(self.labels) & set(other.labels)
@@ -464,47 +427,39 @@ class LabeledOperator(_Labeled):
         plan = _trace_plan(self.dims, tuple(self._positions(labels)))
         return LabeledOperator(_traced(self.mat, plan), tuple(self.spaces[a] for a in plan.keep))
 
-    def identity_factor_residual(self, label: str, z: "LabeledOperator | FactoredPsd") -> float:
+    def identity_factor_residual(self, label: str, z: "LabeledOperator") -> float:
         """max |X - z (x) I_label| entrywise, the identity sitting at
         ``label``'s position and ``z`` an operator on the other spaces in
-        their order here (see :func:`identity_factor_residual`); a factored
-        z is formed densely (:meth:`FactoredPsd.dense`), at 1/d_label of X's
-        dimension."""
+        their order here.
+
+        X is read as (lo, d, hi, lo, d, hi) and taken one row (p, .) of blocks
+        of the identity's indices at a time: z is subtracted from the diagonal
+        block (p, p), the other blocks are read as they are, and z (x) I is
+        never formed. The largest temporary is one real row of blocks.
+        """
         at = self._positions([label])[0]
-        _check_rest(self, at, z)
-        z_mat = z.dense() if isinstance(z, FactoredPsd) else z.mat
-        return identity_factor_residual(self.mat, self.dims, at, z_mat)
-
-
-@cache
-def _factor_rows(dims: tuple[int, ...], drop: tuple[int, ...]) -> np.ndarray:
-    """rows[a, b]: the row, in the Kronecker order of factors of dimensions
-    ``dims``, of the basis state whose factors at positions ``drop`` are in
-    state b and whose other factors are in state a, in their order; derived
-    once per (dims, drop) and read-only."""
-    keep = [x for x in range(len(dims)) if x not in drop]
-    rows = np.arange(prod(dims)).reshape(dims).transpose(keep + list(drop))
-    rows = rows.reshape(prod(dims[x] for x in keep), -1)
-    rows.flags.writeable = False
-    return rows
-
-
-def _check_rest(op: _Labeled, at: int, z: _Labeled) -> None:
-    """Raise ValueError unless ``z`` lives on the spaces of ``op`` other than
-    the one at position ``at``, in their order there."""
-    rest = op.spaces[:at] + op.spaces[at + 1:]
-    if z.spaces != rest:
-        raise ValueError(f"z on {z.spaces} does not match the other spaces {rest}")
+        rest = self.spaces[:at] + self.spaces[at + 1:]
+        if z.spaces != rest:
+            raise ValueError(f"z on {z.spaces} does not match the other spaces {rest}")
+        d, lo = self.dims[at], prod(self.dims[:at])
+        hi = self.dim // (lo * d)
+        x = self.mat.reshape(lo, d, hi, lo, d, hi)
+        zb = z.mat.reshape(lo, hi, lo, hi)
+        rows = []
+        for p in range(d):
+            row = np.abs(x[:, p])
+            row[:, :, :, p] = np.abs(x[:, p, :, :, p] - zb)
+            rows.append(row.max())
+        # np.max, not max(): a NaN row maximum must reach the result
+        return float(np.max(rows))
 
 
 @dataclass(frozen=True)
-class FactoredPsd(_Labeled):
+class FactoredPsd:
     """X = G diag(w) G^dagger on a tensor product of named spaces, kept as
     the factor ``G`` (dim x r, rows in the Kronecker order of ``spaces``)
-    and the real weights ``w``.
-
-    Positivity and marginals are read from the factor, so an operator of
-    rank r in dimension dim is never formed densely.
+    and the real weights ``w``: the slot-space form of a twirl, which the
+    cross-checks that compare routes densify (:meth:`dense`).
     """
 
     factor: np.ndarray
@@ -517,9 +472,10 @@ class FactoredPsd(_Labeled):
         if np.iscomplexobj(weights):
             raise ValueError("factor weights must be real")
         weights = weights.astype(float)
-        object.__setattr__(self, "factor", factor)
-        object.__setattr__(self, "weights", weights)
-        d_total = self._set_layout()
+        layout = _layout(self.spaces)
+        for name, value in (("factor", factor), ("weights", weights), ("spaces", layout.spaces)):
+            object.__setattr__(self, name, value)
+        d_total = layout.dim
         if factor.ndim != 2 or factor.shape[0] != d_total:
             raise ValueError(
                 f"factor shape {factor.shape} does not match spaces {self.spaces} "
@@ -541,104 +497,3 @@ class FactoredPsd(_Labeled):
         The one place a factor's whole operator is formed."""
         x = _spectral(self.factor, self.weights)
         return (x + x.conj().T) / 2
-
-    def psd_check(self, tol: float = 1e-10) -> PsdCheck:
-        """:func:`psd_check`'s floor rule on the spectrum of X: the core's
-        (:meth:`_qr_core`) plus dim - min(dim, r) exact zeros from the
-        directions outside the range of Q."""
-        _, core = self._qr_core(with_q=False)
-        vals = np.linalg.eigvalsh(core)
-        if core.shape[0] < self.dim:
-            vals = np.concatenate([vals, [0.0]])
-        return _floor_rule(vals[None], tol)[0]
-
-    def range_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """(B, s) with X = B diag(s) B^dagger, B an orthonormal range basis: the
-        core's eigenpairs (:meth:`_qr_core`) that :func:`rank_mask` keeps."""
-        q, core = self._qr_core(with_q=True)
-        vals, vecs = herm_eig(core)
-        keep = rank_mask(vals, RANK_TOL)
-        return q @ vecs[:, keep], vals[keep]
-
-    def _qr_core(self, with_q: bool) -> tuple[np.ndarray | None, np.ndarray]:
-        """Q of the thin QR G = QR (None unless ``with_q``, which doubles the
-        cost) and the core R diag(w) R^dagger, so that X = Q core Q^dagger."""
-        q, r = np.linalg.qr(self.factor) if with_q else (None, np.linalg.qr(self.factor, mode="r"))
-        return q, (r * self.weights) @ r.conj().T
-
-    def partial_trace(self, labels: Sequence[str]) -> "FactoredPsd | LabeledOperator":
-        """The marginal sum_b G_b diag(w) G_b^dagger over the basis states b of
-        the named spaces.
-
-        While r * d_traced stays below the kept dimension, the marginal is
-        returned as the factor [G_b ...] with w repeated per b. Above that it
-        is formed densely in row and column blocks, each block one product
-        over the full inner sum (b, factor column) (:meth:`_left`), with
-        operands under STACK_BYTES / d_traced, so no temporary holds a whole
-        factor.
-        """
-        drop = tuple(sorted(set(self._positions(labels))))
-        kept = tuple(space for a, space in enumerate(self.spaces) if a not in drop)
-        rows = _factor_rows(self.dims, drop)
-        d_keep, traced = rows.shape
-        width = traced * self.weights.size
-        if width < d_keep:
-            weights = np.tile(self.weights, traced)
-            return FactoredPsd(self.factor[rows].reshape(d_keep, width), weights, kept)
-        out = np.empty((d_keep, d_keep), dtype=complex)
-        # an operand row holds one slice per traced state, and a run takes
-        # STACK_BYTES / traced: a factor is not copied whole
-        runs = list(stack_runs(d_keep, 16 * traced * max(width, d_keep)))
-        for a in runs:
-            left = self._left(rows[a])
-            for b in runs:
-                out[a, b] = left @ self._right(rows[b])
-        return LabeledOperator(out, kept)
-
-    def identity_factor_residual(self, label: str, z: "FactoredPsd | LabeledOperator") -> float:
-        """max |X - z (x) I_label| entrywise, as
-        :meth:`LabeledOperator.identity_factor_residual`, with X and a
-        factored z read from their factors.
-
-        The rows of X are taken by the identity's index p, in the order of
-        z's rows, and formed in row and column blocks under STACK_BYTES
-        (:meth:`_left`); z's block is subtracted where the row and column
-        indices p agree. X and z are Hermitian, so only the blocks on and
-        above the block diagonal are formed: those below hold the conjugates
-        of these entries.
-        """
-        at = self._positions([label])[0]
-        _check_rest(self, at, z)
-        # rows[p, a]: the row of X with identity index p and z row a
-        rows = _factor_rows(self.dims, (at,)).T
-        factored = isinstance(z, FactoredPsd)
-        z_rows = _factor_rows(z.dims, ())
-        rank = max(self.weights.size, z.weights.size if factored else 0)
-        runs = list(stack_runs(rows.shape[1], 16 * max(rank, rows.shape[1])))
-        blocks = [(p, a) for p in range(rows.shape[0]) for a in runs]
-        worst = []
-        for k, (p, a) in enumerate(blocks):
-            left = self._left(rows[p, a, None])
-            z_left = z._left(z_rows[a]) if factored else None
-            for q, b in blocks[k:]:
-                x = left @ self._right(rows[q, b, None])
-                if p == q:
-                    x -= z_left @ z._right(z_rows[b]) if factored else z.mat[a, b]
-                worst.append(np.abs(x).max())
-        # np.max, not max(): a NaN block maximum must reach the result
-        return float(np.max(worst))
-
-    def _left(self, rows: np.ndarray) -> np.ndarray:
-        """G_rows diag(w), the left operand of X's block at the rows of an
-        integer index array (m, t): a row is its t factor rows side by side,
-        so with :meth:`_right` the product sums over t traced basis states
-        and the factor columns at once."""
-        left = self.factor[rows].reshape(len(rows), -1)
-        left *= np.tile(self.weights, rows.shape[1])
-        return left
-
-    def _right(self, cols: np.ndarray) -> np.ndarray:
-        """G_cols^dagger, the right operand of X's block at the columns of an
-        integer index array (m, t) (see :meth:`_left`)."""
-        right = self.factor[cols].reshape(len(cols), -1)
-        return np.conjugate(right, out=right).T

@@ -28,7 +28,6 @@ import numpy as np
 from .channels import channel_from_isometry, choi_from_kraus, kraus_rank
 from .combs import (
     build_testers,
-    certify_comb,
     certify_combs,
     draw_small_channel,
     draw_tester,
@@ -42,11 +41,11 @@ from .hard import (
     admissible_window,
     commutant_projector,
     domination_check,
-    gamma_outer,
     gamma_recursion_residual,
     gamma_state,
     gamma_twirl,
     gamma_twirl_exact_commutant,
+    gamma_twirl_modes,
     gamma_twirl_monte_carlo,
     gamma_twirl_weingarten,
     hard_vector_expansion,
@@ -69,7 +68,8 @@ from .hard.domination import (
     largest_round,
 )
 from .hard.facts import CHAIN_SLACK, EQUIV_PSD_TOL
-from .hard.instance import comb_sequence
+from .hard.instance import outer_modes
+from .hard.modes import GAMMA_COMB_TOL, comb_certificate
 from .hard.twirl import COMMUTANT_DIM_CAP, PERMUTATION_ORDER_CAP, exact_routes
 from .linalg import LabeledOperator, ginibre, haar_unitary, psd_sqrt, random_psd, stack_runs
 from .net import (
@@ -563,10 +563,9 @@ def _combs_table(run: Run) -> list:
 # ---------------------------------------------------------------------------
 # hard suite
 
-# the hard suite's tolerances, all listed in its reports with domination_check's
-# bounds, the summand chains' CHAIN_SLACK, symmetric_span_dim's SPAN_RANK_TOL
-# and psd_domination_equiv's EQUIV_PSD_TOL
-GAMMA_COMB_TOL = 1e-7  # PSD floor and chain residual of each Gamma_i comb
+# the hard suite's tolerances, all listed in its reports with the gamma combs'
+# GAMMA_COMB_TOL, domination_check's bounds, the summand chains' CHAIN_SLACK,
+# symmetric_span_dim's SPAN_RANK_TOL and psd_domination_equiv's EQUIV_PSD_TOL
 RECURSION_TOL = 1e-9  # the two-term trace recursion of the gamma combs
 EXPANSION_TOL = 1e-10  # the gamma Gram matrix and the hard-vector expansion
 CROSS_TOL = 1e-8  # ||exact commutant - permutation frame||_F of each Gamma_i
@@ -593,30 +592,29 @@ def _hard_family(c: Cell) -> dict:
                     gram_residual=gram_res, expansion_residual=exp_res)
 
 
-def _certify_gamma_family(c: Cell, factor, **values) -> dict:
-    """certify_comb on factor(spec, n, i) for every n <= max_n and i <= n."""
+def _certify_gamma_family(c: Cell, build, **values) -> dict:
+    """The comb certificate of build(spec, n, i), an operator on Sym^n(M),
+    for every n <= max_n and i <= n (:func:`hard.modes.comb_certificate`)."""
     d1, d2 = c.key
     max_n = c.cfg["max_n"]
-    tol = GAMMA_COMB_TOL
     worst = 0.0
     ok = True
     for n in range(1, max_n + 1):
-        seq = comb_sequence(n)
         for i in range(n + 1):
-            cert = certify_comb(factor(c.spec, n, i), seq, psd_tol=tol, chain_tol=tol)
+            cert = comb_certificate(c.spec, build(c.spec, n, i))
             ok = ok and cert.ok
             worst = max(worst, cert.max_chain_residual, -cert.min_eig)
-    return _verdict(ok, tol, worst, d1=d1, d2=d2, max_n=max_n, **values)
+    return _verdict(ok, GAMMA_COMB_TOL, worst, d1=d1, d2=d2, max_n=max_n, **values)
 
 
 def _gamma_comb(c: Cell) -> dict:
-    return _certify_gamma_family(c, gamma_outer)
+    return _certify_gamma_family(c, outer_modes)
 
 
 def _gamma_twirl_comb(c: Cell) -> dict:
-    # the sample is the dense Gamma_1 at n = 1
+    # the sample is the dense slot-space Gamma_1 at n = 1
     gamma_hash = c.stash(gamma_twirl(c.spec, 1, 1, seed=c.seed).dense())
-    return _certify_gamma_family(c, partial(gamma_twirl, seed=c.seed), sample_twirl=gamma_hash)
+    return _certify_gamma_family(c, partial(gamma_twirl_modes, seed=c.seed), sample_twirl=gamma_hash)
 
 
 def _gamma_recursion(c: Cell) -> dict:
@@ -733,8 +731,8 @@ def _domination(c: Cell) -> dict:
         d1=d1, d2=d2, n=n, eps=eps,
         **_fields(res, "max_quadratic_form", "q_closed_form"),
         q_spread=float(max(res.quadratic_forms) - min(res.quadratic_forms)),
-        **_fields(res, "max_support_residual", "min_eig_ratio", "trace_bound_margin",
-                  "lambda_total", "lambda_sum_bound"),
+        **_fields(res, "max_support_residual", "min_eig_ratio", "support_margin",
+                  "trace_bound_margin", "lambda_total", "lambda_sum_bound"),
     )
 
 

@@ -38,7 +38,8 @@ from combcert.hard import (
     twirl_trace_bound,
     xlog_bound_values,
 )
-from combcert.hard.instance import comb_sequence, gamma_outer, slot_spaces
+from combcert.hard.instance import comb_sequence, outer_modes, slot_spaces
+from combcert.hard.modes import comb_certificate
 from combcert.hard.twirl import COMMUTANT_DIM_CAP, PERMUTATION_ORDER_CAP
 from combcert.linalg import LabeledOperator, haar_unitary, psd_sqrt, random_psd
 from combcert.net import (
@@ -129,8 +130,7 @@ def test_criterion_02_gamma_states_and_twirls_are_combs():
             spaces = slot_spaces(spec, n)
             seq = comb_sequence(n)
             for i in range(n + 1):
-                cert = certify_comb(gamma_outer(spec, n, i), seq,
-                                    psd_tol=1e-7, chain_tol=1e-7)
+                cert = comb_certificate(spec, outer_modes(spec, n, i))
                 assert cert.ok, f"state comb failed at d1={d1} d2={d2} n={n} i={i}"
                 comb_res = max(comb_res, cert.max_chain_residual, -cert.min_eig)
 

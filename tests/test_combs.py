@@ -18,12 +18,11 @@ from combcert.combs import (
     validate_tester,
 )
 from combcert.combs import Tester as _Tester  # underscore keeps pytest from collecting it
-from combcert.hard import HardInstanceSpec, gamma_outer, gamma_twirl
-from combcert.hard.instance import comb_sequence
+from combcert.hard import HardInstanceSpec, gamma_outer, gamma_twirl, gamma_twirl_modes
+from combcert.hard.instance import comb_sequence, outer_modes
+from combcert.hard.modes import SectorPsd, comb_certificate
 from combcert.linalg import (
-    FactoredPsd,
     LabeledOperator,
-    haar_unitary,
     psd_check,
     random_psd,
     vectorize,
@@ -249,47 +248,34 @@ def test_prepare_measure_tester_discriminates_orthogonal_unitaries():
 
 
 def test_factored_comb_rejects_a_negative_weight():
-    good = gamma_outer(HardInstanceSpec.concrete(1, 3), 2, 1)
-    extra = np.random.default_rng(40).standard_normal(good.dim)
-    bad = FactoredPsd(np.column_stack([good.factor[:, 0], extra]), [1.0, -0.1], good.spaces)
-    cert = certify_comb(bad, comb_sequence(2), psd_tol=1e-7, chain_tol=1e-7)
-    assert not cert.ok and cert.min_eig < 0
+    # the mode walk's positivity reads the spectrum it is given
+    spec = HardInstanceSpec.concrete(1, 3)
+    good = outer_modes(spec, 2, 1)
+    extra = np.array([[-good.vecs[1, 0].conj()], [good.vecs[0, 0].conj()]])
+    bad = good._replace(vecs=np.hstack([good.vecs, extra]), vals=np.append(good.vals, -0.1))
+    cert = comb_certificate(spec, bad)
+    assert not cert.ok and cert.min_eig == -0.1
 
 
 def test_factored_comb_scaled_by_two_fails_the_chain():
-    f = gamma_outer(HardInstanceSpec.concrete(1, 3), 2, 1)
-    cert = certify_comb(
-        FactoredPsd(2 * f.factor, f.weights, f.spaces), comb_sequence(2),
-        psd_tol=1e-7, chain_tol=1e-7,
-    )
+    spec = HardInstanceSpec.concrete(1, 3)
+    f = outer_modes(spec, 2, 1)
+    cert = comb_certificate(spec, f._replace(vals=2 * f.vals))
     assert cert.min_eig == 0.0 and not cert.ok
     assert cert.max_chain_residual > 1.0
 
 
-def test_full_rank_factor_reports_min_eig_from_the_core():
-    # with a unitary factor the spectrum of X is the weights, so its smallest
-    # eigenvalue is the smallest weight, not the 0 of a rank-deficient factor
-    rng = np.random.default_rng(41)
-    u = haar_unitary(6, rng)
-    w = np.array([0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
-    f = FactoredPsd(u, w, (("A", 2), ("B", 3)))
-    cert = certify_comb(f, ("A", "B"), psd_tol=1e-8, chain_tol=1e-8)
-    assert cert.min_eig == pytest.approx(0.5, abs=1e-12)
-    dense = psd_check((u * w) @ u.conj().T)
-    assert cert.min_eig == pytest.approx(dense.min_eig, abs=1e-12)
-
-
-def test_certify_combs_on_dense_and_factored_members_equals_one_call_each():
+def test_certify_combs_equals_one_call_each():
     rng = np.random.default_rng(42)
     spec = HardInstanceSpec.concrete(1, 3)
     f = gamma_outer(spec, 2, 1)
     ops = [
         _random_comb([(2, 2), (2, 3)], rng),
-        gamma_outer(spec, 2, 0),
+        LabeledOperator(gamma_outer(spec, 2, 0).dense(), f.spaces),
         _random_comb([(3, 2)], rng),
-        FactoredPsd(2 * f.factor, f.weights, f.spaces),  # fails the chain
+        LabeledOperator(2 * f.dense(), f.spaces),  # fails the chain
         _random_comb([(2, 2), (2, 3)], rng),
-        f,
+        LabeledOperator(f.dense(), f.spaces),
         LabeledOperator(-np.eye(4), (("A1", 2), ("B1", 2))),  # fails positivity
     ]
     seqs = [comb_sequence(len(op.spaces) // 2) for op in ops]
@@ -297,8 +283,8 @@ def test_certify_combs_on_dense_and_factored_members_equals_one_call_each():
     assert [c.ok for c in certs] == [True, True, True, False, True, True, False]
     for op, seq, cert in zip(ops, seqs, certs):
         assert cert == certify_comb(op, seq, psd_tol=1e-7, chain_tol=1e-7)
-        if isinstance(op, LabeledOperator):  # the stacked verdict is the per-matrix one
-            assert cert.min_eig == psd_check(op.mat, tol=1e-7).min_eig
+        # the stacked verdict is the per-matrix one
+        assert cert.min_eig == psd_check(op.mat, tol=1e-7).min_eig
 
 
 @pytest.mark.parametrize(
@@ -306,31 +292,32 @@ def test_certify_combs_on_dense_and_factored_members_equals_one_call_each():
     [(1, 2, 3), (1, 3, 4), (2, 4, 3), (2, 5, 3)],
 )
 def test_factored_walk_equals_the_dense_walk_on_the_densified_operator(d1, d2, max_n):
+    # the mode walk on Sym^n(M) against the dense walk on the slot operator:
     # every default gamma cell at n <= 3, (1,3) at n = 4 and (2,4) at n = 3
     spec = HardInstanceSpec.concrete(d1, d2)
     for n in range(1, max_n + 1):
         seq = comb_sequence(n)
-        for build in (gamma_outer, gamma_twirl):
+        for modes, slot in ((outer_modes, gamma_outer), (gamma_twirl_modes, gamma_twirl)):
             for i in range(n + 1):
-                f = build(spec, n, i)
-                dense = LabeledOperator((f.factor * f.weights) @ f.factor.conj().T, f.spaces)
-                got = certify_comb(f, seq, psd_tol=1e-7, chain_tol=1e-7)
-                want = certify_comb(dense, seq, psd_tol=1e-7, chain_tol=1e-7)
+                f = slot(spec, n, i)
+                got = comb_certificate(spec, modes(spec, n, i))
+                want = certify_comb(LabeledOperator(f.dense(), f.spaces), seq, psd_tol=1e-7, chain_tol=1e-7)
                 assert got.ok == want.ok
                 assert got.min_eig == pytest.approx(want.min_eig, abs=1e-13)
                 assert len(got.chain_residuals) == len(want.chain_residuals)
+                # Frobenius in mode coordinates bounds the slot max-entry residual
                 for a, b in zip(got.chain_residuals, want.chain_residuals):
-                    assert a == pytest.approx(b, abs=1e-13), (build.__name__, n, i)
+                    assert b <= a + 1e-15 and a <= 1e-13, (modes.__name__, n, i)
 
 
 def test_factored_walk_of_a_large_twirl_stays_within_a_few_factors():
-    # Gamma_4 at (2,4), n = 4: a 4096 x 35 factor of 2.2 MB; the dense first
-    # marginal alone would be 1024-square, 16 MB, and certifying it that way
-    # peaked at 30 MB
-    f = gamma_twirl(HardInstanceSpec.concrete(2, 4), 4, 4)
+    # Gamma_4 at (2,4), n = 4: 35 dimensions of Sym^4(M); the slot-space
+    # factor is 4096 x 35 (2.2 MB), and its dense first marginal 1024-square
+    spec = HardInstanceSpec.concrete(2, 4)
+    f = gamma_twirl_modes(spec, 4, 4)
     tracemalloc.start()
     try:
-        cert = certify_comb(f, comb_sequence(4), psd_tol=1e-7, chain_tol=1e-7)
+        cert = comb_certificate(spec, f)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -339,9 +326,9 @@ def test_factored_walk_of_a_large_twirl_stays_within_a_few_factors():
 
 
 def test_zero_rank_factor_walks_to_a_zero_trace():
-    # every marginal of a zero-column factor stays factored, X^(0) included
-    spaces = (("A1", 2), ("B1", 3), ("A2", 2), ("B2", 2))
-    zero = FactoredPsd(np.zeros((24, 0)), np.zeros(0), spaces)
-    cert = certify_comb(zero, comb_sequence(2), psd_tol=1e-8, chain_tol=1e-8)
+    # a zero-column operator walks to X^(0) = 0
+    spec = HardInstanceSpec.concrete(1, 3)
+    zero = SectorPsd(2, 1, np.zeros((2, 0)), np.zeros(0))
+    cert = comb_certificate(spec, zero)
     assert cert.min_eig == 0.0 and not cert.ok
     assert cert.chain_residuals == (0.0, 0.0, 1.0)

@@ -1,6 +1,6 @@
 """Tests for the weight schedule and the weighted-twirl domination check."""
 
-from math import comb, exp, log, sqrt
+from math import comb, exp, sqrt
 
 import numpy as np
 import pytest
@@ -15,7 +15,7 @@ from combcert.hard import (
 )
 from combcert.hard import domination
 from combcert.hard.instance import gamma_state, kron_power
-from combcert.hard.twirl import gamma_twirl
+from combcert.hard.twirl import embedding, gamma_twirl, gamma_twirl_modes
 from combcert.linalg import (
     RANK_TOL,
     haar_isometry,
@@ -158,9 +158,10 @@ def test_domination_certificate_small_cells():
 def _per_sample_domination(spec, n, eps, n_samples, seed):
     """domination_check on the dense route, one Haar matrix at a time: dense
     Gamma_i, their pseudo-inverses, the support projector of the weighted sum
-    and the least eigenvalue of each D^n-square difference operator. Returns
-    the quadratic forms, the largest support residual, min_eig_ratio, the
-    trace-bound margin and the verdict."""
+    and the least eigenvalue of each D^n-square difference operator, over the
+    whole space and on the support. Returns the quadratic forms, the largest
+    support residual, min_eig_ratio, the trace-bound margin, the verdict and
+    support_margin."""
     sched = lambda_schedule(spec.d1, spec.d2, n, eps)
     rng = np.random.default_rng(seed)
     gammas = [gamma_twirl(spec, n, i, seed=seed).dense() for i in range(n + 1)]
@@ -176,7 +177,7 @@ def _per_sample_domination(spec, n, eps, n_samples, seed):
         g = gamma_state(spec, n, i)
         val = float((g.conj() @ (pinv @ g)).real)
         trace_margin = max(trace_margin, val - comb(spec.d1 * spec.d2 + i - 2, i))
-    q_values, max_residual, min_ratio = [], 0.0, np.inf
+    q_values, max_residual, min_ratio, support_ratio = [], 0.0, np.inf, np.inf
     for _ in range(n_samples):
         u = haar_unitary(spec.rotor_dim, rng)
         v = kron_power(vectorize(spec.member(eps, u)), n)
@@ -186,8 +187,11 @@ def _per_sample_domination(spec, n, eps, n_samples, seed):
         q_values.append(q)
         residual = float(np.linalg.norm(v - joint_support @ v)) / np.linalg.norm(v)
         max_residual = max(max_residual, residual)
-        min_eig = float(herm_eigvals(weighted - np.outer(v, v.conj()), check_tol=1e-8)[0])
+        difference = weighted - np.outer(v, v.conj())
+        min_eig = float(herm_eigvals(difference, check_tol=1e-8)[0])
         min_ratio = min(min_ratio, min_eig / sched.total)
+        on_support = support.conj().T @ difference @ support
+        support_ratio = min(support_ratio, float(herm_eigvals(on_support, check_tol=1e-8)[0]) / sched.total)
     closed = _closed_form(spec, n, eps)
     ok = (
         max(q_values) <= domination.Q_BOUND
@@ -196,7 +200,7 @@ def _per_sample_domination(spec, n, eps, n_samples, seed):
         and min_ratio >= -domination.EIG_TOL
         and trace_margin <= domination.TRACE_MARGIN_TOL
     )
-    return q_values, max_residual, min_ratio, trace_margin, ok
+    return q_values, max_residual, min_ratio, trace_margin, ok, support_ratio
 
 
 def _closed_form(spec, n, eps):
@@ -217,13 +221,13 @@ def test_domination_batch_equals_the_per_sample_loop():
     for (d1, d2), rounds in cases:
         spec = HardInstanceSpec.concrete(d1, d2)
         for n in rounds:
-            # F = [B_0 ... B_n] is orthonormal: the Gamma_i sit on orthogonal sectors
-            frame = np.hstack([gamma_twirl(spec, n, i, seed=11).range_spectrum()[0]
+            # F = [E_n B_0 ... E_n B_n] is orthonormal: the Gamma_i sit on orthogonal sectors
+            frame = np.hstack([embedding(spec, n, i) @ gamma_twirl_modes(spec, n, i, seed=11).vecs
                                for i in range(n + 1)])
             assert np.abs(frame.conj().T @ frame - np.eye(frame.shape[1])).max() <= 1e-12
             for eps in (0.01, 0.05):
-                q_values, max_residual, min_ratio, trace_margin, ok = _per_sample_domination(
-                    spec, n, eps, 20, 11)
+                q_values, max_residual, min_ratio, trace_margin, ok, support_ratio = (
+                    _per_sample_domination(spec, n, eps, 20, 11))
                 res = domination_check(spec, n, eps, n_samples=20, seed=11)
                 case = (d1, d2, eps, n)
                 assert res.ok == ok, case
@@ -231,6 +235,7 @@ def test_domination_batch_equals_the_per_sample_loop():
                     assert abs(q - ref) <= 1e-12 * ref, case
                 assert abs(res.max_support_residual - max_residual) <= 1e-12, case
                 assert abs(res.min_eig_ratio - min_ratio) <= 1e-12, case
+                assert abs(res.support_margin - support_ratio) <= 1e-12, case
                 assert abs(res.trace_bound_margin - trace_margin) <= 1e-12, case
 
 

@@ -15,8 +15,16 @@ from combcert.hard import (
     gamma_state,
     hard_vector_expansion,
 )
-from combcert.hard.instance import comb_sequence, kron_power, on_each_slot, subset_sum
-from combcert.linalg import haar_isometry, haar_unitary, haar_unitary_batch, vectorize
+from combcert.hard.instance import (
+    comb_sequence,
+    kron_power,
+    on_each_slot,
+    outer_modes,
+    slot_spaces,
+    subset_sum,
+)
+from combcert.hard.modes import comb_certificate
+from combcert.linalg import LabeledOperator, haar_isometry, haar_unitary, haar_unitary_batch, vectorize
 
 GRID = [(1, 2), (1, 3), (2, 4), (2, 5)]
 
@@ -125,8 +133,9 @@ def test_gamma_recursion_two_term_mixture():
 
 
 def test_gamma_recursion_at_n4_forms_no_square_marginal():
-    # both sides stay factored: at (2,5) with n = 4 the traced side is
-    # 2000-square and the mixture 1000-square (16 MB complex) when dense
+    # both sides are read on Sym^3(M) (x) A_4: at (2,5) with n = 4 that is
+    # 168-square, where the slot-space traced side is 2000-square and the
+    # mixture 1000-square (16 MB complex) when dense
     spec = HardInstanceSpec.concrete(2, 5)
     for i in range(5):
         gamma_state(spec, 4, i)
@@ -147,9 +156,11 @@ def test_gamma_outer_is_comb():
         for n in (1, 2):
             spec = random_spec(d1, d2, rng)
             for i in range(n + 1):
-                cert = certify_comb(
-                    gamma_outer(spec, n, i), comb_sequence(n), psd_tol=1e-8, chain_tol=1e-8
-                )
+                dense = LabeledOperator(gamma_outer(spec, n, i).dense(), slot_spaces(spec, n))
+                cert = certify_comb(dense, comb_sequence(n), psd_tol=1e-8, chain_tol=1e-8)
+                assert cert.ok, (d1, d2, n, i, cert)
+                # the mode walk reads the same comb through the spec's own J
+                cert = comb_certificate(spec, outer_modes(spec, n, i))
                 assert cert.ok, (d1, d2, n, i, cert)
                 g = gamma_state(spec, n, i)
                 np.testing.assert_allclose(np.vdot(g, g).real, d1**n, atol=1e-9)

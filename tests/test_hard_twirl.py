@@ -18,12 +18,13 @@ from combcert.hard import (
 )
 from combcert.hard.instance import (
     comb_sequence,
-    gamma_outer,
     gamma_state,
     kron_power,
     on_each_slot,
+    outer_modes,
     slot_spaces,
 )
+from combcert.hard.modes import comb_certificate, sector_slice, sym_basis
 from combcert.linalg import (
     FactoredPsd,
     LabeledOperator,
@@ -31,7 +32,6 @@ from combcert.linalg import (
     haar_unitary,
     haar_unitary_batch,
     psd_check,
-    random_psd,
 )
 from combcert.suites import DEFAULT_CONFIG
 from combcert.suites import GAMMA_COMB_TOL as COMB_TOL
@@ -157,8 +157,13 @@ def test_gamma_twirl_takes_the_exact_commutant_above_the_permutation_cap():
     assert f.factor.shape == (32, 32)
     np.testing.assert_allclose(f.dense(), gamma_twirl_exact_commutant(spec, 5, 5, seed=3),
                                rtol=0, atol=1e-12)
-    with pytest.raises(ValueError):
-        gamma_twirl(HardInstanceSpec.concrete(2, 4), 5, 5)
+    # the mode route pulls the same projection back onto sector 5 of Sym^5(M)
+    m = twirl.gamma_twirl_modes(spec, 5, 5, seed=3)
+    b = twirl.embedding(spec, 5, 5) @ m.vecs
+    np.testing.assert_allclose((b * m.vals) @ b.conj().T, f.dense(), rtol=0, atol=1e-12)
+    for route in (gamma_twirl, twirl.gamma_twirl_modes):
+        with pytest.raises(ValueError):
+            route(HardInstanceSpec.concrete(2, 4), 5, 5)
 
 
 def test_weingarten_rejects_large_order():
@@ -169,6 +174,7 @@ def test_weingarten_rejects_large_order():
 
 @pytest.mark.parametrize("d1,d2", GAMMA_CELLS)
 def test_factored_certificates_match_the_dense_ones(d1, d2):
+    # the mode walk on Sym^n(M) against the dense slot-space walk
     spec = HardInstanceSpec.concrete(d1, d2)
     for n in (1, 2, 3):
         seq = comb_sequence(n)
@@ -176,17 +182,42 @@ def test_factored_certificates_match_the_dense_ones(d1, d2):
         for i in range(n + 1):
             g = gamma_state(spec, n, i)
             pairs = [
-                (gamma_outer(spec, n, i), LabeledOperator(np.outer(g, g.conj()), spaces)),
-                (gamma_twirl(spec, n, i), LabeledOperator(gamma_twirl(spec, n, i).dense(), spaces)),
+                (outer_modes(spec, n, i), LabeledOperator(np.outer(g, g.conj()), spaces)),
+                (twirl.gamma_twirl_modes(spec, n, i), LabeledOperator(gamma_twirl(spec, n, i).dense(), spaces)),
             ]
-            for factored, dense in pairs:
-                a = certify_comb(factored, seq, psd_tol=COMB_TOL, chain_tol=COMB_TOL)
+            for modes, dense in pairs:
+                a = comb_certificate(spec, modes)
                 b = certify_comb(dense, seq, psd_tol=COMB_TOL, chain_tol=COMB_TOL)
                 assert a.ok == b.ok, (d1, d2, n, i)
                 assert a.max_chain_residual <= COMB_TOL, (d1, d2, n, i)
                 assert a.min_eig == 0.0  # rank below dim: the null directions count exactly
+                # a Frobenius residual in mode coordinates bounds the slot max-entry one
+                for x, y in zip(a.chain_residuals[:-1], b.chain_residuals[:-1], strict=True):
+                    assert y <= x + 1e-15, (d1, d2, n, i)
                 # the last residual |X^(0) - 1| holds tr X to the input dimensions
                 assert abs(a.chain_residuals[-1] - b.chain_residuals[-1]) <= 1e-12, (d1, d2, n, i)
+
+
+@pytest.mark.parametrize("d1,d2,n", [(d1, d2, n) for d1, d2 in GAMMA_CELLS for n in (1, 2, 3)]
+                         + [(2, 5, 4)])
+def test_mode_twirls_embed_onto_the_slot_space_factors(d1, d2, n):
+    # E_n is an isometry, and E_n (mode Gamma_i) E_n^dagger is the slot factor's Gamma_i
+    spec = HardInstanceSpec.concrete(d1, d2)
+    e = np.hstack([twirl.embedding(spec, n, i) for i in range(n + 1)])
+    assert np.abs(e.conj().T @ e - np.eye(e.shape[1])).max() <= 1e-12
+    modes = spec.rotor_dim * d1 + 1
+    assert e.shape == ((d1 * d2) ** n, comb(modes + n - 1, n))
+    for i in range(n + 1):
+        m = twirl.gamma_twirl_modes(spec, n, i)
+        b = e[:, sector_slice(modes, n, i)] @ m.vecs
+        f = twirl._weingarten_factor(spec, n, i)
+        # both sides applied to random probes, never the D^n-square operators
+        x = np.random.default_rng(n).standard_normal((f.dim, 3))
+        lhs = b @ (m.vals[:, None] * (b.conj().T @ x))
+        rhs = f.factor @ (f.weights[:, None] * (f.factor.conj().T @ x))
+        assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max()), i
+        if n <= 3:
+            assert np.abs((b * m.vals) @ b.conj().T - f.dense()).max() <= 1e-12, i
 
 
 @pytest.mark.parametrize("d1,d2", GAMMA_CELLS)
@@ -322,7 +353,8 @@ def test_sym_core_matches_the_dense_frame_formula(d1, d2, i):
     # the dense formula depends on Delta; the core must not, so random specs
     # are compared against the same (k, d1, i) core
     rng = np.random.default_rng(10 * d2 + i)
-    vals, cols = twirl._twirled_core(d2 - d1, d1, i)
+    vals, vecs = twirl._twirled_core(d2 - d1, d1, i)
+    cols = sym_basis((d2 - d1) * d1, i) @ vecs
     core = (cols * vals) @ cols.conj().T
     for spec in (HardInstanceSpec.concrete(d1, d2), random_spec(d1, d2, rng),
                  random_spec(d1, d2, rng)):
@@ -335,18 +367,17 @@ CORE_CELLS = [(k, d1, i) for k, d1 in [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]
 
 
 def test_twirled_core_is_solved_once_and_read_only():
-    vals, cols = twirl._twirled_core(3, 2, 2)
-    assert twirl._twirled_core(3, 2, 2)[1] is cols
-    for arr in (vals, cols):
+    vals, vecs = twirl._twirled_core(3, 2, 2)
+    assert twirl._twirled_core(3, 2, 2)[1] is vecs
+    for arr in (vals, vecs):
         with pytest.raises(ValueError):
             arr[0] = 1
 
 
 @pytest.mark.parametrize("k,d1,i", CORE_CELLS)
 def test_sym_core_rank_is_the_symmetric_dimension(k, d1, i):
-    vals, cols = twirl._twirled_core(k, d1, i)
-    assert len(vals) == cols.shape[1] == comb(k * d1 + i - 1, i)
-    assert cols.shape[0] == (k * d1) ** i
+    vals, vecs = twirl._twirled_core(k, d1, i)
+    assert len(vals) == vecs.shape[0] == vecs.shape[1] == comb(k * d1 + i - 1, i)
     np.testing.assert_allclose(vals.sum(), d1**i, rtol=1e-12)  # tr N = |vec(D)|^{2i}
 
 

@@ -4,14 +4,13 @@ crashing or slow shared computation shows up in the records."""
 
 import json
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import combcert.suites as suites
-from combcert.hard import domination
+from combcert.hard import domination, modes
 
 EXPECTED_IDS = Path(__file__).resolve().parents[1] / "perfbench" / "expected_ids.json"
 
@@ -189,6 +188,7 @@ def test_domination_records_show_every_bound_their_verdict_reads():
         assert rec.threshold >= values["max_quadratic_form"]
         assert values["max_support_residual"] <= tol["support_tol"]
         assert values["min_eig_ratio"] >= -tol["eig_tol"]
+        assert values["support_margin"] >= values["min_eig_ratio"]
         assert values["trace_bound_margin"] <= tol["trace_margin_tol"]
         gap = abs(values["max_quadratic_form"] - values["q_closed_form"])
         assert gap <= tol["q_closed_form_tol"] * values["q_closed_form"]
@@ -208,14 +208,33 @@ def test_a_wrongly_normalized_twirl_fails_its_domination_record(monkeypatch):
 
     good = record()
     assert good.status == "pass"
-    exact = domination.gamma_twirl
+    exact = domination.gamma_twirl_modes
 
     def scaled(spec, n, i, seed=0):
         f = exact(spec, n, i, seed=seed)
-        return replace(f, weights=(1.5 if i == 1 else 1.0) * f.weights)
+        return f._replace(vals=(1.5 if i == 1 else 1.0) * f.vals)
 
-    monkeypatch.setattr(domination, "gamma_twirl", scaled)
+    monkeypatch.setattr(domination, "gamma_twirl_modes", scaled)
     bad = record()
     assert bad.status == "fail"
     assert bad.values["max_quadratic_form"] <= bad.threshold
     assert bad.values["q_closed_form"] == good.values["q_closed_form"]
+
+
+def test_a_walk_that_traces_a_in_place_of_b_fails_the_twirl_combs(monkeypatch):
+    payload = {"hard": {"gamma_cells": [[2, 4]], "max_n": 2, "mc_cells": [], "trace_dims": [2],
+                        "rotor_trace_cells": [], "span_max_d": 1, "span_max_m": 1,
+                        "domination": {"cells": []}, "facts": {"dim_pairs": []}}}
+
+    def record():
+        records = suites.run_hard_suite(payload, seed=7).records
+        return next(r for r in records if r.check_id == "gamma-twirl-comb-2-4")
+
+    assert record().status == "pass"
+
+    real = modes.mode_isometry
+    # J read with its B and A axes swapped: each step traces A_j and keeps B_j
+    monkeypatch.setattr(modes, "mode_isometry", lambda spec: real(spec).transpose(1, 0, 2))
+    bad = record()
+    assert bad.status == "fail" and bad.reason is None
+    assert bad.residual > bad.threshold

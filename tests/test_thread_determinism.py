@@ -106,6 +106,25 @@ def test_domination_digest_at_2_4_is_independent_of_blas_threads(tmp_path, seed)
 
 
 @pytest.mark.parametrize("seed", [7, 23])
+def test_domination_digest_at_the_d1_2_cells_to_n4_is_independent_of_blas_threads(tmp_path, seed):
+    # CI's domination config: (2,5) at n = 4 reads Sym^4(M), 210 dimensions,
+    # where a LAPACK eigensolve or a BLAS dot splits its sums with the thread
+    # count; the least eigenvalues and Frobenius residuals are numpy sums
+    config = {"hard": {"domination": {"cells": [[2, 4], [2, 5]], "max_n": 4}}}
+    digests = {threads: _digest(tmp_path, "hard", seed, threads, config=config) for threads in THREADS}
+    assert len(set(digests.values())) == 1, digests
+
+
+@pytest.mark.parametrize("seed", [7, 23])
+def test_hard_digest_at_n4_is_independent_of_blas_threads(tmp_path, seed):
+    # the comb walk's largest products at n = 4 (168-square on Sym^3(M) (x) A)
+    # moved in their last bits with the thread count as BLAS products
+    config = {"hard": {"max_n": 4}}
+    digests = {threads: _digest(tmp_path, "hard", seed, threads, config=config) for threads in THREADS}
+    assert len(set(digests.values())) == 1, digests
+
+
+@pytest.mark.parametrize("seed", [7, 23])
 def test_net_digest_is_independent_of_blas_threads_and_jobs(tmp_path, seed):
     digests = _digests(tmp_path, "net", seed)
     assert len(set(digests.values())) == 1, digests
