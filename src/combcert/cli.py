@@ -9,10 +9,10 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 the
 configuration or inputs were invalid. ``--strict`` escalates warnings to
 failures before the exit code is computed. A report depends only on the
 configuration and the seed: the hard suite's twirl route is chosen from
-each input by ``hard.gamma_twirl``, the one Gamma_i constructor, not by a
-flag. Every check runs in this
-process; ``--jobs K`` (K >= 1) is accepted for compatibility and changes
-nothing.
+each input (``hard.twirl.exact_routes``), not by a flag, and every Gamma_i
+is built on its sector of Sym^n(M) (``hard.gamma_twirl_modes``). Every
+check runs in this process; ``--jobs K`` (K >= 1) is accepted for
+compatibility and changes nothing.
 """
 
 from __future__ import annotations

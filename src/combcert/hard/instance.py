@@ -28,7 +28,7 @@ from math import comb
 import numpy as np
 
 from ..combs import slot_labels
-from ..linalg import FactoredPsd, nullspace, vectorize
+from ..linalg import nullspace, vectorize
 from .modes import SectorPsd, frobenius, gamma_modes, sector_slice, trace_last_b
 
 __all__ = [
@@ -215,9 +215,10 @@ def comb_sequence(n: int) -> tuple[str, ...]:
     return slot_labels(n)
 
 
-def gamma_outer(spec: HardInstanceSpec, n: int, i: int) -> FactoredPsd:
-    """|gamma_i><gamma_i| on the slot spaces as the rank-one factor (gamma_i, [1])."""
-    return FactoredPsd(gamma_state(spec, n, i)[:, None], np.ones(1), slot_spaces(spec, n))
+def gamma_outer(spec: HardInstanceSpec, n: int, i: int) -> np.ndarray:
+    """|gamma_i><gamma_i| on the slot spaces, a (d1*d2)^n-square array."""
+    g = gamma_state(spec, n, i)
+    return np.outer(g, g.conj())
 
 
 def outer_modes(spec: HardInstanceSpec, n: int, i: int) -> SectorPsd:

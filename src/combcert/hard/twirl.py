@@ -22,7 +22,8 @@ Routes:
     Sym^i(C^{d2-d1} (x) C^{d1}), where it is solved at dimension
     C((d2-d1)*d1 + i - 1, i). That is sector i of Sym^n(M) (:mod:`.modes`),
     where :func:`gamma_twirl_modes` returns it for the comb and domination
-    records; :func:`gamma_twirl` embeds it slot by slot for the cross-checks.
+    records; :func:`gamma_twirl_weingarten` maps that same operator onto the
+    slot spaces by E_n (:func:`embedding`) for the cross-checks.
   * monte-carlo — a batched Haar-sample average, for spot checks at scale;
     the samples of a batch sit on the last axis.
 """
@@ -38,7 +39,6 @@ import numpy as np
 
 from ..linalg import (
     RANK_TOL,
-    FactoredPsd,
     haar_unitary,
     haar_unitary_batch,
     herm_eig,
@@ -50,7 +50,6 @@ from .instance import (
     gamma_state,
     kron_power,
     on_each_slot,
-    slot_spaces,
     subset_sum,
 )
 from .modes import SectorPsd, sym_basis
@@ -236,42 +235,18 @@ def _twirled_core(k: int, d1: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def _weingarten_factor(spec: HardInstanceSpec, n: int, i: int) -> FactoredPsd:
-    """Gamma_i as the factor (G, nu / C(n, i)) on the slot spaces.
-
-    The twirl only touches the rotated branch factors, so the core operator
-    on (W (x) A)^{(x) i} (:func:`_twirled_core`) is eigendecomposed once, and
-    each eigenvector is placed on the slots by :func:`_on_subsets`; at i = 0
-    that is the untwirled rank-one :func:`gamma_outer`.
-    """
-    if not 0 <= i <= n:
-        raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-    if "frame" not in exact_routes(spec.d1, spec.d2, n, i):
-        raise ValueError(
-            f"permutation-frame route supports at most {PERMUTATION_ORDER_CAP} rotated slots, "
-            f"got i={i}; "
-            f"use the exact-commutant or monte-carlo route"
-        )
-    nu, vecs = _twirled_core(spec.rotor_dim, spec.d1, i)
-    g_cols = _on_subsets(spec, n, i, sym_basis(spec.rotor_dim * spec.d1, i) @ vecs)
-    return FactoredPsd(g_cols, nu / comb(n, i), slot_spaces(spec, n))
-
-
-def _on_subsets(spec: HardInstanceSpec, n: int, i: int, cols: np.ndarray) -> np.ndarray:
-    """The columns of ``cols``, vectors on (C^k (x) C^{d1})^{(x) i}, mapped
-    into C^{d2} by iota on each slot and placed on every size-i subset of the
-    n slots, tensored with |V0>> elsewhere."""
-    d1 = spec.d1
-    rest = kron_power(vectorize(spec.v0), n - i)
-    return subset_sum(on_each_slot(spec.iota, cols, i, d1), rest, n, i, d1 * spec.d2)
-
-
 def embedding(spec: HardInstanceSpec, n: int, i: int) -> np.ndarray:
     """E_n on sector i of Sym^n(M) (see :mod:`.modes`): the isometry from
     the occupation basis of Sym^i(C^k (x) C^{d1}) onto the slot spaces,
-    (d1*d2)^n rows; the slot-space reference of the mode coordinates."""
-    scale = np.sqrt(comb(n, i) * spec.d1 ** (n - i))
-    return _on_subsets(spec, n, i, sym_basis(spec.rotor_dim * spec.d1, i)) / scale
+    (d1*d2)^n rows; the slot-space reference of the mode coordinates.
+
+    Each basis column is mapped into C^{d2} by iota on each slot and placed
+    on every size-i subset of the n slots, tensored with |V0>> elsewhere."""
+    d1 = spec.d1
+    cols = on_each_slot(spec.iota, sym_basis(spec.rotor_dim * d1, i), i, d1)
+    rest = kron_power(vectorize(spec.v0), n - i)
+    scale = np.sqrt(comb(n, i) * d1 ** (n - i))
+    return subset_sum(cols, rest, n, i, d1 * spec.d2) / scale
 
 
 def gamma_twirl_modes(spec: HardInstanceSpec, n: int, i: int, seed: int = 0) -> SectorPsd:
@@ -292,8 +267,21 @@ def gamma_twirl_modes(spec: HardInstanceSpec, n: int, i: int, seed: int = 0) -> 
 
 def gamma_twirl_weingarten(spec: HardInstanceSpec, n: int, i: int) -> np.ndarray:
     """Gamma_i via the permutation-frame projection on the i twirled slots,
-    densified from :func:`_weingarten_factor`."""
-    return _weingarten_factor(spec, n, i).dense()
+    as the (d1*d2)^n-square array E_n (sector form) E_n^dagger: the
+    :func:`gamma_twirl_modes` operator mapped onto the slot spaces by
+    :func:`embedding`, Hermitian part taken."""
+    if not 0 <= i <= n:
+        raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
+    if "frame" not in exact_routes(spec.d1, spec.d2, n, i):
+        raise ValueError(
+            f"permutation-frame route supports at most {PERMUTATION_ORDER_CAP} rotated slots, "
+            f"got i={i}; "
+            f"use the exact-commutant or monte-carlo route"
+        )
+    op = gamma_twirl_modes(spec, n, i)
+    b = embedding(spec, n, i) @ op.vecs
+    x = (b * op.vals) @ b.conj().T
+    return (x + x.conj().T) / 2
 
 
 def gamma_twirl_monte_carlo(
@@ -331,17 +319,16 @@ def gamma_twirl_monte_carlo(
     return (est + est.conj().T) / 2, float(spec.d1**n / np.sqrt(samples))
 
 
-def gamma_twirl(spec: HardInstanceSpec, n: int, i: int, seed: int = 0) -> FactoredPsd:
-    """Gamma_i as G diag(w) G^dagger on the slot spaces, by the first of
-    :func:`exact_routes`: the permutation-frame factor, else the eigenpairs
-    of the exact commutant projection (built from ``seed``), else a
-    ValueError; the Monte Carlo route is never taken silently."""
+def gamma_twirl(spec: HardInstanceSpec, n: int, i: int, seed: int = 0) -> np.ndarray:
+    """Gamma_i on the slot spaces by the first of :func:`exact_routes`: the
+    permutation-frame operator :func:`gamma_twirl_weingarten`, else the
+    exact commutant projection (built from ``seed``), else a ValueError;
+    the Monte Carlo route is never taken silently."""
     routes = exact_routes(spec.d1, spec.d2, n, i)
     if "frame" in routes:
-        return _weingarten_factor(spec, n, i)
+        return gamma_twirl_weingarten(spec, n, i)
     if routes:
-        vals, vecs = herm_eig(gamma_twirl_exact_commutant(spec, n, i, seed=seed))
-        return FactoredPsd(vecs, vals, slot_spaces(spec, n))
+        return gamma_twirl_exact_commutant(spec, n, i, seed=seed)
     raise ValueError(
         f"no exact route for i={i}, dimension {(spec.d1 * spec.d2) ** n}; "
         f"gamma_twirl_monte_carlo gives a statistical estimate"

@@ -20,7 +20,6 @@ __all__ = [
     "STACK_BYTES",
     "PsdCheck",
     "LabeledOperator",
-    "FactoredPsd",
     "vectorize",
     "partial_trace",
     "herm_eig",
@@ -452,48 +451,3 @@ class LabeledOperator:
             rows.append(row.max())
         # np.max, not max(): a NaN row maximum must reach the result
         return float(np.max(rows))
-
-
-@dataclass(frozen=True)
-class FactoredPsd:
-    """X = G diag(w) G^dagger on a tensor product of named spaces, kept as
-    the factor ``G`` (dim x r, rows in the Kronecker order of ``spaces``)
-    and the real weights ``w``: the slot-space form of a twirl, which the
-    cross-checks that compare routes densify (:meth:`dense`).
-    """
-
-    factor: np.ndarray
-    weights: np.ndarray
-    spaces: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        factor = np.asarray(self.factor, dtype=complex)
-        weights = np.asarray(self.weights)
-        if np.iscomplexobj(weights):
-            raise ValueError("factor weights must be real")
-        weights = weights.astype(float)
-        layout = _layout(self.spaces)
-        for name, value in (("factor", factor), ("weights", weights), ("spaces", layout.spaces)):
-            object.__setattr__(self, name, value)
-        d_total = layout.dim
-        if factor.ndim != 2 or factor.shape[0] != d_total:
-            raise ValueError(
-                f"factor shape {factor.shape} does not match spaces {self.spaces} "
-                f"(expected {d_total} rows)"
-            )
-        if weights.shape != (factor.shape[1],):
-            raise ValueError(
-                f"{weights.shape} weights for a factor with {factor.shape[1]} columns"
-            )
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("factor weights must be finite")
-
-    @property
-    def dim(self) -> int:
-        return self.factor.shape[0]
-
-    def dense(self) -> np.ndarray:
-        """X as a dim-square matrix: the Hermitian part of G diag(w) G^dagger.
-        The one place a factor's whole operator is formed."""
-        x = _spectral(self.factor, self.weights)
-        return (x + x.conj().T) / 2

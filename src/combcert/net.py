@@ -59,6 +59,7 @@ from .linalg import (
     haar_isometry,
     haar_unitary,
     herm_eig,
+    psd_sqrt,
     stack_runs,
     trace_norm,
 )
@@ -424,6 +425,20 @@ def f_operator(blocks: BlockIsometry, ux: np.ndarray, uy: np.ndarray) -> np.ndar
     return _cross_operator(blocks.v0_full, _branch_difference(blocks, ux, uy), p.r, p.d1) / p.d1
 
 
+def _overlap_norm(blocks: BlockIsometry, ux: np.ndarray, uy: np.ndarray) -> float | np.ndarray:
+    """f = tr|F| from F's r-row factor, for a pair of rotations or of stacks.
+
+    F = R^T conj(D) / d1 (see :func:`moment_audit`) has F^dagger F =
+    D^T A conj(D) / d1^2 with A = ``blocks.gram``, so its singular values are
+    those of A^{1/2} conj(W) / d1, where the r rows of W are the row blocks
+    of the rotation-space rows (ux - uy) eye(u_dim, d1) (:func:`_gram_moments`);
+    the (d2*d1)-square F is never formed."""
+    p = blocks.params
+    w = _rotor_part(blocks, ux - uy)
+    w = w.reshape(w.shape[:-2] + (p.r, -1))
+    return trace_norm(psd_sqrt(blocks.gram) @ w.conj()) / p.d1
+
+
 class MomentAudit(NamedTuple):
     samples: int
     m2_mean: float
@@ -538,10 +553,11 @@ def _unitary_steps(g: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 
 def _lipschitz_trial_bytes(p: NetParams) -> int:
-    """The bytes one Lipschitz trial adds to its run: about eight complex
+    """The bytes one Lipschitz trial adds to its run: about ten complex
     u_dim-square rotation pairs (the draws, the Haar and step factors, their
-    products) and its two F operators, as measured with tracemalloc."""
-    return 16 * (8 * 2 * p.u_dim**2 + 2 * (p.d2 * p.d1) ** 2)
+    products and differences), as measured with tracemalloc; F itself is
+    never formed (:func:`_overlap_norm`)."""
+    return 16 * 10 * 2 * p.u_dim**2
 
 
 def _lipschitz_chunk(
@@ -566,8 +582,8 @@ def _lipschitz_chunk(
     u2 = u @ _unitary_steps(steps[:, 0::2] + 1j * steps[:, 1::2], theta)
     moved = [np.linalg.norm(m) for m in (u2 - u).reshape(-1, d, d)]
     dist = np.array([sqrt(a**2 + b**2) for a, b in zip(moved[0::2], moved[1::2])])
-    f0 = trace_norm(f_operator(blocks, u[:, 0], u[:, 1]))
-    f1 = trace_norm(f_operator(blocks, u2[:, 0], u2[:, 1]))
+    f0 = _overlap_norm(blocks, u[:, 0], u[:, 1])
+    f1 = _overlap_norm(blocks, u2[:, 0], u2[:, 1])
     return np.abs(f1 - f0), dist
 
 
@@ -576,8 +592,8 @@ def lipschitz_audit(blocks: BlockIsometry, trials: int, rng: np.random.Generator
 
     Each trial perturbs both rotations by exp(i theta H) with unit-Frobenius
     Hermitian H and theta spanning three decades, and compares the change of
-    f = tr|F| to the constant times the joint Frobenius displacement. The
-    trials run in stacks under STACK_BYTES."""
+    f = tr|F| (:func:`_overlap_norm`) to the constant times the joint
+    Frobenius displacement. The trials run in stacks under STACK_BYTES."""
     p = blocks.params
     if trials < MIN_LIPSCHITZ_TRIALS:
         raise ValueError(f"need at least {MIN_LIPSCHITZ_TRIALS} trials, got {trials}")
@@ -651,8 +667,7 @@ def _separation_chunk(blocks: BlockIsometry, n: int, rng: np.random.Generator) -
     choi2 = choi_from_kraus(v2.reshape(n, r, out, d1).swapaxes(0, 1))
     dist = choi_distance_lb(choi1, choi2, d1)
 
-    f_mat = f_operator(blocks, u1, u2)
-    f_val = trace_norm(f_mat)
+    f_val = _overlap_norm(blocks, u1, u2)
     branch_res = np.abs(trace_norm(_cross_operator(b1, b1, r, d1)) - d1) / d1
 
     # cross operator with orthogonal image/support (flag-embedded in even mode)
@@ -660,7 +675,7 @@ def _separation_chunk(blocks: BlockIsometry, n: int, rng: np.random.Generator) -
         diff = _on_flag(p, _branch_difference(blocks, u1, u2), 1)
         x = _cross_operator(_on_flag(p, blocks.v0_full, 0), diff, r, d1)
     else:
-        x = d1 * f_mat
+        x = d1 * f_operator(blocks, u1, u2)
     x_norm = trace_norm(x)
     scale = np.maximum(1.0, x_norm)
     # per-matrix norms and Python float powers keep each pair's residual
@@ -687,8 +702,9 @@ def separation_audit(
     trace distance and the overlap norm f = tr|F|, verify Kraus ranks, and
     check per pair that (i) the rotated branch's self-overlap has trace norm
     d1, (ii) the cross operator X squares to zero, (iii) the symmetrized
-    trace norm equals 2 tr|X|, (iv) the two construction routes for X agree,
-    and (v) the Choi distance dominates 2 eps sqrt(1-eps^2) tr|X| - 2 eps^2 d1.
+    trace norm equals 2 tr|X|, (iv) tr|X|, a dense SVD of X, equals d1 f,
+    read from F's r-row factor (:func:`_overlap_norm`), and (v) the Choi
+    distance dominates 2 eps sqrt(1-eps^2) tr|X| - 2 eps^2 d1.
     The pairs run in stacks under STACK_BYTES.
     """
     p = blocks.params

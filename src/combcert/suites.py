@@ -65,6 +65,7 @@ from .hard.domination import (
     SPAN_RANK_TOL,
     SUPPORT_TOL,
     TRACE_MARGIN_TOL,
+    check_admissible,
     largest_round,
 )
 from .hard.facts import CHAIN_SLACK, EQUIV_PSD_TOL
@@ -269,6 +270,15 @@ def _check_cells(cfg: dict) -> None:
     for cell in hard["mc_cells"]:
         if cell[3] > cell[2]:
             raise ConfigError(f"hard.mc_cells cell {cell}: need 0 <= i <= n")
+    # summand-chain takes each facts cell at the round counts in its window
+    for cell in hard["facts"]["dim_pairs"]:
+        for eps in hard["facts"]["eps"]:
+            top = largest_round(cell[0], cell[1], eps)
+            if top >= 1:
+                try:
+                    check_admissible(cell[0], cell[1], top, eps)
+                except ValueError as exc:
+                    raise ConfigError(f"hard.facts.dim_pairs cell {cell}: {exc}") from exc
     # every Gamma_i a check asks for needs an exact twirl route; the routes
     # only narrow as n and i grow, so a cell is checked at its largest (n, i)
     max_n, dom = hard["max_n"], hard["domination"]
@@ -613,7 +623,7 @@ def _gamma_comb(c: Cell) -> dict:
 
 def _gamma_twirl_comb(c: Cell) -> dict:
     # the sample is the dense slot-space Gamma_1 at n = 1
-    gamma_hash = c.stash(gamma_twirl(c.spec, 1, 1, seed=c.seed).dense())
+    gamma_hash = c.stash(gamma_twirl(c.spec, 1, 1, seed=c.seed))
     return _certify_gamma_family(c, partial(gamma_twirl_modes, seed=c.seed), sample_twirl=gamma_hash)
 
 
@@ -650,7 +660,7 @@ def _twirl_routes(c: Cell) -> dict:
 def _twirl_mc(c: Cell) -> dict:
     d1, d2, n, i = c.key
     n_samp = c.cfg["mc_samples"]
-    exact = gamma_twirl(c.spec, n, i, seed=c.seed).dense()
+    exact = gamma_twirl(c.spec, n, i, seed=c.seed)
     est, stderr = gamma_twirl_monte_carlo(c.spec, n, i, samples=n_samp, seed=c.seed)
     diff = float(np.linalg.norm(est - exact))
     bound = MC_SIGMA_FACTOR * stderr

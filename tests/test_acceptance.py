@@ -134,7 +134,7 @@ def test_criterion_02_gamma_states_and_twirls_are_combs():
                 assert cert.ok, f"state comb failed at d1={d1} d2={d2} n={n} i={i}"
                 comb_res = max(comb_res, cert.max_chain_residual, -cert.min_eig)
 
-                g = gamma_twirl(spec, n, i, seed=SEED).dense()
+                g = gamma_twirl(spec, n, i, seed=SEED)
                 cert = certify_comb(LabeledOperator(g, spaces), seq,
                                     psd_tol=1e-7, chain_tol=1e-7)
                 assert cert.ok, f"twirl comb failed at d1={d1} d2={d2} n={n} i={i}"
@@ -172,7 +172,7 @@ def test_criterion_03_twirl_route_cross_validation():
     mc_gap_max = 0.0
     for d1, d2, n, i in [(1, 2, 1, 1), (1, 3, 2, 1)]:
         spec = HardInstanceSpec.concrete(d1, d2)
-        exact = gamma_twirl(spec, n, i, seed=SEED).dense()
+        exact = gamma_twirl(spec, n, i, seed=SEED)
         est, _ = gamma_twirl_monte_carlo(spec, n, i, samples=n_samples, seed=SEED)
         diff = float(np.linalg.norm(est - exact))
         bound = 5.0 * d1**n / sqrt(n_samples)

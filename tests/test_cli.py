@@ -359,6 +359,7 @@ def test_negative_seed_exits_2_before_any_report(tmp_path, capsys):
 
 BAD_CONFIGS = {
     "gamma-cell-d2-below-2d1": {"hard": {"gamma_cells": [[2, 3]]}},
+    "facts-cell-below-two-dimensions": {"hard": {"facts": {"dim_pairs": [[1, 1]]}}},
     "too-few-separation-pairs": {"net": {"separation_pairs": 10}},
     "too-few-lipschitz-trials": {"net": {"lipschitz_trials": 50}},
     "short-net-cell": {"net": {"cells": [[3, 3]]}},

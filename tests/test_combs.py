@@ -19,7 +19,7 @@ from combcert.combs import (
 )
 from combcert.combs import Tester as _Tester  # underscore keeps pytest from collecting it
 from combcert.hard import HardInstanceSpec, gamma_outer, gamma_twirl, gamma_twirl_modes
-from combcert.hard.instance import comb_sequence, outer_modes
+from combcert.hard.instance import comb_sequence, outer_modes, slot_spaces
 from combcert.hard.modes import SectorPsd, comb_certificate
 from combcert.linalg import (
     LabeledOperator,
@@ -269,13 +269,14 @@ def test_certify_combs_equals_one_call_each():
     rng = np.random.default_rng(42)
     spec = HardInstanceSpec.concrete(1, 3)
     f = gamma_outer(spec, 2, 1)
+    spaces = slot_spaces(spec, 2)
     ops = [
         _random_comb([(2, 2), (2, 3)], rng),
-        LabeledOperator(gamma_outer(spec, 2, 0).dense(), f.spaces),
+        LabeledOperator(gamma_outer(spec, 2, 0), spaces),
         _random_comb([(3, 2)], rng),
-        LabeledOperator(2 * f.dense(), f.spaces),  # fails the chain
+        LabeledOperator(2 * f, spaces),  # fails the chain
         _random_comb([(2, 2), (2, 3)], rng),
-        LabeledOperator(f.dense(), f.spaces),
+        LabeledOperator(f, spaces),
         LabeledOperator(-np.eye(4), (("A1", 2), ("B1", 2))),  # fails positivity
     ]
     seqs = [comb_sequence(len(op.spaces) // 2) for op in ops]
@@ -297,11 +298,11 @@ def test_factored_walk_equals_the_dense_walk_on_the_densified_operator(d1, d2, m
     spec = HardInstanceSpec.concrete(d1, d2)
     for n in range(1, max_n + 1):
         seq = comb_sequence(n)
+        spaces = slot_spaces(spec, n)
         for modes, slot in ((outer_modes, gamma_outer), (gamma_twirl_modes, gamma_twirl)):
             for i in range(n + 1):
-                f = slot(spec, n, i)
                 got = comb_certificate(spec, modes(spec, n, i))
-                want = certify_comb(LabeledOperator(f.dense(), f.spaces), seq, psd_tol=1e-7, chain_tol=1e-7)
+                want = certify_comb(LabeledOperator(slot(spec, n, i), spaces), seq, psd_tol=1e-7, chain_tol=1e-7)
                 assert got.ok == want.ok
                 assert got.min_eig == pytest.approx(want.min_eig, abs=1e-13)
                 assert len(got.chain_residuals) == len(want.chain_residuals)

@@ -164,7 +164,7 @@ def _per_sample_domination(spec, n, eps, n_samples, seed):
     support_margin."""
     sched = lambda_schedule(spec.d1, spec.d2, n, eps)
     rng = np.random.default_rng(seed)
-    gammas = [gamma_twirl(spec, n, i, seed=seed).dense() for i in range(n + 1)]
+    gammas = [gamma_twirl(spec, n, i, seed=seed) for i in range(n + 1)]
     pinvs = [pseudo_inverse(g) for g in gammas]
     weights = sched.weights.tolist()
     weighted = sum(w * g for w, g in zip(weights, gammas))

@@ -156,7 +156,7 @@ def test_gamma_outer_is_comb():
         for n in (1, 2):
             spec = random_spec(d1, d2, rng)
             for i in range(n + 1):
-                dense = LabeledOperator(gamma_outer(spec, n, i).dense(), slot_spaces(spec, n))
+                dense = LabeledOperator(gamma_outer(spec, n, i), slot_spaces(spec, n))
                 cert = certify_comb(dense, comb_sequence(n), psd_tol=1e-8, chain_tol=1e-8)
                 assert cert.ok, (d1, d2, n, i, cert)
                 # the mode walk reads the same comb through the spec's own J

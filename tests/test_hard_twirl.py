@@ -1,5 +1,6 @@
 """Tests for the three twirl routes and their mutual agreement."""
 
+from functools import partial
 from itertools import permutations
 from math import comb
 
@@ -24,9 +25,8 @@ from combcert.hard.instance import (
     outer_modes,
     slot_spaces,
 )
-from combcert.hard.modes import comb_certificate, sector_slice, sym_basis
+from combcert.hard.modes import comb_certificate, gamma_modes, sector_slice, sym_basis
 from combcert.linalg import (
-    FactoredPsd,
     LabeledOperator,
     haar_isometry,
     haar_unitary,
@@ -140,7 +140,7 @@ def test_monte_carlo_agrees_with_exact():
 
 def test_gamma_twirl_dispatcher():
     spec = HardInstanceSpec.concrete(1, 2)
-    g_auto = gamma_twirl(spec, 2, 1).dense()
+    g_auto = gamma_twirl(spec, 2, 1)
     np.testing.assert_allclose(g_auto, gamma_twirl_weingarten(spec, 2, 1), atol=1e-12)
     # i above the permutation cap with dimension above the commutant cap must
     # refuse rather than silently sample
@@ -151,16 +151,13 @@ def test_gamma_twirl_dispatcher():
 
 def test_gamma_twirl_takes_the_exact_commutant_above_the_permutation_cap():
     spec = HardInstanceSpec.concrete(1, 2)  # dimension 2**5 = 32 fits the commutant cap
-    # the commutant projection comes back as its full-rank eigenfactor
-    f = gamma_twirl(spec, 5, 5, seed=3)
-    assert isinstance(f, FactoredPsd)
-    assert f.factor.shape == (32, 32)
-    np.testing.assert_allclose(f.dense(), gamma_twirl_exact_commutant(spec, 5, 5, seed=3),
-                               rtol=0, atol=1e-12)
+    # the commutant projection comes back as it is
+    g = gamma_twirl(spec, 5, 5, seed=3)
+    np.testing.assert_array_equal(g, gamma_twirl_exact_commutant(spec, 5, 5, seed=3))
     # the mode route pulls the same projection back onto sector 5 of Sym^5(M)
     m = twirl.gamma_twirl_modes(spec, 5, 5, seed=3)
     b = twirl.embedding(spec, 5, 5) @ m.vecs
-    np.testing.assert_allclose((b * m.vals) @ b.conj().T, f.dense(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose((b * m.vals) @ b.conj().T, g, rtol=0, atol=1e-12)
     for route in (gamma_twirl, twirl.gamma_twirl_modes):
         with pytest.raises(ValueError):
             route(HardInstanceSpec.concrete(2, 4), 5, 5)
@@ -183,7 +180,7 @@ def test_factored_certificates_match_the_dense_ones(d1, d2):
             g = gamma_state(spec, n, i)
             pairs = [
                 (outer_modes(spec, n, i), LabeledOperator(np.outer(g, g.conj()), spaces)),
-                (twirl.gamma_twirl_modes(spec, n, i), LabeledOperator(gamma_twirl(spec, n, i).dense(), spaces)),
+                (twirl.gamma_twirl_modes(spec, n, i), LabeledOperator(gamma_twirl(spec, n, i), spaces)),
             ]
             for modes, dense in pairs:
                 a = comb_certificate(spec, modes)
@@ -201,39 +198,44 @@ def test_factored_certificates_match_the_dense_ones(d1, d2):
 @pytest.mark.parametrize("d1,d2,n", [(d1, d2, n) for d1, d2 in GAMMA_CELLS for n in (1, 2, 3)]
                          + [(2, 5, 4)])
 def test_mode_twirls_embed_onto_the_slot_space_factors(d1, d2, n):
-    # E_n is an isometry, and E_n (mode Gamma_i) E_n^dagger is the slot factor's Gamma_i
+    # E_n is an isometry that takes the mode gamma_i to the slot gamma_i, and
+    # E_n (mode Gamma_i) E_n^dagger has trace d1^n and commutes with rho(U)
     spec = HardInstanceSpec.concrete(d1, d2)
     e = np.hstack([twirl.embedding(spec, n, i) for i in range(n + 1)])
     assert np.abs(e.conj().T @ e - np.eye(e.shape[1])).max() <= 1e-12
     modes = spec.rotor_dim * d1 + 1
     assert e.shape == ((d1 * d2) ** n, comb(modes + n - 1, n))
+    rng = np.random.default_rng(n)
+    rho = partial(on_each_slot, spec.rotor(haar_unitary(spec.rotor_dim, rng)), n=n, d1=d1)
+    x = rng.standard_normal((e.shape[0], 3))
     for i in range(n + 1):
+        rows = sector_slice(modes, n, i)
+        slot_gamma = e[:, rows] @ gamma_modes(spec, n, i)
+        assert np.abs(slot_gamma - gamma_state(spec, n, i)).max() <= 1e-12, i
         m = twirl.gamma_twirl_modes(spec, n, i)
-        b = e[:, sector_slice(modes, n, i)] @ m.vecs
-        f = twirl._weingarten_factor(spec, n, i)
+        assert abs(m.vals.sum() - d1**n) <= 1e-12 * d1**n, i
+        b = e[:, rows] @ m.vecs
         # both sides applied to random probes, never the D^n-square operators
-        x = np.random.default_rng(n).standard_normal((f.dim, 3))
-        lhs = b @ (m.vals[:, None] * (b.conj().T @ x))
-        rhs = f.factor @ (f.weights[:, None] * (f.factor.conj().T @ x))
+        lhs = b @ (m.vals[:, None] * (b.conj().T @ rho(x)))
+        rhs = rho(b @ (m.vals[:, None] * (b.conj().T @ x)))
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max()), i
-        if n <= 3:
-            assert np.abs((b * m.vals) @ b.conj().T - f.dense()).max() <= 1e-12, i
 
 
 @pytest.mark.parametrize("d1,d2", GAMMA_CELLS)
 def test_twirl_factor_agrees_with_the_dense_twirl_on_random_probes(d1, d2):
-    # Freivalds-style: G diag(w) G^dagger x against the dense operator times x
+    # the slot-space Gamma_i that twirl-routes and twirl-mc compare is the
+    # sector operator the comb and domination records certify, mapped by E_n
     rng = np.random.default_rng(31)
     spec = HardInstanceSpec.concrete(d1, d2)
     for n in (1, 2, 3):
         for i in range(n + 1):
-            f = gamma_twirl(spec, n, i)
-            dense = gamma_twirl_weingarten(spec, n, i)
-            x = rng.standard_normal((f.dim, 3)) + 1j * rng.standard_normal((f.dim, 3))
-            lhs = f.factor @ (f.weights[:, None] * (f.factor.conj().T @ x))
+            m = twirl.gamma_twirl_modes(spec, n, i)
+            b = twirl.embedding(spec, n, i) @ m.vecs
+            dense = gamma_twirl(spec, n, i)
+            x = rng.standard_normal((len(b), 3)) + 1j * rng.standard_normal((len(b), 3))
+            lhs = b @ (m.vals[:, None] * (b.conj().T @ x))
             rhs = dense @ x
             assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max()), (n, i)
-
 
 
 def _dense_commutant_basis(spec, n, seed):
@@ -423,5 +425,5 @@ def test_permutation_frame_solves_only_on_the_symmetric_subspace(monkeypatch):
     spec = HardInstanceSpec.concrete(2, 5)
     for i in range(1, 5):
         seen.clear()
-        twirl.gamma_twirl(spec, 4, i)
+        twirl.gamma_twirl_modes(spec, 4, i)
         assert seen and max(seen) <= comb(spec.rotor_dim * spec.d1 + i - 1, i), (i, seen)

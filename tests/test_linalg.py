@@ -4,7 +4,6 @@ import pytest
 from combcert import linalg
 from combcert.channels import kraus_rank
 from combcert.linalg import (
-    FactoredPsd,
     LabeledOperator,
     floor_rule,
     ginibre,
@@ -382,29 +381,6 @@ def test_labeled_operator_partial_ops_match_plain():
     scalar = op.partial_trace(["X", "Y", "Z"])
     assert scalar.spaces == ()
     assert abs(scalar.mat[0, 0] - np.trace(m)) < 1e-12
-
-
-@pytest.mark.parametrize("rank", [0, 1, 4, 30, 40])
-def test_factored_psd_matches_its_dense_operator(rank):
-    rng = np.random.default_rng(26)
-    spaces = (("X", 2), ("Y", 3), ("Z", 5))
-    g = rng.normal(size=(30, rank)) + 1j * rng.normal(size=(30, rank))
-    w = rng.uniform(0.1, 2.0, size=rank)
-    x = FactoredPsd(g, w, spaces).dense()
-    assert np.array_equal(x, x.conj().T)
-    assert np.abs(x - (g * w) @ g.conj().T).max() <= 1e-12
-
-
-def test_factored_psd_validates_its_parts():
-    spaces = (("A", 2), ("B", 2))
-    with pytest.raises(ValueError):
-        FactoredPsd(np.ones((4, 2)), [1.0, 1j], spaces)
-    with pytest.raises(ValueError):
-        FactoredPsd(np.ones((4, 2)), [1.0], spaces)
-    with pytest.raises(ValueError):
-        FactoredPsd(np.ones((5, 2)), [1.0, 1.0], spaces)
-    with pytest.raises(ValueError):
-        FactoredPsd(np.ones((4, 2)), [1.0, np.nan], spaces)
 
 
 def _broadcast_residual(op, label, z):

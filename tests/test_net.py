@@ -10,7 +10,7 @@ import pytest
 
 from combcert import linalg, net
 from combcert.channels import choi_from_kraus, kraus_rank
-from combcert.linalg import haar_unitary, haar_unitary_batch, herm_eig, trace_norm
+from combcert.linalg import haar_unitary, haar_unitary_batch, herm_eig, psd_sqrt, trace_norm
 from combcert.net import (
     GRAM_REJECTION_BUDGET,
     SEPARATION_MAX_EPS,
@@ -29,6 +29,8 @@ from combcert.net import (
     _gram_moments,
     _lipschitz_trial_bytes,
     _moment_pair_bytes,
+    _overlap_norm,
+    _rotor_part,
     _separation_pair_bytes,
     rotated_branch,
 )
@@ -177,6 +179,19 @@ def test_f_operator_matches_blockwise_route(d1, d2, r):
     assert np.linalg.norm(f_operator(b, ux, ux)) <= 1e-14
 
 
+@pytest.mark.parametrize("d1,d2,r", [(4, 3, 3), (6, 3, 4), (2, 4, 2), (1, 2, 1)])
+def test_overlap_norm_from_the_factor_matches_the_dense_svd(d1, d2, r):
+    # odd and even mode: tr|F| from the r-row factor against the singular
+    # values of the (d2*d1)-square F, for a stack of pairs and for one pair
+    rng = np.random.default_rng(12)
+    b = build_block_isometry(NetParams(d1, d2, r, 0.005), rng)
+    u = haar_unitary_batch(b.params.u_dim, 40, rng)
+    ux, uy = u[:20], u[20:]
+    dense = trace_norm(f_operator(b, ux, uy))
+    assert np.abs(_overlap_norm(b, ux, uy) - dense).max() <= 1e-13 * dense.max()
+    assert abs(_overlap_norm(b, ux[0], uy[0]) - dense[0]) <= 1e-13 * dense[0]
+
+
 @pytest.mark.parametrize("d1,d2,r", [(4, 3, 3), (6, 3, 4)])
 def test_moment_audit_hits_exact_second_moment(d1, d2, r):
     rng = np.random.default_rng(7)
@@ -278,6 +293,14 @@ def _loop_unitary_step(dim, theta, rng):
     return (vecs * np.exp(1j * theta * vals)) @ vecs.conj().T
 
 
+def _loop_overlap_norm(blocks, ux, uy):
+    """tr|F| of one pair from F's r-row factor: the singular values of
+    A^{1/2} conj(W) / d1, W the r row blocks of (ux - uy) eye(u_dim, d1)."""
+    p = blocks.params
+    w = _rotor_part(blocks, ux - uy).reshape(p.r, -1)
+    return trace_norm(psd_sqrt(blocks.gram) @ w.conj()) / p.d1
+
+
 def _loop_lipschitz(blocks, trials, rng):
     p = blocks.params
     lip = sqrt(2.0 / p.d1)
@@ -290,8 +313,8 @@ def _loop_lipschitz(blocks, trials, rng):
         ux2 = ux @ _loop_unitary_step(p.u_dim, float(theta_x), rng)
         uy2 = uy @ _loop_unitary_step(p.u_dim, float(theta_y), rng)
         dist = sqrt(np.linalg.norm(ux2 - ux) ** 2 + np.linalg.norm(uy2 - uy) ** 2)
-        f0 = trace_norm(f_operator(blocks, ux, uy))
-        f1 = trace_norm(f_operator(blocks, ux2, uy2))
+        f0 = _loop_overlap_norm(blocks, ux, uy)
+        f1 = _loop_overlap_norm(blocks, ux2, uy2)
         delta = abs(f1 - f0)
         if dist > 0:
             max_ratio = max(max_ratio, delta / dist)
@@ -318,8 +341,7 @@ def _loop_separation(blocks, pairs, rng):
         dist = trace_norm(choi1 - choi_from_kraus(ch2)) / d1
         min_dist = min(min_dist, dist)
         max_rank = max(max_rank, kraus_rank(choi1))
-        f_mat = f_operator(blocks, u1, u2)
-        f_val = trace_norm(f_mat)
+        f_val = _loop_overlap_norm(blocks, u1, u2)
         min_f = min(min_f, f_val)
         b1 = rotated_branch(blocks, u1)
         branch_overlap = _cross_operator(b1, b1, r, d1)
@@ -332,7 +354,7 @@ def _loop_separation(blocks, pairs, rng):
             diff[:, 1] = (j @ ((u1 - u2) @ (j.conj().T @ delta_canon))).reshape(r, p.d2, d1)
             x = _cross_operator(ref.reshape(r * 2 * p.d2, d1), diff.reshape(r * 2 * p.d2, d1), r, d1)
         else:
-            x = d1 * f_mat
+            x = d1 * f_operator(blocks, u1, u2)
         x_norm = trace_norm(x)
         scale = max(1.0, x_norm)
         nilp_res = max(nilp_res, float(np.linalg.norm(x @ x)) / scale**2)

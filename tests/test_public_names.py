@@ -1,8 +1,9 @@
-"""Every public name and every class member of combcert is used by the
-package or the benchmark.
+"""Every public name, module-level function and class member of combcert is
+used by the package or the benchmark.
 
-A name in a module's ``__all__`` counts as used when it appears as a name or
-an attribute anywhere in ``src/combcert`` or ``perfbench/*.py``, or as a
+A name in a module's ``__all__``, and every function defined at a module's
+top level, private or not, counts as used when it is loaded as a name or an
+attribute anywhere in ``src/combcert`` or ``perfbench/*.py``, or is a
 function the benchmark wraps by name (``perfbench/spans.py`` ``TARGETS``).
 Its own definition, its imports and its ``__all__`` entry do not count, so a
 helper that only tests call fails here and is a candidate for deletion.
@@ -41,6 +42,10 @@ def _exported(tree):
     return []
 
 
+def _functions(tree):
+    return [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+
+
 def _uses(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -64,10 +69,11 @@ def test_every_public_name_is_used_outside_the_tests():
     unused = [
         f"{path.relative_to(PACKAGE)}:{name}"
         for path in modules
-        for name in _exported(ast.parse(path.read_text()))
+        for tree in [ast.parse(path.read_text())]
+        for name in dict.fromkeys(_exported(tree) + _functions(tree))
         if name not in used and name not in EXEMPT
     ]
-    assert not unused, f"public names no record or benchmark uses: {unused}"
+    assert not unused, f"names no record or benchmark uses: {unused}"
 
 
 def _setattr_names(tree):

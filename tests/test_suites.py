@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import combcert.suites as suites
+from combcert import net
 from combcert.hard import domination, modes
+from combcert.linalg import trace_norm
 
 EXPECTED_IDS = Path(__file__).resolve().parents[1] / "perfbench" / "expected_ids.json"
 
@@ -238,3 +240,23 @@ def test_a_walk_that_traces_a_in_place_of_b_fails_the_twirl_combs(monkeypatch):
     bad = record()
     assert bad.status == "fail" and bad.reason is None
     assert bad.residual > bad.threshold
+
+
+def test_a_wrong_overlap_factor_fails_the_trace_norm_identities(monkeypatch):
+    # tr|F| read from the factor without the reference Gram's square root:
+    # the dense SVD of X = d1 F no longer matches d1 f
+    def record():
+        records = suites.run_net_suite(NET, seed=7).records
+        return next(r for r in records if r.check_id == "trace-norm-identities-4-3-3")
+
+    assert record().status == "pass"
+
+    def without_gram(blocks, ux, uy):
+        p = blocks.params
+        w = net._rotor_part(blocks, ux - uy)
+        return trace_norm(w.reshape(w.shape[:-2] + (p.r, -1)).conj()) / p.d1
+
+    monkeypatch.setattr(net, "_overlap_norm", without_gram)
+    bad = record()
+    assert bad.status == "fail"
+    assert bad.values["cross_route_residual"] > bad.threshold

@@ -36,6 +36,12 @@ from combcert.suites import run_hard_suite
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 THREADS = (None, "1", "2")  # None: OPENBLAS_NUM_THREADS unset, the CLI's default of 1
 KERNELS = ("Haswell", "Prescott")  # forced with OPENBLAS_CORETYPE
+# CI's domination config: (2,5) at n = 4 reads Sym^4(M), 210 dimensions,
+# where a LAPACK eigensolve or a BLAS dot splits its sums with the thread
+# count; the least eigenvalues and Frobenius residuals are numpy sums
+DOMINATION = {"hard": {"domination": {"cells": [[2, 4], [2, 5]], "max_n": 4}}}
+# the runs of the forced-kernel test: suite and config
+FORCED = {"hard": ("hard", None), "net": ("net", None), "domination": ("hard", DOMINATION)}
 
 
 def _env(threads: str | None, kernel: str | None) -> dict:
@@ -85,8 +91,9 @@ def _digest(tmp_path: Path, suite: str, seed: int, threads: str | None, kernel: 
     return json.loads((out / f"{suite}_report.json").read_text())["body_digest"]
 
 
-def _digests(tmp_path: Path, suite: str, seed: int, kernel: str | None = None) -> dict:
-    return {threads: _digest(tmp_path, suite, seed, threads, kernel) for threads in THREADS}
+def _digests(tmp_path: Path, suite: str, seed: int, kernel: str | None = None,
+             config: dict | None = None) -> dict:
+    return {threads: _digest(tmp_path, suite, seed, threads, kernel, config) for threads in THREADS}
 
 
 @pytest.mark.parametrize("seed", [7, 23])
@@ -107,11 +114,7 @@ def test_domination_digest_at_2_4_is_independent_of_blas_threads(tmp_path, seed)
 
 @pytest.mark.parametrize("seed", [7, 23])
 def test_domination_digest_at_the_d1_2_cells_to_n4_is_independent_of_blas_threads(tmp_path, seed):
-    # CI's domination config: (2,5) at n = 4 reads Sym^4(M), 210 dimensions,
-    # where a LAPACK eigensolve or a BLAS dot splits its sums with the thread
-    # count; the least eigenvalues and Frobenius residuals are numpy sums
-    config = {"hard": {"domination": {"cells": [[2, 4], [2, 5]], "max_n": 4}}}
-    digests = {threads: _digest(tmp_path, "hard", seed, threads, config=config) for threads in THREADS}
+    digests = _digests(tmp_path, "hard", seed, config=DOMINATION)
     assert len(set(digests.values())) == 1, digests
 
 
@@ -132,12 +135,13 @@ def test_net_digest_is_independent_of_blas_threads_and_jobs(tmp_path, seed):
 
 @pytest.mark.parametrize("seed", [7, 23])
 @pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("suite", ["hard", "net"])
+@pytest.mark.parametrize("suite", FORCED)
 def test_digest_is_independent_of_blas_threads_under_a_forced_kernel(tmp_path, suite, kernel, seed):
     reason = _ignored_kernel_reason(kernel)
     if reason:
         pytest.skip(reason)
-    digests = _digests(tmp_path, suite, seed, kernel)
+    name, config = FORCED[suite]
+    digests = _digests(tmp_path, name, seed, kernel, config)
     assert len(set(digests.values())) == 1, digests
 
 
