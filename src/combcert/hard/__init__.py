@@ -28,7 +28,6 @@ from .instance import (
 from .twirl import (
     CommutantProjector,
     commutant_projector,
-    gamma_twirl,
     gamma_twirl_exact_commutant,
     gamma_twirl_modes,
     gamma_twirl_monte_carlo,
@@ -43,7 +42,6 @@ __all__ = [
     "hard_vector_expansion",
     "CommutantProjector",
     "commutant_projector",
-    "gamma_twirl",
     "gamma_twirl_exact_commutant",
     "gamma_twirl_modes",
     "gamma_twirl_weingarten",

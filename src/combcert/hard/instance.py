@@ -15,7 +15,10 @@ which are pairwise orthogonal with squared norm d1^n. Slot layout throughout:
 Two slot-wise kernels build every such object without forming an operator
 on all n slots: :func:`on_each_slot` applies (op (x) I_{d1})^{(x) n} one slot
 axis at a time, and :func:`subset_sum` places a block on each size-i slot
-subset.
+subset. The slot-space gamma_i (:func:`gamma_state`) is built afresh on each
+call, for the ``hard-family`` record, :func:`hard_vector_expansion` and the
+exact-commutant twirl; every other record reads gamma_i on its sector of
+Sym^n(M) (:mod:`.modes`).
 """
 
 from __future__ import annotations
@@ -70,17 +73,15 @@ def kron_power(v: np.ndarray, n: int) -> np.ndarray:
 def on_each_slot(op: np.ndarray, y: np.ndarray, n: int, d1: int) -> np.ndarray:
     """(op (x) I_{d1})^{(x) n} applied to the columns of ``y``, one slot at a time.
 
-    ``op`` is an a x b matrix shared by all m columns, or an (a, b, m) stack
-    with one operator per column; ``y`` is (b*d1)^n x m and the result
+    ``op`` is an a x b matrix, ``y`` is (b*d1)^n x m and the result
     (a*d1)^n x m. Slot j is read as (done slots, B_j, A_j and later slots,
     column), so the full operator is never formed.
     """
-    a, b = op.shape[:2]
+    a, b = op.shape
     m = y.shape[1]
-    ops = "xy" if op.ndim == 2 else "xym"
     for j in range(n):
         y = y.reshape((a * d1) ** j, b, d1 * (b * d1) ** (n - 1 - j), m)
-        y = np.einsum(f"{ops},lyrm->lxrm", op, y)
+        y = np.einsum("xy,lyrm->lxrm", op, y)
     return y.reshape((a * d1) ** n, m)
 
 
@@ -112,13 +113,12 @@ class HardInstanceSpec:
     orthogonality of the images forces rotor_dim >= d1. ``iota`` is an
     orthonormal basis (columns) of im(V0)^perp, shape (d2, d2-d1), computed
     once per spec. ``v0``, ``delta`` and ``iota`` are read-only copies, so
-    the gamma vectors a spec caches (:func:`gamma_state`) stay valid.
+    a spec that :meth:`concrete` shares cannot be changed by one caller.
     """
 
     v0: np.ndarray
     delta: np.ndarray
     iota: np.ndarray = field(init=False, repr=False, compare=False)
-    _gammas: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         v0 = np.array(self.v0, dtype=complex)
@@ -157,7 +157,7 @@ class HardInstanceSpec:
     def concrete(d1: int, d2: int) -> "HardInstanceSpec":
         """Canonical pair: V0 embeds onto the first d1 basis vectors, Delta
         onto the next d1. One spec per (d1, d2) is built in a process and
-        shared by every caller, with the gamma vectors it caches."""
+        shared by every caller."""
         if d2 < 2 * d1:
             raise ValueError(f"need d2 >= 2*d1, got d2={d2}, d1={d1}")
         v0 = np.eye(d2, d1, dtype=complex)
@@ -184,21 +184,12 @@ class HardInstanceSpec:
 
 
 def gamma_state(spec: HardInstanceSpec, n: int, i: int) -> np.ndarray:
-    """gamma_i on n slots; vector of dimension (d1*d2)^n, slot layout (B, A) per copy.
-
-    Built once per (spec, n, i) and kept on the spec; the array returned is
-    read-only.
-    """
+    """gamma_i on n slots; vector of dimension (d1*d2)^n, slot layout (B, A) per copy."""
     if not 0 <= i <= n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-    gamma = spec._gammas.get((n, i))
-    if gamma is None:
-        block = kron_power(vectorize(spec.delta), i)[:, None]
-        rest = kron_power(vectorize(spec.v0), n - i)
-        gamma = subset_sum(block, rest, n, i, spec.d1 * spec.d2)[:, 0] / np.sqrt(comb(n, i))
-        gamma.flags.writeable = False
-        spec._gammas[(n, i)] = gamma
-    return gamma
+    block = kron_power(vectorize(spec.delta), i)[:, None]
+    rest = kron_power(vectorize(spec.v0), n - i)
+    return subset_sum(block, rest, n, i, spec.d1 * spec.d2)[:, 0] / np.sqrt(comb(n, i))
 
 
 def slot_spaces(spec: HardInstanceSpec, n: int) -> tuple[tuple[str, int], ...]:

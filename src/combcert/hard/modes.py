@@ -33,6 +33,7 @@ __all__ = [
     "GAMMA_COMB_TOL",
     "SectorPsd",
     "comb_certificate",
+    "delta_modes",
     "frobenius",
     "gamma_modes",
     "mode_isometry",
@@ -74,11 +75,13 @@ def _multisets(modes: int, j: int) -> tuple[tuple[int, ...], ...]:
 
 def power_coords(x: np.ndarray, j: int) -> np.ndarray:
     """The coordinates of x^{(x) j} in the occupation basis of Sym^j, x on
-    the last axis: sqrt(j! / prod alpha_mu!) prod_mu x_mu^{alpha_mu} at the
-    state alpha, multiplied elementwise in the sorted tuple's order."""
+    the last axis (the leading axes a batch, kept at j = 0 too):
+    sqrt(j! / prod alpha_mu!) prod_mu x_mu^{alpha_mu} at the state alpha,
+    multiplied elementwise in the sorted tuple's order."""
     states = _multisets(x.shape[-1], j)
     out = np.array([np.sqrt(factorial(j) / prod(factorial(t.count(mu)) for mu in set(t)))
                     for t in states])
+    out = np.broadcast_to(out, x.shape[:-1] + out.shape)
     for slot in range(j):
         out = out * x[..., [t[slot] for t in states]]
     return out
@@ -149,11 +152,16 @@ def frobenius(x: np.ndarray) -> float:
     return float(np.sqrt((np.abs(x) ** 2).sum()))
 
 
+def delta_modes(spec) -> np.ndarray:
+    """J^dagger vec Delta on the k*d1 rotor modes, entry w*d1 + a for mode
+    1 + w*d1 + a (its mode-0 entry, <V0|Delta> / sqrt(d1), is zero)."""
+    return (spec.delta.reshape(-1) @ mode_isometry(spec).reshape(spec.delta.size, -1).conj())[1:]
+
+
 def gamma_modes(spec, n: int, i: int) -> np.ndarray:
     """gamma_i on sector i of Sym^n(M): d1^{(n-i)/2} (J^dagger vec Delta)^{(x) i}
-    on the rotor modes."""
-    delta = spec.delta.reshape(-1) @ mode_isometry(spec).reshape(spec.delta.size, -1).conj()
-    return np.sqrt(spec.d1 ** (n - i)) * power_coords(delta[1:], i)
+    on the rotor modes (:func:`delta_modes`)."""
+    return np.sqrt(spec.d1 ** (n - i)) * power_coords(delta_modes(spec), i)
 
 
 def comb_certificate(spec, op: SectorPsd) -> CombCertificate:

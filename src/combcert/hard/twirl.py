@@ -21,11 +21,14 @@ Routes:
     (d2 - d1, d1, i) alone and lives on the symmetric subspace
     Sym^i(C^{d2-d1} (x) C^{d1}), where it is solved at dimension
     C((d2-d1)*d1 + i - 1, i). That is sector i of Sym^n(M) (:mod:`.modes`),
-    where :func:`gamma_twirl_modes` returns it for the comb and domination
-    records; :func:`gamma_twirl_weingarten` maps that same operator onto the
-    slot spaces by E_n (:func:`embedding`) for the cross-checks.
-  * monte-carlo — a batched Haar-sample average, for spot checks at scale;
-    the samples of a batch sit on the last axis.
+    where :func:`gamma_twirl_modes` returns it.
+  * monte-carlo — a batched Haar-sample average on sector i of Sym^n(M), for
+    spot checks at scale; it uses neither of the routes above.
+
+:func:`gamma_twirl_modes`, the one Gamma_i entry point, takes the first exact
+route. A slot-space Gamma_i is formed only by :func:`gamma_twirl_exact_commutant`
+and :func:`gamma_twirl_weingarten` (the sector operator mapped by E_n,
+:func:`embedding`), for the route cross-check and the stashed sample.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .instance import (
     on_each_slot,
     subset_sum,
 )
-from .modes import SectorPsd, sym_basis
+from .modes import SectorPsd, delta_modes, power_coords, sym_basis
 
 __all__ = [
     "COMMUTANT_DIM_CAP",
@@ -64,7 +67,6 @@ __all__ = [
     "commutant_projector",
     "embedding",
     "exact_routes",
-    "gamma_twirl",
     "gamma_twirl_exact_commutant",
     "gamma_twirl_weingarten",
     "gamma_twirl_monte_carlo",
@@ -86,7 +88,7 @@ CORE_RANK_TOL = 1e-12
 
 def exact_routes(d1: int, d2: int, n: int, i: int) -> tuple[str, ...]:
     """The exact routes that take Gamma_i at n slots on the (d1, d2) cell,
-    in the order :func:`gamma_twirl` prefers them: "frame" while
+    in the order :func:`gamma_twirl_modes` prefers them: "frame" while
     i <= PERMUTATION_ORDER_CAP, "commutant" while (d1*d2)^n <= COMMUTANT_DIM_CAP."""
     frame = ("frame",) if i <= PERMUTATION_ORDER_CAP else ()
     commutant = ("commutant",) if (d1 * d2) ** n <= COMMUTANT_DIM_CAP else ()
@@ -291,45 +293,26 @@ def gamma_twirl_monte_carlo(
     samples: int = 100_000,
     seed: int = 0,
 ) -> tuple[np.ndarray, float]:
-    """Haar-sample estimate of Gamma_i plus the entrywise standard-error scale
+    """Haar-sample estimate of Gamma_i on sector i of Sym^n(M) (the basis of
+    :func:`gamma_twirl_modes`) plus the entrywise standard-error scale
     d1^n / sqrt(samples), averaged in batches of 2000 samples.
 
-    The samples of a batch sit on the last, contiguous axis, one rotor per
-    column of :func:`on_each_slot`."""
+    rho(U) acts on the rotor modes as U (x) I_{d1}, so each sample's
+    rho(U) gamma_i is d1^{(n-i)/2} ((U (x) I_{d1}) delta)^{(x) i}, delta =
+    :func:`modes.delta_modes`: C(k*d1 + i - 1, i) entries, not (d1*d2)^n."""
     rng = np.random.default_rng(seed)
-    k, d2 = spec.rotor_dim, spec.d2
-    # vec(iota U iota^dagger) = (iota (x) conj(iota)) vec(U), row-major
-    lift = np.kron(spec.iota, spec.iota.conj())
-    p0 = (spec.v0 @ spec.v0.conj().T).reshape(-1, 1)
-    g = gamma_state(spec, n, i)
-    dim = g.size
-
-    acc = np.zeros((dim, dim), dtype=complex)
+    k, d1 = spec.rotor_dim, spec.d1
+    delta = delta_modes(spec).reshape(k, d1)
+    scale = np.sqrt(d1 ** (n - i))
+    acc = np.zeros((comb(k * d1 + i - 1, i),) * 2, dtype=complex)
     done = 0
     while done < samples:
         nb = min(2000, samples - done)
         u = haar_unitary_batch(k, nb, rng)
-        rot = (p0 + lift @ u.reshape(nb, k * k).T).reshape(d2, d2, nb)
-        y = on_each_slot(rot, np.repeat(g[:, None], nb, axis=1), n, spec.d1)
+        p = scale * power_coords(np.einsum("svw,wa->sva", u, delta).reshape(nb, k * d1), i)
         # einsum's own loop, not BLAS: the sum over the batch adds in one
         # order whatever the BLAS kernel and thread count
-        acc += np.einsum("ik,jk->ij", y, y.conj())
+        acc += np.einsum("si,sj->ij", p, p.conj())
         done += nb
     est = acc / samples
-    return (est + est.conj().T) / 2, float(spec.d1**n / np.sqrt(samples))
-
-
-def gamma_twirl(spec: HardInstanceSpec, n: int, i: int, seed: int = 0) -> np.ndarray:
-    """Gamma_i on the slot spaces by the first of :func:`exact_routes`: the
-    permutation-frame operator :func:`gamma_twirl_weingarten`, else the
-    exact commutant projection (built from ``seed``), else a ValueError;
-    the Monte Carlo route is never taken silently."""
-    routes = exact_routes(spec.d1, spec.d2, n, i)
-    if "frame" in routes:
-        return gamma_twirl_weingarten(spec, n, i)
-    if routes:
-        return gamma_twirl_exact_commutant(spec, n, i, seed=seed)
-    raise ValueError(
-        f"no exact route for i={i}, dimension {(spec.d1 * spec.d2) ** n}; "
-        f"gamma_twirl_monte_carlo gives a statistical estimate"
-    )
+    return (est + est.conj().T) / 2, float(d1**n / np.sqrt(samples))

@@ -160,26 +160,14 @@ def herm_eig(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def herm_eigvals(x: np.ndarray, check_tol: float = HERM_CHECK_TOL) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix, without eigenvectors.
+    """Ascending eigenvalues of a Hermitian matrix, or of each matrix of a
+    stack, without eigenvectors.
 
     Validates Hermiticity as :func:`herm_eig` does, a stack member by
-    member. A complex-typed Hermitian part whose imaginary part is exactly
-    zero is solved as the real symmetric matrix it equals, which takes
-    about half the time; in a stack, each such member is, so a stack gives
-    the per-matrix results bit for bit.
+    member. A stack is solved by one batched call whose results equal the
+    per-matrix calls bit for bit.
     """
-    h = _hermitian_part(x, check_tol)
-    if not np.iscomplexobj(h):
-        return np.linalg.eigvalsh(h)
-    real = ~h.imag.any(axis=(-2, -1))
-    if real.all():
-        return np.linalg.eigvalsh(h.real)
-    if not real.any():
-        return np.linalg.eigvalsh(h)
-    vals = np.empty(h.shape[:-1])
-    vals[real] = np.linalg.eigvalsh(h[real].real)
-    vals[~real] = np.linalg.eigvalsh(h[~real])
-    return vals
+    return np.linalg.eigvalsh(_hermitian_part(x, check_tol))
 
 
 def psd_check(x: np.ndarray, tol: float = 1e-10, check_tol: float = HERM_CHECK_TOL) -> PsdCheck:
@@ -429,13 +417,8 @@ class LabeledOperator:
     def identity_factor_residual(self, label: str, z: "LabeledOperator") -> float:
         """max |X - z (x) I_label| entrywise, the identity sitting at
         ``label``'s position and ``z`` an operator on the other spaces in
-        their order here.
-
-        X is read as (lo, d, hi, lo, d, hi) and taken one row (p, .) of blocks
-        of the identity's indices at a time: z is subtracted from the diagonal
-        block (p, p), the other blocks are read as they are, and z (x) I is
-        never formed. The largest temporary is one real row of blocks.
-        """
+        their order here: one broadcast over X read as (lo, d, hi, lo, d, hi).
+        A NaN entry gives NaN."""
         at = self._positions([label])[0]
         rest = self.spaces[:at] + self.spaces[at + 1:]
         if z.spaces != rest:
@@ -443,11 +426,5 @@ class LabeledOperator:
         d, lo = self.dims[at], prod(self.dims[:at])
         hi = self.dim // (lo * d)
         x = self.mat.reshape(lo, d, hi, lo, d, hi)
-        zb = z.mat.reshape(lo, hi, lo, hi)
-        rows = []
-        for p in range(d):
-            row = np.abs(x[:, p])
-            row[:, :, :, p] = np.abs(x[:, p, :, :, p] - zb)
-            rows.append(row.max())
-        # np.max, not max(): a NaN row maximum must reach the result
-        return float(np.max(rows))
+        zi = z.mat.reshape(lo, 1, hi, lo, 1, hi) * np.eye(d).reshape(1, d, 1, 1, d, 1)
+        return float(np.abs(x - zi).max())

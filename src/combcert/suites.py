@@ -43,7 +43,6 @@ from .hard import (
     domination_check,
     gamma_recursion_residual,
     gamma_state,
-    gamma_twirl,
     gamma_twirl_exact_commutant,
     gamma_twirl_modes,
     gamma_twirl_monte_carlo,
@@ -70,7 +69,7 @@ from .hard.domination import (
 )
 from .hard.facts import CHAIN_SLACK, EQUIV_PSD_TOL
 from .hard.instance import outer_modes
-from .hard.modes import GAMMA_COMB_TOL, comb_certificate
+from .hard.modes import GAMMA_COMB_TOL, comb_certificate, frobenius
 from .hard.twirl import COMMUTANT_DIM_CAP, PERMUTATION_ORDER_CAP, exact_routes
 from .linalg import LabeledOperator, ginibre, haar_unitary, psd_sqrt, random_psd, stack_runs
 from .net import (
@@ -623,7 +622,7 @@ def _gamma_comb(c: Cell) -> dict:
 
 def _gamma_twirl_comb(c: Cell) -> dict:
     # the sample is the dense slot-space Gamma_1 at n = 1
-    gamma_hash = c.stash(gamma_twirl(c.spec, 1, 1, seed=c.seed))
+    gamma_hash = c.stash(gamma_twirl_weingarten(c.spec, 1, 1))
     return _certify_gamma_family(c, partial(gamma_twirl_modes, seed=c.seed), sample_twirl=gamma_hash)
 
 
@@ -660,9 +659,12 @@ def _twirl_routes(c: Cell) -> dict:
 def _twirl_mc(c: Cell) -> dict:
     d1, d2, n, i = c.key
     n_samp = c.cfg["mc_samples"]
-    exact = gamma_twirl(c.spec, n, i, seed=c.seed)
+    # both on sector i of Sym^n(M): E_n is an isometry, so this is the
+    # Frobenius distance of the slot-space operators
+    op = gamma_twirl_modes(c.spec, n, i, seed=c.seed)
+    exact = np.einsum("ik,jk->ij", op.vecs * op.vals, op.vecs.conj())
     est, stderr = gamma_twirl_monte_carlo(c.spec, n, i, samples=n_samp, seed=c.seed)
-    diff = float(np.linalg.norm(est - exact))
+    diff = frobenius(est - exact)
     bound = MC_SIGMA_FACTOR * stderr
     warn = diff > (MC_SIGMA_FACTOR - 1.0) * stderr
     return _verdict(diff <= bound, bound, diff, warn=warn,
@@ -767,7 +769,7 @@ def _oversized_request(c: Cell) -> dict:
     rather than return an operator from some other route."""
     d1, d2, n, i = 2, 5, 5, 5
     try:
-        gamma_twirl(HardInstanceSpec.concrete(d1, d2), n, i)
+        gamma_twirl_modes(HardInstanceSpec.concrete(d1, d2), n, i)
     except ValueError:
         return {
             "status": "skip",

@@ -25,7 +25,6 @@ from combcert.hard import (
     commutant_projector,
     domination_check,
     gamma_recursion_residual,
-    gamma_twirl,
     gamma_twirl_exact_commutant,
     gamma_twirl_monte_carlo,
     gamma_twirl_weingarten,
@@ -40,7 +39,7 @@ from combcert.hard import (
 )
 from combcert.hard.instance import comb_sequence, outer_modes, slot_spaces
 from combcert.hard.modes import comb_certificate
-from combcert.hard.twirl import COMMUTANT_DIM_CAP, PERMUTATION_ORDER_CAP
+from combcert.hard.twirl import COMMUTANT_DIM_CAP, PERMUTATION_ORDER_CAP, embedding
 from combcert.linalg import LabeledOperator, haar_unitary, psd_sqrt, random_psd
 from combcert.net import (
     NetParams,
@@ -134,7 +133,7 @@ def test_criterion_02_gamma_states_and_twirls_are_combs():
                 assert cert.ok, f"state comb failed at d1={d1} d2={d2} n={n} i={i}"
                 comb_res = max(comb_res, cert.max_chain_residual, -cert.min_eig)
 
-                g = gamma_twirl(spec, n, i, seed=SEED)
+                g = gamma_twirl_weingarten(spec, n, i)
                 cert = certify_comb(LabeledOperator(g, spaces), seq,
                                     psd_tol=1e-7, chain_tol=1e-7)
                 assert cert.ok, f"twirl comb failed at d1={d1} d2={d2} n={n} i={i}"
@@ -172,9 +171,10 @@ def test_criterion_03_twirl_route_cross_validation():
     mc_gap_max = 0.0
     for d1, d2, n, i in [(1, 2, 1, 1), (1, 3, 2, 1)]:
         spec = HardInstanceSpec.concrete(d1, d2)
-        exact = gamma_twirl(spec, n, i, seed=SEED)
+        exact = gamma_twirl_weingarten(spec, n, i)
         est, _ = gamma_twirl_monte_carlo(spec, n, i, samples=n_samples, seed=SEED)
-        diff = float(np.linalg.norm(est - exact))
+        e = embedding(spec, n, i)
+        diff = float(np.linalg.norm(e @ est @ e.conj().T - exact))
         bound = 5.0 * d1**n / sqrt(n_samples)
         assert diff <= bound, f"MC twirl off at ({d1},{d2},{n},{i}): {diff} > {bound}"
         mc_gap_max = max(mc_gap_max, diff / bound)

@@ -18,7 +18,7 @@ from combcert.combs import (
     validate_tester,
 )
 from combcert.combs import Tester as _Tester  # underscore keeps pytest from collecting it
-from combcert.hard import HardInstanceSpec, gamma_outer, gamma_twirl, gamma_twirl_modes
+from combcert.hard import HardInstanceSpec, gamma_outer, gamma_twirl_modes, gamma_twirl_weingarten
 from combcert.hard.instance import comb_sequence, outer_modes, slot_spaces
 from combcert.hard.modes import SectorPsd, comb_certificate
 from combcert.linalg import (
@@ -299,7 +299,7 @@ def test_factored_walk_equals_the_dense_walk_on_the_densified_operator(d1, d2, m
     for n in range(1, max_n + 1):
         seq = comb_sequence(n)
         spaces = slot_spaces(spec, n)
-        for modes, slot in ((outer_modes, gamma_outer), (gamma_twirl_modes, gamma_twirl)):
+        for modes, slot in ((outer_modes, gamma_outer), (gamma_twirl_modes, gamma_twirl_weingarten)):
             for i in range(n + 1):
                 got = comb_certificate(spec, modes(spec, n, i))
                 want = certify_comb(LabeledOperator(slot(spec, n, i), spaces), seq, psd_tol=1e-7, chain_tol=1e-7)

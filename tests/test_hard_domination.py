@@ -15,7 +15,13 @@ from combcert.hard import (
 )
 from combcert.hard import domination
 from combcert.hard.instance import gamma_state, kron_power
-from combcert.hard.twirl import embedding, gamma_twirl, gamma_twirl_modes
+from combcert.hard.twirl import (
+    PERMUTATION_ORDER_CAP,
+    embedding,
+    gamma_twirl_exact_commutant,
+    gamma_twirl_modes,
+    gamma_twirl_weingarten,
+)
 from combcert.linalg import (
     RANK_TOL,
     haar_isometry,
@@ -155,6 +161,14 @@ def test_domination_certificate_small_cells():
                 assert spread <= 1e-9
 
 
+def _slot_twirl(spec, n, i, seed):
+    """The slot-space Gamma_i by the route gamma_twirl_modes takes: the
+    permutation frame within its cap, else the exact commutant."""
+    if i <= PERMUTATION_ORDER_CAP:
+        return gamma_twirl_weingarten(spec, n, i)
+    return gamma_twirl_exact_commutant(spec, n, i, seed=seed)
+
+
 def _per_sample_domination(spec, n, eps, n_samples, seed):
     """domination_check on the dense route, one Haar matrix at a time: dense
     Gamma_i, their pseudo-inverses, the support projector of the weighted sum
@@ -164,7 +178,7 @@ def _per_sample_domination(spec, n, eps, n_samples, seed):
     support_margin."""
     sched = lambda_schedule(spec.d1, spec.d2, n, eps)
     rng = np.random.default_rng(seed)
-    gammas = [gamma_twirl(spec, n, i, seed=seed) for i in range(n + 1)]
+    gammas = [_slot_twirl(spec, n, i, seed) for i in range(n + 1)]
     pinvs = [pseudo_inverse(g) for g in gammas]
     weights = sched.weights.tolist()
     weighted = sum(w * g for w, g in zip(weights, gammas))

@@ -12,7 +12,6 @@ from combcert.combs import certify_comb
 from combcert.hard import (
     HardInstanceSpec,
     commutant_projector,
-    gamma_twirl,
     gamma_twirl_exact_commutant,
     gamma_twirl_monte_carlo,
     gamma_twirl_weingarten,
@@ -133,32 +132,36 @@ def test_monte_carlo_agrees_with_exact():
     spec = HardInstanceSpec.concrete(1, 3)
     n, i, samples = 2, 1, 20_000
     est, se = gamma_twirl_monte_carlo(spec, n, i, samples=samples, seed=rng_seed)
+    e = twirl.embedding(spec, n, i)
     exact = gamma_twirl_weingarten(spec, n, i)
-    assert np.max(np.abs(est - exact)) <= 5 * se
+    assert np.max(np.abs(e @ est @ e.conj().T - exact)) <= 5 * se
     assert se == pytest.approx(1.0 / np.sqrt(samples))
 
 
 def test_gamma_twirl_dispatcher():
     spec = HardInstanceSpec.concrete(1, 2)
-    g_auto = gamma_twirl(spec, 2, 1)
-    np.testing.assert_allclose(g_auto, gamma_twirl_weingarten(spec, 2, 1), atol=1e-12)
+    # within the permutation cap the frame core comes back, scaled by d1^{n-i}
+    m = twirl.gamma_twirl_modes(spec, 2, 1)
+    vals, vecs = twirl._twirled_core(spec.rotor_dim, spec.d1, 1)
+    np.testing.assert_array_equal(m.vecs, vecs)
+    np.testing.assert_array_equal(m.vals, vals)
     # i above the permutation cap with dimension above the commutant cap must
     # refuse rather than silently sample
     big = HardInstanceSpec.concrete(2, 4)
     with pytest.raises(ValueError):
-        gamma_twirl(big, 5, 5)
+        twirl.gamma_twirl_modes(big, 5, 5)
 
 
 def test_gamma_twirl_takes_the_exact_commutant_above_the_permutation_cap():
     spec = HardInstanceSpec.concrete(1, 2)  # dimension 2**5 = 32 fits the commutant cap
-    # the commutant projection comes back as it is
-    g = gamma_twirl(spec, 5, 5, seed=3)
+    # the commutant projection is a function of its seed
+    g = gamma_twirl_exact_commutant(spec, 5, 5, seed=3)
     np.testing.assert_array_equal(g, gamma_twirl_exact_commutant(spec, 5, 5, seed=3))
     # the mode route pulls the same projection back onto sector 5 of Sym^5(M)
     m = twirl.gamma_twirl_modes(spec, 5, 5, seed=3)
     b = twirl.embedding(spec, 5, 5) @ m.vecs
     np.testing.assert_allclose((b * m.vals) @ b.conj().T, g, rtol=0, atol=1e-12)
-    for route in (gamma_twirl, twirl.gamma_twirl_modes):
+    for route in (gamma_twirl_exact_commutant, twirl.gamma_twirl_modes):
         with pytest.raises(ValueError):
             route(HardInstanceSpec.concrete(2, 4), 5, 5)
 
@@ -180,7 +183,8 @@ def test_factored_certificates_match_the_dense_ones(d1, d2):
             g = gamma_state(spec, n, i)
             pairs = [
                 (outer_modes(spec, n, i), LabeledOperator(np.outer(g, g.conj()), spaces)),
-                (twirl.gamma_twirl_modes(spec, n, i), LabeledOperator(gamma_twirl(spec, n, i), spaces)),
+                (twirl.gamma_twirl_modes(spec, n, i),
+                 LabeledOperator(gamma_twirl_weingarten(spec, n, i), spaces)),
             ]
             for modes, dense in pairs:
                 a = comb_certificate(spec, modes)
@@ -223,15 +227,15 @@ def test_mode_twirls_embed_onto_the_slot_space_factors(d1, d2, n):
 
 @pytest.mark.parametrize("d1,d2", GAMMA_CELLS)
 def test_twirl_factor_agrees_with_the_dense_twirl_on_random_probes(d1, d2):
-    # the slot-space Gamma_i that twirl-routes and twirl-mc compare is the
-    # sector operator the comb and domination records certify, mapped by E_n
+    # the slot-space Gamma_i that twirl-routes compares is the sector
+    # operator the comb and domination records certify, mapped by E_n
     rng = np.random.default_rng(31)
     spec = HardInstanceSpec.concrete(d1, d2)
     for n in (1, 2, 3):
         for i in range(n + 1):
             m = twirl.gamma_twirl_modes(spec, n, i)
             b = twirl.embedding(spec, n, i) @ m.vecs
-            dense = gamma_twirl(spec, n, i)
+            dense = gamma_twirl_weingarten(spec, n, i)
             x = rng.standard_normal((len(b), 3)) + 1j * rng.standard_normal((len(b), 3))
             lhs = b @ (m.vals[:, None] * (b.conj().T @ x))
             rhs = dense @ x
@@ -283,8 +287,10 @@ def test_block_commutant_refuses_a_rotor_that_moves_im_v0(monkeypatch):
 
 
 def _monte_carlo_reference(spec, n, i, samples, seed):
-    """The sample-first Monte Carlo loop (moveaxis, then a batched einsum per
-    slot) that gamma_twirl_monte_carlo's sample-last loop replaced."""
+    """The slot-space Monte Carlo loop: each sample's rho(U) applied to the
+    (d1*d2)^n-entry gamma_i (moveaxis, then a batched einsum per slot) and
+    the outer products summed, the reference for gamma_twirl_monte_carlo's
+    sums in sector coordinates."""
     rng = np.random.default_rng(seed)
     d1, d2 = spec.d1, spec.d2
     iota = spec.iota
@@ -311,20 +317,30 @@ def _monte_carlo_reference(spec, n, i, samples, seed):
     return (est + est.conj().T) / 2
 
 
+def _embedded(spec, n, i, est):
+    """The sector estimate mapped onto the slot spaces: E_n est E_n^dagger."""
+    e = twirl.embedding(spec, n, i)
+    return e @ est @ e.conj().T
+
+
 def test_monte_carlo_matches_the_sample_first_loop_at_the_default_cell():
     d1, d2, n, i = DEFAULT_CONFIG["hard"]["mc_cells"][0]
     samples = DEFAULT_CONFIG["hard"]["mc_samples"]
     spec = HardInstanceSpec.concrete(d1, d2)
     est, _ = gamma_twirl_monte_carlo(spec, n, i, samples=samples, seed=7)
-    np.testing.assert_array_equal(est, _monte_carlo_reference(spec, n, i, samples, seed=7))
+    assert est.shape == (comb(spec.rotor_dim * d1 + i - 1, i),) * 2
+    ref = _monte_carlo_reference(spec, n, i, samples, seed=7)
+    assert np.abs(_embedded(spec, n, i, est) - ref).max() <= 1e-14
 
 
-@pytest.mark.parametrize("d1,d2,n,i", [(1, 3, 3, 2), (2, 4, 2, 2)])
+# (1,2,5,5) lies above the permutation cap: its exact Gamma_i comes from the
+# commutant route; at i = 0 each sample's sector vector has one entry
+@pytest.mark.parametrize("d1,d2,n,i", [(1, 3, 3, 2), (2, 4, 2, 2), (1, 2, 5, 5), (2, 4, 2, 0)])
 def test_monte_carlo_matches_the_sample_first_loop(d1, d2, n, i):
     spec = HardInstanceSpec.concrete(d1, d2)
     est, _ = gamma_twirl_monte_carlo(spec, n, i, samples=4500, seed=3)  # two full batches and a part
     ref = _monte_carlo_reference(spec, n, i, 4500, seed=3)
-    assert np.abs(est - ref).max() <= 1e-15
+    assert np.abs(_embedded(spec, n, i, est) - ref).max() <= 1e-14
 
 
 def _dense_frame_core(delta_coords, i):

@@ -113,8 +113,8 @@ def test_stacked_roots_inverses_and_psd_checks_equal_per_matrix_calls():
         for member, one in zip(stacked, x):
             assert np.array_equal(member, fn(one))
     assert not pseudo_inverse(x[3]).any()
-    # the member whose Hermitian part has no imaginary part is solved as a
-    # real matrix in the stack too, as its own call solves it
+    # the complex-typed real member too: a stack is solved member by member
+    # as its own calls solve it
     assert all(np.array_equal(v, herm_eigvals(one)) for v, one in zip(herm_eigvals(x), x))
     assert psd_checks(x) == [psd_check(one) for one in x]
     x[1, 0, 0] = -1.0
@@ -143,8 +143,8 @@ def test_psd_check():
 
 @pytest.mark.parametrize("kind", ["complex", "complex-typed-real", "real"])
 def test_psd_check_matches_eigh_reference(kind):
-    # the values-only solve (real symmetric when the imaginary part is
-    # exactly zero) must agree with a full complex eigh on the same input
+    # the values-only solve must agree with a full complex eigh on the same
+    # input, a complex-typed real one included
     rng = np.random.default_rng(14)
     for d in (1, 6, 40):
         g = rng.normal(size=(d, d))

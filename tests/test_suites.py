@@ -154,7 +154,7 @@ def test_oversized_twirl_request_fails_when_the_auto_route_returns(monkeypatch):
         "no exact twirl route: dim 100000 exceeds the commutant cap 48 and index 5 "
         "exceeds the permutation-frame cap 4"
     )
-    monkeypatch.setattr(suites, "gamma_twirl", lambda *args, **kwargs: np.eye(2))
+    monkeypatch.setattr(suites, "gamma_twirl_modes", lambda *args, **kwargs: np.eye(2))
     assert oversized().status == "fail"
 
 
@@ -221,6 +221,30 @@ def test_a_wrongly_normalized_twirl_fails_its_domination_record(monkeypatch):
     assert bad.status == "fail"
     assert bad.values["max_quadratic_form"] <= bad.threshold
     assert bad.values["q_closed_form"] == good.values["q_closed_form"]
+
+
+def test_a_wrongly_normalized_twirl_fails_the_monte_carlo_record(monkeypatch):
+    # the Haar-sample estimate is independent of the exact route: a Gamma_i
+    # scaled by 1.5 is 0.5 * ||Gamma_1||_F = 0.35 off, about 22 thresholds
+    payload = {"hard": {"gamma_cells": [], "mc_cells": [[1, 3, 2, 1]], "trace_dims": [2],
+                        "rotor_trace_cells": [], "span_max_d": 1, "span_max_m": 1,
+                        "domination": {"cells": []}, "facts": {"dim_pairs": []}}}
+
+    def record():
+        records = suites.run_hard_suite(payload, seed=7).records
+        return next(r for r in records if r.check_id == "twirl-mc-1-3-2-1")
+
+    assert record().status == "pass"
+    exact = suites.gamma_twirl_modes
+
+    def scaled(spec, n, i, seed=0):
+        f = exact(spec, n, i, seed=seed)
+        return f._replace(vals=1.5 * f.vals)
+
+    monkeypatch.setattr(suites, "gamma_twirl_modes", scaled)
+    bad = record()
+    assert bad.status == "fail"
+    assert bad.residual > bad.threshold
 
 
 def test_a_walk_that_traces_a_in_place_of_b_fails_the_twirl_combs(monkeypatch):
