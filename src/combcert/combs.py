@@ -42,7 +42,7 @@ from .linalg import (
     haar_from_ginibre,
     psd_checks,
     psd_sqrt,
-    pseudo_inverse,
+    pseudo_inverse_sqrt,
     stack_runs,
 )
 
@@ -451,7 +451,7 @@ def build_testers(draws: Sequence[TesterDraw]) -> list[Tester]:
         g = np.stack(d.parts)
         parts.append(g @ np.swapaxes(g.conj(), -1, -2))
     # the builtin sum adds the parts left to right, from 0
-    s_isqrt = _by_shape(lambda s: psd_sqrt(pseudo_inverse(s)), [sum(p) for p in parts])
+    s_isqrt = _by_shape(pseudo_inverse_sqrt, [sum(p) for p in parts])
     return [
         Tester(
             elements=tuple(LabeledOperator(el, total.spaces) for el in _element(p, s, root)),

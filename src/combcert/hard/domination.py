@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..linalg import haar_from_ginibre, herm_eigvals, pseudo_inverse, rank_mask
+from ..linalg import frobenius, haar_from_ginibre, herm_eigvals, pseudo_inverse, rank_mask
 from .instance import HardInstanceSpec
 from .modes import gamma_modes, mode_isometry, power_coords
 from .twirl import gamma_twirl_modes
@@ -169,7 +169,7 @@ def symmetric_span_dim(d: int, m: int, rng: np.random.Generator) -> int:
     # one draw in the order of per-vector real-then-imaginary draws
     parts = rng.standard_normal((count, 2, d))
     phi = parts[:, 0] + 1j * parts[:, 1]
-    phi /= np.linalg.norm(phi, axis=1, keepdims=True)
+    phi /= frobenius(phi[:, None])[:, None]
     vecs = _kron_power_rows(phi, m)
     gram = vecs @ vecs.conj().T
     vals = herm_eigvals(gram)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..linalg import RANK_TOL, herm_eig, psd_check, rank_mask
+from ..linalg import RANK_TOL, frobenius, herm_eig, psd_check, rank_mask
 from .domination import budget_exponent, check_admissible
 
 __all__ = [
@@ -131,10 +131,8 @@ def psd_domination_equiv(m: np.ndarray, psi: np.ndarray) -> PsdDominationWitness
     keep = rank_mask(vals, RANK_TOL)
     cols = vecs[:, keep]
     q = float((psi.conj() @ ((cols * (1.0 / vals[keep])) @ cols.conj().T @ psi)).real)
-    norm = np.linalg.norm(psi)
-    residual = 0.0
-    if norm > 0:
-        residual = float(np.linalg.norm(psi - cols @ cols.conj().T @ psi)) / float(norm)
+    norm = frobenius(psi)
+    residual = float(frobenius(psi - cols @ cols.conj().T @ psi) / norm) if norm > 0 else 0.0
     verdict = psd_check(m - np.outer(psi, psi.conj()), tol=EQUIV_PSD_TOL)
     return PsdDominationWitness(
         quadratic_form=q, support_residual=residual, dominates=bool(verdict.ok)

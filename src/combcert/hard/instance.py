@@ -31,8 +31,8 @@ from math import comb
 import numpy as np
 
 from ..combs import slot_labels
-from ..linalg import nullspace, vectorize
-from .modes import SectorPsd, frobenius, gamma_modes, sector_slice, trace_last_b
+from ..linalg import frobenius, nullspace, vectorize
+from .modes import SectorPsd, gamma_modes, sector_slice, trace_last_b
 
 __all__ = [
     "ISOMETRY_TOL",
@@ -241,7 +241,7 @@ def gamma_recursion_residual(spec: HardInstanceSpec, n: int, i: int) -> float:
             h = np.zeros(len(mix), dtype=complex)
             h[sector_slice(modes, n - 1, j)] = gamma_modes(spec, n - 1, j)
             mix += comb(n - 1, j) / comb(n, i) * np.outer(h, h.conj())
-    return frobenius(lhs - np.kron(mix, np.eye(spec.d1)))
+    return float(frobenius(lhs - np.kron(mix, np.eye(spec.d1))))
 
 
 def hard_vector_expansion(spec: HardInstanceSpec, n: int, eps: float, u: np.ndarray) -> float:

@@ -27,14 +27,13 @@ from typing import NamedTuple
 import numpy as np
 
 from ..combs import CombCertificate
-from ..linalg import floor_rule
+from ..linalg import floor_rule, frobenius
 
 __all__ = [
     "GAMMA_COMB_TOL",
     "SectorPsd",
     "comb_certificate",
     "delta_modes",
-    "frobenius",
     "gamma_modes",
     "mode_isometry",
     "power_coords",
@@ -146,12 +145,6 @@ def trace_last_b(spec, x: np.ndarray, j: int, rows: slice = slice(None)) -> np.n
     return y.reshape(lower, lower, d1, d1).transpose(0, 2, 1, 3).reshape(lower * d1, -1)
 
 
-def frobenius(x: np.ndarray) -> float:
-    """||x||_F as a numpy sum, whose order, unlike a BLAS dot's, does not
-    depend on the BLAS thread count."""
-    return float(np.sqrt((np.abs(x) ** 2).sum()))
-
-
 def delta_modes(spec) -> np.ndarray:
     """J^dagger vec Delta on the k*d1 rotor modes, entry w*d1 + a for mode
     1 + w*d1 + a (its mode-0 entry, <V0|Delta> / sqrt(d1), is zero)."""
@@ -181,9 +174,8 @@ def comb_certificate(spec, op: SectorPsd) -> CombCertificate:
     residuals = []
     for j in range(op.n, 0, -1):
         lower = y.shape[0] // d1
-        y = y.reshape(lower, d1, lower, d1)
-        z = np.einsum("paqa->pq", y) / d1
-        residuals.append(frobenius(y - np.multiply.outer(z, np.eye(d1)).transpose(0, 2, 1, 3)))
+        z = np.einsum("paqa->pq", y.reshape(lower, d1, lower, d1)) / d1
+        residuals.append(float(frobenius(y - np.kron(z, np.eye(d1)))))
         if j > 1:
             y = trace_last_b(spec, z, j - 1)
     residuals.append(float(abs(z[0, 0] - 1.0)))

@@ -28,7 +28,9 @@ __all__ = [
     "psd_checks",
     "floor_rule",
     "trace_norm",
+    "frobenius",
     "pseudo_inverse",
+    "pseudo_inverse_sqrt",
     "psd_sqrt",
     "rank_mask",
     "nullspace",
@@ -134,8 +136,8 @@ def _hermitian_part(x: np.ndarray, check_tol: float) -> np.ndarray:
     if x.ndim < 2 or x.shape[-1] != x.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {x.shape}")
     xh = np.swapaxes(x, -2, -1).conj()
-    scale = np.maximum(1.0, np.linalg.norm(x, axis=(-2, -1)))
-    asym = np.linalg.norm(x - xh, axis=(-2, -1))
+    scale = np.maximum(1.0, frobenius(x))
+    asym = frobenius(x - xh)
     bad = asym > check_tol * scale
     if bad.any():
         at = tuple(int(i) for i in np.argwhere(bad)[0])
@@ -203,19 +205,34 @@ def trace_norm(x: np.ndarray) -> float | np.ndarray:
     return np.linalg.svd(x, compute_uv=False).sum(axis=-1)
 
 
-def pseudo_inverse(x: np.ndarray) -> np.ndarray:
-    """Moore-Penrose inverse of a Hermitian PSD matrix on its support, or of
-    each matrix of a stack (..., d, d), equal to the per-matrix calls.
+def frobenius(x: np.ndarray) -> float | np.ndarray:
+    """||x||_F of a matrix or vector; for a stack (..., m, n), the array of each
+    member's, equal bit for bit to the per-matrix calls. numpy's own pairwise
+    sum adds the squares, in an order no BLAS kernel or thread count moves."""
+    sq = np.abs(x) ** 2
+    return np.sqrt(sq.sum(axis=tuple(range(sq.ndim))[-2:]))
 
-    The eigenvalues :func:`rank_mask` keeps are inverted; the rest are
-    treated as exact zeros (support convention), so a matrix with
-    lambda_max <= 0 has the zero inverse.
-    """
+
+def pseudo_inverse(x: np.ndarray) -> np.ndarray:
+    """Moore-Penrose inverse of a Hermitian PSD matrix, or of each matrix of a
+    stack (..., d, d), equal to the per-matrix calls: the eigenvalues
+    :func:`rank_mask` keeps are inverted and the rest read as exact zeros
+    (support convention), so lambda_max <= 0 gives the zero inverse."""
+    return _on_support(x, np.reciprocal)
+
+
+def pseudo_inverse_sqrt(x: np.ndarray) -> np.ndarray:
+    """x^{-1/2} on the support of x, the root of :func:`pseudo_inverse`, from one eigensolve."""
+    return _on_support(x, lambda vals: 1.0 / np.sqrt(vals))
+
+
+def _on_support(x: np.ndarray, fn) -> np.ndarray:
+    """vecs fn(vals) vecs^dagger on the eigenvalues rank_mask keeps, zero on the rest."""
     vals, vecs = herm_eig(x)
     keep = rank_mask(vals, RANK_TOL)
-    inv = np.zeros_like(vals)
-    inv[keep] = 1.0 / vals[keep]
-    return _spectral(vecs, inv)
+    out = np.zeros_like(vals)
+    out[keep] = fn(vals[keep])
+    return _spectral(vecs, out)
 
 
 def psd_sqrt(x: np.ndarray) -> np.ndarray:

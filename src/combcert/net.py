@@ -29,12 +29,13 @@ and separation audits split their trials into runs under
 ``linalg.STACK_BYTES`` (:func:`linalg.stack_runs`), from an estimate of the
 bytes one trial stacks, so their memory does not grow with the trial count.
 They draw their Gaussian matrices in the per-trial order of a one-trial
-loop, and batched LAPACK and matmul calls equal the per-matrix calls bit
-for bit, so their values do not depend on the runs. The moment audit draws
-the Ginibre matrices of its Haar pairs in blocks of MOMENT_BLOCK, which fix
-its samples, reduces each block in runs the same way, and never
-forms the (d2*d1)-square operator F: F has rank at most r, and its moments
-are traces of r x r Gram products.
+loop, and batched LAPACK and matmul calls, and :func:`linalg.frobenius`,
+which sums every norm here in numpy's own loops and never in a BLAS dot,
+equal the per-matrix calls bit for bit, so their values do not depend on
+the runs. The moment audit draws the Ginibre matrices of its Haar pairs in
+blocks of MOMENT_BLOCK, which fix its samples, reduces each block in runs
+the same way, and never forms the (d2*d1)-square operator F: F has rank at
+most r, and its moments are traces of r x r Gram products.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .channels import (
     kraus_rank,
 )
 from .linalg import (
+    frobenius,
     ginibre,
     haar_from_ginibre,
     haar_isometry,
@@ -235,18 +237,16 @@ class BlockIsometry:
         if not np.array_equal(rotor, (p.d2 * np.arange(p.r)[:, None] + levels).ravel()):
             raise ValueError("rotor_rows must hold the same output levels in every ancilla block")
         eye = np.eye(p.d1)
-        if np.linalg.norm(self.v0_full.conj().T @ self.v0_full - eye) > BRANCH_ISO_TOL:
+        if frobenius(self.v0_full.conj().T @ self.v0_full - eye) > BRANCH_ISO_TOL:
             raise ValueError("reference branch is not an isometry")
         branch = rotated_branch(self, np.eye(p.u_dim))
-        if np.linalg.norm(branch.conj().T @ branch - eye) > BRANCH_ISO_TOL:
+        if frobenius(branch.conj().T @ branch - eye) > BRANCH_ISO_TOL:
             raise ValueError("rotated branch at unit rotation is not an isometry")
         if p.mode == "odd":
             # row-sector disjointness makes the branches orthogonal for every
             # rotation; in even mode orthogonality is by the member's flag qubit
-            if (
-                np.linalg.norm(self.v0_full.conj().T @ branch) > BRANCH_ORTHO_TOL
-                or np.linalg.norm(self.v0_full[rotor]) > BRANCH_ORTHO_TOL
-            ):
+            overlap = max(frobenius(self.v0_full.conj().T @ branch), frobenius(self.v0_full[rotor]))
+            if overlap > BRANCH_ORTHO_TOL:
                 raise ValueError("branch images are not orthogonal")
         g = self.gram
         off = g - np.diag(np.diag(g))
@@ -543,10 +543,7 @@ def _unitary_steps(g: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """exp(i theta H) for each H = (g + g^dagger)/2 scaled to unit Frobenius
     norm, over a stack g (..., d, d) of Ginibre draws and angles theta (...)."""
     h = (g + np.swapaxes(g, -2, -1).conj()) / 2
-    d = g.shape[-1]
-    # per-matrix norms: a batched norm differs from them in the last bits
-    norms = np.array([np.linalg.norm(m) for m in h.reshape(-1, d, d)])
-    h /= norms.reshape(h.shape[:-2] + (1, 1))
+    h /= frobenius(h)[..., None, None]
     vals, vecs = herm_eig(h)
     phases = np.exp(1j * theta[..., None] * vals)
     return (vecs * phases[..., None, :]) @ vecs.conj().swapaxes(-2, -1)
@@ -563,7 +560,7 @@ def _lipschitz_trial_bytes(p: NetParams) -> int:
 def _lipschitz_chunk(
     blocks: BlockIsometry, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """|f(U') - f(U)| and the joint displacement ||U' - U||_F for n trials.
+    """|f(U') - f(U)| and the joint displacement ||(U' - U, V' - V)||_F for n trials.
 
     The draws are made trial by trial in one fixed order (the Ginibre
     matrices of ux and uy, the two angles, the Ginibre matrices of the two
@@ -580,11 +577,9 @@ def _lipschitz_chunk(
     # axis 1 holds (x, y); real and imaginary parts alternate on the draw axis
     u = haar_from_ginibre(starts[:, 0::2] + 1j * starts[:, 1::2])
     u2 = u @ _unitary_steps(steps[:, 0::2] + 1j * steps[:, 1::2], theta)
-    moved = [np.linalg.norm(m) for m in (u2 - u).reshape(-1, d, d)]
-    dist = np.array([sqrt(a**2 + b**2) for a, b in zip(moved[0::2], moved[1::2])])
     f0 = _overlap_norm(blocks, u[:, 0], u[:, 1])
     f1 = _overlap_norm(blocks, u2[:, 0], u2[:, 1])
-    return np.abs(f1 - f0), dist
+    return np.abs(f1 - f0), frobenius((u2 - u).reshape(n, 2 * d, d))
 
 
 def lipschitz_audit(blocks: BlockIsometry, trials: int, rng: np.random.Generator) -> LipschitzAudit:
@@ -651,8 +646,8 @@ def _separation_chunk(blocks: BlockIsometry, n: int, rng: np.random.Generator) -
     u = haar_from_ginibre(g[:, 0::2] + 1j * g[:, 1::2])
     u1, u2 = u[:, 0], u[:, 1]
     # coinciding rotations have probability zero; one is redrawn after the stack
-    for k in np.flatnonzero(np.linalg.norm(u1 - u2, axis=(-2, -1)) < 1e-12):
-        while np.linalg.norm(u1[k] - u2[k]) < 1e-12:
+    for k in np.flatnonzero(frobenius(u1 - u2) < 1e-12):
+        while frobenius(u1[k] - u2[k]) < 1e-12:
             u2[k] = haar_unitary(d, rng)
 
     b1 = rotated_branch(blocks, u1)
@@ -678,16 +673,13 @@ def _separation_chunk(blocks: BlockIsometry, n: int, rng: np.random.Generator) -
         x = d1 * f_operator(blocks, u1, u2)
     x_norm = trace_norm(x)
     scale = np.maximum(1.0, x_norm)
-    # per-matrix norms and Python float powers keep each pair's residual
-    # equal to the one-pair computation
-    nilp = [float(np.linalg.norm(xx)) / s**2 for xx, s in zip(x @ x, scale.tolist())]
     return {
         "dist": dist,
         "x_norm": x_norm,
         "f": f_val,
         "rank": kraus_rank(choi1),
         "branch": branch_res,
-        "nilp": np.array(nilp),
+        "nilp": frobenius(x @ x) / scale**2,
         "symm": np.abs(trace_norm(x + x.conj().swapaxes(-2, -1)) - 2 * x_norm) / scale,
         "route": np.abs(x_norm - d1 * f_val) / scale,
     }

@@ -69,9 +69,9 @@ from .hard.domination import (
 )
 from .hard.facts import CHAIN_SLACK, EQUIV_PSD_TOL
 from .hard.instance import outer_modes
-from .hard.modes import GAMMA_COMB_TOL, comb_certificate, frobenius
+from .hard.modes import GAMMA_COMB_TOL, comb_certificate
 from .hard.twirl import COMMUTANT_DIM_CAP, PERMUTATION_ORDER_CAP, exact_routes
-from .linalg import LabeledOperator, ginibre, haar_unitary, psd_sqrt, random_psd, stack_runs
+from .linalg import LabeledOperator, frobenius, ginibre, haar_unitary, psd_sqrt, random_psd, stack_runs
 from .net import (
     EPS_ZERO_TOL,
     F_ROUTE_TOL,
@@ -649,7 +649,7 @@ def _twirl_routes(c: Cell) -> dict:
         for i in both:
             a = gamma_twirl_exact_commutant(c.spec, n, i, projector=proj)
             b = gamma_twirl_weingarten(c.spec, n, i)
-            worst = max(worst, float(np.linalg.norm(a - b)))
+            worst = max(worst, float(frobenius(a - b)))
             compared += 1
     if compared == 0:
         return {"status": "skip", "reason": "no cell fits both exact twirl routes within caps"}
@@ -664,7 +664,7 @@ def _twirl_mc(c: Cell) -> dict:
     op = gamma_twirl_modes(c.spec, n, i, seed=c.seed)
     exact = np.einsum("ik,jk->ij", op.vecs * op.vals, op.vecs.conj())
     est, stderr = gamma_twirl_monte_carlo(c.spec, n, i, samples=n_samp, seed=c.seed)
-    diff = frobenius(est - exact)
+    diff = float(frobenius(est - exact))
     bound = MC_SIGMA_FACTOR * stderr
     warn = diff > (MC_SIGMA_FACTOR - 1.0) * stderr
     return _verdict(diff <= bound, bound, diff, warn=warn,
@@ -685,7 +685,7 @@ def _trace_bound_unitary(c: Cell) -> dict:
             val = twirl_trace_bound(x, twirled)
             max_excess = max(max_excess, val - d * (1 + TRACE_TOL))
         phi = ginibre(d, rng)
-        phi /= np.linalg.norm(phi)
+        phi /= frobenius(phi)
         pure = np.outer(phi, phi.conj())
         val = twirl_trace_bound(pure, np.eye(d) / d)
         max_pure_gap = max(max_pure_gap, abs(val - d))
@@ -938,13 +938,13 @@ def _net_isometry(c: Cell) -> dict:
     for _ in range(c.cfg["member_checks"]):
         u = haar_unitary(p.u_dim, rng2)
         v, ch = build_net_isometry(p, u, blocks)
-        iso_res = max(iso_res, float(np.linalg.norm(v.conj().T @ v - np.eye(p.d1))))
+        iso_res = max(iso_res, float(frobenius(v.conj().T @ v - np.eye(p.d1))))
         rank_max = max(rank_max, kraus_rank(choi_from_kraus(ch)))
     p0 = NetParams(p.d1, p.d2, p.r, 0.0, mode=p.mode)
     b0 = build_block_isometry(p0, np.random.default_rng(c.seed))
     c1 = choi_from_kraus(build_net_isometry(p0, haar_unitary(p0.u_dim, rng2), b0)[1])
     c2 = choi_from_kraus(build_net_isometry(p0, haar_unitary(p0.u_dim, rng2), b0)[1])
-    eps0_res = float(np.linalg.norm(c1 - c2))
+    eps0_res = float(frobenius(c1 - c2))
     ok = iso_res <= ISO_TOL and rank_max <= p.r and eps0_res <= EPS_ZERO_TOL
     return _verdict(ok, ISO_TOL, iso_res, mode=p.mode, kraus_rank_max=rank_max, rank_bound=p.r,
                     out_dim=p.out_dim, eps_zero_choi_residual=eps0_res)
@@ -962,8 +962,8 @@ def _f_operator(c: Cell) -> dict:
         np.outer(k0[i].reshape(-1), (kx[i] - ky[i]).reshape(-1).conj())
         for i in range(p.r)
     ) / p.d1
-    route_res = float(np.linalg.norm(f - f2))
-    zero_res = float(np.linalg.norm(f_operator(blocks, ux, ux)))
+    route_res = float(frobenius(f - f2))
+    zero_res = float(frobenius(f_operator(blocks, ux, ux)))
     ok = route_res <= F_ROUTE_TOL and zero_res <= IDENTICAL_PAIR_TOL
     return _verdict(ok, F_ROUTE_TOL, route_res, mode=p.mode, sample_f=c.stash(f),
                     identical_pair_norm=zero_res)

@@ -3,13 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from combcert import linalg
 from combcert.channels import Channel, choi_from_kraus, choi_operator, random_channel
 from combcert.combs import (
     _draw_comb,
     _link_comb,
+    build_testers,
     certify_comb,
     certify_combs,
     channels_network,
+    draw_tester,
     link_product,
     random_tester,
     slot_labels,
@@ -199,6 +202,25 @@ def test_random_tester_validates_and_normalizes():
     assert cert.ok
     # tr(sum T_i) equals the product of output dimensions
     assert abs(np.trace(tester.element_sum().mat).real - 4.0) < 1e-8
+
+
+def test_build_testers_takes_each_s_inverse_root_from_one_eigensolve(monkeypatch):
+    # two shapes: T^{1/2} is one stacked eigensolve per shape, and so is
+    # S^{-1/2} on the support of S
+    shapes = []
+    real = linalg.herm_eig
+
+    def counted(x):
+        shapes.append(x.shape)
+        return real(x)
+
+    monkeypatch.setattr(linalg, "herm_eig", counted)
+    rng = np.random.default_rng(30)
+    draws = [draw_tester(dims, 3, rng) for dims in ([(2, 2)], [(2, 2)], [(2, 3), (2, 2)])]
+    testers = build_testers(draws)
+    assert shapes == [(2, 4, 4), (1, 24, 24), (2, 4, 4), (1, 24, 24)]
+    for tester in testers:
+        assert validate_tester(tester, psd_tol=1e-9, chain_tol=1e-8).ok
 
 
 def test_tester_contraction_identity():

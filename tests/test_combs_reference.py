@@ -3,8 +3,8 @@ it replaced.
 
 The suite draws every random object first and builds same-shaped work as
 stacks. These references draw and build one object at a time, with the link
-product, comb certificate, square root and pseudo-inverse as they were
-written for one matrix. The two must agree bit for bit: equal tester
+product, comb certificate, square root and inverse square root written
+for one matrix. The two must agree bit for bit: equal tester
 elements and channels, equal worst residuals, and generators left in the
 same state, at a one-byte stack budget (every object its own run) and at
 the default one."""
@@ -73,12 +73,12 @@ def _psd_sqrt(x):
     return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
 
 
-def _pseudo_inverse(x, rank_tol=1e-10):
+def _pseudo_inverse_sqrt(x, rank_tol=1e-10):
     vals, vecs = herm_eig(x)
     lam_max = float(vals[-1])
     keep = vals > rank_tol * lam_max
     inv = np.zeros_like(vals)
-    inv[keep] = 1.0 / vals[keep]
+    inv[keep] = 1.0 / np.sqrt(vals[keep])
     return (vecs * inv) @ vecs.conj().T
 
 
@@ -111,7 +111,7 @@ def _random_tester(pair_dims, n_outcomes, rng):
     total = comb.partial_trace([HEAD, TAIL]).reorder(labels)
     root = _psd_sqrt(total.mat)
     parts = [random_psd(total.dim, rng) for _ in range(n_outcomes)]
-    s_isqrt = _psd_sqrt(_pseudo_inverse(sum(parts)))
+    s_isqrt = _pseudo_inverse_sqrt(sum(parts))
     elements = []
     for a in parts:
         mat = root @ (s_isqrt @ a @ s_isqrt) @ root

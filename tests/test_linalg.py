@@ -6,6 +6,7 @@ from combcert.channels import kraus_rank
 from combcert.linalg import (
     LabeledOperator,
     floor_rule,
+    frobenius,
     ginibre,
     haar_from_ginibre,
     haar_isometry,
@@ -16,6 +17,7 @@ from combcert.linalg import (
     nullspace,
     partial_trace,
     pseudo_inverse,
+    pseudo_inverse_sqrt,
     psd_check,
     psd_checks,
     psd_sqrt,
@@ -119,6 +121,52 @@ def test_stacked_roots_inverses_and_psd_checks_equal_per_matrix_calls():
     assert psd_checks(x) == [psd_check(one) for one in x]
     x[1, 0, 0] = -1.0
     assert psd_checks(x, tol=1e-9) == [psd_check(one, tol=1e-9) for one in x]
+
+
+@pytest.mark.parametrize("shape", [(500, 3, 3), (7, 81, 81), (2, 7, 4, 6)])
+def test_frobenius_stack_equals_per_matrix_calls(shape):
+    rng = np.random.default_rng(19)
+    x = ginibre(shape, rng)
+    norms = frobenius(x)
+    assert norms.shape == shape[:-2]
+    for idx in np.ndindex(shape[:-2]):
+        assert norms[idx] == frobenius(x[idx]) == np.sqrt((np.abs(x[idx]) ** 2).sum())
+    assert np.abs(norms - np.linalg.norm(x, axis=(-2, -1))).max() <= 1e-15 * norms.max()
+    assert all(frobenius(m) == frobenius(m.reshape(-1)) for m in x.reshape((-1,) + shape[-2:])[:5])
+
+
+def test_frobenius_of_a_strided_slice_equals_per_matrix_calls():
+    rng = np.random.default_rng(20)
+    u = ginibre((300, 2, 5, 5), rng)
+    for part in (u[:, 0], u[:, 1], u[::3, :, 1:, ::2]):
+        norms = frobenius(part)
+        # each member's own norm, and that of its contiguous copy
+        for idx in np.ndindex(part.shape[:-2]):
+            assert norms[idx] == frobenius(part[idx]) == frobenius(np.array(part[idx]))
+        ref = np.linalg.norm(part, axis=(-2, -1))
+        assert np.abs(norms - ref).max() <= 1e-15 * ref.max()
+    for m in u[:20, 0]:
+        assert abs(frobenius(m) - np.linalg.norm(m)) <= 1e-15 * np.linalg.norm(m)
+
+
+def test_pseudo_inverse_sqrt_is_the_root_of_the_pseudo_inverse():
+    rng = np.random.default_rng(21)
+    for d in (4, 9):
+        s = random_psd(d, rng)
+        assert np.abs(pseudo_inverse_sqrt(s) - psd_sqrt(pseudo_inverse(s))).max() <= 1e-12
+    for d, rank in ((6, 3), (9, 1), (16, 7)):
+        g = ginibre((d, rank), rng)
+        root = pseudo_inverse_sqrt(g @ g.conj().T)
+        # independent route: G = U diag(sigma) W^dagger gives S^{-1/2} = U diag(1/sigma) U^dagger
+        u, sigma, _ = np.linalg.svd(g, full_matrices=False)
+        assert np.abs(root - (u / sigma) @ u.conj().T).max() <= 1e-12
+        assert np.abs(root @ root - pseudo_inverse(g @ g.conj().T)).max() <= 1e-12
+        # the root of the dense pseudo-inverse also lifts its rounding-level
+        # null eigenvalues to about sqrt(eps) each
+        assert np.abs(root - psd_sqrt(pseudo_inverse(g @ g.conj().T))).max() <= 1e-7
+    x = np.stack([random_psd(5, rng), random_psd(5, rng, rank=2), np.zeros((5, 5))])
+    assert all(np.array_equal(a, pseudo_inverse_sqrt(one)) for a, one in zip(pseudo_inverse_sqrt(x), x))
+    assert not pseudo_inverse_sqrt(x[2]).any()
 
 
 def test_haar_from_ginibre_stack_equals_per_matrix_calls():

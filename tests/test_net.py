@@ -10,7 +10,7 @@ import pytest
 
 from combcert import linalg, net
 from combcert.channels import choi_from_kraus, kraus_rank
-from combcert.linalg import haar_unitary, haar_unitary_batch, herm_eig, psd_sqrt, trace_norm
+from combcert.linalg import frobenius, haar_unitary, haar_unitary_batch, herm_eig, psd_sqrt, trace_norm
 from combcert.net import (
     GRAM_REJECTION_BUDGET,
     SEPARATION_MAX_EPS,
@@ -288,7 +288,7 @@ def test_rotated_branch_is_isometry_for_any_rotation():
 def _loop_unitary_step(dim, theta, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (g + g.conj().T) / 2
-    h /= np.linalg.norm(h)
+    h /= frobenius(h)
     vals, vecs = herm_eig(h)
     return (vecs * np.exp(1j * theta * vals)) @ vecs.conj().T
 
@@ -312,7 +312,7 @@ def _loop_lipschitz(blocks, trials, rng):
         theta_x, theta_y = np.exp(rng.uniform(np.log(1e-3), np.log(0.3), size=2))
         ux2 = ux @ _loop_unitary_step(p.u_dim, float(theta_x), rng)
         uy2 = uy @ _loop_unitary_step(p.u_dim, float(theta_y), rng)
-        dist = sqrt(np.linalg.norm(ux2 - ux) ** 2 + np.linalg.norm(uy2 - uy) ** 2)
+        dist = frobenius(np.concatenate([ux2 - ux, uy2 - uy]))
         f0 = _loop_overlap_norm(blocks, ux, uy)
         f1 = _loop_overlap_norm(blocks, ux2, uy2)
         delta = abs(f1 - f0)
@@ -333,7 +333,7 @@ def _loop_separation(blocks, pairs, rng):
     for _ in range(pairs):
         u1 = haar_unitary(p.u_dim, rng)
         u2 = haar_unitary(p.u_dim, rng)
-        while np.linalg.norm(u1 - u2) < 1e-12:
+        while frobenius(u1 - u2) < 1e-12:
             u2 = haar_unitary(p.u_dim, rng)
         _, ch1 = build_net_isometry(p, u1, blocks)
         _, ch2 = build_net_isometry(p, u2, blocks)
@@ -357,7 +357,9 @@ def _loop_separation(blocks, pairs, rng):
             x = d1 * f_operator(blocks, u1, u2)
         x_norm = trace_norm(x)
         scale = max(1.0, x_norm)
-        nilp_res = max(nilp_res, float(np.linalg.norm(x @ x)) / scale**2)
+        # scale * scale is the rounded product a stack's ** 2 takes; a Python
+        # float's ** 2 calls pow, which may round otherwise
+        nilp_res = max(nilp_res, float(frobenius(x @ x)) / (scale * scale))
         symm_res = max(symm_res, abs(trace_norm(x + x.conj().T) - 2 * x_norm) / scale)
         route_res = max(route_res, abs(x_norm - d1 * f_val) / scale)
         floor = amp * x_norm - 2 * p.eps**2 * d1

@@ -93,6 +93,22 @@ def test_every_config_value_is_read_by_a_check(monkeypatch):
     assert len(leaves) == 29
 
 
+def test_every_suite_runs_at_its_defaults_without_np_linalg_norm(monkeypatch):
+    # every norm is linalg.frobenius, summed in numpy's own loops; the BLAS
+    # dot in np.linalg.norm splits its sum by OpenBLAS kernel and thread count
+    def blas_norm(*args, **kwargs):
+        raise AssertionError("np.linalg.norm was called")
+
+    monkeypatch.setattr(np.linalg, "norm", blas_norm)
+    records = [r for run_suite in (suites.run_combs_suite, suites.run_hard_suite, suites.run_net_suite)
+               for r in run_suite(seed=7).records]
+    assert len(records) == 60
+    assert {(r.check_id, r.status, r.reason) for r in records if r.status != "pass"} == {
+        ("twirl-oversized-request", "skip", "no exact twirl route: dim 100000 exceeds the commutant "
+         "cap 48 and index 5 exceeds the permutation-frame cap 4")
+    }
+
+
 def _net_statuses(payload):
     report = suites.run_net_suite(payload, seed=5)
     return {r.check_id: (r.status, r.reason) for r in report.records}
