@@ -72,7 +72,6 @@ TAIL_LABEL = "_tail"
 # the contraction order of a two-operand einsum; passing it spares einsum
 # the search that optimize=True runs, and the contraction is the same
 _PAIR_PATH = ["einsum_path", (0, 1)]
-_ONE = complex(1.0)
 
 
 def _by_shape(fn: Callable, items: Sequence[np.ndarray]) -> list:
@@ -273,10 +272,9 @@ def validate_testers(
     elements = [el.mat for t in testers for el in t.elements]
     checks = iter(_by_shape(
         lambda x: psd_checks(x, tol=psd_tol, check_tol=max(psd_tol, HERM_CHECK_TOL)), elements))
-    # I_head (x) total (x) I_tail: np.kron with a dimension-1 identity is one
-    # product with its entry 1 + 0j, so two products give the krons bit for bit
+    # I_head (x) total (x) I_tail: dimension-1 head and tail spaces leave the matrix as it is
     padded = [
-        LabeledOperator(total.mat * _ONE * _ONE, ((HEAD_LABEL, 1),) + total.spaces + ((TAIL_LABEL, 1),))
+        LabeledOperator(total.mat, ((HEAD_LABEL, 1),) + total.spaces + ((TAIL_LABEL, 1),))
         for total in (t.element_sum() for t in testers)
     ]
     certs = certify_combs(

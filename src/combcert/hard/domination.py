@@ -164,25 +164,15 @@ def twirl_trace_bound(x: np.ndarray, twirled: np.ndarray) -> float:
 
 def symmetric_span_dim(d: int, m: int, rng: np.random.Generator) -> int:
     """Numeric dimension of span{phi^{(x) m} : phi in C^d} via a sampled Gram
-    matrix of five more vectors than the closed form binom(d+m-1, m)."""
+    matrix of five more vectors than the closed form binom(d+m-1, m), read as
+    <phi_a, phi_b>^m: count^2 entries, and no d^m-long phi^{(x) m}."""
     count = comb(d + m - 1, m) + 5
     # one draw in the order of per-vector real-then-imaginary draws
     parts = rng.standard_normal((count, 2, d))
     phi = parts[:, 0] + 1j * parts[:, 1]
     phi /= frobenius(phi[:, None])[:, None]
-    vecs = _kron_power_rows(phi, m)
-    gram = vecs @ vecs.conj().T
-    vals = herm_eigvals(gram)
+    vals = herm_eigvals((phi @ phi.conj().T) ** m)
     return int(np.count_nonzero(rank_mask(vals, SPAN_RANK_TOL)))
-
-
-def _kron_power_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """kron_power(row, n) of each row of a 2-d array, as the rows of the
-    result, bit for bit."""
-    out = np.ones((len(rows), 1), dtype=rows.dtype)
-    for _ in range(n):
-        out = (out[:, :, None] * rows[:, None, :]).reshape(len(rows), -1)
-    return out
 
 
 def domination_check(

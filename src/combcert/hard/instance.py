@@ -216,7 +216,7 @@ def outer_modes(spec: HardInstanceSpec, n: int, i: int) -> SectorPsd:
     """|gamma_i><gamma_i| on sector i of Sym^n(M): gamma_i normalized, with
     the eigenvalue |gamma_i|^2."""
     g = gamma_modes(spec, n, i)
-    norm2 = float(np.vdot(g, g).real)
+    norm2 = float(frobenius(g) ** 2)
     return SectorPsd(n, i, g[:, None] / np.sqrt(norm2), np.array([norm2]))
 
 

@@ -71,7 +71,16 @@ from .hard.facts import CHAIN_SLACK, EQUIV_PSD_TOL
 from .hard.instance import outer_modes
 from .hard.modes import GAMMA_COMB_TOL, comb_certificate
 from .hard.twirl import COMMUTANT_DIM_CAP, PERMUTATION_ORDER_CAP, exact_routes
-from .linalg import LabeledOperator, frobenius, ginibre, haar_unitary, psd_sqrt, random_psd, stack_runs
+from .linalg import (
+    LabeledOperator,
+    frobenius,
+    ginibre,
+    haar_unitary,
+    pseudo_inverse,
+    psd_sqrt,
+    random_psd,
+    stack_runs,
+)
 from .net import (
     EPS_ZERO_TOL,
     F_ROUTE_TOL,
@@ -176,10 +185,10 @@ def effective_config(user: dict | None, samples: int | None = None) -> dict:
     entries (net cells may add a mode: auto, even or odd), and cells are checked
     by the constructors that would reject them mid-run, as are
     ``hard.family_eps``, ``hard.facts.eps`` and ``hard.domination.eps``
-    (below 1) and ``net.eps`` (below 1, and at most ``SEPARATION_MAX_EPS``
-    when separation cells are configured). Every hard twirl the checks ask
-    for must have an exact route (``hard.twirl.exact_routes``).
-    Raises ConfigError."""
+    (below 1; the last two with a finite admissible window at each of their
+    cells) and ``net.eps`` (below 1, and at most ``SEPARATION_MAX_EPS`` when
+    separation cells are configured). Every hard twirl the checks ask for
+    must have an exact route (``hard.twirl.exact_routes``). Raises ConfigError."""
     if user is None:
         user = {}
     if not isinstance(user, dict):
@@ -246,15 +255,20 @@ def _check_cells(cfg: dict) -> None:
     would reject mid-run, and the hard cells that ask for a twirl no exact
     route takes."""
     hard, net = cfg["hard"], cfg["net"]
-    # HardInstanceSpec.member and the weight-schedule window need eps < 1
-    below_one = [("hard.family_eps", hard["family_eps"])] + [
-        (f"hard.{key}.eps[{k}]", eps)
-        for key in ("facts", "domination")
+    # HardInstanceSpec.member and the weight-schedule window need eps < 1, and
+    # the window d1*d2/(2e^4*eps^2) at each cell must be a finite float
+    # (eps**2 underflows to 0 below about 1e-162)
+    eps_values = [("hard.family_eps", hard["family_eps"], [])] + [
+        (f"hard.{key}.eps[{k}]", eps, hard[key][cells])
+        for key, cells in (("facts", "dim_pairs"), ("domination", "cells"))
         for k, eps in enumerate(hard[key]["eps"])
     ]
-    for path, eps in below_one:
+    for path, eps, cells in eps_values:
         if eps >= 1:
             raise ConfigError(f"{path} must be below 1, got {eps}")
+        for cell in cells:
+            if not (eps**2 > 0 and isfinite(admissible_window(cell[0], cell[1], eps))):
+                raise ConfigError(f"{path} {eps}: the admissible window at cell {cell} is not a finite float")
     for path, cells in (
         ("hard.gamma_cells", hard["gamma_cells"]),
         ("hard.mc_cells", hard["mc_cells"]),
@@ -542,6 +556,7 @@ def _tester_validity(c: Cell) -> dict:
     ok = True
     worst = 0.0
     testers = [t for t, _ in c.testers]
+    # one run at a time: validating every tester at once raises the 400-pair peak RSS
     for run in stack_runs(len(testers), _TESTER_BYTES):
         for cert in validate_testers(testers[run], psd_tol=COMB_TOL, chain_tol=COMB_TOL):
             ok = ok and cert.ok
@@ -715,15 +730,10 @@ def _trace_bound_rotor(c: Cell) -> dict:
 
 def _span_dim(c: Cell) -> dict:
     rng = np.random.default_rng(c.seed)
-    mismatches = 0
-    checked = 0
-    for d in range(1, c.cfg["span_max_d"] + 1):
-        for m in range(1, c.cfg["span_max_m"] + 1):
-            if symmetric_span_dim(d, m, rng) != binom(d + m - 1, m):
-                mismatches += 1
-            checked += 1
-    return _verdict(mismatches == 0, 0.0, float(mismatches),
-                    checked=checked, mismatches=mismatches)
+    max_d, max_m = c.cfg["span_max_d"], c.cfg["span_max_m"]
+    mismatches = sum(symmetric_span_dim(d, m, rng) != binom(d + m - 1, m)
+                     for d in range(1, max_d + 1) for m in range(1, max_m + 1))
+    return _verdict(mismatches == 0, 0.0, float(mismatches), checked=max_d * max_m, mismatches=mismatches)
 
 
 def _in_schedule_window(c: Cell) -> str | None:
@@ -805,7 +815,7 @@ def _psd_inversion(c: Cell) -> dict:
         root = psd_sqrt(m)
         for target in (0.5, 0.999, 1.001, 2.0):
             raw = root @ ginibre(dim, rng)
-            raw *= sqrt(target) / sqrt(float((raw.conj() @ (np.linalg.pinv(m) @ raw)).real))
+            raw *= sqrt(target) / sqrt(float((raw.conj() @ (pseudo_inverse(m) @ raw)).real))
             wit = psd_domination_equiv(m, raw)
             ok = ok and (wit.dominates == (target <= 1.0))
             worst = max(worst, abs(wit.quadratic_form - target), wit.support_residual)

@@ -5,6 +5,7 @@ module stays fast while still exercising the real suites."""
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -213,6 +214,26 @@ def test_cli_pins_blas_threads_unless_the_user_set_them():
     assert _blas_vars_after_import(OPENBLAS_NUM_THREADS="2") == "['2', '1', '1']"
 
 
+def test_symmetric_span_dim_at_m_12_runs_under_2_gib(tmp_path):
+    # the phi^{(x) m} as rows would take 4.5 GiB at d = 4, m = 10 (291 rows
+    # of 4^10 entries); the Gram of powered inner products takes count^2
+    payload = {"hard": {"gamma_cells": [], "mc_cells": [], "trace_dims": [2], "rotor_trace_cells": [],
+                        "span_max_m": 12, "domination": {"cells": []}, "facts": {"dim_pairs": []}}}
+    cfg, out = _write_config(tmp_path, payload), tmp_path / "out"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    done = subprocess.run([sys.executable, "-m", "combcert.cli", "verify", "--suite", "hard", "--seed", "7",
+                           "--config", cfg, "--out", str(out)],
+                          env=env, capture_output=True, text=True, preexec_fn=limit_address_space)
+    assert done.returncode == 0, done.stderr
+    records = {r["check_id"]: r for r in _load(out, "hard")["records"]}
+    assert records["symmetric-span-dim"]["status"] == "pass"
+
+
 def test_inadmissible_domination_grid_skips_lambda_bound(tmp_path):
     payload = json.loads(json.dumps(SMALL_HARD))
     payload["hard"]["domination"]["eps"] = [0.9]
@@ -380,6 +401,12 @@ BAD_CONFIGS = {
     "facts-eps-not-below-1": {"hard": {"facts": {"eps": [0.01, 1.5]}}},
     "domination-eps-not-below-1": {"hard": {"domination": {"eps": [1.5]}}},
     "net-eps-above-separation-limit": {"net": {"eps": 0.05}},
+    # eps values whose admissible window d1*d2/(2e^4*eps^2) is not a finite
+    # float: eps**2 underflows to 0 at 1e-300, the quotient overflows at 1e-160
+    "facts-eps-window-divides-by-zero": {"hard": {"facts": {"eps": [1e-300]}}},
+    "domination-eps-window-divides-by-zero": {"hard": {"domination": {"eps": [1e-300]}}},
+    "facts-eps-window-overflows": {"hard": {"facts": {"eps": [1e-160]}}},
+    "domination-eps-window-overflows": {"hard": {"domination": {"eps": [1e-160]}}},
     "removed-lambda-scale": {"hard": {"domination": {"lambda_scale": 1.0}}},
     # the tolerances are constants beside their checks; setting one, even to
     # its value, is an unknown key

@@ -128,7 +128,7 @@ def test_symmetric_span_dim_draws_the_per_vector_stream(monkeypatch):
     # draws and kron_power calls, and the generator ends in the same state
     grams = []
     monkeypatch.setattr(domination, "herm_eigvals", lambda g: grams.append(g) or np.zeros(1))
-    for d, m in [(1, 3), (2, 1), (3, 2), (4, 5)]:
+    for d, m in [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (3, 2), (4, 5)]:
         rng, ref = np.random.default_rng(5), np.random.default_rng(5)
         symmetric_span_dim(d, m, rng)
         vecs = []

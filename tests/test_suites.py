@@ -300,3 +300,15 @@ def test_a_wrong_overlap_factor_fails_the_trace_norm_identities(monkeypatch):
     bad = record()
     assert bad.status == "fail"
     assert bad.values["cross_route_residual"] > bad.threshold
+
+
+def test_hard_suite_takes_no_blas_dot(monkeypatch):
+    # |gamma_i|^2 is a Frobenius norm (linalg.frobenius), whose pairwise sum
+    # no BLAS kernel or thread count moves, not a zdotc
+    def no_vdot(*args, **kwargs):
+        raise AssertionError("np.vdot called")
+
+    monkeypatch.setattr(np, "vdot", no_vdot)
+    records = suites.run_hard_suite(None, seed=7).records
+    statuses = {r.check_id: r.status for r in records if r.status != "pass"}
+    assert statuses == {"twirl-oversized-request": "skip"}
